@@ -8,15 +8,14 @@ only when converting exact rationals to log-scale exponents for output.
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .construction import BudgetExceededError, compute_T, closed_form_Tc
-from .designs import BlockDesign, block_bitmasks, is_complete_design
+from .construction import closed_form_Tc, compute_T, erasure_deficits
+from .designs import BlockDesign, is_complete_design
 
 
 class ParameterRegimeWarning(UserWarning):
@@ -167,30 +166,6 @@ def realized_point(params) -> TradeoffPoint:
                          provenance="constructed")
 
 
-def _deficit_range(design: BlockDesign, k: int,
-                   max_subsets: int = 10 ** 6) -> tuple[int, int]:
-    """(min, max) symbol deficit over all (n-k)-subsets."""
-    n, t = design.n, design.t
-    miss = n - k
-    if comb(n, miss) > max_subsets:
-        raise BudgetExceededError(
-            f"C({n},{miss}) erasure sets exceed the cap {max_subsets}")
-    masks = block_bitmasks(design)
-    lo = hi = None
-    for sub in itertools.combinations(range(n), miss):
-        amask = 0
-        for x in sub:
-            amask |= 1 << x
-        ta = 0
-        for bm in masks:
-            e = (bm & amask).bit_count()
-            if e >= t:
-                ta += e - t + 1
-        lo = ta if lo is None else min(lo, ta)
-        hi = ta if hi is None else max(hi, ta)
-    return lo, hi
-
-
 @dataclass(frozen=True)
 class CompareReport:
     """Normalized comparison of a design code against the complete-
@@ -239,11 +214,12 @@ def compare_designs(d1: BlockDesign, d2: BlockDesign, k: int,
         raise RuntimeError(
             f"design point {mb1} exceeds the complete-design benchmark "
             f"{mb2}; this contradicts the averaging bound")
-    lo, hi = _deficit_range(d1, k, max_subsets=max_subsets)
+    # uniform exactly when the smallest deficit reaches the worst case
+    uniform = min(erasure_deficits(d1, k, max_subsets=max_subsets)) == t1
     return CompareReport(n=n, r=r, t=t, k=k, alpha_bar=alpha_bar,
                          M_bar_design=mb1, M_bar_complete=mb2,
                          T_design=t1, T_complete=t2,
-                         equal=mb1 == mb2, deficit_uniform=lo == hi)
+                         equal=mb1 == mb2, deficit_uniform=uniform)
 
 
 def integer_root(x: int, s: int) -> int:

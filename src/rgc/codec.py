@@ -7,7 +7,9 @@ the block.  Encoding expands the message through the long layer
 short layer.  Repairing a disk contacts all other disks and moves the
 minimum transfer: per affected group, the lowest-indexed r-t+1
 surviving rows.  Reconstruction decodes the full message from exactly k
-disks via a cached pseudo-inverse of the surviving constraint rows.
+disks: groups hit in at most t-1 erased disks are decoded on their own,
+and the long-layer symbols of the remaining groups are solved from the
+structural system (their surviving rows plus the T parity checks).
 """
 
 from __future__ import annotations
@@ -15,10 +17,10 @@ from __future__ import annotations
 import random
 import struct
 from dataclasses import dataclass
-from functools import lru_cache
+from operator import mul
 
-from ._kernel import mat_mul as _kmul, mat_solve as _ksolve
-from .construction import CodeSpec, erasure_system
+from ._kernel import mat_rank as _krank, mat_solve as _ksolve
+from .construction import CodeSpec, structural_system
 
 _MAGIC = b"RGC1"
 
@@ -28,7 +30,7 @@ class ShareFormatError(ValueError):
 
 
 class CorruptionError(ValueError):
-    """Helper data contradicted itself during a repair."""
+    """Share data contradicted itself during a repair or a decode."""
 
 
 @dataclass(frozen=True)
@@ -205,12 +207,17 @@ def _share_map(spec: CodeSpec, shares) -> dict[int, DiskShare]:
     return out
 
 
-def _solve_column(spec: CodeSpec, rows_sel, values) -> list[int]:
-    """Recover a group column from m generator rows and their symbols."""
+def _solve_columns(spec: CodeSpec, rows_sel, values, ncols=1) -> list[int]:
+    """Recover group columns from m generator rows and their symbols.
+
+    values is m x ncols, row-major: row i holds the symbols of generator
+    row rows_sel[i] for ncols groups that share this row selection.
+    The result is m x ncols in the same layout.
+    """
     p, q = spec.params, spec.field.q
     sg = spec.short_gen.to_rows()
     amat = [sg[i][c] for i in rows_sel for c in range(p.m)]
-    col = _ksolve(amat, p.m, p.m, list(values), 1, q)
+    col = _ksolve(amat, p.m, p.m, list(values), ncols, q)
     if col is None:
         raise RuntimeError("short-layer generator rows are singular; "
                            "the stored spec is corrupt")
@@ -273,7 +280,7 @@ def repair(spec: CodeSpec, failed: int,
             v = vals[block[i]][(j, i)]
             moved.append(v)
             sent[block[i]].append((j, i, v))
-        col = _solve_column(spec, sel, moved)
+        col = _solve_columns(spec, sel, moved)
         for i in surv[p.m:]:
             expect_v = sum(sg[i][c] * col[c] for c in range(p.m)) % q
             if vals[block[i]][(j, i)] != expect_v:
@@ -289,50 +296,58 @@ def repair(spec: CodeSpec, failed: int,
     return share, transcript
 
 
-@lru_cache(maxsize=512)
-def _decode_matrix(spec: CodeSpec, missing: tuple[int, ...]):
-    """(kept coordinates, flat M x R left inverse) for an erasure set."""
-    kept, rows = erasure_system(spec, missing)
-    nr, M, q = len(rows), spec.params.M, spec.field.q
-    at = [rows[s][c] for c in range(M) for s in range(nr)]
-    ident = [1 if a == b else 0 for a in range(M) for b in range(M)]
-    y = _ksolve(at, M, nr, ident, M, q)
-    if y is None:
-        raise ValueError(
-            f"the stored parity matrix cannot decode erasure pattern "
-            f"{missing}; the code spec fails its rank condition")
-    dec = tuple(y[s * M + c] for c in range(M) for s in range(nr))
-    return kept, dec
-
-
 def reconstruct(spec: CodeSpec, shares) -> MessageVector:
-    """Decode the message from exactly k disk shares."""
+    """Decode the message from exactly k disk shares.
+
+    Raises ValueError when the spec fails its rank condition on the
+    erasure pattern, and CorruptionError when the structural system has
+    more equations than unknowns and the shares contradict it.
+    """
     p, q = spec.params, spec.field.q
+    m, M = p.m, p.M
     pool = _share_map(spec, shares)
     if len(pool) != p.k:
         raise ValueError(f"reconstruction needs exactly k = {p.k} shares, "
                          f"got {len(pool)}")
     missing = tuple(sorted(set(range(1, p.n + 1)) - set(pool)))
-    kept, dec = _decode_matrix(spec, missing)
-    aset = frozenset(missing)
+    heavy, kept, rows = structural_system(spec, missing)
+    width = m * len(heavy)
+    flat = [v for row in rows for v in row]
+    if _krank(flat, len(rows), width, q) != width:
+        raise ValueError(
+            f"the stored parity matrix cannot decode erasure pattern "
+            f"{missing}; the code spec fails its rank condition")
     vals: dict[tuple[int, int], int] = {}
     for share in pool.values():
         vals.update(share.value_map())
-    cols: dict[int, list[int]] = {}
-    vvec: list[int] = []
-    for j, i in kept:
-        block = spec.layout.groups[j]
-        if sum(1 for disk in block if disk in aset) <= p.t - 1:
-            if j not in cols:
-                surv = [ii for ii in range(p.r) if block[ii] not in aset]
-                sel = surv[:p.m]
-                cols[j] = _solve_column(spec, sel,
-                                        [vals[(j, ii)] for ii in sel])
-            vvec.append(cols[j][i])
-        else:
-            vvec.append(vals[(j, i)])
-    out = _kmul(list(dec), p.M, len(vvec), vvec, len(vvec), 1, q)
-    return MessageVector(q=q, values=tuple(out))
+    # long-layer symbols of the light groups, solved together for all
+    # groups that keep the same first m rows; heavy ones stay 0 for now
+    w = [0] * (m * p.nstar)
+    heavy_set = set(heavy)
+    by_sel: dict[tuple[int, ...], list[int]] = {}
+    for j, block in enumerate(spec.layout.groups):
+        if j not in heavy_set:
+            sel = tuple([i for i in range(p.r) if block[i] in pool][:m])
+            by_sel.setdefault(sel, []).append(j)
+    for sel, js in by_sel.items():
+        cols = _solve_columns(spec, sel, [vals[(j, i)] for i in sel
+                                          for j in js], len(js))
+        for g, j in enumerate(js):
+            w[j * m:(j + 1) * m] = cols[g::len(js)]
+    # [S | -I] w = 0 with the light columns moved to the right-hand side
+    rhs = [vals[c] for c in kept]
+    s = spec.s_matrix.entries
+    for t in range(p.T):
+        srow = s[t * M:(t + 1) * M]
+        rhs.append((w[M + t] - sum(map(mul, srow, w))) % q)
+    x = _ksolve(flat, len(rows), width, rhs, 1, q)
+    if x is None:
+        raise CorruptionError(
+            f"the shares contradict each other under erasure pattern "
+            f"{missing}")
+    for h, j in enumerate(heavy):
+        w[j * m:(j + 1) * m] = x[h * m:(h + 1) * m]
+    return MessageVector(q=q, values=tuple(w[:M]))
 
 
 def symbol_width(q: int) -> int:

@@ -9,10 +9,15 @@ the last T hold parity symbols S @ d, sized so that any n - k disk
 erasures still leave a rank-M system.  T is the worst case, over erasure
 sets A, of the symbol deficit beyond what the short layer absorbs.
 
-verify_S checks the rank condition for every erasure set; rank_witness
-builds, for one erasure set, an explicit S certifying that the condition
-is satisfiable, which makes the generic determinant argument for random
-S checkable per set.
+verify_S checks the rank condition for every erasure set on the
+structural system: only the groups whose block meets the set in at least
+t disks carry unknowns, so the check is a rank over their m long-layer
+symbols, constrained by their surviving short-generator rows and the T
+parity checks [S | -I].  erasure_system keeps the dense (r*N*) x M view
+of the same condition as a reference.  rank_witness builds, for one
+erasure set, an explicit S certifying that the condition is satisfiable,
+which makes the generic determinant argument for random S checkable per
+set.
 """
 
 from __future__ import annotations
@@ -95,11 +100,6 @@ class Layout:
     def disk_of(self, group: int, row: int) -> int:
         return self.groups[group][row]
 
-    def slot_of(self, group: int, row: int) -> tuple[int, int]:
-        """(disk id, slot index on that disk) for a group row."""
-        disk = self.groups[group][row]
-        return disk, self._by_disk[disk].index((group, row))
-
     def disk_slots(self, disk: int) -> tuple[tuple[int, int], ...]:
         """All (group, row) pairs stored on a disk, in slot order."""
         return self._by_disk.get(disk, ())
@@ -129,6 +129,36 @@ def compute_TA(design: BlockDesign, a, t: int | None = None) -> int:
     return total
 
 
+def erasure_deficits(design: BlockDesign, k: int, t: int | None = None,
+                     max_subsets: int = 10 ** 6):
+    """Iterator over T(A) for every (n-k)-subset A, in lexicographic order.
+
+    Raises BudgetExceededError up front when there are more than
+    max_subsets erasure sets.
+    """
+    n = design.n
+    t = design.t if t is None else t
+    miss = n - k
+    total = comb(n, miss)
+    if total > max_subsets:
+        raise BudgetExceededError(
+            f"C({n},{miss}) = {total} erasure sets exceed the cap "
+            f"{max_subsets}")
+    masks = block_bitmasks(design)
+    points = [1 << x for x in range(n)]
+
+    def deficits():
+        for sub in itertools.combinations(points, miss):
+            amask = sum(sub)
+            ta = 0
+            for bm in masks:
+                e = (bm & amask).bit_count()
+                if e >= t:
+                    ta += e - t + 1
+            yield ta
+    return deficits()
+
+
 def compute_T(design: BlockDesign, k: int, t: int | None = None,
               max_subsets: int = 10 ** 6) -> int:
     """Worst-case deficit max_A T(A) over all (n-k)-subsets, exhaustive.
@@ -140,25 +170,7 @@ def compute_T(design: BlockDesign, k: int, t: int | None = None,
     t = design.t if t is None else t
     if not 1 <= k <= n - 1:
         raise ValueError(f"k={k} must be in 1..{n - 1}")
-    miss = n - k
-    total = comb(n, miss)
-    if total > max_subsets:
-        raise BudgetExceededError(
-            f"C({n},{miss}) = {total} erasure sets exceed the cap "
-            f"{max_subsets}")
-    masks = block_bitmasks(design)
-    best = 0
-    for sub in itertools.combinations(range(n), miss):
-        amask = 0
-        for x in sub:
-            amask |= 1 << x
-        ta = 0
-        for bm in masks:
-            e = (bm & amask).bit_count()
-            if e >= t:
-                ta += e - t + 1
-        if ta > best:
-            best = ta
+    best = max(erasure_deficits(design, k, t, max_subsets))
     if is_complete_design(design):
         formula = closed_form_Tc(n, k, design.r, t)
         if best != formula:
@@ -309,13 +321,6 @@ class CodeSpec:
             row = [self.phi[x % p.m] for x in range(p.M)]
             return FieldMatrix.from_rows(self.field.q, [row])
         return FieldMatrix(self.field.q, p.T, p.M, self.s_entries)
-
-    @cached_property
-    def g_matrix(self) -> FieldMatrix:
-        """Stacked generator G = [I; S] of the long layer."""
-        return FieldMatrix.vstack([FieldMatrix.identity(self.field.q,
-                                                        self.params.M),
-                                   self.s_matrix])
 
     def to_json(self) -> str:
         """Canonical JSON; round-trips bit-exactly through from_json."""
@@ -478,25 +483,13 @@ def _qg_rows(blocks, s_rows, m, M, q):
     return rows, kept
 
 
-def assemble_QA(spec: CodeSpec, a) -> FieldMatrix:
-    """Block-diagonal constraint matrix Q_A, (r*nstar) x (m*nstar)."""
-    aset = _check_erasure_set(spec, a)
-    p = spec.params
-    blocks = _reduced_blocks(spec, aset)
-    width = p.m * p.nstar
-    entries = []
-    for j, rb in enumerate(blocks):
-        base = j * p.m
-        for brow in rb:
-            row = [0] * width
-            row[base:base + p.m] = brow
-            entries.extend(row)
-    return FieldMatrix(spec.field.q, p.r * p.nstar, width, tuple(entries))
-
-
 def erasure_system(spec: CodeSpec, a):
     """(kept coordinates, rows of Q_A @ G) for an erasure set; the rows
-    are the reachable linear views of the message."""
+    are the reachable linear views of the message.
+
+    This dense (r*N*) x M system is the reference that structural_system
+    is tested against; the codec and verify_S do not use it.
+    """
     aset = _check_erasure_set(spec, a)
     blocks = _reduced_blocks(spec, aset)
     s_rows = spec.s_matrix.to_rows()
@@ -505,10 +498,47 @@ def erasure_system(spec: CodeSpec, a):
     return kept, rows
 
 
+def structural_system(spec: CodeSpec, a):
+    """(heavy groups, kept coordinates, rows) of the structural system.
+
+    A group is heavy when its block meets the erasure set in at least t
+    disks; every other group is decodable from its own surviving rows.
+    The unknowns are the m long-layer symbols of each heavy group, in
+    group order, so rows have m * len(heavy) entries.  rows[:len(kept)]
+    are the surviving short-generator rows of the heavy groups, kept[i]
+    naming the (group, row) of rows[i]; the last T rows are the parity
+    checks [S | -I] restricted to the heavy columns.  rank(Q_A @ G) = M
+    exactly when these rows have full column rank.
+    """
+    aset = _check_erasure_set(spec, a)
+    p, q = spec.params, spec.field.q
+    m, M = p.m, p.M
+    heavy = [j for j, block in enumerate(spec.layout.groups)
+             if len(aset.intersection(block)) >= p.t]
+    width = m * len(heavy)
+    sg = spec.short_gen.entries
+    kept, rows = [], []
+    for h, j in enumerate(heavy):
+        for i, disk in enumerate(spec.layout.groups[j]):
+            if disk not in aset:
+                row = [0] * width
+                row[h * m:(h + 1) * m] = sg[i * m:(i + 1) * m]
+                kept.append((j, i))
+                rows.append(row)
+    cols = [j * m + c for j in heavy for c in range(m)]
+    s = spec.s_matrix.entries
+    for t in range(p.T):
+        base = t * M
+        rows.append([s[base + pos] if pos < M else
+                     (q - 1 if pos - M == t else 0) for pos in cols])
+    return heavy, kept, rows
+
+
 def _rank_ok(spec: CodeSpec, a) -> bool:
-    _, rows = erasure_system(spec, a)
+    heavy, _, rows = structural_system(spec, a)
+    width = spec.params.m * len(heavy)
     flat = [v for row in rows for v in row]
-    return _krank(flat, len(rows), spec.params.M, spec.field.q) == spec.params.M
+    return _krank(flat, len(rows), width, spec.field.q) == width
 
 
 def _verify_chunk(args):
@@ -535,6 +565,9 @@ def resolve_jobs(jobs: int | None = None) -> int:
 def verify_S(spec: CodeSpec, jobs: int | None = 1, sample: int | None = None,
              seed: int = 0, max_subsets: int = 10 ** 6) -> VerifyReport:
     """Check rank(Q_A @ G) = M for every (n-k)-subset A.
+
+    Each set is checked on its structural system, whose size depends on
+    the groups the set hits in at least t disks, not on M.
 
     When C(n, n-k) exceeds max_subsets, a seeded random sample must be
     requested explicitly via `sample`; the report then marks itself as
@@ -583,16 +616,27 @@ class SynthesisResult:
 
 
 def _vandermonde_parity(M: int, T: int, field: PrimeField) -> tuple[int, ...]:
-    # parity block of the systematic (M+T, M) Vandermonde MDS code:
-    # S = V_bot @ V_top^{-1} with nodes 0..M+T-1
+    """Parity block S = V_bot @ V_top^{-1} of the systematic (M+T, M)
+    Vandermonde MDS code with nodes 0..M+T-1; needs q >= M+T.
+
+    Row t of S expresses node M+t through nodes 0..M-1, so S[t][c] is
+    the Lagrange basis polynomial of node c evaluated at M+t:
+    prod_{j != c} (M+t-j) / (c-j).
+    """
     q = field.q
-    vtop_t = [pow(i, row, q) for row in range(M) for i in range(M)]
-    vbot_t = [pow(M + i, row, q) for row in range(M) for i in range(T)]
-    x = _ksolve(vtop_t, M, M, vbot_t, T, q)
-    if x is None:
-        raise WitnessError("Vandermonde system must be invertible")
-    # x is M x T = S^t
-    return tuple(x[c * T + t0] for t0 in range(T) for c in range(M))
+    fact = [1] * (M + T)
+    for i in range(1, M + T):
+        fact[i] = fact[i - 1] * i % q
+    # 1 / prod_{j != c} (c-j) = (-1)^(M-1-c) / (c! (M-1-c)!)
+    inv_den = [(-1) ** (M - 1 - c) * pow(fact[c] * fact[M - 1 - c], -1, q)
+               for c in range(M)]
+    out = []
+    for t in range(T):
+        x = M + t
+        num = fact[x] * pow(fact[t], -1, q)     # prod_{j < M} (x - j)
+        out.extend(num * pow(x - c, -1, q) * inv_den[c] % q
+                   for c in range(M))
+    return tuple(out)
 
 
 def synthesize_S(params: CodeParams, design: BlockDesign, field: PrimeField,

@@ -1,8 +1,7 @@
-"""Exact arithmetic in prime fields F(q) and dense linear algebra over them.
+"""Exact arithmetic in prime fields F(q) and dense matrices over them.
 
-Everything here is deterministic and exact: residues are plain Python ints,
-elimination uses first-nonzero pivoting, and the modulus is capped at 2^61 so
-the compiled kernel's 128-bit intermediates never overflow.
+Everything here is deterministic and exact: residues are plain Python ints
+and the modulus is capped at 2^61.  Elimination lives in ``_kernel``.
 """
 
 from __future__ import annotations
@@ -10,16 +9,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from . import _kernel
-
 MAX_MODULUS = 1 << 61
 
 # Deterministic Miller-Rabin witnesses, valid for all n < 3.3 * 10^24
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-class InconsistentSystem(ValueError):
-    """A linear system a x = b admits no solution."""
 
 
 def is_prime(n: int) -> bool:
@@ -71,9 +64,6 @@ class PrimeField:
         if not is_prime(self.q):
             raise ValueError(f"modulus {self.q} is not prime")
 
-    def element(self, x: int) -> int:
-        return x % self.q
-
     def add(self, a: int, b: int) -> int:
         return (a + b) % self.q
 
@@ -93,21 +83,6 @@ class PrimeField:
 
     def div(self, a: int, b: int) -> int:
         return a * self.inv(b) % self.q
-
-
-def field_arithmetic(field: PrimeField, a: int, b: int, op: str) -> int:
-    """Dispatch one named field operation; inv/div invert/divide by b."""
-    if op == "add":
-        return field.add(a, b)
-    if op == "sub":
-        return field.sub(a, b)
-    if op == "mul":
-        return field.mul(a, b)
-    if op == "inv":
-        return field.inv(b)
-    if op == "div":
-        return field.div(a, b)
-    raise ValueError(f"unknown field op {op!r}")
 
 
 @dataclass(frozen=True)
@@ -167,9 +142,6 @@ class FieldMatrix:
             rows += m.rows
         return cls(q, rows, cols, tuple(flat))
 
-    def at(self, i: int, j: int) -> int:
-        return self.entries[i * self.cols + j]
-
     def row(self, i: int) -> tuple[int, ...]:
         return self.entries[i * self.cols:(i + 1) * self.cols]
 
@@ -180,46 +152,3 @@ class FieldMatrix:
         flat = [self.entries[i * self.cols + j]
                 for j in range(self.cols) for i in range(self.rows)]
         return FieldMatrix(self.q, self.cols, self.rows, tuple(flat))
-
-    def mul(self, other: FieldMatrix) -> FieldMatrix:
-        if self.q != other.q:
-            raise ValueError("mismatched fields")
-        flat = _kernel.mat_mul(list(self.entries), self.rows, self.cols,
-                               list(other.entries), other.rows, other.cols,
-                               self.q)
-        return FieldMatrix(self.q, self.rows, other.cols, tuple(flat))
-
-    def mul_vector(self, vec: Sequence[int]) -> list[int]:
-        if len(vec) != self.cols:
-            raise ValueError("vector length mismatch")
-        return _kernel.mat_mul(list(self.entries), self.rows, self.cols,
-                               list(vec), self.cols, 1, self.q)
-
-    def rank(self) -> int:
-        return _kernel.mat_rank(list(self.entries), self.rows, self.cols,
-                                self.q)
-
-    def solve(self, b: FieldMatrix) -> FieldMatrix:
-        """Any x with self x = b (free variables zeroed, deterministic)."""
-        if self.q != b.q:
-            raise ValueError("mismatched fields")
-        if self.rows != b.rows:
-            raise ValueError(
-                f"row mismatch: {self.rows} equations, {b.rows} rhs rows")
-        x = _kernel.mat_solve(list(self.entries), self.rows, self.cols,
-                              list(b.entries), b.cols, self.q)
-        if x is None:
-            raise InconsistentSystem("no solution")
-        return FieldMatrix(self.q, self.cols, b.cols, tuple(x))
-
-
-def mat_rank(m: FieldMatrix) -> int:
-    return m.rank()
-
-
-def mat_solve(a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
-    return a.solve(b)
-
-
-def mat_mul(a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
-    return a.mul(b)

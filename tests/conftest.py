@@ -91,3 +91,9 @@ def t3_spec():
     """Deeper-layer sample: complete S_4(3,4,7), k=4 (t=3, m=2)."""
     return build_code(gen_complete_design(3, 4, 7), 4, q="auto",
                       seed=0).spec
+
+
+@pytest.fixture(scope="session")
+def s15_spec():
+    """Steiner S(2,3,15) code with k=11, field chosen automatically."""
+    return build_code(gen_steiner_triple(15), 11, q="auto", seed=0).spec

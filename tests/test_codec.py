@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from rgc.codec import (CorruptionError, DiskShare, MessageVector,
                        ShareFormatError, ShareSet, check_share, encode,
                        read_share, reconstruct, repair, share_from_bytes,
                        share_to_bytes, write_share)
+from rgc.construction import CodeSpec, structural_system, verify_S
 
 
 def _msg(spec, seed):
@@ -89,6 +91,45 @@ def test_reconstruct_share_count_guard(golden_spec):
         reconstruct(golden_spec, shares.subset([1, 2, 3]))
     with pytest.raises(ValueError):
         reconstruct(golden_spec, shares)
+
+
+def test_reconstruct_names_undecodable_pattern(golden_spec):
+    p = golden_spec.params
+    broken = CodeSpec(params=p, field=golden_spec.field,
+                      design=golden_spec.design, layout=golden_spec.layout,
+                      s_entries=(0,) * (p.T * p.M))
+    missing = verify_S(broken).failures[0]
+    shares = encode(broken, _msg(broken, 5))
+    with pytest.raises(ValueError, match=re.escape(str(missing))) as err:
+        reconstruct(broken, shares.without(*missing))
+    assert not isinstance(err.value, CorruptionError)
+
+
+def test_reconstruct_detects_flip_when_overdetermined(s15_spec):
+    """An erasure set holding a whole block leaves the structural system
+    one equation more than unknowns, so flipped symbols are caught."""
+    spec = s15_spec
+    q = spec.field.q
+    block = spec.design.blocks[0]
+    missing = tuple(sorted(block + (max(set(range(1, 16)) - set(block)),)))
+    heavy, kept, rows = structural_system(spec, missing)
+    assert len(rows) > spec.params.m * len(heavy)
+    msg = _msg(spec, 3)
+    shares = encode(spec, msg).without(*missing)
+    assert reconstruct(spec, shares) == msg
+    caught = set()
+    for share in shares:
+        for pos, (j, i, v) in enumerate(share.symbols):
+            flipped = DiskShare(disk=share.disk, symbols=(
+                share.symbols[:pos] + ((j, i, (v + 1) % q),)
+                + share.symbols[pos + 1:]))
+            try:
+                got = reconstruct(spec, shares.replace(flipped))
+            except CorruptionError:
+                caught.add((j, i))
+                continue
+            assert got == msg, f"flip of group {j} row {i} decoded wrongly"
+    assert set(kept) <= caught
 
 
 def test_message_validation(golden_spec):

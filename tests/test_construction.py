@@ -1,7 +1,9 @@
 """Parameter derivation, layout, long-parity synthesis, verification."""
 
+import hashlib
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -11,11 +13,12 @@ from rgc.construction import (BudgetExceededError, CodeSpec, SynthesisError,
                               build_code, build_explicit_steiner_code,
                               build_layout, choose_phi, closed_form_Tc,
                               compute_T, compute_TA, derive_params,
-                              erasure_system, rank_witness, resolve_jobs,
+                              _vandermonde_parity, erasure_system,
+                              rank_witness, resolve_jobs,
                               short_mds_generator, synthesize_S, verify_S)
 from rgc.designs import gen_complete_design, gen_steiner_triple
 from rgc.ffield import PrimeField
-from rgc._kernel import mat_rank
+from rgc._kernel import mat_mul, mat_rank
 
 
 @pytest.fixture(scope="module")
@@ -172,6 +175,76 @@ def test_synthesis_reports_exhausted_budget():
 def test_structured_candidate_wins_at_large_q(complete9_build):
     assert complete9_build.structured
     assert complete9_build.attempts == 1
+
+
+@pytest.mark.parametrize("M,T,q", [(1, 1, 2), (2, 1, 3), (3, 2, 5),
+                                   (5, 3, 11), (6, 4, 13), (23, 1, 29)])
+def test_vandermonde_parity_closed_form(M, T, q):
+    """S @ V_top == V_bot for the Vandermonde nodes 0..M+T-1."""
+    s = list(_vandermonde_parity(M, T, PrimeField(q)))
+    vtop = [pow(i, e, q) for i in range(M) for e in range(M)]
+    vbot = [pow(M + i, e, q) for i in range(T) for e in range(M)]
+    assert mat_mul(s, T, M, vtop, M, M, q) == vbot
+
+
+def test_reference_spec_hashes_unchanged(golden_spec, complete9_spec,
+                                         t3_spec, s15_spec):
+    """Spec bytes of the reference codes built with seed 0 are pinned."""
+    pins = (
+        (golden_spec, 3, "4d5332ecb962e816dee1d328544b0f58"
+                         "b7d9021f2efc5c9b45265233141f252e"),
+        (complete9_spec, 40577, "c76e8bbb1e2f6143099c21573fff1d78"
+                                "a97f6178ab247c4ad7a291cf98f52fdb"),
+        (t3_spec, 9241, "91e3860b47e368997b60e15b16f51f1f"
+                        "99ad78250b7d47cebc82c0f7ff4bf915"),
+        (s15_spec, 524171, "7cbb176ce4cba73ac89e09ce7214e127"
+                           "ec6fb0d1f63f0e2e221cfd6c201e2753"),
+    )
+    for spec, q, pin in pins:
+        assert spec.field.q == q
+        assert hashlib.sha256(spec.to_json().encode()).hexdigest() == pin
+
+
+def _dense_failures(spec):
+    """Erasure sets on which the dense reference system loses rank."""
+    p, q = spec.params, spec.field.q
+    out = []
+    for a in itertools.combinations(range(1, p.n + 1), p.n - p.k):
+        _, rows = erasure_system(spec, a)
+        flat = [x for row in rows for x in row]
+        if mat_rank(flat, len(rows), p.M, q) != p.M:
+            out.append(a)
+    return tuple(out)
+
+
+def _random_candidate(design, k, q, seed):
+    params = derive_params(design, k)
+    rng = random.Random(seed)
+    return CodeSpec(params=params, field=PrimeField(q), design=design,
+                    layout=build_layout(design),
+                    s_entries=tuple(rng.randrange(q)
+                                    for _ in range(params.T * params.M)))
+
+
+def test_structural_rank_matches_dense_reference(golden_spec, complete9_spec,
+                                                 t3_spec, s15_spec):
+    """verify_S's structural check fails on exactly the erasure sets where
+    the dense (r*N*) x M system loses rank."""
+    specs = [golden_spec, complete9_spec, t3_spec, s15_spec]
+    for q in (7, 31):
+        for seed in (0, 1):
+            specs += [_random_candidate(gen_steiner_triple(9), 7, q, seed),
+                      _random_candidate(gen_complete_design(2, 3, 9), 7, q,
+                                        seed),
+                      _random_candidate(gen_complete_design(3, 4, 7), 4, q,
+                                        seed)]
+    specs.append(_random_candidate(gen_steiner_triple(15), 11, 7, 0))
+    failing = 0
+    for spec in specs:
+        want = _dense_failures(spec)
+        assert verify_S(spec).failures == want
+        failing += len(want)
+    assert failing > 100    # small fields really fail the rank condition
 
 
 def test_witness_generalizes_to_deeper_overlap(t3_spec):

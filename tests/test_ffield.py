@@ -1,13 +1,11 @@
 """Prime-field arithmetic and the exact linear-algebra kernel."""
 
-import os
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rgc import _kernel_py
 from rgc._kernel import mat_mul, mat_rank, mat_solve
 from rgc.ffield import FieldMatrix, PrimeField, next_prime
 
@@ -120,27 +118,3 @@ def test_solve_underdetermined_zeroes_free_variables():
     x = mat_solve([1, 1], 1, 2, [4], 1, 7)
     assert x is not None
     assert mat_mul([1, 1], 1, 2, x, 2, 1, 7) == [4]
-
-
-def test_kernel_backends_agree():
-    rng = random.Random(99)
-    q = 101
-    for _ in range(25):
-        rows, cols = rng.randint(1, 8), rng.randint(1, 8)
-        a = _random_flat(rng, rows, cols, q)
-        assert (_kernel_py.mat_rank(list(a), rows, cols, q)
-                == mat_rank(list(a), rows, cols, q))
-        b = _random_flat(rng, cols, 3, q)
-        assert (_kernel_py.mat_mul(list(a), rows, cols, list(b), cols, 3, q)
-                == mat_mul(list(a), rows, cols, list(b), cols, 3, q))
-
-
-def test_kernel_selector_env(monkeypatch):
-    env = dict(os.environ, RGC_KERNEL="py")
-    import subprocess
-    import sys
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "from rgc._kernel import BACKEND; print(BACKEND)"],
-        env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "py"
