@@ -184,8 +184,8 @@ class CompareReport:
     deficit_uniform: bool
 
 
-def compare_designs(d1: BlockDesign, d2: BlockDesign, k: int,
-                    max_subsets: int = 10 ** 6) -> CompareReport:
+def compare_designs(d1: BlockDesign, d2: BlockDesign,
+                    k: int) -> CompareReport:
     """Compare a design code to the complete-design code.
 
     The benchmark is never worse; equality holds exactly when the first
@@ -201,8 +201,8 @@ def compare_designs(d1: BlockDesign, d2: BlockDesign, k: int,
     d = n - t + 1
     _validate_nkd(n, k, d)
     m = r - t + 1
-    t1 = compute_T(d1, k, max_subsets=max_subsets)
-    t2 = compute_T(d2, k, max_subsets=max_subsets)
+    t1 = compute_T(d1, k)
+    t2 = compute_T(d2, k)
     alpha_bar = Fraction(d, m)
 
     def m_bar(design, tval):
@@ -215,7 +215,7 @@ def compare_designs(d1: BlockDesign, d2: BlockDesign, k: int,
             f"design point {mb1} exceeds the complete-design benchmark "
             f"{mb2}; this contradicts the averaging bound")
     # uniform exactly when the smallest deficit reaches the worst case
-    uniform = min(erasure_deficits(d1, k, max_subsets=max_subsets)) == t1
+    uniform = min(erasure_deficits(d1, k)) == t1
     return CompareReport(n=n, r=r, t=t, k=k, alpha_bar=alpha_bar,
                          M_bar_design=mb1, M_bar_complete=mb2,
                          T_design=t1, T_complete=t2,

@@ -82,8 +82,7 @@ def _cmd_code_build(args) -> int:
     design = load_design(args.design)
     q = args.q if args.q == "auto" else int(args.q)
     result = build_code(design, args.k, q=q, seed=args.seed,
-                        budget=args.budget, jobs=args.jobs,
-                        sample=args.sample)
+                        budget=args.budget, sample=args.sample)
     spec = result.spec
     print(f"built code over GF({spec.field.q}): M={spec.params.M} "
           f"T={spec.params.T} alpha={spec.params.alpha} "
@@ -117,8 +116,7 @@ def _cmd_code_inspect(args) -> int:
 
 def _cmd_code_verify(args) -> int:
     spec = CodeSpec.load(args.spec)
-    report = verify_S(spec, jobs=args.jobs, sample=args.sample,
-                      seed=args.seed)
+    report = verify_S(spec, sample=args.sample, seed=args.seed)
     scope = "sampled" if report.sampled else "all"
     if not report.ok:
         first = report.failures[0]
@@ -283,8 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--seed", type=int, default=0)
     p_build.add_argument("--budget", type=int, default=8,
                          help="max synthesis attempts")
-    p_build.add_argument("--jobs", type=int, default=None,
-                         help="worker processes (default: RGC_JOBS or 1)")
     p_build.add_argument("--sample", type=int, default=None,
                          help="verify a seeded sample of erasure sets "
                               "instead of all of them")
@@ -295,7 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_insp.add_argument("--out", default=None)
     p_cver = csub.add_parser("verify", help="re-check the rank condition")
     p_cver.add_argument("--spec", required=True)
-    p_cver.add_argument("--jobs", type=int, default=None)
     p_cver.add_argument("--sample", type=int, default=None)
     p_cver.add_argument("--seed", type=int, default=0)
 

@@ -19,8 +19,8 @@ import struct
 from dataclasses import dataclass
 from operator import mul
 
-from ._kernel import mat_rank as _krank, mat_solve as _ksolve
-from .construction import CodeSpec, structural_system
+from ._kernel import mat_solve as _ksolve
+from .construction import CodeSpec, full_column_rank, structural_system
 
 _MAGIC = b"RGC1"
 
@@ -155,12 +155,6 @@ class RepairTranscript:
     @property
     def total_symbols(self) -> int:
         return sum(len(syms) for _, syms in self.helpers)
-
-    def symbols_from(self, disk: int) -> tuple[tuple[int, int, int], ...]:
-        for h, syms in self.helpers:
-            if h == disk:
-                return syms
-        raise ValueError(f"disk {disk} was not a helper")
 
 
 def check_share(spec: CodeSpec, share: DiskShare) -> None:
@@ -312,8 +306,8 @@ def reconstruct(spec: CodeSpec, shares) -> MessageVector:
     missing = tuple(sorted(set(range(1, p.n + 1)) - set(pool)))
     heavy, kept, rows = structural_system(spec, missing)
     width = m * len(heavy)
-    flat = [v for row in rows for v in row]
-    if _krank(flat, len(rows), width, q) != width:
+    flat, ok = full_column_rank(rows, width, q)
+    if not ok:
         raise ValueError(
             f"the stored parity matrix cannot decode erasure pattern "
             f"{missing}; the code spec fails its rank condition")

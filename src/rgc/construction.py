@@ -13,11 +13,12 @@ verify_S checks the rank condition for every erasure set on the
 structural system: only the groups whose block meets the set in at least
 t disks carry unknowns, so the check is a rank over their m long-layer
 symbols, constrained by their surviving short-generator rows and the T
-parity checks [S | -I].  erasure_system keeps the dense (r*N*) x M view
-of the same condition as a reference.  rank_witness builds, for one
-erasure set, an explicit S certifying that the condition is satisfiable,
-which makes the generic determinant argument for random S checkable per
-set.
+parity checks [S | -I].  The same system drives decoding in codec and
+rank_witness, which builds, for one erasure set, a 0/1 matrix S that
+satisfies the condition, so the generic determinant argument for random
+S is checkable per set.  erasure_system is the independent dense
+reference: every symbol stored on a surviving disk as a linear form in
+the message.
 """
 
 from __future__ import annotations
@@ -25,16 +26,19 @@ from __future__ import annotations
 import itertools
 import json
 import hashlib
-import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb
 
-from ._kernel import mat_rank as _krank, mat_solve as _ksolve
-from .designs import BlockDesign, block_bitmasks, is_complete_design
+from ._kernel import mat_rank as _krank
+from .designs import (BlockDesign, block_bitmasks, is_complete_design,
+                      json_field, json_int, json_int_rows)
 from .ffield import FieldMatrix, PrimeField, next_prime
+
+
+# Cap on the erasure sets that compute_T and verify_S enumerate.
+MAX_SUBSETS = 10 ** 6
 
 
 class BudgetExceededError(ValueError):
@@ -97,15 +101,9 @@ class Layout:
                 inv.setdefault(disk, []).append((j, i))
         return {disk: tuple(sorted(pairs)) for disk, pairs in inv.items()}
 
-    def disk_of(self, group: int, row: int) -> int:
-        return self.groups[group][row]
-
     def disk_slots(self, disk: int) -> tuple[tuple[int, int], ...]:
         """All (group, row) pairs stored on a disk, in slot order."""
         return self._by_disk.get(disk, ())
-
-    def disk_load(self, disk: int) -> int:
-        return len(self.disk_slots(disk))
 
 
 def build_layout(design: BlockDesign) -> Layout:
@@ -114,36 +112,33 @@ def build_layout(design: BlockDesign) -> Layout:
     return Layout(groups=design.blocks)
 
 
-def compute_TA(design: BlockDesign, a, t: int | None = None) -> int:
+def compute_TA(design: BlockDesign, a) -> int:
     """Symbol deficit of erasure set a: sum over blocks meeting a in at
     least t elements of (|B & a| - t + 1)."""
-    t = design.t if t is None else t
     aset = frozenset(a)
     if any(not 1 <= x <= design.n for x in aset):
         raise ValueError("erasure set leaves the ground set")
     total = 0
     for block in design.blocks:
         e = len(aset.intersection(block))
-        if e >= t:
-            total += e - t + 1
+        if e >= design.t:
+            total += e - design.t + 1
     return total
 
 
-def erasure_deficits(design: BlockDesign, k: int, t: int | None = None,
-                     max_subsets: int = 10 ** 6):
+def erasure_deficits(design: BlockDesign, k: int):
     """Iterator over T(A) for every (n-k)-subset A, in lexicographic order.
 
     Raises BudgetExceededError up front when there are more than
-    max_subsets erasure sets.
+    MAX_SUBSETS erasure sets.
     """
-    n = design.n
-    t = design.t if t is None else t
+    n, t = design.n, design.t
     miss = n - k
     total = comb(n, miss)
-    if total > max_subsets:
+    if total > MAX_SUBSETS:
         raise BudgetExceededError(
             f"C({n},{miss}) = {total} erasure sets exceed the cap "
-            f"{max_subsets}")
+            f"{MAX_SUBSETS}")
     masks = block_bitmasks(design)
     points = [1 << x for x in range(n)]
 
@@ -159,20 +154,18 @@ def erasure_deficits(design: BlockDesign, k: int, t: int | None = None,
     return deficits()
 
 
-def compute_T(design: BlockDesign, k: int, t: int | None = None,
-              max_subsets: int = 10 ** 6) -> int:
+def compute_T(design: BlockDesign, k: int) -> int:
     """Worst-case deficit max_A T(A) over all (n-k)-subsets, exhaustive.
 
     For complete designs the result is cross-checked against the closed
     form closed_form_Tc; a mismatch raises.
     """
     n = design.n
-    t = design.t if t is None else t
     if not 1 <= k <= n - 1:
         raise ValueError(f"k={k} must be in 1..{n - 1}")
-    best = max(erasure_deficits(design, k, t, max_subsets))
+    best = max(erasure_deficits(design, k))
     if is_complete_design(design):
-        formula = closed_form_Tc(n, k, design.r, t)
+        formula = closed_form_Tc(n, k, design.r, design.t)
         if best != formula:
             raise ValueError(
                 f"exhaustive T = {best} disagrees with the complete-design "
@@ -186,8 +179,7 @@ def closed_form_Tc(n: int, k: int, r: int, t: int = 2) -> int:
                for i in range(t, min(n - k, r) + 1))
 
 
-def derive_params(design: BlockDesign, k: int,
-                  max_subsets: int = 10 ** 6) -> CodeParams:
+def derive_params(design: BlockDesign, k: int) -> CodeParams:
     """Fill CodeParams for a design and reconstruction threshold k."""
     n, t, r, lam = design.n, design.t, design.r, design.lam
     if t < 2:
@@ -199,7 +191,7 @@ def derive_params(design: BlockDesign, k: int,
     alpha = design.replication
     nstar = design.num_blocks
     m = r - t + 1
-    T = compute_T(design, k, max_subsets=max_subsets)
+    T = compute_T(design, k)
     M = m * nstar - T
     if M < 1:
         raise ValueError(f"parity deficit T = {T} consumes the whole "
@@ -342,27 +334,25 @@ class CodeSpec:
 
     @classmethod
     def from_json(cls, text: str) -> CodeSpec:
+        """Parse canonical JSON; ValueError names a missing or bad field."""
         doc = json.loads(text)
-        try:
-            pd = doc["params"]
-            params = CodeParams(n=pd["n"], k=pd["k"], d=pd["d"], t=pd["t"],
-                                r=pd["r"], lam=pd["lambda"],
-                                alpha=pd["alpha"], beta=pd["beta"],
-                                gamma=pd["gamma"], M=pd["M"], T=pd["T"],
-                                nstar=pd["nstar"])
-            dd = doc["design"]
-            design = BlockDesign(n=dd["n"], t=dd["t"], r=dd["r"],
-                                 lam=dd["lambda"],
-                                 blocks=tuple(tuple(b) for b in dd["blocks"]))
-            layout = Layout(groups=tuple(tuple(g) for g in doc["layout"]))
-            phi = tuple(int(c) for c in doc["phi"]) if "phi" in doc else None
-            s_entries = (tuple(int(v) for v in doc["s"])
-                         if phi is None else None)
-            return cls(params=params, field=PrimeField(doc["q"]),
-                       design=design, layout=layout, phi=phi,
-                       s_entries=s_entries)
-        except KeyError as exc:
-            raise ValueError(f"code spec JSON missing key {exc}") from None
+        pd = json_field(doc, "params", "code spec")
+        ints = {key: json_int(pd, key, "code spec params") for key in (
+            "n", "k", "d", "t", "r", "lambda", "alpha", "gamma", "M", "T",
+            "nstar")}
+        beta = json_field(pd, "beta", "code spec params")
+        if beta is not None:
+            beta = json_int(pd, "beta", "code spec params")
+        phi = _decimals(doc, "phi") if "phi" in doc else None
+        return cls(params=CodeParams(lam=ints.pop("lambda"), beta=beta,
+                                     **ints),
+                   field=PrimeField(json_int(doc, "q", "code spec")),
+                   design=BlockDesign.from_doc(
+                       json_field(doc, "design", "code spec")),
+                   layout=Layout(groups=json_int_rows(doc, "layout",
+                                                      "code spec")),
+                   phi=phi,
+                   s_entries=_decimals(doc, "s") if phi is None else None)
 
     @cached_property
     def spec_hash(self) -> bytes:
@@ -377,6 +367,16 @@ class CodeSpec:
     def load(cls, path) -> CodeSpec:
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_json(fh.read())
+
+
+def _decimals(doc, key: str) -> tuple[int, ...]:
+    """A code spec field of field elements written as decimal strings."""
+    value = json_field(doc, key, "code spec")
+    if not (isinstance(value, list)
+            and all(isinstance(v, str) and v.isdecimal() for v in value)):
+        raise ValueError(f"code spec JSON field {key!r} must be a list of "
+                         f"decimal strings")
+    return tuple(int(v) for v in value)
 
 
 def choose_phi(r: int, field: PrimeField) -> tuple[int, ...]:
@@ -431,70 +431,37 @@ def _check_erasure_set(spec: CodeSpec, a) -> frozenset[int]:
     return aset
 
 
-def _reduced_blocks(spec: CodeSpec, aset: frozenset[int]) -> list[list[list[int]]]:
-    """Per-group constraint templates under erasure set aset.
-
-    A group hit in at most t-1 disks is fully decodable, so its template
-    is [I; 0].  A group hit in t or more keeps only the generator rows
-    of surviving disks.
-    """
-    p = spec.params
-    m, t = p.m, p.t
-    sg = spec.short_gen.to_rows()
-    blocks = []
-    for block in spec.design.blocks:
-        hit = [disk in aset for disk in block]
-        if sum(hit) <= t - 1:
-            rb = [[1 if c == i else 0 for c in range(m)] for i in range(m)]
-            rb.extend([0] * m for _ in range(t - 1))
-        else:
-            rb = [[0] * m if hit[i] else list(sg[i]) for i in range(p.r)]
-        blocks.append(rb)
-    return blocks
-
-
-def _qg_rows(blocks, s_rows, m, M, q):
-    """Rows of Q_A @ G, skipping all-zero templates.
-
-    Returns (rows, kept) where kept[i] is the (group, row) coordinate
-    of rows[i].
-    """
-    rows = []
-    kept = []
-    for j, rb in enumerate(blocks):
-        base = j * m
-        for i, brow in enumerate(rb):
-            if not any(brow):
-                continue
-            out = [0] * M
-            for c, v in enumerate(brow):
-                if not v:
-                    continue
-                pos = base + c
-                if pos < M:
-                    out[pos] = (out[pos] + v) % q
-                else:
-                    srow = s_rows[pos - M]
-                    for x, sv in enumerate(srow):
-                        if sv:
-                            out[x] = (out[x] + v * sv) % q
-            rows.append(out)
-            kept.append((j, i))
-    return rows, kept
-
-
 def erasure_system(spec: CodeSpec, a):
-    """(kept coordinates, rows of Q_A @ G) for an erasure set; the rows
-    are the reachable linear views of the message.
+    """(kept coordinates, rows) of the dense reference system.
 
-    This dense (r*N*) x M system is the reference that structural_system
-    is tested against; the codec and verify_S do not use it.
+    Every symbol stored on a disk outside the erasure set is one row: the
+    short-generator row i of group j applied to the group's long-layer
+    symbols, each a message symbol or a row of S, so rows are linear
+    forms in the M message symbols and kept[i] names the (group, row) of
+    rows[i].  rank(rows) = M exactly when the set is decodable.  This is
+    the independent reference that structural_system is tested against;
+    the codec and verify_S do not use it.
     """
     aset = _check_erasure_set(spec, a)
-    blocks = _reduced_blocks(spec, aset)
+    p, q = spec.params, spec.field.q
+    m, M = p.m, p.M
     s_rows = spec.s_matrix.to_rows()
-    rows, kept = _qg_rows(blocks, s_rows, spec.params.m, spec.params.M,
-                          spec.field.q)
+    sg = spec.short_gen.to_rows()
+    kept, rows = [], []
+    for j, block in enumerate(spec.layout.groups):
+        for i, disk in enumerate(block):
+            if disk in aset:
+                continue
+            out = [0] * M
+            for c, g in enumerate(sg[i]):
+                pos = j * m + c
+                if pos < M:
+                    out[pos] = (out[pos] + g) % q
+                elif g:
+                    out = [(o + g * v) % q
+                           for o, v in zip(out, s_rows[pos - M])]
+            kept.append((j, i))
+            rows.append(out)
     return kept, rows
 
 
@@ -507,8 +474,8 @@ def structural_system(spec: CodeSpec, a):
     group order, so rows have m * len(heavy) entries.  rows[:len(kept)]
     are the surviving short-generator rows of the heavy groups, kept[i]
     naming the (group, row) of rows[i]; the last T rows are the parity
-    checks [S | -I] restricted to the heavy columns.  rank(Q_A @ G) = M
-    exactly when these rows have full column rank.
+    checks [S | -I] restricted to the heavy columns.  The set is
+    decodable exactly when these rows have full column rank.
     """
     aset = _check_erasure_set(spec, a)
     p, q = spec.params, spec.field.q
@@ -534,16 +501,14 @@ def structural_system(spec: CodeSpec, a):
     return heavy, kept, rows
 
 
-def _rank_ok(spec: CodeSpec, a) -> bool:
-    heavy, _, rows = structural_system(spec, a)
-    width = spec.params.m * len(heavy)
+def full_column_rank(rows, width: int, q: int) -> tuple[list[int], bool]:
+    """The rows flattened row-major, and whether they have rank width.
+
+    The one decodability decision: verify_S and the codec apply it to
+    the structural system, rank_witness to the dense reference.
+    """
     flat = [v for row in rows for v in row]
-    return _krank(flat, len(rows), width, spec.field.q) == width
-
-
-def _verify_chunk(args):
-    spec, chunk = args
-    return [a for a in chunk if not _rank_ok(spec, a)]
+    return flat, _krank(flat, len(rows), width, q) == width
 
 
 @dataclass(frozen=True)
@@ -555,33 +520,34 @@ class VerifyReport:
     sampled: bool
 
 
-def resolve_jobs(jobs: int | None = None) -> int:
-    """Worker count: explicit argument, else RGC_JOBS, else 1."""
-    if jobs is None:
-        jobs = int(os.environ.get("RGC_JOBS", "1") or "1")
-    return max(1, jobs)
+def _serial_only(jobs: int) -> None:
+    # jobs remains because callers such as perfbench still pass jobs=1
+    if jobs != 1:
+        raise ValueError(f"jobs={jobs}: verification runs serially; "
+                         f"jobs must be 1")
 
 
-def verify_S(spec: CodeSpec, jobs: int | None = 1, sample: int | None = None,
-             seed: int = 0, max_subsets: int = 10 ** 6) -> VerifyReport:
-    """Check rank(Q_A @ G) = M for every (n-k)-subset A.
+def verify_S(spec: CodeSpec, jobs: int = 1, sample: int | None = None,
+             seed: int = 0) -> VerifyReport:
+    """Check that every (n-k)-subset A is decodable.
 
     Each set is checked on its structural system, whose size depends on
     the groups the set hits in at least t disks, not on M.
 
-    When C(n, n-k) exceeds max_subsets, a seeded random sample must be
+    When C(n, n-k) exceeds MAX_SUBSETS, a seeded random sample must be
     requested explicitly via `sample`; the report then marks itself as
     incomplete verification.
     """
-    p = spec.params
+    _serial_only(jobs)
+    p, q = spec.params, spec.field.q
     miss = p.n - p.k
     total = comb(p.n, miss)
     if sample is not None and sample < 1:
         raise ValueError("sample must be positive")
-    if total > max_subsets and sample is None:
+    if total > MAX_SUBSETS and sample is None:
         raise BudgetExceededError(
             f"C({p.n},{miss}) = {total} erasure sets exceed the cap "
-            f"{max_subsets}; pass sample= to acknowledge incomplete "
+            f"{MAX_SUBSETS}; pass sample= to acknowledge incomplete "
             f"verification")
     if sample is not None and sample < total:
         rng = random.Random(seed)
@@ -594,16 +560,11 @@ def verify_S(spec: CodeSpec, jobs: int | None = 1, sample: int | None = None,
         subsets = [tuple(c) for c in
                    itertools.combinations(range(1, p.n + 1), miss)]
         sampled = False
-    jobs = resolve_jobs(jobs)
-    if jobs == 1 or len(subsets) < 2 * jobs:
-        failures = _verify_chunk((spec, subsets))
-    else:
-        step = (len(subsets) + jobs - 1) // jobs
-        chunks = [(spec, subsets[i:i + step])
-                  for i in range(0, len(subsets), step)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            failures = [a for part in pool.map(_verify_chunk, chunks)
-                        for a in part]
+    failures = []
+    for a in subsets:
+        heavy, _, rows = structural_system(spec, a)
+        if not full_column_rank(rows, p.m * len(heavy), q)[1]:
+            failures.append(a)
     return VerifyReport(ok=not failures, failures=tuple(failures),
                         checked=len(subsets), total=total, sampled=sampled)
 
@@ -640,9 +601,8 @@ def _vandermonde_parity(M: int, T: int, field: PrimeField) -> tuple[int, ...]:
 
 
 def synthesize_S(params: CodeParams, design: BlockDesign, field: PrimeField,
-                 seed: int = 0, budget: int = 8, jobs: int | None = 1,
-                 sample: int | None = None,
-                 max_subsets: int = 10 ** 6) -> SynthesisResult:
+                 seed: int = 0, budget: int = 8,
+                 sample: int | None = None) -> SynthesisResult:
     """Find a long-parity matrix S passing verify_S.
 
     The first candidate is the parity block of a systematic Vandermonde
@@ -670,8 +630,7 @@ def synthesize_S(params: CodeParams, design: BlockDesign, field: PrimeField,
         attempts += 1
         trial = CodeSpec(params=params, field=field, design=design,
                          layout=layout, s_entries=entries)
-        report = verify_S(trial, jobs=jobs, sample=sample,
-                          max_subsets=max_subsets)
+        report = verify_S(trial, sample=sample)
         if report.ok:
             return SynthesisResult(s=trial.s_matrix, attempts=attempts,
                                    structured=structured)
@@ -682,119 +641,61 @@ def synthesize_S(params: CodeParams, design: BlockDesign, field: PrimeField,
 
 
 def rank_witness(spec: CodeSpec, a) -> FieldMatrix:
-    """Construct an S making rank(Q_A @ G) = M for this one erasure set.
+    """A 0/1 matrix S under which erasure set a is decodable.
 
     Existence of a witness for every A shows the determinant polynomial
-    behind the random-S argument is not identically zero.  The witness
-    is built by completing the surviving constraint rows with unit rows
-    at vacated message coordinates, then solving for the S rows block by
-    block; deficient parity rows of the one partially-filled group are
-    dependent and dropped from the solve.  The result is self-checked.
+    behind the random-S argument is not identically zero.  Starting from
+    the heavy groups' surviving rows of the structural system, row t of
+    S is chosen greedily: zero when slot M+t is heavy and its restricted
+    row -e_{M+t} raises the rank, else the unit vector at the first
+    heavy message position that raises it, else zero.  As T >= T(A),
+    each row either raises the rank or finds every heavy message unit
+    vector and its own parity column already spanned, so the system
+    reaches full column rank.  The result is self-checked against the
+    dense erasure_system and raises WitnessError if it fails.
     """
-    p = spec.params
-    q, m, r, t, M, T, nstar = (spec.field.q, p.m, p.r, p.t, p.M, p.T,
-                               p.nstar)
-    aset = _check_erasure_set(spec, a)
-    if T == 0:
-        return FieldMatrix.zeros(q, 0, M)
-    rblocks = _reduced_blocks(spec, aset)
-    # zero the first T - T(A) surviving rows so exactly M remain
-    remaining = T - compute_TA(spec.design, aset, t)
-    if remaining < 0:
-        raise WitnessError("T(A) exceeds T")
-    for rb in rblocks:
-        if not remaining:
-            break
-        for i in range(r):
-            if not remaining:
+    p, q = spec.params, spec.field.q
+    m, M, T = p.m, p.M, p.T
+    heavy, kept, rows = structural_system(spec, a)
+    # long-layer position -> column of the structural system
+    col = {j * m + c: h * m + c for h, j in enumerate(heavy)
+           for c in range(m)}
+    basis: list[tuple[int, list[int]]] = []    # (pivot, row), echelon
+
+    def raises_rank(row) -> bool:
+        for piv, b in basis:
+            f = row[piv]
+            if f:
+                row = [(x - f * y) % q for x, y in zip(row, b)]
+        piv = next((c for c, v in enumerate(row) if v), None)
+        if piv is not None:
+            inv = pow(row[piv], -1, q)
+            basis.append((piv, [v * inv % q for v in row]))
+        return piv is not None
+
+    for row in rows[:len(kept)]:
+        raises_rank(row)
+    heavy_msg = [x for x in col if x < M]
+    s = [0] * (T * M)
+    for t in range(T):
+        own = col.get(M + t)
+        for x in ([None] if own is not None else []) + heavy_msg:
+            row = [0] * len(col)
+            if own is not None:
+                row[own] = q - 1
+            if x is not None:
+                row[col[x]] = 1
+            if raises_rank(row):
+                if x is not None:
+                    s[t * M + x] = 1
                 break
-            if any(rb[i]):
-                rb[i] = [0] * m
-                remaining -= 1
-    if remaining:
-        raise WitnessError("not enough surviving rows to zero")
-    nfull, b = divmod(M, m)
-    zrows = [[i for i in range(r) if not any(rb[i])] for rb in rblocks]
-    # pool of unit-row column targets for the vacated message coordinates
-    pool: list[int] = []
-    for j in range(nfull):
-        take = len(zrows[j]) - (t - 1)
-        if take < 0:
-            raise WitnessError(f"group {j} has fewer than t-1 zero rows")
-        for i in range(take):
-            if zrows[j][i] >= m:
-                raise WitnessError(f"group {j} pool row is not a data row")
-            pool.append(j * m + zrows[j][i])
-    tbd: set[tuple[int, int]] = set()
-    if b > 0:
-        z_top = [i for i in zrows[nfull] if i < b]
-        z_bottom = len(zrows[nfull]) - len(z_top)
-        delta = max(0, (t - 1) - z_bottom)
-        if delta > len(z_top):
-            raise WitnessError("partial group lacks droppable unit rows")
-        keep = z_top[:len(z_top) - delta] if delta else z_top
-        pool.extend(nfull * m + i for i in keep)
-        if delta:
-            alive_parity = [i for i in range(m, r)
-                            if any(rblocks[nfull][i])]
-            if len(alive_parity) < delta:
-                raise WitnessError("not enough live parity rows to defer")
-            tbd.update((nfull, i) for i in alive_parity[-delta:])
-    # hand pool units to the surviving rows below the row split
-    unit_at: dict[tuple[int, int], int] = {}
-    pos = 0
-    for j in range(nfull, nstar):
-        lo = b if (j == nfull and b > 0) else 0
-        for i in range(lo, r):
-            if (j, i) in tbd or not any(rblocks[j][i]):
-                continue
-            if pos >= len(pool):
-                raise WitnessError("unit pool underflow")
-            unit_at[(j, i)] = pool[pos]
-            pos += 1
-    if pos != len(pool):
-        raise WitnessError("unit pool not exhausted")
-    # solve each parity-bearing group for its rows of S
-    s_rows: list[list[int] | None] = [None] * T
-    for j in range(nfull, nstar):
-        lo = b if (j == nfull and b > 0) else 0
-        ncols = m - lo
-        eq = [i for i in range(lo, r) if (j, i) not in tbd]
-        amat: list[int] = []
-        rhs: list[int] = []
-        for i in eq:
-            amat.extend(rblocks[j][i][lo:])
-            row = [0] * M
-            u = unit_at.get((j, i))
-            if u is not None:
-                row[u] = 1
-            if lo:
-                # columns left of the split are message coordinates and
-                # move to the right-hand side
-                for c in range(lo):
-                    v = rblocks[j][i][c]
-                    if v:
-                        pos_c = j * m + c
-                        row[pos_c] = (row[pos_c] - v) % q
-            rhs.extend(row)
-        x = _ksolve(amat, len(eq), ncols, rhs, M, q)
-        if x is None:
-            raise WitnessError(
-                f"group {j} witness system inconsistent for erasure set "
-                f"{tuple(sorted(aset))}")
-        for ci in range(ncols):
-            s_rows[j * m + lo + ci - M] = x[ci * M:(ci + 1) * M]
-    if any(row is None for row in s_rows):
-        raise WitnessError("unassigned S row")
-    witness = FieldMatrix(q, T, M,
-                          tuple(v for row in s_rows for v in row))
-    # mandatory self-check against the untouched constraint system
-    fresh = _reduced_blocks(spec, aset)
-    rows, _ = _qg_rows(fresh, witness.to_rows(), m, M, q)
-    flat = [v for row in rows for v in row]
-    if _krank(flat, len(rows), M, q) != M:
+    witness = FieldMatrix(q, T, M, tuple(s))
+    probe = CodeSpec(params=p, field=spec.field, design=spec.design,
+                     layout=spec.layout, s_entries=witness.entries)
+    _, dense = erasure_system(probe, a)
+    if not full_column_rank(dense, M, q)[1]:
         raise WitnessError(f"witness failed the rank self-check for "
-                           f"erasure set {tuple(sorted(aset))}")
+                           f"erasure set {tuple(sorted(a))}")
     return witness
 
 
@@ -806,9 +707,8 @@ class BuildResult:
 
 
 def build_code(design: BlockDesign, k: int, q: int | str | None = "auto",
-               seed: int = 0, budget: int = 8, jobs: int | None = 1,
-               sample: int | None = None,
-               max_subsets: int = 10 ** 6) -> BuildResult:
+               seed: int = 0, budget: int = 8, jobs: int = 1,
+               sample: int | None = None) -> BuildResult:
     """Derive parameters, pick a field, and produce a verified CodeSpec.
 
     q="auto" selects the smallest prime exceeding C(n,k)*T*M, the
@@ -816,7 +716,8 @@ def build_code(design: BlockDesign, k: int, q: int | str | None = "auto",
     designs with k = n-2 use the closed-form coefficient construction;
     other codes synthesize and verify an S matrix.
     """
-    params = derive_params(design, k, max_subsets=max_subsets)
+    _serial_only(jobs)
+    params = derive_params(design, k)
     if q in (None, "auto"):
         threshold = comb(params.n, k) * params.T * params.M
         floor = params.r - 1 if (params.t > 2 and params.m > 1) else 1
@@ -832,7 +733,7 @@ def build_code(design: BlockDesign, k: int, q: int | str | None = "auto",
                         layout=build_layout(design), s_entries=())
         return BuildResult(spec=spec, attempts=0, structured=False)
     result = synthesize_S(params, design, field, seed=seed, budget=budget,
-                          jobs=jobs, sample=sample, max_subsets=max_subsets)
+                          sample=sample)
     spec = CodeSpec(params=params, field=field, design=design,
                     layout=build_layout(design),
                     s_entries=result.s.entries)

@@ -67,12 +67,45 @@ class BlockDesign:
 
     @classmethod
     def from_json(cls, text: str) -> BlockDesign:
-        doc = json.loads(text)
-        try:
-            return cls(n=doc["n"], t=doc["t"], r=doc["r"], lam=doc["lambda"],
-                       blocks=tuple(tuple(b) for b in doc["blocks"]))
-        except KeyError as exc:
-            raise ValueError(f"design JSON missing key {exc}") from None
+        return cls.from_doc(json.loads(text))
+
+    @classmethod
+    def from_doc(cls, doc) -> BlockDesign:
+        """Build from a parsed JSON object; ValueError names a bad field."""
+        return cls(n=json_int(doc, "n", "design"),
+                   t=json_int(doc, "t", "design"),
+                   r=json_int(doc, "r", "design"),
+                   lam=json_int(doc, "lambda", "design"),
+                   blocks=json_int_rows(doc, "blocks", "design"))
+
+
+def json_field(doc, key: str, where: str):
+    """doc[key], raising ValueError when doc is not an object or lacks
+    the key; where names the document in the message."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where} JSON must be an object, got "
+                         f"{type(doc).__name__}")
+    if key not in doc:
+        raise ValueError(f"{where} JSON missing key {key!r}")
+    return doc[key]
+
+
+def json_int(doc, key: str, where: str) -> int:
+    value = json_field(doc, key, where)
+    if type(value) is not int:
+        raise ValueError(f"{where} JSON field {key!r} must be an integer, "
+                         f"got {value!r}")
+    return value
+
+
+def json_int_rows(doc, key: str, where: str) -> tuple[tuple[int, ...], ...]:
+    value = json_field(doc, key, where)
+    if not (isinstance(value, list)
+            and all(isinstance(row, list)
+                    and all(type(x) is int for x in row) for row in value)):
+        raise ValueError(f"{where} JSON field {key!r} must be a list of "
+                         f"integer lists")
+    return tuple(tuple(row) for row in value)
 
 
 def load_design(path) -> BlockDesign:

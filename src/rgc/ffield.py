@@ -7,7 +7,7 @@ and the modulus is capped at 2^61.  Elimination lives in ``_kernel``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 MAX_MODULUS = 1 << 61
 
@@ -81,9 +81,6 @@ class PrimeField:
             raise ZeroDivisionError(f"inverse of zero in F({self.q})")
         return pow(a, -1, self.q)
 
-    def div(self, a: int, b: int) -> int:
-        return a * self.inv(b) % self.q
-
 
 @dataclass(frozen=True)
 class FieldMatrix:
@@ -120,35 +117,9 @@ class FieldMatrix:
     def zeros(cls, q: int, rows: int, cols: int) -> FieldMatrix:
         return cls(q, rows, cols, (0,) * (rows * cols))
 
-    @classmethod
-    def identity(cls, q: int, n: int) -> FieldMatrix:
-        flat = [0] * (n * n)
-        for i in range(n):
-            flat[i * n + i] = 1
-        return cls(q, n, n, tuple(flat))
-
-    @classmethod
-    def vstack(cls, mats: Iterable[FieldMatrix]) -> FieldMatrix:
-        mats = list(mats)
-        if not mats:
-            raise ValueError("nothing to stack")
-        q, cols = mats[0].q, mats[0].cols
-        flat: list[int] = []
-        rows = 0
-        for m in mats:
-            if m.q != q or m.cols != cols:
-                raise ValueError("mismatched stack parts")
-            flat.extend(m.entries)
-            rows += m.rows
-        return cls(q, rows, cols, tuple(flat))
-
     def row(self, i: int) -> tuple[int, ...]:
         return self.entries[i * self.cols:(i + 1) * self.cols]
 
     def to_rows(self) -> list[list[int]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
-    def transpose(self) -> FieldMatrix:
-        flat = [self.entries[i * self.cols + j]
-                for j in range(self.cols) for i in range(self.rows)]
-        return FieldMatrix(self.q, self.cols, self.rows, tuple(flat))

@@ -55,7 +55,8 @@ class Scenario:
     @classmethod
     def from_json(cls, text: str) -> Scenario:
         doc = json.loads(text)
-        if not isinstance(doc, dict) or "events" not in doc:
+        if not (isinstance(doc, dict)
+                and isinstance(doc.get("events"), list)):
             raise ValueError('scenario JSON must be {"events": [...]}')
         events = []
         for entry in doc["events"]:
@@ -66,7 +67,8 @@ class Scenario:
             if kind in ("fail", "repair"):
                 events.append(ScenarioEvent(kind=kind, node=arg))
             elif kind == "read":
-                events.append(ScenarioEvent(kind=kind, disks=tuple(arg)))
+                disks = tuple(arg) if isinstance(arg, list) else None
+                events.append(ScenarioEvent(kind=kind, disks=disks))
             elif kind == "assert":
                 events.append(ScenarioEvent(kind=kind, predicate=arg))
             else:

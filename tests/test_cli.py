@@ -251,3 +251,38 @@ def test_sim_run_reports_scripted_violation(capsys, workdir, tmp_path):
     doc = json.loads(out)
     assert doc["all_ok"] is False
     assert "durability violation" in doc["events"][1]["error"]
+
+
+@pytest.mark.parametrize("command,flag,mangle", [
+    pytest.param(("code", "inspect"), "--spec",
+                 lambda spec, design: dict(spec, layout=5), id="layout"),
+    pytest.param(("code", "inspect"), "--spec",
+                 lambda spec, design: dict(spec, params=None), id="params"),
+    pytest.param(("code", "verify"), "--spec",
+                 lambda spec, design: dict(spec, phi=[1.5]), id="phi"),
+    pytest.param(("design", "verify"), "--design",
+                 lambda spec, design: dict(design, n="9"), id="design-n"),
+    pytest.param(("design", "verify"), "--design",
+                 lambda spec, design: [design], id="design-list"),
+    pytest.param(("sim", "run"), "--scenario",
+                 lambda spec, design: {"events": None}, id="events"),
+    pytest.param(("sim", "run"), "--scenario",
+                 lambda spec, design: {"events": [{"read": 5}]},
+                 id="read-event"),
+])
+def test_malformed_json_exits_1_with_one_error_line(capsys, tmp_path,
+                                                    workdir, command, flag,
+                                                    mangle):
+    """JSON that parses but has the wrong shape is a domain error."""
+    root, _, _ = workdir
+    spec_doc = json.loads((root / "spec.json").read_text())
+    design_doc = json.loads((root / "d9.json").read_text())
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(mangle(spec_doc, design_doc)))
+    argv = [*command, flag, str(bad)]
+    if command == ("sim", "run"):
+        argv += ["--spec", str(root / "spec.json"),
+                 "--message", str(root / "msg.txt")]
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith("error:") and err.count("\n") == 1

@@ -9,14 +9,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rgc import construction
+from rgc.codec import MessageVector, encode
 from rgc.construction import (BudgetExceededError, CodeSpec, SynthesisError,
-                              build_code, build_explicit_steiner_code,
+                              WitnessError, build_code,
+                              build_explicit_steiner_code,
                               build_layout, choose_phi, closed_form_Tc,
                               compute_T, compute_TA, derive_params,
                               _vandermonde_parity, erasure_system,
-                              rank_witness, resolve_jobs,
-                              short_mds_generator, synthesize_S, verify_S)
-from rgc.designs import gen_complete_design, gen_steiner_triple
+                              rank_witness, short_mds_generator,
+                              synthesize_S, verify_S)
+from rgc.designs import S_2_4_13, gen_complete_design, gen_steiner_triple
 from rgc.ffield import PrimeField
 from rgc._kernel import mat_mul, mat_rank
 
@@ -52,9 +55,11 @@ def test_deficit_uniform_on_triple_system(steiner9):
 
 
 def test_deficit_budget_guard():
-    design = gen_complete_design(2, 3, 20)
+    # C(30, 15) = 155,117,520 erasure sets exceed MAX_SUBSETS; the cap is
+    # checked before any set is enumerated
+    design = gen_complete_design(2, 3, 30)
     with pytest.raises(BudgetExceededError):
-        compute_T(design, 5, max_subsets=100)
+        compute_T(design, 15)
 
 
 def test_closed_form_matches_exhaustive_small():
@@ -69,10 +74,10 @@ def test_layout_slots(steiner9):
     layout = build_layout(steiner9)
     for j, block in enumerate(layout.groups):
         for i, disk in enumerate(sorted(block)):
-            assert layout.disk_of(j, i) == disk
+            assert layout.groups[j][i] == disk
             assert (j, i) in layout.disk_slots(disk)
     for disk in range(1, 10):
-        assert layout.disk_load(disk) == 4
+        assert len(layout.disk_slots(disk)) == 4
 
 
 def test_short_generator_systematic_and_mds():
@@ -138,11 +143,12 @@ def test_verify_full_and_sampled(golden_spec):
     assert sampled.failures == again.failures
 
 
-def test_verify_parallel_matches_serial(golden_spec):
-    serial = verify_S(golden_spec, jobs=1)
-    parallel = verify_S(golden_spec, jobs=2)
-    assert serial.ok == parallel.ok
-    assert serial.checked == parallel.checked
+def test_verification_is_serial_only(golden_spec, steiner9):
+    assert verify_S(golden_spec, jobs=1).ok
+    with pytest.raises(ValueError, match="jobs"):
+        verify_S(golden_spec, jobs=2)
+    with pytest.raises(ValueError, match="jobs"):
+        build_code(steiner9, 7, q=3, jobs=2)
 
 
 def test_verify_flags_broken_parity(golden_spec):
@@ -205,16 +211,23 @@ def test_reference_spec_hashes_unchanged(golden_spec, complete9_spec,
         assert hashlib.sha256(spec.to_json().encode()).hexdigest() == pin
 
 
+def _erasure_sets(spec):
+    p = spec.params
+    return itertools.combinations(range(1, p.n + 1), p.n - p.k)
+
+
+def _dense_decodable(spec, a):
+    """Rank check of the dense reference system on one erasure set."""
+    _, rows = erasure_system(spec, a)
+    flat = [x for row in rows for x in row]
+    return mat_rank(flat, len(rows), spec.params.M, spec.field.q) \
+        == spec.params.M
+
+
 def _dense_failures(spec):
     """Erasure sets on which the dense reference system loses rank."""
-    p, q = spec.params, spec.field.q
-    out = []
-    for a in itertools.combinations(range(1, p.n + 1), p.n - p.k):
-        _, rows = erasure_system(spec, a)
-        flat = [x for row in rows for x in row]
-        if mat_rank(flat, len(rows), p.M, q) != p.M:
-            out.append(a)
-    return tuple(out)
+    return tuple(a for a in _erasure_sets(spec)
+                 if not _dense_decodable(spec, a))
 
 
 def _random_candidate(design, k, q, seed):
@@ -247,16 +260,60 @@ def test_structural_rank_matches_dense_reference(golden_spec, complete9_spec,
     assert failing > 100    # small fields really fail the rank condition
 
 
+def _with_s(spec, entries):
+    return CodeSpec(params=spec.params, field=spec.field, design=spec.design,
+                    layout=spec.layout, s_entries=tuple(entries))
+
+
+def test_erasure_system_rows_give_stored_symbols(golden_spec, t3_spec):
+    """Each dense row applied to the message is the symbol its disk
+    stores, and the rows cover every surviving slot."""
+    for spec in (golden_spec, t3_spec):
+        p, q = spec.params, spec.field.q
+        msg = MessageVector.random(q, p.M, seed=3)
+        stored = {}
+        for share in encode(spec, msg):
+            stored.update(share.value_map())
+        for a in list(_erasure_sets(spec))[:5]:
+            kept, rows = erasure_system(spec, a)
+            assert sorted(kept) == sorted(
+                c for disk in range(1, p.n + 1) if disk not in a
+                for c in spec.layout.disk_slots(disk))
+            for c, row in zip(kept, rows):
+                assert sum(x * v for x, v in zip(row, msg.values)) % q \
+                    == stored[c]
+
+
 def test_witness_generalizes_to_deeper_overlap(t3_spec):
-    p = t3_spec.params
-    for a in itertools.combinations(range(1, p.n + 1), p.n - p.k):
+    for a in _erasure_sets(t3_spec):
         witness = rank_witness(t3_spec, a)
-        probe = CodeSpec(params=p, field=t3_spec.field,
-                         design=t3_spec.design, layout=t3_spec.layout,
-                         s_entries=witness.entries)
-        _, rows = erasure_system(probe, a)
-        flat = [x for row in rows for x in row]
-        assert mat_rank(flat, len(rows), p.M, t3_spec.field.q) == p.M
+        assert _dense_decodable(_with_s(t3_spec, witness.entries), a)
+
+
+def test_witness_is_zero_one_and_decodes_on_small_fields():
+    """Witness rows are zero or unit vectors and reach full dense rank on
+    every erasure set, also over fields where random S often fails."""
+    codes = ((gen_complete_design(3, 4, 7), 4, 5),
+             (gen_complete_design(2, 3, 8), 4, 2),
+             (S_2_4_13, 9, 5),
+             (gen_complete_design(3, 5, 7), 4, 5))
+    for design, k, q in codes:
+        spec = _random_candidate(design, k, q, 0)
+        for a in _erasure_sets(spec):
+            witness = rank_witness(spec, a)
+            for row in witness.to_rows():
+                assert set(row) <= {0, 1} and sum(row) <= 1
+            assert _dense_decodable(_with_s(spec, witness.entries), a)
+
+
+def test_witness_self_check_rejects_a_wrong_structure(golden_spec,
+                                                      monkeypatch):
+    # with no heavy groups the greedy keeps S = 0, which no erasure set
+    # of the golden code survives; the dense self-check must say so
+    monkeypatch.setattr(construction, "structural_system",
+                        lambda spec, a: ([], [], []))
+    with pytest.raises(WitnessError):
+        rank_witness(golden_spec, (1, 2))
 
 
 def test_erasure_checked(golden_spec):
@@ -266,17 +323,6 @@ def test_erasure_checked(golden_spec):
         rank_witness(golden_spec, (0, 3))       # out of range
     with pytest.raises(ValueError):
         erasure_system(golden_spec, (2, 2))     # duplicates
-
-
-def test_resolve_jobs_env(monkeypatch):
-    monkeypatch.delenv("RGC_JOBS", raising=False)
-    assert resolve_jobs(None) == 1
-    assert resolve_jobs(3) == 3
-    monkeypatch.setenv("RGC_JOBS", "5")
-    assert resolve_jobs(None) == 5
-    monkeypatch.setenv("RGC_JOBS", "junk")
-    with pytest.raises(ValueError):
-        resolve_jobs(None)
 
 
 @given(st.integers(2, 8), st.integers(0, 10 ** 6))

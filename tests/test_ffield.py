@@ -46,15 +46,14 @@ def test_inverse_of_zero_fails():
 
 
 def test_matrix_shapes_and_stacking():
-    ident = FieldMatrix.identity(5, 3)
-    assert ident.rows == ident.cols == 3
     zero = FieldMatrix.zeros(5, 0, 3)
-    stacked = FieldMatrix.vstack([zero, ident])
-    assert stacked.to_rows() == ident.to_rows()
+    assert (zero.rows, zero.cols, zero.to_rows()) == (0, 3, [])
+    assert FieldMatrix.zeros(5, 2, 1).to_rows() == [[0], [0]]
     rows = [[1, 2], [3, 4]]
     assert FieldMatrix.from_rows(5, rows).to_rows() == rows
-    assert FieldMatrix.from_rows(5, rows).transpose().to_rows() == \
-        [[1, 3], [2, 4]]
+    assert FieldMatrix.from_rows(5, [[6, -1]]).to_rows() == [[1, 4]]
+    with pytest.raises(ValueError):
+        FieldMatrix.from_rows(5, [[1, 2], [3]])     # ragged
 
 
 def test_matrix_validation():
