@@ -17,15 +17,15 @@ from .codec import (CorruptionError, DiskShare, MessageVector,
                     RepairTranscript, ShareFormatError, ShareSet, encode,
                     read_share, reconstruct, repair, write_share)
 from .construction import (BudgetExceededError, BuildResult, CodeParams,
-                           CodeSpec, Layout, SynthesisError, SynthesisResult,
-                           VerifyReport, WitnessError, build_code,
+                           CodeSpec, Layout, SynthesisError, VerifyReport,
+                           WitnessError, build_code,
                            build_explicit_steiner_code, closed_form_Tc,
                            compute_T, compute_TA, derive_params,
                            rank_witness, synthesize_S, verify_S)
 from .designs import (CATALOG, BlockDesign, DesignReport, gen_complete_design,
                       gen_steiner_triple, is_complete_design, load_design,
                       save_design, verify_design)
-from .ffield import FieldMatrix, PrimeField, next_prime
+from .ffield import PrimeField, next_prime
 from .storesim import (Cluster, Scenario, ScenarioEvent, SimulationReport,
                        random_failure_soak, run_scenario)
 
@@ -35,8 +35,8 @@ __all__ = [
     "BlockDesign", "DesignReport", "CATALOG", "gen_steiner_triple",
     "gen_complete_design", "is_complete_design", "verify_design",
     "load_design", "save_design",
-    "PrimeField", "FieldMatrix", "next_prime",
-    "CodeParams", "CodeSpec", "Layout", "BuildResult", "SynthesisResult",
+    "PrimeField", "next_prime",
+    "CodeParams", "CodeSpec", "Layout", "BuildResult",
     "VerifyReport", "BudgetExceededError", "SynthesisError", "WitnessError",
     "build_code", "build_explicit_steiner_code", "derive_params",
     "compute_T", "compute_TA", "closed_form_Tc", "synthesize_S",

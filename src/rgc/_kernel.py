@@ -3,7 +3,8 @@
 Matrices are flat row-major lists of residues in [0, q).  The systems the
 codec and the verifier build are small (the groups an erasure set hits in
 at least t disks, plus the T long-layer checks), so exact Python ints are
-fast enough.
+fast enough.  mat_rank and mat_solve share one Gauss-Jordan elimination:
+the rank stops at row echelon form, the solve reduces fully.
 """
 
 BACKEND = "py"
@@ -27,17 +28,18 @@ def mat_mul(a, ar, ac, b, br, bc, q):
     return out
 
 
-def mat_rank(a, rows, cols, q):
-    """Rank via Gaussian elimination with first-nonzero pivoting."""
-    m = [list(a[i * cols:(i + 1) * cols]) for i in range(rows)]
-    rank = 0
+def _eliminate(m, cols, q, reduce):
+    """Pivot the rows m in place on their first cols columns; return the
+    pivot columns.  Pivots are first-nonzero and scaled to 1; entries
+    below each are cleared, and with reduce those above it too."""
+    rows = len(m)
+    pivots = []
     for c in range(cols):
-        piv = -1
-        for i in range(rank, rows):
-            if m[i][c]:
-                piv = i
+        rank = len(pivots)
+        for piv in range(rank, rows):
+            if m[piv][c]:
                 break
-        if piv < 0:
+        else:
             continue
         m[rank], m[piv] = m[piv], m[rank]
         prow = m[rank]
@@ -45,57 +47,36 @@ def mat_rank(a, rows, cols, q):
         if inv != 1:
             prow = [(x * inv) % q for x in prow]
             m[rank] = prow
-        for i in range(rank + 1, rows):
+        for i in range(0 if reduce else rank + 1, rows):
             f = m[i][c]
-            if f:
-                row = m[i]
-                m[i] = [(x - f * y) % q for x, y in zip(row, prow)]
-        rank += 1
-        if rank == rows:
+            if f and i != rank:
+                m[i] = [(x - f * y) % q for x, y in zip(m[i], prow)]
+        pivots.append(c)
+        if rank + 1 == rows:
             break
-    return rank
+    return pivots
+
+
+def mat_rank(a, rows, cols, q):
+    """Rank via Gaussian elimination with first-nonzero pivoting."""
+    m = [a[i * cols:(i + 1) * cols] for i in range(rows)]
+    return len(_eliminate(m, cols, q, reduce=False))
 
 
 def mat_solve(a, rows, cols, b, bcols, q):
-    """Solve a x = b; return flat x (cols x bcols) or None if inconsistent.
+    """Solve a x = b; return (rank of a, flat x of cols x bcols).
 
-    Free variables are set to zero; pivot variables are filled
-    lowest-pivot-first, so the solution is deterministic.
+    x is None when the system is inconsistent.  Free variables are set
+    to zero, so the solution is deterministic.
     """
     w = cols + bcols
-    m = []
-    for i in range(rows):
-        m.append(list(a[i * cols:(i + 1) * cols]) +
-                 list(b[i * bcols:(i + 1) * bcols]))
-    pivots = []
-    rank = 0
-    for c in range(cols):
-        piv = -1
-        for i in range(rank, rows):
-            if m[i][c]:
-                piv = i
-                break
-        if piv < 0:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        prow = m[rank]
-        inv = pow(prow[c], -1, q)
-        if inv != 1:
-            prow = [(x * inv) % q for x in prow]
-            m[rank] = prow
-        for i in range(rows):
-            if i != rank and m[i][c]:
-                f = m[i][c]
-                row = m[i]
-                m[i] = [(x - f * y) % q for x, y in zip(row, prow)]
-        pivots.append(c)
-        rank += 1
-        if rank == rows:
-            break
-    for i in range(rank, rows):
-        if any(m[i][cols:w]):
-            return None
+    m = [list(a[i * cols:(i + 1) * cols]) + list(b[i * bcols:(i + 1) * bcols])
+         for i in range(rows)]
+    pivots = _eliminate(m, cols, q, reduce=True)
+    rank = len(pivots)
+    if any(any(row[cols:w]) for row in m[rank:]):
+        return rank, None
     x = [0] * (cols * bcols)
-    for prow_idx, c in enumerate(pivots):
-        x[c * bcols:(c + 1) * bcols] = m[prow_idx][cols:w]
-    return x
+    for row, c in zip(m, pivots):
+        x[c * bcols:(c + 1) * bcols] = row[cols:w]
+    return rank, x

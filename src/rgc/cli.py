@@ -51,6 +51,20 @@ def _parse_int_list(text: str) -> list[int]:
                          f"got {text!r}") from None
 
 
+def modulus(text: str) -> int | str:
+    """argparse type of --q: a decimal modulus or 'auto'."""
+    return text if text == "auto" else int(text)
+
+
+def rational(text: str) -> Fraction:
+    """argparse type of --epsilon; argparse reports a ValueError, so a
+    zero denominator becomes one."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(text) from None
+
+
 def _cmd_design_gen(args, parser) -> int:
     if args.steiner_triple == args.complete:
         parser.error("choose exactly one of --steiner-triple/--complete")
@@ -80,8 +94,7 @@ def _cmd_design_verify(args) -> int:
 
 def _cmd_code_build(args) -> int:
     design = load_design(args.design)
-    q = args.q if args.q == "auto" else int(args.q)
-    result = build_code(design, args.k, q=q, seed=args.seed,
+    result = build_code(design, args.k, q=args.q, seed=args.seed,
                         budget=args.budget, sample=args.sample)
     spec = result.spec
     print(f"built code over GF({spec.field.q}): M={spec.params.M} "
@@ -143,16 +156,11 @@ def _cmd_encode(args) -> int:
 
 def _cmd_repair(args) -> int:
     spec = CodeSpec.load(args.spec)
-    n = spec.params.n
-    helpers = []
-    for disk in range(1, n + 1):
-        if disk == args.failed:
-            continue
-        path = _share_path(args.shares, disk)
-        if not os.path.exists(path):
-            raise ValueError(f"repair needs all {n - 1} helper shares; "
-                             f"missing {path}")
-        helpers.append(codec.read_share(spec, path))
+    # codec.repair decides which helper sets suffice
+    paths = [_share_path(args.shares, disk)
+             for disk in range(1, spec.params.n + 1) if disk != args.failed]
+    helpers = [codec.read_share(spec, path) for path in paths
+               if os.path.exists(path)]
     share, transcript = codec.repair(spec, args.failed, helpers)
     codec.write_share(spec, share, args.out)
     if args.transcript:
@@ -188,10 +196,10 @@ def _cmd_analyze_tradeoff(args) -> int:
 
 
 def _cmd_analyze_exponents(args) -> int:
-    eps = Fraction(args.epsilon)
     entries = []
     for n in _parse_int_list(args.n_list):
-        point = analysis.exponent_point(n, args.tau1, args.tau2, eps)
+        point = analysis.exponent_point(n, args.tau1, args.tau2,
+                                        args.epsilon)
         member = analysis.exponent_region_membership(point.Er, point.Ed)
         entries.append((point, member))
     if args.format == "csv":
@@ -275,9 +283,9 @@ def build_parser() -> argparse.ArgumentParser:
                                             "parity, verified")
     p_build.add_argument("--design", required=True)
     p_build.add_argument("--k", type=int, required=True)
-    p_build.add_argument("--q", default="auto",
-                         help="field modulus, or 'auto' for the smallest "
-                              "prime over the existence threshold")
+    p_build.add_argument("--q", type=modulus, default="auto",
+                         help="prime field modulus, or 'auto' for the "
+                              "smallest prime over the existence threshold")
     p_build.add_argument("--seed", type=int, default=0)
     p_build.add_argument("--budget", type=int, default=8,
                          help="max synthesis attempts")
@@ -329,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ex = asub.add_parser("exponents", help="finite-n exponent samples")
     p_ex.add_argument("--tau1", type=int, required=True)
     p_ex.add_argument("--tau2", type=int, required=True)
-    p_ex.add_argument("--epsilon", required=True,
+    p_ex.add_argument("--epsilon", type=rational, required=True,
                       help="rational in (0,1), e.g. 1/2")
     p_ex.add_argument("--n-list", required=True,
                       help="comma-separated n values")

@@ -4,12 +4,13 @@ Shares are per-disk symbol lists addressed by (group, row): group j is
 the parity group hosted by design block j, row i its position inside
 the block.  Encoding expands the message through the long layer
 (appending T parity symbols) and then each group column through the
-short layer.  Repairing a disk contacts all other disks and moves the
-minimum transfer: per affected group, the lowest-indexed r-t+1
-surviving rows.  Reconstruction decodes the full message from exactly k
-disks: groups hit in at most t-1 erased disks are decoded on their own,
-and the long-layer symbols of the remaining groups are solved from the
-structural system (their surviving rows plus the T parity checks).
+short layer.  One group decoder solves a group's m = r-t+1 long-layer
+symbols from its lowest m held rows.  Repair contacts all other disks
+and copies those rows of each affected group.  Reconstruction from k
+disks runs the group decoder on groups hit in at most t-1 erased disks
+and one solve of the structural system (the other groups' surviving
+rows plus the T parity checks) for the rest; its rank decides
+decodability.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from operator import mul
 
 from ._kernel import mat_solve as _ksolve
-from .construction import CodeSpec, full_column_rank, structural_system
+from .construction import CodeSpec, structural_system
 
 _MAGIC = b"RGC1"
 
@@ -201,32 +202,40 @@ def _share_map(spec: CodeSpec, shares) -> dict[int, DiskShare]:
     return out
 
 
-def _solve_columns(spec: CodeSpec, rows_sel, values, ncols=1) -> list[int]:
-    """Recover group columns from m generator rows and their symbols.
+def _group_columns(spec: CodeSpec, groups, held) -> dict[int, list[int]]:
+    """Long-layer columns (m symbols each) of the given groups.
 
-    values is m x ncols, row-major: row i holds the symbols of generator
-    row rows_sel[i] for ncols groups that share this row selection.
-    The result is m x ncols in the same layout.
+    held maps (group, row) to a stored symbol.  Each group is solved from
+    its lowest m held rows; groups holding the same rows share one
+    kernel call.  Held rows beyond those m are not read.
     """
     p, q = spec.params, spec.field.q
-    sg = spec.short_gen.to_rows()
-    amat = [sg[i][c] for i in rows_sel for c in range(p.m)]
-    col = _ksolve(amat, p.m, p.m, list(values), ncols, q)
-    if col is None:
-        raise RuntimeError("short-layer generator rows are singular; "
-                           "the stored spec is corrupt")
-    return col
+    m, sg = p.m, spec.short_gen
+    by_sel: dict[tuple[int, ...], list[int]] = {}
+    for j in groups:
+        sel = tuple([i for i in range(p.r) if (j, i) in held][:m])
+        by_sel.setdefault(sel, []).append(j)
+    out = {}
+    for sel, js in by_sel.items():
+        rank, cols = _ksolve([v for i in sel for v in sg[i]], m, m,
+                             [held[(j, i)] for i in sel for j in js],
+                             len(js), q)
+        if rank < m:
+            raise RuntimeError("short-layer generator rows are singular; "
+                               "the stored spec is corrupt")
+        for g, j in enumerate(js):
+            out[j] = cols[g::len(js)]
+    return out
 
 
 def encode(spec: CodeSpec, message) -> ShareSet:
     """Produce the n disk shares for a message."""
     values = _message_values(spec, message)
     p, q = spec.params, spec.field.q
-    s_rows = spec.s_matrix.to_rows()
     w = list(values)
-    for row in s_rows:
+    for row in spec.s_rows:
         w.append(sum(c * v for c, v in zip(row, values) if c) % q)
-    sg = spec.short_gen.to_rows()
+    sg = spec.short_gen
     per_disk: dict[int, list[tuple[int, int, int]]] = {}
     for j in range(p.nstar):
         col = w[j * p.m:(j + 1) * p.m]
@@ -257,27 +266,24 @@ def repair(spec: CodeSpec, failed: int,
     expect = set(range(1, p.n + 1)) - {failed}
     if set(pool) != expect:
         raise ValueError(
-            f"repair of disk {failed} needs all {p.n - 1} other disks; "
-            f"missing {sorted(expect - set(pool))}")
-    vals = {disk: share.value_map() for disk, share in pool.items()}
+            f"repair of disk {failed} needs all {p.n - 1} other disks as "
+            f"helpers; missing {sorted(expect - set(pool))}")
+    held = {(j, i): v for share in pool.values() for j, i, v in share.symbols}
+    groups = spec.layout.groups
+    affected = [j for j, block in enumerate(groups) if failed in block]
+    cols = _group_columns(spec, affected, held)
     sent: dict[int, list[tuple[int, int, int]]] = {h: [] for h in expect}
     rebuilt: list[tuple[int, int, int]] = []
-    sg = spec.short_gen.to_rows()
-    for j, block in enumerate(spec.layout.groups):
-        if failed not in block:
-            continue
+    sg = spec.short_gen
+    for j in affected:
+        block, col = groups[j], cols[j]
         fi = block.index(failed)
         surv = [i for i in range(p.r) if i != fi]
-        sel = surv[:p.m]
-        moved = []
-        for i in sel:
-            v = vals[block[i]][(j, i)]
-            moved.append(v)
-            sent[block[i]].append((j, i, v))
-        col = _solve_columns(spec, sel, moved)
+        for i in surv[:p.m]:
+            sent[block[i]].append((j, i, held[(j, i)]))
         for i in surv[p.m:]:
             expect_v = sum(sg[i][c] * col[c] for c in range(p.m)) % q
-            if vals[block[i]][(j, i)] != expect_v:
+            if held[(j, i)] != expect_v:
                 raise CorruptionError(
                     f"disk {block[i]} holds an inconsistent symbol for "
                     f"group {j} row {i}")
@@ -305,36 +311,24 @@ def reconstruct(spec: CodeSpec, shares) -> MessageVector:
                          f"got {len(pool)}")
     missing = tuple(sorted(set(range(1, p.n + 1)) - set(pool)))
     heavy, kept, rows = structural_system(spec, missing)
+    held = {(j, i): v for share in pool.values() for j, i, v in share.symbols}
+    # long-layer symbols of the light groups; heavy ones stay 0 for now
+    w = [0] * (m * p.nstar)
+    heavy_set = set(heavy)
+    light = [j for j in range(p.nstar) if j not in heavy_set]
+    for j, col in _group_columns(spec, light, held).items():
+        w[j * m:(j + 1) * m] = col
+    # [S | -I] w = 0 with the light columns moved to the right-hand side
+    rhs = [held[c] for c in kept]
+    for t, srow in enumerate(spec.s_rows):
+        rhs.append((w[M + t] - sum(map(mul, srow, w))) % q)
     width = m * len(heavy)
-    flat, ok = full_column_rank(rows, width, q)
-    if not ok:
+    rank, x = _ksolve([v for row in rows for v in row], len(rows), width,
+                      rhs, 1, q)
+    if rank < width:
         raise ValueError(
             f"the stored parity matrix cannot decode erasure pattern "
             f"{missing}; the code spec fails its rank condition")
-    vals: dict[tuple[int, int], int] = {}
-    for share in pool.values():
-        vals.update(share.value_map())
-    # long-layer symbols of the light groups, solved together for all
-    # groups that keep the same first m rows; heavy ones stay 0 for now
-    w = [0] * (m * p.nstar)
-    heavy_set = set(heavy)
-    by_sel: dict[tuple[int, ...], list[int]] = {}
-    for j, block in enumerate(spec.layout.groups):
-        if j not in heavy_set:
-            sel = tuple([i for i in range(p.r) if block[i] in pool][:m])
-            by_sel.setdefault(sel, []).append(j)
-    for sel, js in by_sel.items():
-        cols = _solve_columns(spec, sel, [vals[(j, i)] for i in sel
-                                          for j in js], len(js))
-        for g, j in enumerate(js):
-            w[j * m:(j + 1) * m] = cols[g::len(js)]
-    # [S | -I] w = 0 with the light columns moved to the right-hand side
-    rhs = [vals[c] for c in kept]
-    s = spec.s_matrix.entries
-    for t in range(p.T):
-        srow = s[t * M:(t + 1) * M]
-        rhs.append((w[M + t] - sum(map(mul, srow, w))) % q)
-    x = _ksolve(flat, len(rows), width, rhs, 1, q)
     if x is None:
         raise CorruptionError(
             f"the shares contradict each other under erasure pattern "

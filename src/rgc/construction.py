@@ -34,7 +34,7 @@ from math import comb
 from ._kernel import mat_rank as _krank
 from .designs import (BlockDesign, block_bitmasks, is_complete_design,
                       json_field, json_int, json_int_rows)
-from .ffield import FieldMatrix, PrimeField, next_prime
+from .ffield import PrimeField, next_prime
 
 
 # Cap on the erasure sets that compute_T and verify_S enumerate.
@@ -201,8 +201,10 @@ def derive_params(design: BlockDesign, k: int) -> CodeParams:
                       M=M, T=T, nstar=nstar)
 
 
-def short_mds_generator(r: int, t: int, field: PrimeField) -> FieldMatrix:
-    """Systematic r x m generator of the short (r, m) MDS code, m = r-t+1.
+def short_mds_generator(r: int, t: int,
+                        field: PrimeField) -> tuple[tuple[int, ...], ...]:
+    """Systematic r x m generator of the short (r, m) MDS code, m = r-t+1,
+    as r row tuples.
 
     The top m rows are the identity.  For t = 2 the single parity row is
     all ones; for m = 1 the code is repetition; otherwise the parity
@@ -213,11 +215,11 @@ def short_mds_generator(r: int, t: int, field: PrimeField) -> FieldMatrix:
         raise ValueError(f"need 2 <= t <= r, got t={t} r={r}")
     m = r - t + 1
     q = field.q
-    rows = [[1 if c == i else 0 for c in range(m)] for i in range(m)]
+    rows = [tuple(1 if c == i else 0 for c in range(m)) for i in range(m)]
     if t == 2:
-        rows.append([1] * m)
+        rows.append((1,) * m)
     elif m == 1:
-        rows.extend([[1]] * (t - 1))
+        rows.extend([(1,)] * (t - 1))
     else:
         if q < r:
             raise ValueError(
@@ -226,8 +228,7 @@ def short_mds_generator(r: int, t: int, field: PrimeField) -> FieldMatrix:
         # nodes m..r-1 vs 0..m-1 are distinct mod q, so every minor of
         # the Cauchy block is invertible
         for i in range(t - 1):
-            rows.append([field.inv((m + i - c) % q) for c in range(m)])
-    gen = FieldMatrix.from_rows(q, rows)
+            rows.append(tuple(pow(m + i - c, -1, q) for c in range(m)))
     if r <= 12:
         for sub in itertools.combinations(range(r), m):
             picked = [rows[i] for i in sub]
@@ -235,7 +236,7 @@ def short_mds_generator(r: int, t: int, field: PrimeField) -> FieldMatrix:
             if _krank(flat, m, m, q) != m:
                 raise ValueError(f"short generator is not MDS over GF({q}); "
                                  f"rows {sub} are singular")
-    return gen
+    return tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -300,19 +301,20 @@ class CodeSpec:
                 raise ValueError("s_entries must be reduced field elements")
 
     @cached_property
-    def short_gen(self) -> FieldMatrix:
+    def short_gen(self) -> tuple[tuple[int, ...], ...]:
+        """Short-layer generator: r row tuples of m coefficients."""
         return short_mds_generator(self.params.r, self.params.t, self.field)
 
     @cached_property
-    def s_matrix(self) -> FieldMatrix:
-        """Long-layer parity matrix S (T x M)."""
+    def s_rows(self) -> tuple[tuple[int, ...], ...]:
+        """Long-layer parity matrix S: T row tuples of M coefficients."""
         p = self.params
         if self.phi is not None:
             # message position x contributes with coefficient
             # phi[x mod m]: positions cycle through the group rows
-            row = [self.phi[x % p.m] for x in range(p.M)]
-            return FieldMatrix.from_rows(self.field.q, [row])
-        return FieldMatrix(self.field.q, p.T, p.M, self.s_entries)
+            return (tuple(self.phi[x % p.m] for x in range(p.M)),)
+        s = self.s_entries
+        return tuple(s[t * p.M:(t + 1) * p.M] for t in range(p.T))
 
     def to_json(self) -> str:
         """Canonical JSON; round-trips bit-exactly through from_json."""
@@ -445,8 +447,7 @@ def erasure_system(spec: CodeSpec, a):
     aset = _check_erasure_set(spec, a)
     p, q = spec.params, spec.field.q
     m, M = p.m, p.M
-    s_rows = spec.s_matrix.to_rows()
-    sg = spec.short_gen.to_rows()
+    s_rows, sg = spec.s_rows, spec.short_gen
     kept, rows = [], []
     for j, block in enumerate(spec.layout.groups):
         for i, disk in enumerate(block):
@@ -483,32 +484,30 @@ def structural_system(spec: CodeSpec, a):
     heavy = [j for j, block in enumerate(spec.layout.groups)
              if len(aset.intersection(block)) >= p.t]
     width = m * len(heavy)
-    sg = spec.short_gen.entries
+    sg = spec.short_gen
     kept, rows = [], []
     for h, j in enumerate(heavy):
         for i, disk in enumerate(spec.layout.groups[j]):
             if disk not in aset:
                 row = [0] * width
-                row[h * m:(h + 1) * m] = sg[i * m:(i + 1) * m]
+                row[h * m:(h + 1) * m] = sg[i]
                 kept.append((j, i))
                 rows.append(row)
     cols = [j * m + c for j in heavy for c in range(m)]
-    s = spec.s_matrix.entries
-    for t in range(p.T):
-        base = t * M
-        rows.append([s[base + pos] if pos < M else
+    for t, srow in enumerate(spec.s_rows):
+        rows.append([srow[pos] if pos < M else
                      (q - 1 if pos - M == t else 0) for pos in cols])
     return heavy, kept, rows
 
 
-def full_column_rank(rows, width: int, q: int) -> tuple[list[int], bool]:
-    """The rows flattened row-major, and whether they have rank width.
+def full_column_rank(rows, width: int, q: int) -> bool:
+    """Whether the rows have rank width.
 
-    The one decodability decision: verify_S and the codec apply it to
-    the structural system, rank_witness to the dense reference.
+    verify_S applies it to the structural system, rank_witness to the
+    dense reference; the codec reads the same rank off its one solve.
     """
-    flat = [v for row in rows for v in row]
-    return flat, _krank(flat, len(rows), width, q) == width
+    return _krank([v for row in rows for v in row], len(rows), width,
+                  q) == width
 
 
 @dataclass(frozen=True)
@@ -563,17 +562,24 @@ def verify_S(spec: CodeSpec, jobs: int = 1, sample: int | None = None,
     failures = []
     for a in subsets:
         heavy, _, rows = structural_system(spec, a)
-        if not full_column_rank(rows, p.m * len(heavy), q)[1]:
+        if not full_column_rank(rows, p.m * len(heavy), q):
             failures.append(a)
     return VerifyReport(ok=not failures, failures=tuple(failures),
                         checked=len(subsets), total=total, sampled=sampled)
 
 
 @dataclass(frozen=True)
-class SynthesisResult:
-    s: FieldMatrix
+class BuildResult:
+    spec: CodeSpec
     attempts: int
     structured: bool
+
+
+def _check_search(budget: int, sample: int | None) -> None:
+    if budget < 1:
+        raise ValueError("budget must be at least 1")
+    if sample is not None and sample < 1:
+        raise ValueError("sample must be positive")
 
 
 def _vandermonde_parity(M: int, T: int, field: PrimeField) -> tuple[int, ...]:
@@ -602,22 +608,24 @@ def _vandermonde_parity(M: int, T: int, field: PrimeField) -> tuple[int, ...]:
 
 def synthesize_S(params: CodeParams, design: BlockDesign, field: PrimeField,
                  seed: int = 0, budget: int = 8,
-                 sample: int | None = None) -> SynthesisResult:
-    """Find a long-parity matrix S passing verify_S.
+                 sample: int | None = None) -> BuildResult:
+    """The code spec of the first long-parity matrix S passing verify_S.
 
     The first candidate is the parity block of a systematic Vandermonde
     MDS code (when q >= M+T); later candidates are seeded uniform draws.
-    Deterministic for a given seed.  Raises SynthesisError when the
-    budget is exhausted, quoting the field-size existence threshold.
+    A code with T = 0 has no parity to find and returns at once with
+    attempts = 0.  Deterministic for a given seed.  Raises
+    SynthesisError when the budget is exhausted, quoting the field-size
+    existence threshold.
     """
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
+    _check_search(budget, sample)
     M, T = params.M, params.T
     q = field.q
-    if T == 0:
-        return SynthesisResult(s=FieldMatrix.zeros(q, 0, M), attempts=0,
-                               structured=False)
     layout = build_layout(design)
+    if T == 0:
+        spec = CodeSpec(params=params, field=field, design=design,
+                        layout=layout, s_entries=())
+        return BuildResult(spec=spec, attempts=0, structured=False)
     rng = random.Random(seed)
     attempts = 0
     use_structured = q >= M + T
@@ -632,16 +640,17 @@ def synthesize_S(params: CodeParams, design: BlockDesign, field: PrimeField,
                          layout=layout, s_entries=entries)
         report = verify_S(trial, sample=sample)
         if report.ok:
-            return SynthesisResult(s=trial.s_matrix, attempts=attempts,
-                                   structured=structured)
+            return BuildResult(spec=trial, attempts=attempts,
+                               structured=structured)
     threshold = comb(params.n, params.k) * T * M
     raise SynthesisError(
         f"no admissible S after {attempts} candidates over GF({q}); the "
         f"existence guarantee needs q > C(n,k)*T*M = {threshold}")
 
 
-def rank_witness(spec: CodeSpec, a) -> FieldMatrix:
-    """A 0/1 matrix S under which erasure set a is decodable.
+def rank_witness(spec: CodeSpec, a) -> tuple[int, ...]:
+    """A 0/1 matrix S under which erasure set a is decodable, as its
+    T * M row-major entries (the s_entries of a CodeSpec).
 
     Existence of a witness for every A shows the determinant polynomial
     behind the random-S argument is not identically zero.  Starting from
@@ -689,21 +698,14 @@ def rank_witness(spec: CodeSpec, a) -> FieldMatrix:
                 if x is not None:
                     s[t * M + x] = 1
                 break
-    witness = FieldMatrix(q, T, M, tuple(s))
+    witness = tuple(s)
     probe = CodeSpec(params=p, field=spec.field, design=spec.design,
-                     layout=spec.layout, s_entries=witness.entries)
+                     layout=spec.layout, s_entries=witness)
     _, dense = erasure_system(probe, a)
-    if not full_column_rank(dense, M, q)[1]:
+    if not full_column_rank(dense, M, q):
         raise WitnessError(f"witness failed the rank self-check for "
                            f"erasure set {tuple(sorted(a))}")
     return witness
-
-
-@dataclass(frozen=True)
-class BuildResult:
-    spec: CodeSpec
-    attempts: int
-    structured: bool
 
 
 def build_code(design: BlockDesign, k: int, q: int | str | None = "auto",
@@ -717,6 +719,7 @@ def build_code(design: BlockDesign, k: int, q: int | str | None = "auto",
     other codes synthesize and verify an S matrix.
     """
     _serial_only(jobs)
+    _check_search(budget, sample)
     params = derive_params(design, k)
     if q in (None, "auto"):
         threshold = comb(params.n, k) * params.T * params.M
@@ -728,14 +731,5 @@ def build_code(design: BlockDesign, k: int, q: int | str | None = "auto",
     if params.t == 2 and params.lam == 1 and k == params.n - 2:
         return BuildResult(spec=build_explicit_steiner_code(design, field),
                            attempts=0, structured=False)
-    if params.T == 0:
-        spec = CodeSpec(params=params, field=field, design=design,
-                        layout=build_layout(design), s_entries=())
-        return BuildResult(spec=spec, attempts=0, structured=False)
-    result = synthesize_S(params, design, field, seed=seed, budget=budget,
-                          sample=sample)
-    spec = CodeSpec(params=params, field=field, design=design,
-                    layout=build_layout(design),
-                    s_entries=result.s.entries)
-    return BuildResult(spec=spec, attempts=result.attempts,
-                       structured=result.structured)
+    return synthesize_S(params, design, field, seed=seed, budget=budget,
+                        sample=sample)

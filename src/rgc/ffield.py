@@ -1,13 +1,13 @@
-"""Exact arithmetic in prime fields F(q) and dense matrices over them.
+"""Prime moduli: primality, next_prime and the PrimeField modulus check.
 
-Everything here is deterministic and exact: residues are plain Python ints
-and the modulus is capped at 2^61.  Elimination lives in ``_kernel``.
+Field elements are plain Python ints in [0, q) and matrices are tuples or
+lists of them; arithmetic is written inline with % q and pow(x, -1, q),
+and elimination lives in ``_kernel``.  The modulus is capped at 2^61.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 MAX_MODULUS = 1 << 61
 
@@ -63,63 +63,3 @@ class PrimeField:
             raise ValueError(f"modulus {self.q} outside [2, 2^61)")
         if not is_prime(self.q):
             raise ValueError(f"modulus {self.q} is not prime")
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.q
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.q
-
-    def neg(self, a: int) -> int:
-        return -a % self.q
-
-    def mul(self, a: int, b: int) -> int:
-        return a * b % self.q
-
-    def inv(self, a: int) -> int:
-        if a % self.q == 0:
-            raise ZeroDivisionError(f"inverse of zero in F({self.q})")
-        return pow(a, -1, self.q)
-
-
-@dataclass(frozen=True)
-class FieldMatrix:
-    """Dense matrix over F(q), entries stored row-major."""
-
-    q: int
-    rows: int
-    cols: int
-    entries: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
-            raise ValueError("negative dimensions")
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError(
-                f"{len(self.entries)} entries for a "
-                f"{self.rows}x{self.cols} matrix")
-        q = self.q
-        if any(not 0 <= e < q for e in self.entries):
-            raise ValueError("entry outside [0, q)")
-
-    @classmethod
-    def from_rows(cls, q: int, rows: Sequence[Sequence[int]]) -> FieldMatrix:
-        r = len(rows)
-        c = len(rows[0]) if r else 0
-        flat = []
-        for row in rows:
-            if len(row) != c:
-                raise ValueError("ragged rows")
-            flat.extend(x % q for x in row)
-        return cls(q, r, c, tuple(flat))
-
-    @classmethod
-    def zeros(cls, q: int, rows: int, cols: int) -> FieldMatrix:
-        return cls(q, rows, cols, (0,) * (rows * cols))
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i * self.cols:(i + 1) * self.cols]
-
-    def to_rows(self) -> list[list[int]]:
-        return [list(self.row(i)) for i in range(self.rows)]
-

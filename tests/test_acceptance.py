@@ -129,10 +129,10 @@ def test_criterion_5(golden_spec, complete9_spec):
         p = spec.params
         for a in itertools.combinations(range(1, p.n + 1), 2):
             witness = rank_witness(spec, a)
-            assert witness.rows == p.T and witness.cols == p.M
+            assert len(witness) == p.T * p.M
             probe = CodeSpec(params=p, field=spec.field,
                              design=spec.design, layout=spec.layout,
-                             s_entries=witness.entries)
+                             s_entries=witness)
             _, rows = erasure_system(probe, a)
             flat = [x for row in rows for x in row]
             assert mat_rank(flat, len(rows), p.M, spec.field.q) == p.M

@@ -55,6 +55,20 @@ def test_usage_errors_exit_2(capsys):
         == 2
     assert run(capsys, "frobnicate")[0] == 2
     assert run(capsys, "--help")[0] == 0
+    # a malformed flag value is a usage error that names the flag
+    bad_values = (
+        ("--q", ("code", "build", "--design", "d.json", "--k", "7",
+                 "--q", "abc")),
+        ("--epsilon", ("analyze", "exponents", "--tau1", "1", "--tau2", "1",
+                       "--epsilon", "1/0", "--n-list", "64")),
+        ("--epsilon", ("analyze", "exponents", "--tau1", "1", "--tau2", "1",
+                       "--epsilon", "abc", "--n-list", "64")),
+    )
+    for flag, argv in bad_values:
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert f"argument {flag}" in err
+        assert "Traceback" not in err
 
 
 def test_domain_errors_exit_1_without_traceback(capsys):

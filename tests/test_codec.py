@@ -99,10 +99,19 @@ def test_reconstruct_names_undecodable_pattern(golden_spec):
                       design=golden_spec.design, layout=golden_spec.layout,
                       s_entries=(0,) * (p.T * p.M))
     missing = verify_S(broken).failures[0]
-    shares = encode(broken, _msg(broken, 5))
-    with pytest.raises(ValueError, match=re.escape(str(missing))) as err:
-        reconstruct(broken, shares.without(*missing))
-    assert not isinstance(err.value, CorruptionError)
+    held = encode(broken, _msg(broken, 5)).without(*missing)
+    # no flipped symbol may turn the rank failure into a corruption
+    cases = [held]
+    for share in held:
+        for pos, (j, i, v) in enumerate(share.symbols):
+            cases.append(held.replace(DiskShare(disk=share.disk, symbols=(
+                share.symbols[:pos] + ((j, i, (v + 1) % broken.field.q),)
+                + share.symbols[pos + 1:]))))
+    for shares in cases:
+        with pytest.raises(ValueError,
+                           match=re.escape(str(missing))) as err:
+            reconstruct(broken, shares)
+        assert not isinstance(err.value, CorruptionError)
 
 
 def test_reconstruct_detects_flip_when_overdetermined(s15_spec):

@@ -83,18 +83,17 @@ def test_layout_slots(steiner9):
 def test_short_generator_systematic_and_mds():
     field = PrimeField(11)
     g = short_mds_generator(5, 3, field)   # m = 3, r = 5
-    assert g.rows == 5 and g.cols == 3
-    assert g.to_rows()[:3] == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert len(g) == 5 and all(len(row) == 3 for row in g)
+    assert g[:3] == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     # MDS: every 3x3 minor of the 5x3 stack is invertible
-    rows = g.to_rows()
     for sel in itertools.combinations(range(5), 3):
-        flat = [x for i in sel for x in rows[i]]
+        flat = [x for i in sel for x in g[i]]
         assert mat_rank(flat, 3, 3, 11) == 3
 
 
 def test_short_generator_all_ones_parity_when_t2():
     g = short_mds_generator(4, 2, PrimeField(7))
-    assert g.to_rows()[-1] == [1, 1, 1]
+    assert g[-1] == (1, 1, 1)
 
 
 def test_short_generator_needs_room():
@@ -151,6 +150,19 @@ def test_verification_is_serial_only(golden_spec, steiner9):
         build_code(steiner9, 7, q=3, jobs=2)
 
 
+def test_build_checks_budget_and_sample_on_every_path(steiner9):
+    # k = n-2 on a Steiner system takes the closed form; T = 0 needs no
+    # synthesis: neither path may accept a search it would not run
+    t0 = gen_complete_design(2, 3, 6)
+    for design, k in ((steiner9, 7), (t0, 5)):
+        with pytest.raises(ValueError, match="budget"):
+            build_code(design, k, q=3, budget=0)
+        with pytest.raises(ValueError, match="sample"):
+            build_code(design, k, q=3, sample=0)
+    with pytest.raises(ValueError, match="sample"):
+        synthesize_S(derive_params(t0, 5), t0, PrimeField(11), sample=0)
+
+
 def test_verify_flags_broken_parity(golden_spec):
     p = golden_spec.params
     broken = CodeSpec(params=p, field=golden_spec.field,
@@ -167,7 +179,7 @@ def test_synthesis_trivial_when_no_deficit():
     assert params.T == 0
     result = synthesize_S(params, design, PrimeField(11))
     assert result.attempts == 0
-    assert result.s.rows == 0 and result.s.cols == params.M
+    assert result.spec.s_entries == ()
 
 
 def test_synthesis_reports_exhausted_budget():
@@ -287,7 +299,7 @@ def test_erasure_system_rows_give_stored_symbols(golden_spec, t3_spec):
 def test_witness_generalizes_to_deeper_overlap(t3_spec):
     for a in _erasure_sets(t3_spec):
         witness = rank_witness(t3_spec, a)
-        assert _dense_decodable(_with_s(t3_spec, witness.entries), a)
+        assert _dense_decodable(_with_s(t3_spec, witness), a)
 
 
 def test_witness_is_zero_one_and_decodes_on_small_fields():
@@ -301,9 +313,9 @@ def test_witness_is_zero_one_and_decodes_on_small_fields():
         spec = _random_candidate(design, k, q, 0)
         for a in _erasure_sets(spec):
             witness = rank_witness(spec, a)
-            for row in witness.to_rows():
+            for row in _with_s(spec, witness).s_rows:
                 assert set(row) <= {0, 1} and sum(row) <= 1
-            assert _dense_decodable(_with_s(spec, witness.entries), a)
+            assert _dense_decodable(_with_s(spec, witness), a)
 
 
 def test_witness_self_check_rejects_a_wrong_structure(golden_spec,
