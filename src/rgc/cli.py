@@ -17,7 +17,7 @@ from fractions import Fraction
 from . import analysis, codec, storesim
 from .construction import CodeSpec, build_code, verify_S
 from .designs import (gen_complete_design, gen_steiner_triple,
-                      load_design, verify_design)
+                      load_design, load_json_file, verify_design)
 
 
 def _rat(x) -> str:
@@ -240,8 +240,8 @@ def _cmd_analyze_compare(args) -> int:
 def _cmd_sim_run(args) -> int:
     spec = CodeSpec.load(args.spec)
     msg = _load_message(spec, args.message)
-    with open(args.scenario, "r", encoding="utf-8") as fh:
-        scenario = storesim.Scenario.from_json(fh.read())
+    scenario = load_json_file(args.scenario, "scenario",
+                              storesim.Scenario.from_json)
     report = storesim.run_scenario(spec, msg, scenario)
     _write_text(report.to_json() + "\n", args.out)
     return 0 if report.all_ok else 1

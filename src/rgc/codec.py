@@ -4,12 +4,14 @@ Shares are per-disk symbol lists addressed by (group, row): group j is
 the parity group hosted by design block j, row i its position inside
 the block.  Encoding expands the message through the long layer
 (appending T parity symbols) and then each group column through the
-short layer.  One group decoder solves a group's m = r-t+1 long-layer
-symbols from its lowest m held rows.  Repair contacts all other disks
-and copies those rows of each affected group.  Reconstruction from k
-disks runs the group decoder on groups hit in at most t-1 erased disks
-and one solve of the structural system (the other groups' surviving
-rows plus the T parity checks) for the rest; its rank decides
+short layer.  One group decoder (construction.group_solve) solves a
+group's m = r-t+1 long-layer symbols from its lowest m held rows, or,
+holding fewer, up to a kernel basis.  Repair copies m held rows of each
+affected group from any helper set that holds them, in particular from
+any d = n-t+1 other disks.  Reconstruction from k disks runs the group
+decoder on every group, then one T x T(A) solve of the reduced system
+(the long-layer parity checks on the kernels of the groups hit in at
+least t erased disks) gives the kernel coefficients; its rank decides
 decodability.
 """
 
@@ -21,7 +23,8 @@ from dataclasses import dataclass
 from operator import mul
 
 from ._kernel import mat_solve as _ksolve
-from .construction import CodeSpec, structural_system
+from .construction import (CodeSpec, group_solve, parity_block,
+                           stack_blocks)
 
 _MAGIC = b"RGC1"
 
@@ -141,9 +144,11 @@ class ShareSet:
 class RepairTranscript:
     """What each helper transmitted during one repair.
 
-    helpers lists every contacted disk (all n-1 of them) with its
-    transmitted (group, row, value) symbols; disks outside every
-    affected group transmit nothing but are still contacted.
+    helpers lists every contacted disk, each disk offered to repair (at
+    least d = n-t+1 of them suffice), with its transmitted (group, row,
+    value) symbols: stored symbols, copied verbatim.  Each affected group
+    transmits its lowest m held rows; other contacted disks transmit
+    nothing.
     """
 
     failed: int
@@ -202,30 +207,35 @@ def _share_map(spec: CodeSpec, shares) -> dict[int, DiskShare]:
     return out
 
 
-def _group_columns(spec: CodeSpec, groups, held) -> dict[int, list[int]]:
-    """Long-layer columns (m symbols each) of the given groups.
+def _group_columns(spec: CodeSpec, groups, held):
+    """(columns, kernels) of the given groups' long-layer columns.
 
     held maps (group, row) to a stored symbol.  Each group is solved from
     its lowest m held rows; groups holding the same rows share one
-    kernel call.  Held rows beyond those m are not read.
+    group_solve call.  Held rows beyond those m are not read.  A group
+    holding fewer than m rows gets its column with the free symbols 0
+    and, in kernels, its flat m x f kernel basis.
     """
-    p, q = spec.params, spec.field.q
-    m, sg = p.m, spec.short_gen
+    p = spec.params
+    m = p.m
     by_sel: dict[tuple[int, ...], list[int]] = {}
     for j in groups:
         sel = tuple([i for i in range(p.r) if (j, i) in held][:m])
         by_sel.setdefault(sel, []).append(j)
-    out = {}
+    cols, kernels = {}, {}
     for sel, js in by_sel.items():
-        rank, cols = _ksolve([v for i in sel for v in sg[i]], m, m,
-                             [held[(j, i)] for i in sel for j in js],
-                             len(js), q)
-        if rank < m:
-            raise RuntimeError("short-layer generator rows are singular; "
-                               "the stored spec is corrupt")
+        count = len(js)
+        x = group_solve(spec, sel, [held[(j, i)] for i in sel for j in js],
+                        count)
+        width = len(x) // m
         for g, j in enumerate(js):
-            out[j] = cols[g::len(js)]
-    return out
+            cols[j] = x[g::width]
+        if width > count:
+            kernel = [v for c in range(m)
+                      for v in x[c * width + count:(c + 1) * width]]
+            for j in js:
+                kernels[j] = kernel
+    return cols, kernels
 
 
 def encode(spec: CodeSpec, message) -> ShareSet:
@@ -250,12 +260,16 @@ def encode(spec: CodeSpec, message) -> ShareSet:
 
 def repair(spec: CodeSpec, failed: int,
            shares) -> tuple[DiskShare, RepairTranscript]:
-    """Rebuild a disk exactly from all n-1 survivors.
+    """Rebuild a disk exactly from helper shares.
 
-    Per affected group the lowest-indexed m surviving rows transmit one
-    symbol each; the group column is solved and the lost row recomputed.
-    Surviving rows beyond the m used (t > 2 only) are cross-checked
-    against the recomputation and raise CorruptionError on mismatch.
+    Any helper set that leaves every group of the failed disk with at
+    least m = r-t+1 held rows will do; every set of d = n-t+1 or more
+    other disks does, as it misses at most t-2 disks of any block.  Per
+    affected group the lowest-indexed m held rows transmit one stored
+    symbol each (copy only); the group column is solved and the lost row
+    recomputed.  Held rows beyond the m used are cross-checked against
+    the recomputation and raise CorruptionError on mismatch.  A helper
+    set that leaves a group short raises ValueError naming the group.
     """
     p, q = spec.params, spec.field.q
     if not 1 <= failed <= p.n:
@@ -263,25 +277,30 @@ def repair(spec: CodeSpec, failed: int,
     pool = _share_map(spec, shares)
     if failed in pool:
         raise ValueError(f"disk {failed} cannot help repair itself")
-    expect = set(range(1, p.n + 1)) - {failed}
-    if set(pool) != expect:
-        raise ValueError(
-            f"repair of disk {failed} needs all {p.n - 1} other disks as "
-            f"helpers; missing {sorted(expect - set(pool))}")
     held = {(j, i): v for share in pool.values() for j, i, v in share.symbols}
     groups = spec.layout.groups
     affected = [j for j, block in enumerate(groups) if failed in block]
-    cols = _group_columns(spec, affected, held)
-    sent: dict[int, list[tuple[int, int, int]]] = {h: [] for h in expect}
+    surv = {}
+    for j in affected:
+        block = groups[j]
+        surv[j] = [i for i, disk in enumerate(block) if disk in pool]
+        if len(surv[j]) < p.m:
+            absent = [disk for disk in block
+                      if disk != failed and disk not in pool]
+            raise ValueError(
+                f"repair of disk {failed}: group {j} on disks {block} "
+                f"holds {len(surv[j])} of the m = {p.m} rows it needs; "
+                f"missing helpers {absent}")
+    cols, _ = _group_columns(spec, affected, held)
+    sent: dict[int, list[tuple[int, int, int]]] = {h: [] for h in pool}
     rebuilt: list[tuple[int, int, int]] = []
     sg = spec.short_gen
     for j in affected:
         block, col = groups[j], cols[j]
         fi = block.index(failed)
-        surv = [i for i in range(p.r) if i != fi]
-        for i in surv[:p.m]:
+        for i in surv[j][:p.m]:
             sent[block[i]].append((j, i, held[(j, i)]))
-        for i in surv[p.m:]:
+        for i in surv[j][p.m:]:
             expect_v = sum(sg[i][c] * col[c] for c in range(p.m)) % q
             if held[(j, i)] != expect_v:
                 raise CorruptionError(
@@ -299,42 +318,47 @@ def repair(spec: CodeSpec, failed: int,
 def reconstruct(spec: CodeSpec, shares) -> MessageVector:
     """Decode the message from exactly k disk shares.
 
-    Raises ValueError when the spec fails its rank condition on the
-    erasure pattern, and CorruptionError when the structural system has
-    more equations than unknowns and the shares contradict it.
+    Every group is decoded from its own held rows, a group hit in t or
+    more erased disks up to its kernel basis; one solve of the T x T(A)
+    reduced system then gives the kernel coefficients.  Raises
+    ValueError when the spec fails its rank condition on the erasure
+    pattern, and CorruptionError when T > T(A) and the shares contradict
+    the long-layer parity checks.
     """
     p, q = spec.params, spec.field.q
-    m, M = p.m, p.M
+    m, M, T = p.m, p.M, p.T
     pool = _share_map(spec, shares)
     if len(pool) != p.k:
         raise ValueError(f"reconstruction needs exactly k = {p.k} shares, "
                          f"got {len(pool)}")
     missing = tuple(sorted(set(range(1, p.n + 1)) - set(pool)))
-    heavy, kept, rows = structural_system(spec, missing)
     held = {(j, i): v for share in pool.values() for j, i, v in share.symbols}
-    # long-layer symbols of the light groups; heavy ones stay 0 for now
-    w = [0] * (m * p.nstar)
-    heavy_set = set(heavy)
-    light = [j for j in range(p.nstar) if j not in heavy_set]
-    for j, col in _group_columns(spec, light, held).items():
-        w[j * m:(j + 1) * m] = col
-    # [S | -I] w = 0 with the light columns moved to the right-hand side
-    rhs = [held[c] for c in kept]
-    for t, srow in enumerate(spec.s_rows):
-        rhs.append((w[M + t] - sum(map(mul, srow, w))) % q)
-    width = m * len(heavy)
-    rank, x = _ksolve([v for row in rows for v in row], len(rows), width,
-                      rhs, 1, q)
+    cols, kernels = _group_columns(spec, range(p.nstar), held)
+    # long-layer symbols; heavy groups' free symbols stay 0 for now
+    w = [v for j in range(p.nstar) for v in cols[j]]
+    heavy = sorted(kernels)
+    blocks = [parity_block(spec, j, kernels[j]) for j in heavy]
+    width = sum(map(len, blocks))
+    # [S | -I] w = 0 with the known part moved to the right-hand side
+    rhs = [(w[M + t] - sum(map(mul, srow, w))) % q
+           for t, srow in enumerate(spec.s_rows)]
+    rank, z = _ksolve(stack_blocks(blocks, T), T, width, rhs, 1, q)
     if rank < width:
         raise ValueError(
             f"the stored parity matrix cannot decode erasure pattern "
             f"{missing}; the code spec fails its rank condition")
-    if x is None:
+    if z is None:
         raise CorruptionError(
             f"the shares contradict each other under erasure pattern "
             f"{missing}")
-    for h, j in enumerate(heavy):
-        w[j * m:(j + 1) * m] = x[h * m:(h + 1) * m]
+    off = 0
+    for j in heavy:
+        kernel = kernels[j]
+        f = len(kernel) // m
+        for c in range(m):
+            w[j * m + c] = (w[j * m + c] + sum(map(
+                mul, kernel[c * f:(c + 1) * f], z[off:off + f]))) % q
+        off += f
     return MessageVector(q=q, values=tuple(w[:M]))
 
 

@@ -9,16 +9,18 @@ the last T hold parity symbols S @ d, sized so that any n - k disk
 erasures still leave a rank-M system.  T is the worst case, over erasure
 sets A, of the symbol deficit beyond what the short layer absorbs.
 
-verify_S checks the rank condition for every erasure set on the
-structural system: only the groups whose block meets the set in at least
-t disks carry unknowns, so the check is a rank over their m long-layer
-symbols, constrained by their surviving short-generator rows and the T
-parity checks [S | -I].  The same system drives decoding in codec and
-rank_witness, which builds, for one erasure set, a 0/1 matrix S that
-satisfies the condition, so the generic determinant argument for random
-S is checkable per set.  erasure_system is the independent dense
-reference: every symbol stored on a surviving disk as a linear form in
-the message.
+verify_S checks the rank condition for every erasure set on the reduced
+system.  A group whose block meets A in e >= t disks keeps r - e
+independent short-generator rows, so its long-layer column is known up
+to a kernel of dimension e - t + 1 (group_solve); every other group is
+decodable from its own rows.  Stacking the heavy groups' kernels K_A,
+the T long-layer parity checks give the T x T(A) matrix [S | -I] K_A,
+and A is decodable exactly when it has rank T(A).  The same system
+drives decoding in codec and rank_witness, which builds, for one erasure
+set, a 0/1 matrix S that satisfies the condition, so the generic
+determinant argument for random S is checkable per set.  erasure_system
+is the independent dense reference: every symbol stored on a surviving
+disk as a linear form in the message.
 """
 
 from __future__ import annotations
@@ -30,10 +32,12 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb
+from operator import mul
 
 from ._kernel import mat_rank as _krank
+from ._kernel import mat_solve as _ksolve
 from .designs import (BlockDesign, block_bitmasks, is_complete_design,
-                      json_field, json_int, json_int_rows)
+                      json_field, json_int, json_int_rows, load_json_file)
 from .ffield import PrimeField, next_prime
 
 
@@ -140,11 +144,9 @@ def erasure_deficits(design: BlockDesign, k: int):
             f"C({n},{miss}) = {total} erasure sets exceed the cap "
             f"{MAX_SUBSETS}")
     masks = block_bitmasks(design)
-    points = [1 << x for x in range(n)]
 
     def deficits():
-        for sub in itertools.combinations(points, miss):
-            amask = sum(sub)
+        for amask in _erasure_masks(n, miss):
             ta = 0
             for bm in masks:
                 e = (bm & amask).bit_count()
@@ -152,6 +154,13 @@ def erasure_deficits(design: BlockDesign, k: int):
                     ta += e - t + 1
             yield ta
     return deficits()
+
+
+def _erasure_masks(n: int, miss: int):
+    """Bitmasks (bit x-1 for disk x) of every miss-subset of 1..n, in
+    lexicographic order of the subsets."""
+    points = [1 << x for x in range(n)]
+    return map(sum, itertools.combinations(points, miss))
 
 
 def compute_T(design: BlockDesign, k: int) -> int:
@@ -316,6 +325,16 @@ class CodeSpec:
         s = self.s_entries
         return tuple(s[t * p.M:(t + 1) * p.M] for t in range(p.T))
 
+    @cached_property
+    def parity_columns(self) -> tuple[tuple[int, ...], ...]:
+        """Columns of the T x (M + T) parity checks [S | -I], one T-tuple
+        per long-layer position."""
+        p, q = self.params, self.field.q
+        rows = self.s_rows
+        return (tuple(tuple(row[x] for row in rows) for x in range(p.M))
+                + tuple(tuple(q - 1 if t == u else 0 for t in range(p.T))
+                        for u in range(p.T)))
+
     def to_json(self) -> str:
         """Canonical JSON; round-trips bit-exactly through from_json."""
         p = self.params
@@ -367,8 +386,7 @@ class CodeSpec:
 
     @classmethod
     def load(cls, path) -> CodeSpec:
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(fh.read())
+        return load_json_file(path, "code spec", cls.from_json)
 
 
 def _decimals(doc, key: str) -> tuple[int, ...]:
@@ -441,7 +459,7 @@ def erasure_system(spec: CodeSpec, a):
     symbols, each a message symbol or a row of S, so rows are linear
     forms in the M message symbols and kept[i] names the (group, row) of
     rows[i].  rank(rows) = M exactly when the set is decodable.  This is
-    the independent reference that structural_system is tested against;
+    the independent reference that the reduced system is tested against;
     the codec and verify_S do not use it.
     """
     aset = _check_erasure_set(spec, a)
@@ -466,48 +484,116 @@ def erasure_system(spec: CodeSpec, a):
     return kept, rows
 
 
-def structural_system(spec: CodeSpec, a):
-    """(heavy groups, kept coordinates, rows) of the structural system.
+def group_solve(spec: CodeSpec, rows, values=(), count: int = 0):
+    """Solve count parity groups that each hold the short-layer rows
+    `rows` (ascending, at most m of them), in one kernel call.
 
-    A group is heavy when its block meets the erasure set in at least t
-    disks; every other group is decodable from its own surviving rows.
-    The unknowns are the m long-layer symbols of each heavy group, in
-    group order, so rows have m * len(heavy) entries.  rows[:len(kept)]
-    are the surviving short-generator rows of the heavy groups, kept[i]
-    naming the (group, row) of rows[i]; the last T rows are the parity
-    checks [S | -I] restricted to the heavy columns.  The set is
-    decodable exactly when these rows have full column rank.
+    A group holding s < m rows has as unknowns its long-layer symbols at
+    the free positions, the first f = m - s systematic rows it does not
+    hold.  Held and free generator rows are m distinct rows of the MDS
+    generator, hence invertible.  values is the flat s x count matrix of
+    held symbols, one column per group.  Returns the flat m x (count + f)
+    solution: column g is group g's long-layer column with its free
+    symbols 0, and the last f columns are a basis of the kernel of the
+    held rows, column b having free symbol b equal to 1.
+    """
+    m, q, sg = spec.params.m, spec.field.q, spec.short_gen
+    free = [i for i in range(m) if i not in rows][:m - len(rows)]
+    f = len(free)
+    rhs = values
+    if f:
+        rhs = []
+        for a in range(len(rows)):
+            rhs += values[a * count:(a + 1) * count]
+            rhs += [0] * f
+        for b in range(f):
+            rhs += [0] * count
+            rhs += [int(c == b) for c in range(f)]
+    rank, x = _ksolve([v for i in (*rows, *free) for v in sg[i]], m, m,
+                      rhs, count + f, q)
+    if rank < m:
+        raise RuntimeError("short-layer generator rows are singular; "
+                           "the stored spec is corrupt")
+    return x
+
+
+def parity_block(spec: CodeSpec, j: int, kernel) -> list[tuple[int, ...]]:
+    """Group j's T x f block of [S | -I] K_A: the long-layer parity checks
+    applied to the group's flat m x f kernel basis, as f column tuples."""
+    m, q, T = spec.params.m, spec.field.q, spec.params.T
+    pcols = spec.parity_columns[j * m:(j + 1) * m]
+    f = len(kernel) // m
+    out = []
+    for b in range(f):
+        acc = [0] * T
+        for c in range(m):
+            k = kernel[c * f + b]
+            if k:
+                acc = [x + k * y for x, y in zip(acc, pcols[c])]
+        out.append(tuple(x % q for x in acc))
+    return out
+
+
+def stack_blocks(blocks, T: int) -> list[int]:
+    """The flat T x T(A) reduced matrix of the heavy groups' parity
+    blocks, side by side in the given order."""
+    cols = [col for blk in blocks for col in blk]
+    return [col[t] for t in range(T) for col in cols]
+
+
+class _Reducer:
+    """Heavy groups of one spec's erasure sets, given as disk bitmasks.
+
+    Kernel bases are kept by surviving rows and parity blocks by (group,
+    hit mask) for the life of the object, which is one verify_S or
+    reduced_system call.
+    """
+
+    def __init__(self, spec: CodeSpec):
+        self.spec = spec
+        self.masks = block_bitmasks(spec.design)
+        self.kernels: dict[tuple[int, ...], list[int]] = {}
+        self.blocks: dict[tuple[int, int], tuple] = {}
+
+    def heavy(self, amask: int) -> list[tuple]:
+        """(group, kernel basis, parity block) of every group whose block
+        the set meets in at least t disks, in group order."""
+        t = self.spec.params.t
+        out = []
+        for j, bm in enumerate(self.masks):
+            hit = bm & amask
+            if hit.bit_count() >= t:
+                entry = self.blocks.get((j, hit))
+                if entry is None:
+                    entry = self.blocks[j, hit] = self._entry(j, hit)
+                out.append(entry)
+        return out
+
+    def _entry(self, j: int, hit: int) -> tuple:
+        spec = self.spec
+        rows = tuple(i for i, disk in enumerate(spec.layout.groups[j])
+                     if not hit >> (disk - 1) & 1)
+        kernel = self.kernels.get(rows)
+        if kernel is None:
+            kernel = self.kernels[rows] = group_solve(spec, rows)
+        return j, kernel, parity_block(spec, j, kernel)
+
+
+def reduced_system(spec: CodeSpec, a):
+    """(kernels, matrix, width) of the reduced system of erasure set a.
+
+    kernels maps each heavy group, one whose block meets a in e >= t
+    disks, in group order, to the flat m x f kernel basis of its
+    surviving short-generator rows (f = e - t + 1; see group_solve).
+    matrix is the flat T x width matrix [S | -I] K_A, width = T(A), with
+    columns in the order of kernels; a is decodable exactly when its
+    rank is width.
     """
     aset = _check_erasure_set(spec, a)
-    p, q = spec.params, spec.field.q
-    m, M = p.m, p.M
-    heavy = [j for j, block in enumerate(spec.layout.groups)
-             if len(aset.intersection(block)) >= p.t]
-    width = m * len(heavy)
-    sg = spec.short_gen
-    kept, rows = [], []
-    for h, j in enumerate(heavy):
-        for i, disk in enumerate(spec.layout.groups[j]):
-            if disk not in aset:
-                row = [0] * width
-                row[h * m:(h + 1) * m] = sg[i]
-                kept.append((j, i))
-                rows.append(row)
-    cols = [j * m + c for j in heavy for c in range(m)]
-    for t, srow in enumerate(spec.s_rows):
-        rows.append([srow[pos] if pos < M else
-                     (q - 1 if pos - M == t else 0) for pos in cols])
-    return heavy, kept, rows
-
-
-def full_column_rank(rows, width: int, q: int) -> bool:
-    """Whether the rows have rank width.
-
-    verify_S applies it to the structural system, rank_witness to the
-    dense reference; the codec reads the same rank off its one solve.
-    """
-    return _krank([v for row in rows for v in row], len(rows), width,
-                  q) == width
+    heavy = _Reducer(spec).heavy(sum(1 << (x - 1) for x in aset))
+    blocks = [blk for _, _, blk in heavy]
+    return ({j: kernel for j, kernel, _ in heavy},
+            stack_blocks(blocks, spec.params.T), sum(map(len, blocks)))
 
 
 @dataclass(frozen=True)
@@ -530,15 +616,17 @@ def verify_S(spec: CodeSpec, jobs: int = 1, sample: int | None = None,
              seed: int = 0) -> VerifyReport:
     """Check that every (n-k)-subset A is decodable.
 
-    Each set is checked on its structural system, whose size depends on
-    the groups the set hits in at least t disks, not on M.
+    Each set is checked on its reduced system: a set that hits no group
+    in t or more disks (T(A) = 0) needs no check, every other set one
+    rank of the T x T(A) matrix [S | -I] K_A.  Kernel bases and parity
+    blocks are shared by all the sets of one call.
 
     When C(n, n-k) exceeds MAX_SUBSETS, a seeded random sample must be
     requested explicitly via `sample`; the report then marks itself as
     incomplete verification.
     """
     _serial_only(jobs)
-    p, q = spec.params, spec.field.q
+    p, q, T = spec.params, spec.field.q, spec.params.T
     miss = p.n - p.k
     total = comb(p.n, miss)
     if sample is not None and sample < 1:
@@ -553,19 +641,24 @@ def verify_S(spec: CodeSpec, jobs: int = 1, sample: int | None = None,
         chosen: set[tuple[int, ...]] = set()
         while len(chosen) < sample:
             chosen.add(tuple(sorted(rng.sample(range(1, p.n + 1), miss))))
-        subsets = sorted(chosen)
-        sampled = True
+        masks = [sum(1 << (x - 1) for x in a) for a in sorted(chosen)]
+        checked, sampled = len(masks), True
     else:
-        subsets = [tuple(c) for c in
-                   itertools.combinations(range(1, p.n + 1), miss)]
-        sampled = False
+        masks = _erasure_masks(p.n, miss)
+        checked, sampled = total, False
+    reducer = _Reducer(spec)
     failures = []
-    for a in subsets:
-        heavy, _, rows = structural_system(spec, a)
-        if not full_column_rank(rows, p.m * len(heavy), q):
-            failures.append(a)
+    for amask in masks:
+        heavy = reducer.heavy(amask)
+        if not heavy:
+            continue
+        blocks = [blk for _, _, blk in heavy]
+        width = sum(map(len, blocks))
+        if _krank(stack_blocks(blocks, T), T, width, q) != width:
+            failures.append(tuple(x + 1 for x in range(p.n)
+                                  if amask >> x & 1))
     return VerifyReport(ok=not failures, failures=tuple(failures),
-                        checked=len(subsets), total=total, sampled=sampled)
+                        checked=checked, total=total, sampled=sampled)
 
 
 @dataclass(frozen=True)
@@ -653,22 +746,32 @@ def rank_witness(spec: CodeSpec, a) -> tuple[int, ...]:
     T * M row-major entries (the s_entries of a CodeSpec).
 
     Existence of a witness for every A shows the determinant polynomial
-    behind the random-S argument is not identically zero.  Starting from
-    the heavy groups' surviving rows of the structural system, row t of
-    S is chosen greedily: zero when slot M+t is heavy and its restricted
-    row -e_{M+t} raises the rank, else the unit vector at the first
+    behind the random-S argument is not identically zero.  The greedy
+    runs in the reduced space of reduced_system: let u(x) be the row of
+    the stacked kernel basis K_A at long-layer position x of a heavy
+    group.  Row t of S, a unit vector e_x or zero, adds the row
+    u(x) - u(M+t) to [S | -I] K_A, with u(M+t) = 0 when slot M+t is not
+    heavy.  Starting from an empty basis, row t is zero when slot M+t is
+    heavy and -u(M+t) raises the rank, else the unit vector at the first
     heavy message position that raises it, else zero.  As T >= T(A),
-    each row either raises the rank or finds every heavy message unit
-    vector and its own parity column already spanned, so the system
-    reaches full column rank.  The result is self-checked against the
-    dense erasure_system and raises WitnessError if it fails.
+    some row raises nothing; by then every heavy message u(x) is
+    spanned, and each row t leaves u(M+t) spanned, so the rows u of all
+    heavy positions, which span T(A) dimensions, are spanned at the end.
+    The result is self-checked against the dense erasure_system and
+    raises WitnessError if it fails.
     """
     p, q = spec.params, spec.field.q
     m, M, T = p.m, p.M, p.T
-    heavy, kept, rows = structural_system(spec, a)
-    # long-layer position -> column of the structural system
-    col = {j * m + c: h * m + c for h, j in enumerate(heavy)
-           for c in range(m)}
+    kernels, _, width = reduced_system(spec, a)
+    u: dict[int, list[int]] = {}
+    off = 0
+    for j, kernel in kernels.items():
+        f = len(kernel) // m
+        for c in range(m):
+            row = [0] * width
+            row[off:off + f] = kernel[c * f:(c + 1) * f]
+            u[j * m + c] = row
+        off += f
     basis: list[tuple[int, list[int]]] = []    # (pivot, row), echelon
 
     def raises_rank(row) -> bool:
@@ -682,18 +785,14 @@ def rank_witness(spec: CodeSpec, a) -> tuple[int, ...]:
             basis.append((piv, [v * inv % q for v in row]))
         return piv is not None
 
-    for row in rows[:len(kept)]:
-        raises_rank(row)
-    heavy_msg = [x for x in col if x < M]
+    heavy_msg = [x for x in u if x < M]
     s = [0] * (T * M)
     for t in range(T):
-        own = col.get(M + t)
+        own = u.get(M + t)
         for x in ([None] if own is not None else []) + heavy_msg:
-            row = [0] * len(col)
-            if own is not None:
-                row[own] = q - 1
+            row = [0] * width if own is None else [-v % q for v in own]
             if x is not None:
-                row[col[x]] = 1
+                row = [(v + w) % q for v, w in zip(row, u[x])]
             if raises_rank(row):
                 if x is not None:
                     s[t * M + x] = 1
@@ -702,7 +801,7 @@ def rank_witness(spec: CodeSpec, a) -> tuple[int, ...]:
     probe = CodeSpec(params=p, field=spec.field, design=spec.design,
                      layout=spec.layout, s_entries=witness)
     _, dense = erasure_system(probe, a)
-    if not full_column_rank(dense, M, q):
+    if _krank([v for row in dense for v in row], len(dense), M, q) != M:
         raise WitnessError(f"witness failed the rank self-check for "
                            f"erasure set {tuple(sorted(a))}")
     return witness

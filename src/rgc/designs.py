@@ -108,9 +108,22 @@ def json_int_rows(doc, key: str, where: str) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in value)
 
 
+def load_json_file(path, what: str, parse):
+    """parse(text) of the text file at path, for a JSON document named
+    what.  A ValueError names the path, and says what was expected when
+    the file is not JSON text at all."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse(fh.read())
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValueError(f"{path}: expected a JSON {what}, but the file is "
+                         f"not valid JSON ({exc})") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def load_design(path) -> BlockDesign:
-    with open(path, "r", encoding="utf-8") as fh:
-        return BlockDesign.from_json(fh.read())
+    return load_json_file(path, "design", BlockDesign.from_json)
 
 
 def save_design(design: BlockDesign, path) -> None:

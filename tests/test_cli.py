@@ -283,20 +283,36 @@ def test_sim_run_reports_scripted_violation(capsys, workdir, tmp_path):
     pytest.param(("sim", "run"), "--scenario",
                  lambda spec, design: {"events": [{"read": 5}]},
                  id="read-event"),
+    pytest.param(("code", "inspect"), "--spec",
+                 lambda spec, design: "1 2 3\n", id="spec-not-json"),
+    pytest.param(("design", "verify"), "--design",
+                 lambda spec, design: "1 2\n", id="design-not-json"),
+    pytest.param(("analyze", "compare"), "--design1",
+                 lambda spec, design: "1 2\n", id="design1-not-json"),
+    pytest.param(("analyze", "compare"), "--design2",
+                 lambda spec, design: "{", id="design2-not-json"),
+    pytest.param(("sim", "run"), "--scenario",
+                 lambda spec, design: "fail 1\n", id="scenario-not-json"),
 ])
 def test_malformed_json_exits_1_with_one_error_line(capsys, tmp_path,
                                                     workdir, command, flag,
                                                     mangle):
-    """JSON that parses but has the wrong shape is a domain error."""
+    """JSON of the wrong shape, or a file that is not JSON at all, is a
+    domain error whose one line names the file."""
     root, _, _ = workdir
     spec_doc = json.loads((root / "spec.json").read_text())
     design_doc = json.loads((root / "d9.json").read_text())
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(mangle(spec_doc, design_doc)))
+    doc = mangle(spec_doc, design_doc)
+    bad.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     argv = [*command, flag, str(bad)]
     if command == ("sim", "run"):
         argv += ["--spec", str(root / "spec.json"),
                  "--message", str(root / "msg.txt")]
+    if command == ("analyze", "compare"):
+        other = "--design2" if flag == "--design1" else "--design1"
+        argv += [other, str(root / "d9.json"), "--k", "7"]
     code, _, err = run(capsys, *argv)
     assert code == 1
     assert err.startswith("error:") and err.count("\n") == 1
+    assert str(bad) in err

@@ -12,7 +12,8 @@ from rgc.codec import (CorruptionError, DiskShare, MessageVector,
                        ShareFormatError, ShareSet, check_share, encode,
                        read_share, reconstruct, repair, share_from_bytes,
                        share_to_bytes, write_share)
-from rgc.construction import CodeSpec, structural_system, verify_S
+from rgc.construction import (CodeSpec, compute_TA, reduced_system,
+                              verify_S)
 
 
 def _msg(spec, seed):
@@ -78,9 +79,11 @@ def test_repair_is_exact_and_idempotent(golden_spec, failed, seed):
 
 def test_repair_requires_every_helper(golden_spec):
     shares = encode(golden_spec, _msg(golden_spec, 3))
-    with pytest.raises(ValueError) as err:
+    # disks 4 and 9 share block (3, 4, 9), which keeps 1 of m = 2 rows
+    with pytest.raises(ValueError, match=r"group \d+ on disks \(3, 4, 9\)"
+                       ) as err:
         repair(golden_spec, 4, shares.without(4, 9))
-    assert "9" in str(err.value)
+    assert "missing helpers [9]" in str(err.value)
     with pytest.raises(ValueError):
         repair(golden_spec, 4, shares)   # failed disk among helpers
 
@@ -115,14 +118,21 @@ def test_reconstruct_names_undecodable_pattern(golden_spec):
 
 
 def test_reconstruct_detects_flip_when_overdetermined(s15_spec):
-    """An erasure set holding a whole block leaves the structural system
-    one equation more than unknowns, so flipped symbols are caught."""
+    """An erasure set holding a whole block leaves the reduced system
+    more parity checks T than unknowns T(A), so flipped symbols of the
+    heavy groups are caught."""
     spec = s15_spec
     q = spec.field.q
     block = spec.design.blocks[0]
     missing = tuple(sorted(block + (max(set(range(1, 16)) - set(block)),)))
-    heavy, kept, rows = structural_system(spec, missing)
-    assert len(rows) > spec.params.m * len(heavy)
+    kernels, matrix, width = reduced_system(spec, missing)
+    assert width == compute_TA(spec.design, missing)
+    assert len(matrix) == spec.params.T * width
+    assert spec.params.T > width
+    kept = [(j, i) for j in kernels
+            for i, disk in enumerate(spec.layout.groups[j])
+            if disk not in missing]
+    assert kept
     msg = _msg(spec, 3)
     shares = encode(spec, msg).without(*missing)
     assert reconstruct(spec, shares) == msg
@@ -174,6 +184,24 @@ def test_deep_overlap_repair_cross_checks(t3_spec):
     polluted = shares.replace(tampered)
     with pytest.raises(CorruptionError):
         repair(t3_spec, 1, polluted.without(1))
+
+
+def test_repair_from_every_d_subset_of_helpers(t3_spec):
+    """n=7, t=3: any d = 5 of the 6 other disks rebuild the exact share
+    by copying m = 2 stored rows per affected group."""
+    p = t3_spec.params
+    shares = encode(t3_spec, _msg(t3_spec, 4))
+    for failed in (1, 5):
+        others = [d for d in range(1, p.n + 1) if d != failed]
+        for helpers in itertools.combinations(others, p.d):
+            rebuilt, transcript = repair(t3_spec, failed,
+                                         shares.subset(helpers))
+            assert rebuilt == shares.get(failed)
+            assert transcript.helper_count == p.d
+            assert transcript.total_symbols == p.gamma
+            for helper, syms in transcript.helpers:
+                stored = shares.get(helper).value_map()
+                assert all(stored[(j, i)] == v for j, i, v in syms)
 
 
 def test_deep_overlap_round_trip(t3_spec):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rgc import construction
-from rgc.codec import MessageVector, encode
+from rgc.codec import CorruptionError, MessageVector, encode, reconstruct
 from rgc.construction import (BudgetExceededError, CodeSpec, SynthesisError,
                               WitnessError, build_code,
                               build_explicit_steiner_code,
@@ -253,8 +253,10 @@ def _random_candidate(design, k, q, seed):
 
 def test_structural_rank_matches_dense_reference(golden_spec, complete9_spec,
                                                  t3_spec, s15_spec):
-    """verify_S's structural check fails on exactly the erasure sets where
-    the dense (r*N*) x M system loses rank."""
+    """verify_S's reduced T x T(A) check fails on exactly the erasure sets
+    where the dense (r*N*) x M system loses rank, also where group
+    kernels have dimension 2 or more and the short layer has Cauchy
+    rows."""
     specs = [golden_spec, complete9_spec, t3_spec, s15_spec]
     for q in (7, 31):
         for seed in (0, 1):
@@ -263,13 +265,65 @@ def test_structural_rank_matches_dense_reference(golden_spec, complete9_spec,
                                         seed),
                       _random_candidate(gen_complete_design(3, 4, 7), 4, q,
                                         seed)]
-    specs.append(_random_candidate(gen_steiner_triple(15), 11, 7, 0))
+    specs += [_random_candidate(gen_steiner_triple(15), 11, 7, 0),
+              _random_candidate(gen_complete_design(3, 5, 7), 4, 5, 0),
+              _random_candidate(S_2_4_13, 9, 5, 0)]
     failing = 0
     for spec in specs:
         want = _dense_failures(spec)
         assert verify_S(spec).failures == want
         failing += len(want)
     assert failing > 100    # small fields really fail the rank condition
+
+
+def test_reconstruct_fails_exactly_where_verify_fails():
+    """On small-field candidates a read raises ValueError on exactly
+    verify_S's failing sets and returns the message on all others."""
+    codes = ((gen_complete_design(3, 4, 7), 4, 7, 1),
+             (gen_complete_design(3, 5, 7), 4, 5, 0),
+             (gen_complete_design(2, 3, 9), 7, 7, 0),
+             (S_2_4_13, 9, 5, 1))
+    for design, k, q, seed in codes:
+        spec = _random_candidate(design, k, q, seed)
+        failing = set(verify_S(spec).failures)
+        assert failing
+        msg = MessageVector.random(q, spec.params.M, seed=seed)
+        shares = encode(spec, msg)
+        for a in _erasure_sets(spec):
+            held = shares.without(*a)
+            if a in failing:
+                with pytest.raises(ValueError, match="rank condition") as err:
+                    reconstruct(spec, held)
+                assert not isinstance(err.value, CorruptionError)
+            else:
+                assert reconstruct(spec, held) == msg
+
+
+def test_verify_makes_one_reduced_rank_call_per_deficient_set(
+        t3_spec, monkeypatch):
+    """verify_S ranks one T x T(A) matrix per erasure set with T(A) > 0
+    and makes no rank call for a set with T(A) = 0."""
+    calls = []
+
+    def spy(a, rows, cols, q):
+        calls.append((rows, cols))
+        return mat_rank(a, rows, cols, q)
+
+    monkeypatch.setattr(construction, "_krank", spy)
+    t0 = gen_complete_design(3, 4, 7)
+    specs = [synthesize_S(derive_params(t0, 5), t0, PrimeField(7)).spec,
+             t3_spec,
+             _random_candidate(gen_complete_design(3, 5, 7), 4, 5, 0),
+             _random_candidate(gen_steiner_triple(9), 7, 7, 0)]
+    assert specs[0].params.T == 0      # n - k = 2 < t: every T(A) is 0
+    for spec in specs:
+        spec.short_gen                 # its MDS check ranks minors
+        calls.clear()
+        verify_S(spec)
+        want = [(spec.params.T, ta) for ta in
+                (compute_TA(spec.design, a) for a in _erasure_sets(spec))
+                if ta]
+        assert calls == want
 
 
 def _with_s(spec, entries):
@@ -322,8 +376,8 @@ def test_witness_self_check_rejects_a_wrong_structure(golden_spec,
                                                       monkeypatch):
     # with no heavy groups the greedy keeps S = 0, which no erasure set
     # of the golden code survives; the dense self-check must say so
-    monkeypatch.setattr(construction, "structural_system",
-                        lambda spec, a: ([], [], []))
+    monkeypatch.setattr(construction, "reduced_system",
+                        lambda spec, a: ({}, [], 0))
     with pytest.raises(WitnessError):
         rank_witness(golden_spec, (1, 2))
 
