@@ -166,12 +166,17 @@ def _cmd_repair(args) -> int:
     if args.transcript:
         doc = {"failed": transcript.failed,
                "total_symbols": transcript.total_symbols,
+               "check_symbols": transcript.check_symbols,
                "helpers": [{"disk": h, "symbols": [list(s) for s in syms]}
-                           for h, syms in transcript.helpers]}
+                           for h, syms in transcript.helpers],
+               "checks": [{"disk": h, "symbols": [list(s) for s in syms]}
+                          for h, syms in transcript.checks]}
         _write_text(json.dumps(doc, separators=(",", ":")) + "\n",
                     args.transcript)
+    moved = transcript.total_symbols + transcript.check_symbols
     print(f"rebuilt disk {args.failed} from {transcript.helper_count} "
-          f"helpers, {transcript.total_symbols} symbols moved")
+          f"helpers, {moved} symbols moved ({transcript.total_symbols} "
+          f"copied, {transcript.check_symbols} read to check)")
     return 0
 
 

@@ -3,16 +3,18 @@
 Shares are per-disk symbol lists addressed by (group, row): group j is
 the parity group hosted by design block j, row i its position inside
 the block.  Encoding expands the message through the long layer
-(appending T parity symbols) and then each group column through the
-short layer.  One group decoder (construction.group_solve) solves a
-group's m = r-t+1 long-layer symbols from its lowest m held rows, or,
-holding fewer, up to a kernel basis.  Repair copies m held rows of each
-affected group from any helper set that holds them, in particular from
-any d = n-t+1 other disks.  Reconstruction from k disks runs the group
-decoder on every group, then one T x T(A) solve of the reduced system
-(the long-layer parity checks on the kernels of the groups hit in at
-least t erased disks) gives the kernel coefficients; its rank decides
-decodability.
+(appending T parity symbols) and then all group columns through the
+short layer (construction.short_layer).  One group decoder
+(construction.group_decoder, an inverse kept per spec and held-row
+tuple) solves a group's m = r-t+1 long-layer symbols from its lowest m
+held rows, or, holding fewer, up to a kernel basis.  Repair copies m
+held rows of each affected group from any helper set that holds them,
+in particular from any d = n-t+1 other disks, and reads any further
+held rows only to cross-check.  Reconstruction from k disks runs the
+group decoder on every group, then one T x T(A) solve of the reduced
+system (the long-layer parity checks on the kernels of the groups hit
+in at least t erased disks) gives the kernel coefficients; its rank
+decides decodability.
 """
 
 from __future__ import annotations
@@ -22,9 +24,10 @@ import struct
 from dataclasses import dataclass
 from operator import mul
 
+from ._kernel import mat_mul as _kmul
 from ._kernel import mat_solve as _ksolve
-from .construction import (CodeSpec, group_solve, parity_block,
-                           stack_blocks)
+from .construction import (CodeSpec, group_decoder, parity_block,
+                           short_layer, stack_blocks)
 
 _MAGIC = b"RGC1"
 
@@ -148,11 +151,15 @@ class RepairTranscript:
     least d = n-t+1 of them suffice), with its transmitted (group, row,
     value) symbols: stored symbols, copied verbatim.  Each affected group
     transmits its lowest m held rows; other contacted disks transmit
-    nothing.
+    nothing.  checks lists the same disks with the stored symbols they
+    send only for the cross-check: the held rows of an affected group
+    beyond the m copied.  total_symbols counts the copied symbols, gamma
+    for a whole repair; check_symbols counts the check reads.
     """
 
     failed: int
     helpers: tuple[tuple[int, tuple[tuple[int, int, int], ...]], ...]
+    checks: tuple[tuple[int, tuple[tuple[int, int, int], ...]], ...]
 
     @property
     def helper_count(self) -> int:
@@ -161,6 +168,10 @@ class RepairTranscript:
     @property
     def total_symbols(self) -> int:
         return sum(len(syms) for _, syms in self.helpers)
+
+    @property
+    def check_symbols(self) -> int:
+        return sum(len(syms) for _, syms in self.checks)
 
 
 def check_share(spec: CodeSpec, share: DiskShare) -> None:
@@ -212,28 +223,24 @@ def _group_columns(spec: CodeSpec, groups, held):
 
     held maps (group, row) to a stored symbol.  Each group is solved from
     its lowest m held rows; groups holding the same rows share one
-    group_solve call.  Held rows beyond those m are not read.  A group
-    holding fewer than m rows gets its column with the free symbols 0
-    and, in kernels, its flat m x f kernel basis.
+    product with their group_decoder solve matrix.  Held rows beyond
+    those m are not read.  A group holding fewer than m rows gets its
+    column with the free symbols 0 and, in kernels, its kernel basis.
     """
     p = spec.params
-    m = p.m
     by_sel: dict[tuple[int, ...], list[int]] = {}
     for j in groups:
-        sel = tuple([i for i in range(p.r) if (j, i) in held][:m])
+        sel = tuple([i for i in range(p.r) if (j, i) in held][:p.m])
         by_sel.setdefault(sel, []).append(j)
     cols, kernels = {}, {}
     for sel, js in by_sel.items():
-        count = len(js)
-        x = group_solve(spec, sel, [held[(j, i)] for i in sel for j in js],
-                        count)
-        width = len(x) // m
+        solve, kernel = group_decoder(spec, sel)
+        s, count = len(sel), len(js)
+        x = _kmul(solve, p.m, s, [held[(j, i)] for i in sel for j in js],
+                  s, count, spec.field.q)
         for g, j in enumerate(js):
-            cols[j] = x[g::width]
-        if width > count:
-            kernel = [v for c in range(m)
-                      for v in x[c * width + count:(c + 1) * width]]
-            for j in js:
+            cols[j] = x[g::count]
+            if kernel:
                 kernels[j] = kernel
     return cols, kernels
 
@@ -245,17 +252,12 @@ def encode(spec: CodeSpec, message) -> ShareSet:
     w = list(values)
     for row in spec.s_rows:
         w.append(sum(c * v for c, v in zip(row, values) if c) % q)
-    sg = spec.short_gen
-    per_disk: dict[int, list[tuple[int, int, int]]] = {}
-    for j in range(p.nstar):
-        col = w[j * p.m:(j + 1) * p.m]
-        for i in range(p.r):
-            val = sum(sg[i][c] * col[c] for c in range(p.m)) % q
-            per_disk.setdefault(spec.layout.groups[j][i],
-                                []).append((j, i, val))
+    N = p.nstar
+    out = short_layer(spec, [w[j * p.m:(j + 1) * p.m] for j in range(N)])
     return ShareSet(shares=tuple(
-        DiskShare(disk=disk, symbols=tuple(sorted(syms)))
-        for disk, syms in sorted(per_disk.items())))
+        DiskShare(disk=disk, symbols=tuple(
+            (j, i, out[i * N + j]) for j, i in spec.layout.disk_slots(disk)))
+        for disk in range(1, p.n + 1)))
 
 
 def repair(spec: CodeSpec, failed: int,
@@ -267,11 +269,12 @@ def repair(spec: CodeSpec, failed: int,
     other disks does, as it misses at most t-2 disks of any block.  Per
     affected group the lowest-indexed m held rows transmit one stored
     symbol each (copy only); the group column is solved and the lost row
-    recomputed.  Held rows beyond the m used are cross-checked against
-    the recomputation and raise CorruptionError on mismatch.  A helper
-    set that leaves a group short raises ValueError naming the group.
+    recomputed.  Held rows beyond the m used are also read, listed in the
+    transcript's checks, and cross-checked against the recomputation;
+    a mismatch raises CorruptionError.  A helper set that leaves a group
+    short raises ValueError naming the group.
     """
-    p, q = spec.params, spec.field.q
+    p = spec.params
     if not 1 <= failed <= p.n:
         raise ValueError(f"disk {failed} outside 1..{p.n}")
     pool = _share_map(spec, shares)
@@ -292,26 +295,28 @@ def repair(spec: CodeSpec, failed: int,
                 f"holds {len(surv[j])} of the m = {p.m} rows it needs; "
                 f"missing helpers {absent}")
     cols, _ = _group_columns(spec, affected, held)
+    out = short_layer(spec, [cols[j] for j in affected])
+    count = len(affected)
     sent: dict[int, list[tuple[int, int, int]]] = {h: [] for h in pool}
+    checked: dict[int, list[tuple[int, int, int]]] = {h: [] for h in pool}
     rebuilt: list[tuple[int, int, int]] = []
-    sg = spec.short_gen
-    for j in affected:
-        block, col = groups[j], cols[j]
-        fi = block.index(failed)
+    for g, j in enumerate(affected):
+        block = groups[j]
         for i in surv[j][:p.m]:
             sent[block[i]].append((j, i, held[(j, i)]))
         for i in surv[j][p.m:]:
-            expect_v = sum(sg[i][c] * col[c] for c in range(p.m)) % q
-            if held[(j, i)] != expect_v:
+            checked[block[i]].append((j, i, held[(j, i)]))
+            if held[(j, i)] != out[i * count + g]:
                 raise CorruptionError(
                     f"disk {block[i]} holds an inconsistent symbol for "
                     f"group {j} row {i}")
-        lost = sum(sg[fi][c] * col[c] for c in range(p.m)) % q
-        rebuilt.append((j, fi, lost))
-    share = DiskShare(disk=failed, symbols=tuple(sorted(rebuilt)))
+        fi = block.index(failed)
+        rebuilt.append((j, fi, out[fi * count + g]))
+    share = DiskShare(disk=failed, symbols=tuple(rebuilt))
     transcript = RepairTranscript(
         failed=failed,
-        helpers=tuple((h, tuple(sent[h])) for h in sorted(sent)))
+        helpers=tuple((h, tuple(sent[h])) for h in sorted(sent)),
+        checks=tuple((h, tuple(checked[h])) for h in sorted(checked)))
     return share, transcript
 
 

@@ -9,12 +9,15 @@ the last T hold parity symbols S @ d, sized so that any n - k disk
 erasures still leave a rank-M system.  T is the worst case, over erasure
 sets A, of the symbol deficit beyond what the short layer absorbs.
 
+Every block shares one short generator: short_layer is the one product
+of it with group columns, and group_decoder inverts, once per spec and
+held-row tuple, a group's held rows plus its free systematic rows.
 verify_S checks the rank condition for every erasure set on the reduced
 system.  A group whose block meets A in e >= t disks keeps r - e
 independent short-generator rows, so its long-layer column is known up
-to a kernel of dimension e - t + 1 (group_solve); every other group is
-decodable from its own rows.  Stacking the heavy groups' kernels K_A,
-the T long-layer parity checks give the T x T(A) matrix [S | -I] K_A,
+to a kernel of dimension e - t + 1 (group_decoder); every other group
+is decodable from its own rows.  Stacking the heavy groups' kernels
+K_A, the T long-layer parity checks give the T x T(A) matrix [S | -I] K_A,
 and A is decodable exactly when it has rank T(A).  The same system
 drives decoding in codec and rank_witness, which builds, for one erasure
 set, a 0/1 matrix S that satisfies the condition, so the generic
@@ -32,8 +35,8 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb
-from operator import mul
 
+from ._kernel import mat_mul as _kmul
 from ._kernel import mat_rank as _krank
 from ._kernel import mat_solve as _ksolve
 from .designs import (BlockDesign, block_bitmasks, is_complete_design,
@@ -315,6 +318,11 @@ class CodeSpec:
         return short_mds_generator(self.params.r, self.params.t, self.field)
 
     @cached_property
+    def group_decoders(self) -> dict[tuple[int, ...], tuple]:
+        """group_decoder's table: held-row tuple to (solve, kernel)."""
+        return {}
+
+    @cached_property
     def s_rows(self) -> tuple[tuple[int, ...], ...]:
         """Long-layer parity matrix S: T row tuples of M coefficients."""
         p = self.params
@@ -484,37 +492,42 @@ def erasure_system(spec: CodeSpec, a):
     return kept, rows
 
 
-def group_solve(spec: CodeSpec, rows, values=(), count: int = 0):
-    """Solve count parity groups that each hold the short-layer rows
-    `rows` (ascending, at most m of them), in one kernel call.
+def group_decoder(spec: CodeSpec, rows):
+    """(solve, kernel) of a parity group holding the short-layer rows
+    `rows` (ascending, at most m of them).
 
-    A group holding s < m rows has as unknowns its long-layer symbols at
-    the free positions, the first f = m - s systematic rows it does not
-    hold.  Held and free generator rows are m distinct rows of the MDS
-    generator, hence invertible.  values is the flat s x count matrix of
-    held symbols, one column per group.  Returns the flat m x (count + f)
-    solution: column g is group g's long-layer column with its free
-    symbols 0, and the last f columns are a basis of the kernel of the
-    held rows, column b having free symbol b equal to 1.
+    With s held rows, the first f = m - s systematic rows not held are
+    the free positions.  Held and free generator rows are m distinct rows
+    of the MDS generator, so they invert; the inverse splits into solve,
+    the flat m x s matrix taking the held symbols to the group column
+    with the free symbols 0, and kernel, the flat m x f kernel basis of
+    the held rows, column b having free symbol b equal to 1.  Each row
+    tuple is inverted once per spec (spec.group_decoders).
     """
-    m, q, sg = spec.params.m, spec.field.q, spec.short_gen
-    free = [i for i in range(m) if i not in rows][:m - len(rows)]
-    f = len(free)
-    rhs = values
-    if f:
-        rhs = []
-        for a in range(len(rows)):
-            rhs += values[a * count:(a + 1) * count]
-            rhs += [0] * f
-        for b in range(f):
-            rhs += [0] * count
-            rhs += [int(c == b) for c in range(f)]
-    rank, x = _ksolve([v for i in (*rows, *free) for v in sg[i]], m, m,
-                      rhs, count + f, q)
-    if rank < m:
-        raise RuntimeError("short-layer generator rows are singular; "
-                           "the stored spec is corrupt")
-    return x
+    entry = spec.group_decoders.get(rows)
+    if entry is None:
+        m, s, q, sg = spec.params.m, len(rows), spec.field.q, spec.short_gen
+        free = [i for i in range(m) if i not in rows][:m - s]
+        eye = [int(a == b) for a in range(m) for b in range(m)]
+        rank, inv = _ksolve([v for i in (*rows, *free) for v in sg[i]],
+                            m, m, eye, m, q)
+        if rank < m:
+            raise RuntimeError("short-layer generator rows are singular; "
+                               "the stored spec is corrupt")
+        entry = spec.group_decoders[rows] = (
+            tuple(v for c in range(m) for v in inv[c * m:c * m + s]),
+            tuple(v for c in range(m) for v in inv[c * m + s:(c + 1) * m]))
+    return entry
+
+
+def short_layer(spec: CodeSpec, columns) -> list[int]:
+    """The short layer applied to groups' long-layer columns (m-tuples):
+    the flat r x len(columns) matrix whose entry (i, g) is the symbol of
+    row i of group columns[g]."""
+    p = spec.params
+    return _kmul([v for row in spec.short_gen for v in row], p.r, p.m,
+                 [col[c] for c in range(p.m) for col in columns], p.m,
+                 len(columns), spec.field.q)
 
 
 def parity_block(spec: CodeSpec, j: int, kernel) -> list[tuple[int, ...]]:
@@ -544,15 +557,14 @@ def stack_blocks(blocks, T: int) -> list[int]:
 class _Reducer:
     """Heavy groups of one spec's erasure sets, given as disk bitmasks.
 
-    Kernel bases are kept by surviving rows and parity blocks by (group,
-    hit mask) for the life of the object, which is one verify_S or
-    reduced_system call.
+    Parity blocks are kept by (group, hit mask) for the life of the
+    object, which is one verify_S or reduced_system call; kernel bases
+    come from group_decoder.
     """
 
     def __init__(self, spec: CodeSpec):
         self.spec = spec
         self.masks = block_bitmasks(spec.design)
-        self.kernels: dict[tuple[int, ...], list[int]] = {}
         self.blocks: dict[tuple[int, int], tuple] = {}
 
     def heavy(self, amask: int) -> list[tuple]:
@@ -573,9 +585,7 @@ class _Reducer:
         spec = self.spec
         rows = tuple(i for i, disk in enumerate(spec.layout.groups[j])
                      if not hit >> (disk - 1) & 1)
-        kernel = self.kernels.get(rows)
-        if kernel is None:
-            kernel = self.kernels[rows] = group_solve(spec, rows)
+        _, kernel = group_decoder(spec, rows)
         return j, kernel, parity_block(spec, j, kernel)
 
 
@@ -584,7 +594,7 @@ def reduced_system(spec: CodeSpec, a):
 
     kernels maps each heavy group, one whose block meets a in e >= t
     disks, in group order, to the flat m x f kernel basis of its
-    surviving short-generator rows (f = e - t + 1; see group_solve).
+    surviving short-generator rows (f = e - t + 1; see group_decoder).
     matrix is the flat T x width matrix [S | -I] K_A, width = T(A), with
     columns in the order of kernels; a is decodable exactly when its
     rank is width.

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .codec import MessageVector, ShareSet, encode, reconstruct, repair
 from .construction import CodeSpec
@@ -187,19 +187,16 @@ class Cluster:
             ev.update(ok=False, error=f"node {node} is live; nothing to "
                                       f"repair")
         else:
-            helpers = [s for i, s in self.nodes.items()
-                       if i != node and s is not None]
-            missing = [i for i, s in self.nodes.items()
-                       if i != node and s is None]
-            if missing:
-                ev.update(ok=False,
-                          error=f"insufficient helpers: nodes {missing} "
-                                f"are failed")
+            try:
+                share, transcript = repair(
+                    self.spec, node, [s for s in self.nodes.values()
+                                      if s is not None])
+            except ValueError as exc:
+                ev.update(ok=False, error=f"insufficient helpers: {exc}")
             else:
-                share, transcript = repair(self.spec, node, helpers)
                 self.nodes[node] = share
                 total = 0
-                for helper, syms in transcript.helpers:
+                for helper, syms in transcript.helpers + transcript.checks:
                     self.sent[helper] += len(syms)
                     total += len(syms)
                 self.received[node] += total

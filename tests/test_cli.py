@@ -7,7 +7,7 @@ import pytest
 
 from rgc.analysis import sweep_tradeoff, tradeoff_csv
 from rgc.cli import cli_dispatch
-from rgc.codec import MessageVector, encode, read_share
+from rgc.codec import MessageVector, encode, read_share, write_share
 from rgc.construction import CodeSpec, build_code
 from rgc.designs import BlockDesign, gen_steiner_triple
 
@@ -162,6 +162,7 @@ def test_repair_round_trip(capsys, workdir, tmp_path):
     assert out_path.read_bytes() == original
     doc = json.loads((tmp_path / "t.json").read_text())
     assert doc["failed"] == 6 and len(doc["helpers"]) == 8
+    assert doc["total_symbols"] == 8 and doc["check_symbols"] == 0
 
 
 def test_repair_insists_on_all_helpers(capsys, workdir, tmp_path):
@@ -177,6 +178,26 @@ def test_repair_insists_on_all_helpers(capsys, workdir, tmp_path):
                        "--out", str(tmp_path / "x.share"))
     assert code == 1
     assert "helper" in err
+
+
+def test_repair_transcript_counts_check_reads(capsys, t3_spec, tmp_path):
+    """On complete(3,4,7) k=4 every group of disk 1 holds a third row;
+    the transcript lists those check reads next to the copied symbols."""
+    spec_path, shares_dir = tmp_path / "spec.json", tmp_path / "shares"
+    t3_spec.save(spec_path)
+    shares_dir.mkdir()
+    msg = MessageVector.random(t3_spec.field.q, t3_spec.params.M, seed=2)
+    for share in encode(t3_spec, msg).without(1):
+        write_share(t3_spec, share, shares_dir / f"disk_{share.disk}.share")
+    code, out, _ = run(capsys, "repair", "--spec", str(spec_path),
+                       "--failed", "1", "--shares", str(shares_dir),
+                       "--out", str(tmp_path / "d1.share"),
+                       "--transcript", str(tmp_path / "t.json"))
+    assert code == 0
+    assert "60 symbols moved (40 copied, 20 read to check)" in out
+    doc = json.loads((tmp_path / "t.json").read_text())
+    assert doc["total_symbols"] == 40 and doc["check_symbols"] == 20
+    assert sum(len(h["symbols"]) for h in doc["checks"]) == 20
 
 
 def test_reconstruct_round_trip(capsys, workdir, tmp_path):

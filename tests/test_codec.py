@@ -1,13 +1,16 @@
 """Share encoding, single-disk repair, and message reconstruction."""
 
+import hashlib
 import itertools
 import random
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rgc import _kernel
 from rgc.codec import (CorruptionError, DiskShare, MessageVector,
                        ShareFormatError, ShareSet, check_share, encode,
                        read_share, reconstruct, repair, share_from_bytes,
@@ -202,6 +205,92 @@ def test_repair_from_every_d_subset_of_helpers(t3_spec):
             for helper, syms in transcript.helpers:
                 stored = shares.get(helper).value_map()
                 assert all(stored[(j, i)] == v for j, i, v in syms)
+
+
+def test_repair_transcript_counts_check_reads(t3_spec):
+    """c347: each of disk 1's 20 groups copies m = 2 rows (gamma = 40).
+    With all 6 helpers each group also reads its third held row to check
+    the result; without disk 2, the 10 groups on disk 2 have none."""
+    shares = encode(t3_spec, _msg(t3_spec, 6))
+    for helpers, checked in ((shares.without(1), 20),
+                             (shares.without(1, 2), 10)):
+        rebuilt, transcript = repair(t3_spec, 1, helpers)
+        assert rebuilt == shares.get(1)
+        assert transcript.total_symbols == 40
+        assert transcript.check_symbols == checked
+        assert [h for h, _ in transcript.checks] == \
+            [h for h, _ in transcript.helpers]
+        copied = {(j, i) for _, syms in transcript.helpers
+                  for j, i, _ in syms}
+        for helper, syms in transcript.checks:
+            stored = shares.get(helper).value_map()
+            assert all(stored[(j, i)] == v and (j, i) not in copied
+                       for j, i, v in syms)
+
+
+def test_share_bytes_pinned(golden_spec, complete9_spec, t3_spec, s15_spec):
+    """Share bytes of the reference codes for the seed-5 message."""
+    pins = (
+        (golden_spec, "ca6f8d6c582a2d0423c40a5780f1bced"
+                      "ba5cad25fde79b9ae42b2f5e0289fe87"),
+        (complete9_spec, "ad4817bd0f7f1059a49457a366acc8bd"
+                         "c5a1a9c370b6b47fcdba3dbfd187eeae"),
+        (t3_spec, "dde83e533889473824be6ff90fb729bb"
+                  "70f06eccafdfcc40a7856373589f6b63"),
+        (s15_spec, "bfd46ec5371b28fd939b482e4cb03e7c"
+                   "845df52ec4ad2342aa7d2daf0cb2abeb"),
+    )
+    for spec, pin in pins:
+        blob = b"".join(share_to_bytes(spec, s)
+                        for s in encode(spec, _msg(spec, 5)))
+        assert hashlib.sha256(blob).hexdigest() == pin
+
+
+def _count_solves(monkeypatch):
+    """Route every binding of mat_solve in the rgc modules through a
+    spy; returns the list of (rows, cols, bcols) it records."""
+    calls = []
+    real = _kernel.mat_solve
+
+    def spy(a, rows, cols, b, bcols, q):
+        calls.append((rows, cols, bcols))
+        return real(a, rows, cols, b, bcols, q)
+
+    for name, module in list(sys.modules.items()):
+        if name == "rgc" or name.startswith("rgc."):
+            for attr, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, attr, spy)
+    return calls
+
+
+def test_group_decoder_inverts_each_row_tuple_once(complete9_spec,
+                                                   monkeypatch):
+    """Once each held-row tuple is inverted, a read makes one solve (the
+    T x T(A) system) and a repair none; no tuple is inverted twice."""
+    spec = CodeSpec.from_json(complete9_spec.to_json())  # empty table
+    p = spec.params
+    msg = _msg(spec, 3)
+    shares = encode(spec, msg)
+    reads = [shares.subset(keep) for keep in
+             itertools.combinations(range(1, p.n + 1), p.k)]
+    assert len(reads) == 36
+    calls = _count_solves(monkeypatch)
+    verify_S(spec)
+    for held in reads:
+        assert reconstruct(spec, held) == msg
+    # an inversion solves m generator rows against the m x m identity
+    inversions = [c for c in calls if c == (p.m, p.m, p.m)]
+    assert inversions and len(inversions) == len(spec.group_decoders)
+    calls.clear()
+    for held in reads:
+        reconstruct(spec, held)
+    assert len(calls) == 36 and all(bcols == 1 for _, _, bcols in calls)
+    calls.clear()
+    for failed in range(1, p.n + 1):
+        rebuilt, _ = repair(spec, failed, shares.without(failed))
+        assert rebuilt == shares.get(failed)
+    assert calls == []
 
 
 def test_deep_overlap_round_trip(t3_spec):

@@ -73,6 +73,19 @@ def test_repair_preconditions_recorded(golden_spec):
     assert not ev["ok"] and "unknown node" in ev["error"]
 
 
+def test_degraded_repair_uses_every_live_node(t3_spec):
+    """c347 (t = 3): with nodes 1 and 2 down, node 1 is rebuilt from the
+    d = 5 live nodes: 40 copied symbols, plus 10 check reads from the
+    groups that do not contain node 2."""
+    cluster = Cluster.provision(t3_spec, _msg(t3_spec))
+    cluster.fail(1)
+    cluster.fail(2)
+    ev = cluster.repair(1)
+    assert ev["ok"] and ev["exact"] and ev["transferred"] == 50
+    assert cluster.received[1] == 50 and cluster.ledger_balanced()
+    assert cluster.failed() == (2,)
+
+
 def test_durability_budget(golden_spec):
     cluster = Cluster.provision(golden_spec, _msg(golden_spec))
     cluster.fail(1)
@@ -110,8 +123,13 @@ def test_soak_determinism_and_ledger(golden_spec):
 def test_soak_on_deeper_code(t3_spec):
     report = random_failure_soak(t3_spec, _msg(t3_spec, 1), 30, seed=2)
     assert report.mismatches == 0
-    per_repair = t3_spec.params.gamma
+    p = t3_spec.params
+    # with all n-1 others live, each of the failed disk's alpha groups
+    # copies m rows and reads its other r-1-m held rows to check
+    per_repair = p.gamma + p.alpha * (p.r - 1 - p.m)
+    assert per_repair == 60
     assert sum(report.received.values()) == 30 * per_repair
+    assert sum(report.sent.values()) == 30 * per_repair
 
 
 def test_soak_rejects_negative_steps(golden_spec):
