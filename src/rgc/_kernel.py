@@ -4,7 +4,9 @@ Matrices are flat row-major lists of residues in [0, q).  The systems the
 codec and the verifier build are small (the groups an erasure set hits in
 at least t disks, plus the T long-layer checks), so exact Python ints are
 fast enough.  mat_rank and mat_solve share one Gauss-Jordan elimination:
-the rank stops at row echelon form, the solve reduces fully.
+the rank stops at row echelon form, the solve reduces fully.  echelon_add
+grows a row echelon basis one row at a time, for rank checks that add
+rows incrementally.
 """
 
 BACKEND = "py"
@@ -26,6 +28,22 @@ def mat_mul(a, ar, ac, b, br, bc, q):
                 acc = [x + v * y for x, y in zip(acc, row)]
         out.extend(x % q for x in acc)
     return out
+
+
+def echelon_add(basis, row, q):
+    """Reduce row against basis, a list of echelon (pivot, row) pairs with
+    pivot entry 1; when it is independent, append it scaled to pivot 1
+    and return True, else return False."""
+    for piv, b in basis:
+        f = row[piv] % q
+        if f:
+            row = [x - f * y for x, y in zip(row, b)]
+    for piv, v in enumerate(row):
+        if v % q:
+            inv = pow(v, -1, q)
+            basis.append((piv, [x * inv % q for x in row]))
+            return True
+    return False
 
 
 def _eliminate(m, cols, q, reduce):

@@ -12,15 +12,18 @@ sets A, of the symbol deficit beyond what the short layer absorbs.
 Every block shares one short generator: short_layer is the one product
 of it with group columns, and group_decoder inverts, once per spec and
 held-row tuple, a group's held rows plus its free systematic rows.
-verify_S checks the rank condition for every erasure set on the reduced
-system.  A group whose block meets A in e >= t disks keeps r - e
+A group whose block meets an erasure set A in e >= t disks keeps r - e
 independent short-generator rows, so its long-layer column is known up
 to a kernel of dimension e - t + 1 (group_decoder); every other group
 is decodable from its own rows.  Stacking the heavy groups' kernels
 K_A, the T long-layer parity checks give the T x T(A) matrix [S | -I] K_A,
-and A is decodable exactly when it has rank T(A).  The same system
-drives decoding in codec and rank_witness, which builds, for one erasure
-set, a 0/1 matrix S that satisfies the condition, so the generic
+and A is decodable exactly when it has rank T(A).  verify_S walks the
+erasure sets as paths of their prefix tree (_walk): one more erased disk
+only grows the kernels of the blocks that contain it, so span(K_A) is
+built one vector at a time, and an image under [S | -I] that depends on
+the earlier ones fails every completion of the prefix.  The reduced
+system drives decoding in codec and rank_witness, which builds, for one
+erasure set, a 0/1 matrix S that satisfies the condition, so the generic
 determinant argument for random S is checkable per set.  erasure_system
 is the independent dense reference: every symbol stored on a surviving
 disk as a linear form in the message.
@@ -36,11 +39,12 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import comb
 
+from ._kernel import echelon_add as _kadd
 from ._kernel import mat_mul as _kmul
 from ._kernel import mat_rank as _krank
 from ._kernel import mat_solve as _ksolve
-from .designs import (BlockDesign, block_bitmasks, is_complete_design,
-                      json_field, json_int, json_int_rows, load_json_file)
+from .designs import (BlockDesign, is_complete_design, json_field, json_int,
+                      json_int_rows, load_json_file)
 from .ffield import PrimeField, next_prime
 
 
@@ -119,12 +123,26 @@ def build_layout(design: BlockDesign) -> Layout:
     return Layout(groups=design.blocks)
 
 
+def _erasure_set(n: int, a, size: int | None = None) -> frozenset[int]:
+    """The disks of erasure set a; ValueError names a disk outside 1..n,
+    a disk listed twice, or a set that does not have `size` disks."""
+    seen: set[int] = set()
+    for x in a:
+        if not 1 <= x <= n:
+            raise ValueError("erasure set leaves the ground set")
+        if x in seen:
+            raise ValueError(f"erasure set lists disk {x} twice")
+        seen.add(x)
+    if size is not None and len(seen) != size:
+        raise ValueError(f"erasure set must have n-k = {size} disks, "
+                         f"got {len(seen)}")
+    return frozenset(seen)
+
+
 def compute_TA(design: BlockDesign, a) -> int:
     """Symbol deficit of erasure set a: sum over blocks meeting a in at
     least t elements of (|B & a| - t + 1)."""
-    aset = frozenset(a)
-    if any(not 1 <= x <= design.n for x in aset):
-        raise ValueError("erasure set leaves the ground set")
+    aset = _erasure_set(design.n, a)
     total = 0
     for block in design.blocks:
         e = len(aset.intersection(block))
@@ -139,31 +157,77 @@ def erasure_deficits(design: BlockDesign, k: int):
     Raises BudgetExceededError up front when there are more than
     MAX_SUBSETS erasure sets.
     """
-    n, t = design.n, design.t
+    n = design.n
     miss = n - k
     total = comb(n, miss)
     if total > MAX_SUBSETS:
         raise BudgetExceededError(
             f"C({n},{miss}) = {total} erasure sets exceed the cap "
             f"{MAX_SUBSETS}")
-    masks = block_bitmasks(design)
-
-    def deficits():
-        for amask in _erasure_masks(n, miss):
-            ta = 0
-            for bm in masks:
-                e = (bm & amask).bit_count()
-                if e >= t:
-                    ta += e - t + 1
-            yield ta
-    return deficits()
+    sets = itertools.combinations(range(1, n + 1), miss)
+    return (width for _, width, _ in _walk(design, sets))
 
 
-def _erasure_masks(n: int, miss: int):
-    """Bitmasks (bit x-1 for disk x) of every miss-subset of 1..n, in
-    lexicographic order of the subsets."""
-    points = [1 << x for x in range(n)]
-    return map(sum, itertools.combinations(points, miss))
+def _walk(design: BlockDesign, sets, grow=None):
+    """Yield (a, width, fail) for each erasure set a of `sets` (ascending
+    tuples in lexicographic order), walked as paths of the prefix tree.
+
+    The path erases every disk of a set but the last, which is only
+    tried, keeping what it shares with the previous set.  Erasing disk x
+    sets bit i in the hit mask of each block holding x as row i.  A block
+    with e >= t erased rows gains one kernel vector, for its highest
+    erased row; grow(vectors, j, hits) appends it, or returns False when
+    it depends on the path's vectors (without grow, vectors are only
+    counted).  width counts the vectors, T(A) unless a failed; fail is 0
+    or the length of the failed prefix, and every completion of a failed
+    prefix fails with no more work.
+    """
+    t = design.t
+    blocks_of = [[] for _ in range(design.n + 1)]
+    for j, block in enumerate(design.blocks):
+        for i, x in enumerate(block):
+            blocks_of[x].append((j, 1 << i))
+    hits = [0] * design.num_blocks
+    path, vectors = [], []      # path: (disk, len(vectors) before it)
+    head, fail = None, 0
+
+    def erase(x, keep):
+        for j, bit in blocks_of[x]:
+            h = hits[j] | bit
+            if keep:
+                hits[j] = h
+            if h.bit_count() < t:
+                continue
+            if grow is None:
+                vectors.append(j)
+            elif not grow(vectors, j, h):
+                return False
+        return True
+
+    for a in sets:
+        if a[:-1] != head:
+            head, same = a[:-1], 0
+            while same < len(path) and path[same][0] == head[same]:
+                same += 1
+            if not fail or same < fail:
+                fail = 0
+                while len(path) > same:
+                    x, mark = path.pop()
+                    for j, bit in blocks_of[x]:
+                        hits[j] &= ~bit
+                    del vectors[mark:]
+                for x in head[same:]:
+                    path.append((x, len(vectors)))
+                    if not erase(x, True):
+                        fail = len(path)
+                        break
+        if fail:
+            yield a, len(vectors), fail
+            continue
+        mark = len(vectors)
+        ok = erase(a[-1], False)
+        yield a, len(vectors), 0 if ok else len(a)
+        del vectors[mark:]
 
 
 def compute_T(design: BlockDesign, k: int) -> int:
@@ -448,17 +512,6 @@ def build_explicit_steiner_code(design: BlockDesign,
                     layout=build_layout(design), phi=phi)
 
 
-def _check_erasure_set(spec: CodeSpec, a) -> frozenset[int]:
-    aset = frozenset(a)
-    expect = spec.params.n - spec.params.k
-    if len(aset) != expect:
-        raise ValueError(f"erasure set must have n-k = {expect} disks, "
-                         f"got {len(aset)}")
-    if any(not 1 <= x <= spec.params.n for x in aset):
-        raise ValueError("erasure set leaves the ground set")
-    return aset
-
-
 def erasure_system(spec: CodeSpec, a):
     """(kept coordinates, rows) of the dense reference system.
 
@@ -470,7 +523,7 @@ def erasure_system(spec: CodeSpec, a):
     the independent reference that the reduced system is tested against;
     the codec and verify_S do not use it.
     """
-    aset = _check_erasure_set(spec, a)
+    aset = _erasure_set(spec.params.n, a, spec.params.n - spec.params.k)
     p, q = spec.params, spec.field.q
     m, M = p.m, p.M
     s_rows, sg = spec.s_rows, spec.short_gen
@@ -554,41 +607,6 @@ def stack_blocks(blocks, T: int) -> list[int]:
     return [col[t] for t in range(T) for col in cols]
 
 
-class _Reducer:
-    """Heavy groups of one spec's erasure sets, given as disk bitmasks.
-
-    Parity blocks are kept by (group, hit mask) for the life of the
-    object, which is one verify_S or reduced_system call; kernel bases
-    come from group_decoder.
-    """
-
-    def __init__(self, spec: CodeSpec):
-        self.spec = spec
-        self.masks = block_bitmasks(spec.design)
-        self.blocks: dict[tuple[int, int], tuple] = {}
-
-    def heavy(self, amask: int) -> list[tuple]:
-        """(group, kernel basis, parity block) of every group whose block
-        the set meets in at least t disks, in group order."""
-        t = self.spec.params.t
-        out = []
-        for j, bm in enumerate(self.masks):
-            hit = bm & amask
-            if hit.bit_count() >= t:
-                entry = self.blocks.get((j, hit))
-                if entry is None:
-                    entry = self.blocks[j, hit] = self._entry(j, hit)
-                out.append(entry)
-        return out
-
-    def _entry(self, j: int, hit: int) -> tuple:
-        spec = self.spec
-        rows = tuple(i for i, disk in enumerate(spec.layout.groups[j])
-                     if not hit >> (disk - 1) & 1)
-        _, kernel = group_decoder(spec, rows)
-        return j, kernel, parity_block(spec, j, kernel)
-
-
 def reduced_system(spec: CodeSpec, a):
     """(kernels, matrix, width) of the reduced system of erasure set a.
 
@@ -599,20 +617,29 @@ def reduced_system(spec: CodeSpec, a):
     columns in the order of kernels; a is decodable exactly when its
     rank is width.
     """
-    aset = _check_erasure_set(spec, a)
-    heavy = _Reducer(spec).heavy(sum(1 << (x - 1) for x in aset))
-    blocks = [blk for _, _, blk in heavy]
-    return ({j: kernel for j, kernel, _ in heavy},
-            stack_blocks(blocks, spec.params.T), sum(map(len, blocks)))
+    aset = _erasure_set(spec.params.n, a, spec.params.n - spec.params.k)
+    kernels, blocks = {}, []
+    for j, group in enumerate(spec.layout.groups):
+        rows = tuple(i for i, disk in enumerate(group) if disk not in aset)
+        if len(group) - len(rows) >= spec.params.t:
+            _, kernels[j] = group_decoder(spec, rows)
+            blocks.append(parity_block(spec, j, kernels[j]))
+    return (kernels, stack_blocks(blocks, spec.params.T),
+            sum(map(len, blocks)))
 
 
 @dataclass(frozen=True)
 class VerifyReport:
+    """Outcome of verify_S.  reductions counts the kernel vectors reduced,
+    pruned the failing sets decided by a failed shorter prefix."""
+
     ok: bool
     failures: tuple[tuple[int, ...], ...]
     checked: int
     total: int
     sampled: bool
+    reductions: int
+    pruned: int
 
 
 def _serial_only(jobs: int) -> None:
@@ -626,17 +653,19 @@ def verify_S(spec: CodeSpec, jobs: int = 1, sample: int | None = None,
              seed: int = 0) -> VerifyReport:
     """Check that every (n-k)-subset A is decodable.
 
-    Each set is checked on its reduced system: a set that hits no group
-    in t or more disks (T(A) = 0) needs no check, every other set one
-    rank of the T x T(A) matrix [S | -I] K_A.  Kernel bases and parity
-    blocks are shared by all the sets of one call.
+    A is decodable when [S | -I] is injective on span(K_A).  Walking the
+    sets as prefix-tree paths (_walk) builds span(K_A) one kernel vector
+    at a time, and each vector's image is reduced against the path's
+    echelon images.  An image that reduces to zero fails the prefix and,
+    as kernels only grow, every completion of it, which is then listed
+    with no more rank work.  Images are made once per group and hit mask.
 
     When C(n, n-k) exceeds MAX_SUBSETS, a seeded random sample must be
     requested explicitly via `sample`; the report then marks itself as
     incomplete verification.
     """
     _serial_only(jobs)
-    p, q, T = spec.params, spec.field.q, spec.params.T
+    p, q = spec.params, spec.field.q
     miss = p.n - p.k
     total = comb(p.n, miss)
     if sample is not None and sample < 1:
@@ -651,24 +680,37 @@ def verify_S(spec: CodeSpec, jobs: int = 1, sample: int | None = None,
         chosen: set[tuple[int, ...]] = set()
         while len(chosen) < sample:
             chosen.add(tuple(sorted(rng.sample(range(1, p.n + 1), miss))))
-        masks = [sum(1 << (x - 1) for x in a) for a in sorted(chosen)]
-        checked, sampled = len(masks), True
+        sets = sorted(chosen)
+        checked, sampled = len(sets), True
     else:
-        masks = _erasure_masks(p.n, miss)
+        sets = itertools.combinations(range(1, p.n + 1), miss)
         checked, sampled = total, False
-    reducer = _Reducer(spec)
-    failures = []
-    for amask in masks:
-        heavy = reducer.heavy(amask)
-        if not heavy:
-            continue
-        blocks = [blk for _, _, blk in heavy]
-        width = sum(map(len, blocks))
-        if _krank(stack_blocks(blocks, T), T, width, q) != width:
-            failures.append(tuple(x + 1 for x in range(p.n)
-                                  if amask >> x & 1))
+    images: dict[int, tuple[int, ...]] = {}   # j << r | hit mask -> image
+    reductions = 0
+
+    def grow(basis, j, hits):
+        nonlocal reductions
+        reductions += 1
+        key = j << p.r | hits
+        if key not in images:
+            # the solve column of the row lost last: zero on the rows
+            # still held, so in their kernel, and one on the lost row
+            lost = hits.bit_length() - 1
+            rows = tuple(i for i in range(p.r)
+                         if i == lost or not hits >> i & 1)
+            solve, _ = group_decoder(spec, rows)
+            images[key] = parity_block(
+                spec, j, solve[rows.index(lost)::len(rows)])[0]
+        return _kadd(basis, images[key], q)
+
+    failures, pruned = [], 0
+    for a, _, fail in _walk(spec.design, sets, grow):
+        if fail:
+            failures.append(a)
+            pruned += fail < miss
     return VerifyReport(ok=not failures, failures=tuple(failures),
-                        checked=checked, total=total, sampled=sampled)
+                        checked=checked, total=total, sampled=sampled,
+                        reductions=reductions, pruned=pruned)
 
 
 @dataclass(frozen=True)
@@ -783,18 +825,6 @@ def rank_witness(spec: CodeSpec, a) -> tuple[int, ...]:
             u[j * m + c] = row
         off += f
     basis: list[tuple[int, list[int]]] = []    # (pivot, row), echelon
-
-    def raises_rank(row) -> bool:
-        for piv, b in basis:
-            f = row[piv]
-            if f:
-                row = [(x - f * y) % q for x, y in zip(row, b)]
-        piv = next((c for c, v in enumerate(row) if v), None)
-        if piv is not None:
-            inv = pow(row[piv], -1, q)
-            basis.append((piv, [v * inv % q for v in row]))
-        return piv is not None
-
     heavy_msg = [x for x in u if x < M]
     s = [0] * (T * M)
     for t in range(T):
@@ -803,7 +833,7 @@ def rank_witness(spec: CodeSpec, a) -> tuple[int, ...]:
             row = [0] * width if own is None else [-v % q for v in own]
             if x is not None:
                 row = [(v + w) % q for v, w in zip(row, u[x])]
-            if raises_rank(row):
+            if _kadd(basis, row, q):
                 if x is not None:
                     s[t * M + x] = 1
                 break

@@ -257,11 +257,6 @@ def count_blocks_containing(design: BlockDesign, s) -> int:
     return count
 
 
-def block_bitmasks(design: BlockDesign) -> list[int]:
-    """Per-block bitmask over elements (bit e-1 set when e is in the block)."""
-    return [sum(1 << (e - 1) for e in b) for b in design.blocks]
-
-
 # Reference systems used by the worked examples and golden tests.
 S_2_3_7 = BlockDesign(n=7, t=2, r=3, lam=1, blocks=(
     (1, 2, 3), (1, 4, 5), (1, 6, 7), (2, 4, 6), (2, 5, 7), (3, 4, 7),

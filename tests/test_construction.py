@@ -1,5 +1,6 @@
 """Parameter derivation, layout, long-parity synthesis, verification."""
 
+import gc
 import hashlib
 import itertools
 import math
@@ -10,15 +11,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rgc import construction
-from rgc.codec import CorruptionError, MessageVector, encode, reconstruct
+from rgc.codec import (CorruptionError, MessageVector, encode, reconstruct,
+                       repair)
 from rgc.construction import (BudgetExceededError, CodeSpec, SynthesisError,
                               WitnessError, build_code,
                               build_explicit_steiner_code,
                               build_layout, choose_phi, closed_form_Tc,
                               compute_T, compute_TA, derive_params,
                               _vandermonde_parity, erasure_system,
-                              rank_witness, short_mds_generator,
-                              synthesize_S, verify_S)
+                              group_decoder, parity_block, rank_witness,
+                              reduced_system, short_mds_generator,
+                              stack_blocks, synthesize_S, verify_S)
 from rgc.designs import S_2_4_13, gen_complete_design, gen_steiner_triple
 from rgc.ffield import PrimeField
 from rgc._kernel import mat_mul, mat_rank
@@ -52,6 +55,13 @@ def test_deficit_uniform_on_triple_system(steiner9):
     # every disk pair shares exactly one block, so all deficits equal 1
     for a in itertools.combinations(range(1, 10), 2):
         assert compute_TA(steiner9, a) == 1
+
+
+def test_deficit_rejects_repeated_disk(steiner9):
+    with pytest.raises(ValueError, match="disk 1 twice"):
+        compute_TA(steiner9, (1, 1, 2))
+    with pytest.raises(ValueError, match="ground set"):
+        compute_TA(steiner9, (0, 2))
 
 
 def test_deficit_budget_guard():
@@ -299,31 +309,141 @@ def test_reconstruct_fails_exactly_where_verify_fails():
                 assert reconstruct(spec, held) == msg
 
 
-def test_verify_makes_one_reduced_rank_call_per_deficient_set(
-        t3_spec, monkeypatch):
-    """verify_S ranks one T x T(A) matrix per erasure set with T(A) > 0
-    and makes no rank call for a set with T(A) = 0."""
-    calls = []
+def _prefix_fails(spec, prefix):
+    """Rank check of [S | -I] on the kernels of the groups that the
+    disks `prefix` hit in t or more disks, made from scratch."""
+    t, q, T = spec.params.t, spec.field.q, spec.params.T
+    blocks = []
+    for j, group in enumerate(spec.layout.groups):
+        rows = tuple(i for i, disk in enumerate(group) if disk not in prefix)
+        if len(group) - len(rows) >= t:
+            _, kernel = group_decoder(spec, rows)
+            blocks.append(parity_block(spec, j, kernel))
+    width = sum(map(len, blocks))
+    return width > 0 and mat_rank(stack_blocks(blocks, T), T, width,
+                                  q) < width
 
-    def spy(a, rows, cols, q):
-        calls.append((rows, cols))
-        return mat_rank(a, rows, cols, q)
 
-    monkeypatch.setattr(construction, "_krank", spy)
+def _walk_bounds(spec):
+    """(fewest, most, pruned, failures) for a depth-first walk of the
+    erasure sets: the fewest and most kernel vectors it reduces, the
+    number of sets a failed shorter prefix decides, and the failing sets.
+
+    A node of the walk is a prefix of an erasure set.  Adding its last
+    disk x grows one kernel per block through x that the prefix hits in
+    t or more disks.  Below a failed prefix nothing is reduced; at the
+    failing node itself at least one vector and at most all of them."""
+    p = spec.params
+    miss = p.n - p.k
+    sets = list(_erasure_sets(spec))
+    nodes = sorted({a[:d] for a in sets for d in range(1, miss + 1)})
+    fails = {node: _prefix_fails(spec, node) for node in nodes}
+    fewest = most = 0
+    for node in nodes:
+        if any(fails[node[:d]] for d in range(1, len(node))):
+            continue
+        grown = sum(len(set(block) & set(node)) >= p.t
+                    for block in spec.layout.groups if node[-1] in block)
+        fewest += 1 if fails[node] else grown
+        most += grown
+    pruned = sum(any(fails[a[:d]] for d in range(1, miss)) for a in sets)
+    return fewest, most, pruned, tuple(a for a in sets if fails[a])
+
+
+def test_verify_walk_reduces_once_per_heavy_block(t3_spec, monkeypatch):
+    """verify_S ranks no matrix: along its walk it reduces at most one
+    kernel vector per block that reaches t hits, and none below a failed
+    prefix, whose completions it counts as pruned."""
+    def no_rank(*args):
+        raise AssertionError("verify_S called mat_rank")
+
     t0 = gen_complete_design(3, 4, 7)
     specs = [synthesize_S(derive_params(t0, 5), t0, PrimeField(7)).spec,
              t3_spec,
              _random_candidate(gen_complete_design(3, 5, 7), 4, 5, 0),
-             _random_candidate(gen_steiner_triple(9), 7, 7, 0)]
+             _random_candidate(gen_steiner_triple(9), 7, 7, 0),
+             _zero_s(_random_candidate(gen_complete_design(2, 3, 8), 4, 2,
+                                       0))]
     assert specs[0].params.T == 0      # n - k = 2 < t: every T(A) is 0
     for spec in specs:
+        fewest, most, pruned, failures = _walk_bounds(spec)
         spec.short_gen                 # its MDS check ranks minors
-        calls.clear()
-        verify_S(spec)
-        want = [(spec.params.T, ta) for ta in
-                (compute_TA(spec.design, a) for a in _erasure_sets(spec))
-                if ta]
-        assert calls == want
+        with monkeypatch.context() as patch:
+            patch.setattr(construction, "_krank", no_rank)
+            report = verify_S(spec)
+        assert fewest <= report.reductions <= most
+        assert report.pruned == pruned
+        assert report.failures == failures
+    assert report.pruned > 0           # the S = 0 code fails on prefixes
+
+
+def _zero_s(spec, group=None):
+    """spec with S zeroed: all of it, or the columns of one group's
+    message positions."""
+    p = spec.params
+    cols = range(p.M) if group is None else range(group * p.m,
+                                                  (group + 1) * p.m)
+    s = list(spec.s_entries)
+    for t in range(p.T):
+        for x in cols:
+            s[t * p.M + x] = 0
+    return _with_s(spec, s)
+
+
+def _sampled_sets(spec, sample, seed):
+    """The erasure sets verify_S(spec, sample=, seed=) draws."""
+    p = spec.params
+    rng = random.Random(seed)
+    chosen = set()
+    while len(chosen) < sample:
+        chosen.add(tuple(sorted(rng.sample(range(1, p.n + 1), p.n - p.k))))
+    return chosen
+
+
+def test_verify_prunes_failed_prefixes():
+    """Codes that fail on prefixes shorter than n - k: S = 0 on
+    complete(2,3,8) k=4 over GF(2), checked against the dense reference,
+    and S(2,3,15) k=10 over GF(3) with one group's message columns of S
+    zeroed, checked set by set on the reduced system.  A sampled check
+    fails on exactly the exhaustive failures it draws."""
+    zero = _zero_s(_random_candidate(gen_complete_design(2, 3, 8), 4, 2, 0))
+    report = verify_S(zero)
+    assert report.failures == _dense_failures(zero)
+    assert report.pruned > 0
+    spec = _zero_s(_random_candidate(gen_steiner_triple(15), 10, 3, 0),
+                   group=0)
+    report = verify_S(spec)
+    want = []
+    for a in _erasure_sets(spec):
+        _, matrix, width = reduced_system(spec, a)
+        if mat_rank(matrix, spec.params.T, width, spec.field.q) < width:
+            want.append(a)
+    assert report.failures == tuple(want)
+    assert 0 < report.pruned < len(want) < report.total
+    for sample, seed in ((40, 1), (700, 2)):
+        sampled = verify_S(spec, sample=sample, seed=seed)
+        drawn = _sampled_sets(spec, sample, seed)
+        assert sampled.checked == sample and sampled.sampled
+        assert sampled.failures == tuple(a for a in want if a in drawn)
+
+
+def test_no_cyclic_garbage(s15_spec, complete9_spec):
+    """Verification, building and the codec leave no reference cycles,
+    which would hold specs and tables until the cyclic collector runs."""
+    spec = complete9_spec
+    gc.collect()
+    gc.disable()
+    try:
+        verify_S(s15_spec)
+        compute_T(spec.design, spec.params.k)
+        build_code(spec.design, spec.params.k, q="auto")
+        msg = MessageVector.random(spec.field.q, spec.params.M, seed=2)
+        shares = encode(spec, msg)
+        assert reconstruct(spec, shares.without(1, 2)) == msg
+        assert repair(spec, 3, shares.without(3))[0] == shares.get(3)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def _with_s(spec, entries):

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rgc.designs import (CATALOG, BlockDesign, block_bitmasks,
-                         count_blocks_containing, gen_complete_design,
-                         gen_steiner_triple, is_complete_design,
-                         load_design, save_design, verify_design)
+from rgc.designs import (CATALOG, BlockDesign, count_blocks_containing,
+                         gen_complete_design, gen_steiner_triple,
+                         is_complete_design, load_design, save_design,
+                         verify_design)
 
 
 @pytest.mark.parametrize("n", [7, 9, 13, 15, 19, 21, 25, 27])
@@ -82,13 +82,6 @@ def test_count_blocks_containing_matches_parameters():
             design.replication
     for pair in itertools.combinations(range(1, 14), 2):
         assert count_blocks_containing(design, pair) == 1
-
-
-def test_block_bitmasks_round_trip():
-    design = CATALOG["s_2_3_7"]
-    masks = block_bitmasks(design)
-    for mask, block in zip(masks, design.blocks):
-        assert mask == sum(1 << (e - 1) for e in block)
 
 
 def test_json_round_trip(tmp_path):
