@@ -5,8 +5,8 @@ codec and the verifier build are small (the groups an erasure set hits in
 at least t disks, plus the T long-layer checks), so exact Python ints are
 fast enough.  mat_rank and mat_solve share one Gauss-Jordan elimination:
 the rank stops at row echelon form, the solve reduces fully.  echelon_add
-grows a row echelon basis one row at a time, for rank checks that add
-rows incrementally.
+grows a fraction-free row echelon basis one row at a time, for rank
+checks that add rows incrementally.
 """
 
 BACKEND = "py"
@@ -31,25 +31,28 @@ def mat_mul(a, ar, ac, b, br, bc, q):
 
 
 def echelon_add(basis, row, q):
-    """Reduce row against basis, a list of echelon (pivot, row) pairs with
-    pivot entry 1; when it is independent, append it scaled to pivot 1
-    and return True, else return False."""
+    """Reduce row, integers read mod q, against basis, a list of echelon
+    (pivot, row) pairs; append it when independent and return True, else
+    False.  Reduction is fraction-free, row <- b[pivot] * row - row[pivot]
+    * b, so no inverse is taken and kept rows are not scaled to pivot 1."""
     for piv, b in basis:
         f = row[piv] % q
         if f:
-            row = [x - f * y for x, y in zip(row, b)]
+            bp = b[piv]
+            row = [(bp * x - f * y) % q for x, y in zip(row, b)]
     for piv, v in enumerate(row):
         if v % q:
-            inv = pow(v, -1, q)
-            basis.append((piv, [x * inv % q for x in row]))
+            basis.append((piv, row))
             return True
     return False
 
 
 def _eliminate(m, cols, q, reduce):
     """Pivot the rows m in place on their first cols columns; return the
-    pivot columns.  Pivots are first-nonzero and scaled to 1; entries
-    below each are cleared, and with reduce those above it too."""
+    pivot columns.  Pivots are first-nonzero.  Without reduce, entries
+    below each pivot are cleared, updating only the columns from it on,
+    as those rows are zero to its left; with reduce, the pivot row is
+    scaled to 1 and the entries above and below the pivot are cleared."""
     rows = len(m)
     pivots = []
     for c in range(cols):
@@ -62,13 +65,20 @@ def _eliminate(m, cols, q, reduce):
         m[rank], m[piv] = m[piv], m[rank]
         prow = m[rank]
         inv = pow(prow[c], -1, q)
-        if inv != 1:
-            prow = [(x * inv) % q for x in prow]
-            m[rank] = prow
-        for i in range(0 if reduce else rank + 1, rows):
-            f = m[i][c]
-            if f and i != rank:
-                m[i] = [(x - f * y) % q for x, y in zip(m[i], prow)]
+        if not reduce:
+            tail = [(x * inv) % q for x in prow[c:]]
+            for row in m[rank + 1:]:
+                f = row[c]
+                if f:
+                    row[c:] = [(x - f * y) % q for x, y in zip(row[c:], tail)]
+        else:
+            if inv != 1:
+                prow = [(x * inv) % q for x in prow]
+                m[rank] = prow
+            for i in range(rows):
+                f = m[i][c]
+                if f and i != rank:
+                    m[i] = [(x - f * y) % q for x, y in zip(m[i], prow)]
         pivots.append(c)
         if rank + 1 == rows:
             break

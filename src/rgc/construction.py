@@ -658,7 +658,8 @@ def verify_S(spec: CodeSpec, jobs: int = 1, sample: int | None = None,
     at a time, and each vector's image is reduced against the path's
     echelon images.  An image that reduces to zero fails the prefix and,
     as kernels only grow, every completion of it, which is then listed
-    with no more rank work.  Images are made once per group and hit mask.
+    with no more rank work.  A vector's image depends only on its group
+    and hit mask, so one product makes every image of the call up front.
 
     When C(n, n-k) exceeds MAX_SUBSETS, a seeded random sample must be
     requested explicitly via `sample`; the report then marks itself as
@@ -685,23 +686,27 @@ def verify_S(spec: CodeSpec, jobs: int = 1, sample: int | None = None,
     else:
         sets = itertools.combinations(range(1, p.n + 1), miss)
         checked, sampled = total, False
-    images: dict[int, tuple[int, ...]] = {}   # j << r | hit mask -> image
+    # images[h][j]: [S | -I] on group j's kernel vector at hit mask h, the
+    # solve column of the row lost last (zero on held rows, one on it)
+    m, N, T = p.m, p.nstar, p.T
+    masks = [h for h in range(1 << p.r) if h.bit_count() >= p.t]
+    cols = []
+    for h in masks:
+        lost = h.bit_length() - 1
+        rows = tuple(i for i in range(p.r) if i == lost or not h >> i & 1)
+        solve, _ = group_decoder(spec, rows)
+        cols += solve[rows.index(lost)::len(rows)]
+    table = _kmul(cols, len(masks), m,
+                  [v for c in range(m) for pc in spec.parity_columns[c::m]
+                   for v in pc], m, N * T, q)
+    images = {h: [table[(i * N + j) * T:(i * N + j + 1) * T]
+                  for j in range(N)] for i, h in enumerate(masks)}
     reductions = 0
 
     def grow(basis, j, hits):
         nonlocal reductions
         reductions += 1
-        key = j << p.r | hits
-        if key not in images:
-            # the solve column of the row lost last: zero on the rows
-            # still held, so in their kernel, and one on the lost row
-            lost = hits.bit_length() - 1
-            rows = tuple(i for i in range(p.r)
-                         if i == lost or not hits >> i & 1)
-            solve, _ = group_decoder(spec, rows)
-            images[key] = parity_block(
-                spec, j, solve[rows.index(lost)::len(rows)])[0]
-        return _kadd(basis, images[key], q)
+        return _kadd(basis, images[hits][j], q)
 
     failures, pruned = [], 0
     for a, _, fail in _walk(spec.design, sets, grow):

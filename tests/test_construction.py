@@ -261,13 +261,10 @@ def _random_candidate(design, k, q, seed):
                                     for _ in range(params.T * params.M)))
 
 
-def test_structural_rank_matches_dense_reference(golden_spec, complete9_spec,
-                                                 t3_spec, s15_spec):
-    """verify_S's reduced T x T(A) check fails on exactly the erasure sets
-    where the dense (r*N*) x M system loses rank, also where group
-    kernels have dimension 2 or more and the short layer has Cauchy
-    rows."""
-    specs = [golden_spec, complete9_spec, t3_spec, s15_spec]
+def _small_field_candidates():
+    """Seeded candidates over GF(5), GF(7) and GF(31) on which the rank
+    condition really fails, with group kernels of dimension 1 to 3."""
+    specs = []
     for q in (7, 31):
         for seed in (0, 1):
             specs += [_random_candidate(gen_steiner_triple(9), 7, q, seed),
@@ -275,15 +272,38 @@ def test_structural_rank_matches_dense_reference(golden_spec, complete9_spec,
                                         seed),
                       _random_candidate(gen_complete_design(3, 4, 7), 4, q,
                                         seed)]
-    specs += [_random_candidate(gen_steiner_triple(15), 11, 7, 0),
-              _random_candidate(gen_complete_design(3, 5, 7), 4, 5, 0),
-              _random_candidate(S_2_4_13, 9, 5, 0)]
+    return specs + [_random_candidate(gen_steiner_triple(15), 11, 7, 0),
+                    _random_candidate(gen_complete_design(3, 5, 7), 4, 5, 0),
+                    _random_candidate(S_2_4_13, 9, 5, 0)]
+
+
+def test_structural_rank_matches_dense_reference(golden_spec, complete9_spec,
+                                                 t3_spec, s15_spec):
+    """verify_S's reduced T x T(A) check fails on exactly the erasure sets
+    where the dense (r*N*) x M system loses rank, also where group
+    kernels have dimension 2 or more and the short layer has Cauchy
+    rows."""
+    specs = [golden_spec, complete9_spec, t3_spec, s15_spec]
     failing = 0
-    for spec in specs:
+    for spec in specs + _small_field_candidates():
         want = _dense_failures(spec)
         assert verify_S(spec).failures == want
         failing += len(want)
     assert failing > 100    # small fields really fail the rank condition
+
+
+def test_verify_reports_are_pinned(golden_spec, complete9_spec, t3_spec,
+                                   s15_spec):
+    """Every VerifyReport field, exhaustive and sampled, on the reference
+    codes and the small-field candidates, down to the exact reductions
+    and pruned counts."""
+    specs = [golden_spec, complete9_spec, t3_spec, s15_spec]
+    reports = [(verify_S(spec), verify_S(spec, sample=17, seed=3))
+               for spec in specs + _small_field_candidates()]
+    assert all(sampled.sampled for _, sampled in reports)
+    assert hashlib.sha256(repr(reports).encode()).hexdigest() == (
+        "eb96bbc80448c6affb4bf001d1ad2a01"
+        "05d3a9f23814b38961fcc1a12a3e1e36")
 
 
 def test_reconstruct_fails_exactly_where_verify_fails():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rgc._kernel import mat_mul, mat_rank, mat_solve
+from rgc._kernel import echelon_add, mat_mul, mat_rank, mat_solve
 from rgc.ffield import PrimeField, next_prime
 
 
@@ -102,3 +102,32 @@ def test_solve_agrees_with_rank_on_rectangular_systems(q, rows, cols,
     assert (x is None) == (mat_rank(ab, rows, cols + bcols, q) > rank)
     if x is not None:
         assert mat_mul(a, rows, cols, x, cols, bcols, q) == b
+
+
+@given(st.sampled_from([2, 3, 13]), st.integers(1, 8), st.integers(1, 6),
+       st.integers(0, 10 ** 6))
+@settings(max_examples=120, deadline=None)
+def test_echelon_add_tracks_rank(q, rows, cols, seed):
+    """The k-th echelon_add keeps its row exactly when the first k rows
+    have a higher rank than the first k - 1; each kept row is zero at the
+    pivots kept before it; unreduced inputs give the same answers."""
+    rng = random.Random(seed)
+    # a product of thin factors is often rank-deficient
+    inner = rng.randint(1, min(rows, cols))
+    a = mat_mul(_random_flat(rng, rows, inner, q), rows, inner,
+                _random_flat(rng, inner, cols, q), inner, cols, q)
+    basis, shifted = [], []
+    for k in range(1, rows + 1):
+        row = a[(k - 1) * cols:k * cols]
+        grew = mat_rank(a, k, cols, q) > mat_rank(a, k - 1, cols, q)
+        assert echelon_add(basis, row, q) == grew
+        # the same row with entries moved by multiples of q
+        unreduced = [x + q * rng.randint(-3, 3) for x in row]
+        assert echelon_add(shifted, unreduced, q) == grew
+        if grew:
+            piv, kept = basis[-1]
+            assert kept[piv] and not any(kept[p] for p, _ in basis[:-1])
+            piv, kept = shifted[-1]
+            assert kept[piv] % q
+            assert not any(kept[p] % q for p, _ in shifted[:-1])
+    assert [p for p, _ in shifted] == [p for p, _ in basis]
