@@ -49,10 +49,8 @@ def echelon_add(basis, row, q):
 
 def _eliminate(m, cols, q, reduce):
     """Pivot the rows m in place on their first cols columns; return the
-    pivot columns.  Pivots are first-nonzero.  Without reduce, entries
-    below each pivot are cleared, updating only the columns from it on,
-    as those rows are zero to its left; with reduce, the pivot row is
-    scaled to 1 and the entries above and below the pivot are cleared."""
+    pivot columns.  Pivots are first-nonzero and scaled to 1; entries
+    below each are cleared, and with reduce those above it too."""
     rows = len(m)
     pivots = []
     for c in range(cols):
@@ -65,20 +63,13 @@ def _eliminate(m, cols, q, reduce):
         m[rank], m[piv] = m[piv], m[rank]
         prow = m[rank]
         inv = pow(prow[c], -1, q)
-        if not reduce:
-            tail = [(x * inv) % q for x in prow[c:]]
-            for row in m[rank + 1:]:
-                f = row[c]
-                if f:
-                    row[c:] = [(x - f * y) % q for x, y in zip(row[c:], tail)]
-        else:
-            if inv != 1:
-                prow = [(x * inv) % q for x in prow]
-                m[rank] = prow
-            for i in range(rows):
-                f = m[i][c]
-                if f and i != rank:
-                    m[i] = [(x - f * y) % q for x, y in zip(m[i], prow)]
+        if inv != 1:
+            prow = [(x * inv) % q for x in prow]
+            m[rank] = prow
+        for i in range(0 if reduce else rank + 1, rows):
+            f = m[i][c]
+            if f and i != rank:
+                m[i] = [(x - f * y) % q for x, y in zip(m[i], prow)]
         pivots.append(c)
         if rank + 1 == rows:
             break
@@ -87,7 +78,7 @@ def _eliminate(m, cols, q, reduce):
 
 def mat_rank(a, rows, cols, q):
     """Rank via Gaussian elimination with first-nonzero pivoting."""
-    m = [a[i * cols:(i + 1) * cols] for i in range(rows)]
+    m = [list(a[i * cols:(i + 1) * cols]) for i in range(rows)]
     return len(_eliminate(m, cols, q, reduce=False))
 
 

@@ -659,7 +659,8 @@ def verify_S(spec: CodeSpec, jobs: int = 1, sample: int | None = None,
     echelon images.  An image that reduces to zero fails the prefix and,
     as kernels only grow, every completion of it, which is then listed
     with no more rank work.  A vector's image depends only on its group
-    and hit mask, so one product makes every image of the call up front.
+    and hit mask, so every image of the call is made up front, one
+    parity block per group.
 
     When C(n, n-k) exceeds MAX_SUBSETS, a seeded random sample must be
     requested explicitly via `sample`; the report then marks itself as
@@ -688,19 +689,16 @@ def verify_S(spec: CodeSpec, jobs: int = 1, sample: int | None = None,
         checked, sampled = total, False
     # images[h][j]: [S | -I] on group j's kernel vector at hit mask h, the
     # solve column of the row lost last (zero on held rows, one on it)
-    m, N, T = p.m, p.nstar, p.T
-    masks = [h for h in range(1 << p.r) if h.bit_count() >= p.t]
+    masks = [h for h in range(1 << p.r) if p.t <= h.bit_count() <= miss]
     cols = []
     for h in masks:
         lost = h.bit_length() - 1
         rows = tuple(i for i in range(p.r) if i == lost or not h >> i & 1)
         solve, _ = group_decoder(spec, rows)
-        cols += solve[rows.index(lost)::len(rows)]
-    table = _kmul(cols, len(masks), m,
-                  [v for c in range(m) for pc in spec.parity_columns[c::m]
-                   for v in pc], m, N * T, q)
-    images = {h: [table[(i * N + j) * T:(i * N + j + 1) * T]
-                  for j in range(N)] for i, h in enumerate(masks)}
+        cols.append(solve[rows.index(lost)::len(rows)])
+    kernel = [v for row in zip(*cols) for v in row]    # flat m x #masks
+    blocks = [parity_block(spec, j, kernel) for j in range(p.nstar)]
+    images = {h: [blk[i] for blk in blocks] for i, h in enumerate(masks)}
     reductions = 0
 
     def grow(basis, j, hits):

@@ -51,6 +51,8 @@ def test_rank_invariant_under_transpose(rows, cols, seed):
     a = _random_flat(rng, rows, cols, q)
     at = [a[i * cols + j] for j in range(cols) for i in range(rows)]
     assert mat_rank(a, rows, cols, q) == mat_rank(at, cols, rows, q)
+    # a tuple input ranks the same
+    assert mat_rank(tuple(a), rows, cols, q) == mat_rank(a, rows, cols, q)
 
 
 @given(st.integers(1, 6), st.integers(1, 3), st.integers(0, 10 ** 6))
