@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .construction import closed_form_Tc, compute_T, erasure_deficits
-from .designs import BlockDesign, is_complete_design
+from . import construction
+from .designs import BlockDesign, closed_form_Tc, is_complete_design
 
 
 class ParameterRegimeWarning(UserWarning):
@@ -201,8 +201,8 @@ def compare_designs(d1: BlockDesign, d2: BlockDesign,
     d = n - t + 1
     _validate_nkd(n, k, d)
     m = r - t + 1
-    t1 = compute_T(d1, k)
-    t2 = compute_T(d2, k)
+    t1 = construction.compute_T(d1, k)
+    t2 = construction.compute_T(d2, k)
     alpha_bar = Fraction(d, m)
 
     def m_bar(design, tval):
@@ -215,7 +215,7 @@ def compare_designs(d1: BlockDesign, d2: BlockDesign,
             f"design point {mb1} exceeds the complete-design benchmark "
             f"{mb2}; this contradicts the averaging bound")
     # uniform exactly when the smallest deficit reaches the worst case
-    uniform = min(erasure_deficits(d1, k)) == t1
+    uniform = min(construction.erasure_deficits(d1, k)) == t1
     return CompareReport(n=n, r=r, t=t, k=k, alpha_bar=alpha_bar,
                          M_bar_design=mb1, M_bar_complete=mb2,
                          T_design=t1, T_complete=t2,

@@ -14,10 +14,7 @@ import os
 import sys
 from fractions import Fraction
 
-from . import analysis, codec, storesim
-from .construction import CodeSpec, build_code, verify_S
-from .designs import (gen_complete_design, gen_steiner_triple,
-                      load_design, load_json_file, verify_design)
+from . import analysis, codec, construction, designs, storesim
 
 
 def _rat(x) -> str:
@@ -34,7 +31,8 @@ def _write_text(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _load_message(spec: CodeSpec, path: str) -> codec.MessageVector:
+def _load_message(spec: construction.CodeSpec,
+                  path: str) -> codec.MessageVector:
     with open(path, "r", encoding="utf-8") as fh:
         return codec.MessageVector.from_text(spec.field.q, fh.read())
 
@@ -69,18 +67,18 @@ def _cmd_design_gen(args, parser) -> int:
     if args.steiner_triple == args.complete:
         parser.error("choose exactly one of --steiner-triple/--complete")
     if args.steiner_triple:
-        design = gen_steiner_triple(args.n)
+        design = designs.gen_steiner_triple(args.n)
     else:
         if args.t is None or args.r is None:
             parser.error("--complete requires --t and --r")
-        design = gen_complete_design(args.t, args.r, args.n)
+        design = designs.gen_complete_design(args.t, args.r, args.n)
     _write_text(design.to_json() + "\n", args.out)
     return 0
 
 
 def _cmd_design_verify(args) -> int:
-    design = load_design(args.design)
-    report = verify_design(design)
+    design = designs.load_design(args.design)
+    report = designs.verify_design(design)
     if not report.ok:
         print(f"error: design is not an S_{design.lam}({design.t},"
               f"{design.r},{design.n}): {report.first_violation()}",
@@ -93,9 +91,10 @@ def _cmd_design_verify(args) -> int:
 
 
 def _cmd_code_build(args) -> int:
-    design = load_design(args.design)
-    result = build_code(design, args.k, q=args.q, seed=args.seed,
-                        budget=args.budget, sample=args.sample)
+    design = designs.load_design(args.design)
+    result = construction.build_code(design, args.k, q=args.q,
+                                     seed=args.seed, budget=args.budget,
+                                     sample=args.sample)
     spec = result.spec
     print(f"built code over GF({spec.field.q}): M={spec.params.M} "
           f"T={spec.params.T} alpha={spec.params.alpha} "
@@ -106,7 +105,7 @@ def _cmd_code_build(args) -> int:
 
 
 def _cmd_code_inspect(args) -> int:
-    spec = CodeSpec.load(args.spec)
+    spec = construction.CodeSpec.load(args.spec)
     p = spec.params
     point = analysis.realized_point(p)
     cut = analysis.cutset_max_M(p.n, p.k, p.d, point.alpha_bar)
@@ -128,8 +127,8 @@ def _cmd_code_inspect(args) -> int:
 
 
 def _cmd_code_verify(args) -> int:
-    spec = CodeSpec.load(args.spec)
-    report = verify_S(spec, sample=args.sample, seed=args.seed)
+    spec = construction.CodeSpec.load(args.spec)
+    report = construction.verify_S(spec, sample=args.sample, seed=args.seed)
     scope = "sampled" if report.sampled else "all"
     if not report.ok:
         first = report.failures[0]
@@ -143,7 +142,7 @@ def _cmd_code_verify(args) -> int:
 
 
 def _cmd_encode(args) -> int:
-    spec = CodeSpec.load(args.spec)
+    spec = construction.CodeSpec.load(args.spec)
     msg = _load_message(spec, args.message)
     shares = codec.encode(spec, msg)
     os.makedirs(args.out_dir, exist_ok=True)
@@ -155,7 +154,7 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_repair(args) -> int:
-    spec = CodeSpec.load(args.spec)
+    spec = construction.CodeSpec.load(args.spec)
     # codec.repair decides which helper sets suffice
     paths = [_share_path(args.shares, disk)
              for disk in range(1, spec.params.n + 1) if disk != args.failed]
@@ -181,7 +180,7 @@ def _cmd_repair(args) -> int:
 
 
 def _cmd_reconstruct(args) -> int:
-    spec = CodeSpec.load(args.spec)
+    spec = construction.CodeSpec.load(args.spec)
     disks = _parse_int_list(args.disks)
     shares = [codec.read_share(spec, _share_path(args.shares, disk))
               for disk in disks]
@@ -216,8 +215,8 @@ def _cmd_analyze_exponents(args) -> int:
 
 
 def _cmd_analyze_compare(args) -> int:
-    d1 = load_design(args.design1)
-    d2 = load_design(args.design2)
+    d1 = designs.load_design(args.design1)
+    d2 = designs.load_design(args.design2)
     rep = analysis.compare_designs(d1, d2, args.k)
     if args.format == "json":
         doc = {"n": rep.n, "r": rep.r, "t": rep.t, "k": rep.k,
@@ -243,17 +242,17 @@ def _cmd_analyze_compare(args) -> int:
 
 
 def _cmd_sim_run(args) -> int:
-    spec = CodeSpec.load(args.spec)
+    spec = construction.CodeSpec.load(args.spec)
     msg = _load_message(spec, args.message)
-    scenario = load_json_file(args.scenario, "scenario",
-                              storesim.Scenario.from_json)
+    scenario = designs.load_json_file(args.scenario, "scenario",
+                                      storesim.Scenario.from_json)
     report = storesim.run_scenario(spec, msg, scenario)
     _write_text(report.to_json() + "\n", args.out)
     return 0 if report.all_ok else 1
 
 
 def _cmd_sim_soak(args) -> int:
-    spec = CodeSpec.load(args.spec)
+    spec = construction.CodeSpec.load(args.spec)
     msg = _load_message(spec, args.message)
     report = storesim.random_failure_soak(spec, msg, args.steps,
                                           seed=args.seed)

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import hashlib
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -43,8 +42,8 @@ from ._kernel import echelon_add as _kadd
 from ._kernel import mat_mul as _kmul
 from ._kernel import mat_rank as _krank
 from ._kernel import mat_solve as _ksolve
-from .designs import (BlockDesign, is_complete_design, json_field, json_int,
-                      json_int_rows, load_json_file)
+from .designs import (BlockDesign, closed_form_Tc, is_complete_design,
+                      json_field, json_int, json_int_rows, load_json_file)
 from .ffield import PrimeField, next_prime
 
 
@@ -249,12 +248,6 @@ def compute_T(design: BlockDesign, k: int) -> int:
     return best
 
 
-def closed_form_Tc(n: int, k: int, r: int, t: int = 2) -> int:
-    """Worst-case deficit of the complete design, in closed form."""
-    return sum((i - t + 1) * comb(n - k, i) * comb(k, r - i)
-               for i in range(t, min(n - k, r) + 1))
-
-
 def derive_params(design: BlockDesign, k: int) -> CodeParams:
     """Fill CodeParams for a design and reconstruction threshold k."""
     n, t, r, lam = design.n, design.t, design.r, design.lam
@@ -450,6 +443,7 @@ class CodeSpec:
     @cached_property
     def spec_hash(self) -> bytes:
         """32-byte digest of the canonical JSON; embedded in share files."""
+        import hashlib  # only share files need it; a build does not
         return hashlib.sha256(self.to_json().encode("utf-8")).digest()
 
     def save(self, path) -> None:

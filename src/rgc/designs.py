@@ -1,7 +1,8 @@
 """Combinatorial block designs S_lambda(t, r, n).
 
 Generators for Steiner triple systems (Bose and Skolem constructions) and
-complete designs, an exhaustive verifier, and the canonical JSON form.
+complete designs, the complete design's worst-case deficit in closed
+form, an exhaustive verifier, and the canonical JSON form.
 Ground sets are {1..n}; blocks are stored sorted ascending and the block
 list sorted lexicographically, so layouts derived from a design are
 deterministic.  Repeated blocks are permitted (block multisets).
@@ -195,6 +196,12 @@ def is_complete_design(design: BlockDesign) -> bool:
         return False
     expected = tuple(itertools.combinations(range(1, design.n + 1), design.r))
     return design.blocks == expected
+
+
+def closed_form_Tc(n: int, k: int, r: int, t: int = 2) -> int:
+    """Worst-case deficit of the complete design, in closed form."""
+    return sum((i - t + 1) * comb(n - k, i) * comb(k, r - i)
+               for i in range(t, min(n - k, r) + 1))
 
 
 @dataclass(frozen=True)
