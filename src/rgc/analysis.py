@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
 from . import construction
+from ._record import record
 from .designs import BlockDesign, closed_form_Tc, is_complete_design
 
 
@@ -23,7 +23,7 @@ class ParameterRegimeWarning(UserWarning):
     can beat time-sharing."""
 
 
-@dataclass(frozen=True)
+@record
 class TradeoffPoint:
     """One (alpha_bar, M_bar) operating point, exact."""
 
@@ -109,7 +109,7 @@ def complete_tradeoff_point(n: int, k: int, d: int,
                          provenance="constructed")
 
 
-@dataclass(frozen=True)
+@record
 class TradeoffRow:
     """One sweep row: a point plus its bound context.  r is None for
     the time-sharing endpoint rows."""
@@ -166,7 +166,7 @@ def realized_point(params) -> TradeoffPoint:
                          provenance="constructed")
 
 
-@dataclass(frozen=True)
+@record
 class CompareReport:
     """Normalized comparison of a design code against the complete-
     design benchmark at the same (n, r, t)."""
@@ -297,7 +297,7 @@ def _alg_sign(a2: Fraction, a1: Fraction, a0: Fraction, n: int, p: int,
     raise RuntimeError("interval refinement did not converge")
 
 
-@dataclass(frozen=True)
+@record
 class ExponentPoint:
     """A finite-n sample of the asymptotic redundancy/data exponents."""
 
@@ -344,7 +344,7 @@ def exponent_point(n: int, tau1: int, tau2: int,
                          Ed=_log_ratio(point.M_bar, n))
 
 
-@dataclass(frozen=True)
+@record
 class BoundCheck:
     """Outcome of the two achievability inequalities, with the exact
     sides when they are rational."""
@@ -407,7 +407,7 @@ def check_nominal_bounds(n: int, tau1: int, tau2: int,
     return BoundCheck(ineq1=ok1, ineq2=ok2)
 
 
-@dataclass(frozen=True)
+@record
 class RegionMembership:
     """Classification against the exponent region and the time-sharing
     region: inside, boundary, or outside each."""
@@ -451,6 +451,12 @@ def format_fraction(x) -> str:
     if f.denominator == 1:
         return str(f.numerator)
     return f"{f.numerator}/{f.denominator}"
+
+
+def format_rational(x) -> str:
+    """num/den plus 6-place decimal, e.g. '67/5 (13.400000)'."""
+    f = Fraction(x)
+    return f"{format_fraction(f)} ({float(f):.6f})"
 
 
 TRADEOFF_CSV_HEADER = ("n,k,d,r,alpha_bar_num,alpha_bar_den,M_bar_num,"

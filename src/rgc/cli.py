@@ -12,15 +12,8 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import analysis, codec, construction, designs, storesim
-
-
-def _rat(x) -> str:
-    """num/den plus 6-place decimal, e.g. '67/5 (13.400000)'."""
-    f = Fraction(x)
-    return f"{analysis.format_fraction(f)} ({float(f):.6f})"
 
 
 def _write_text(text: str, out: str | None) -> None:
@@ -54,9 +47,10 @@ def modulus(text: str) -> int | str:
     return text if text == "auto" else int(text)
 
 
-def rational(text: str) -> Fraction:
-    """argparse type of --epsilon; argparse reports a ValueError, so a
-    zero denominator becomes one."""
+def rational(text: str):
+    """argparse type of --epsilon, a Fraction; argparse reports a
+    ValueError, so a zero denominator becomes one."""
+    from fractions import Fraction  # only analyze exponents parses one
     try:
         return Fraction(text)
     except ZeroDivisionError:
@@ -109,6 +103,7 @@ def _cmd_code_inspect(args) -> int:
     p = spec.params
     point = analysis.realized_point(p)
     cut = analysis.cutset_max_M(p.n, p.k, p.d, point.alpha_bar)
+    rat = analysis.format_rational
     lines = [
         f"field: GF({spec.field.q})",
         f"design: S_{p.lam}({p.t},{p.r},{p.n}) with {p.nstar} blocks",
@@ -118,9 +113,9 @@ def _cmd_code_inspect(args) -> int:
         f"gamma = {p.gamma}", f"M = {p.M}", f"T = {p.T}",
         f"long parity form: "
         f"{'coefficient vector ' + str(list(spec.phi)) if spec.phi is not None else 'matrix'}",
-        f"alpha_bar = {_rat(point.alpha_bar)}",
-        f"M_bar = {_rat(point.M_bar)}",
-        f"cutset_max_M = {_rat(cut)} (satisfied: {point.M_bar <= cut})",
+        f"alpha_bar = {rat(point.alpha_bar)}",
+        f"M_bar = {rat(point.M_bar)}",
+        f"cutset_max_M = {rat(cut)} (satisfied: {point.M_bar <= cut})",
     ]
     _write_text("\n".join(lines) + "\n", args.out)
     return 0
@@ -228,11 +223,12 @@ def _cmd_analyze_compare(args) -> int:
                "equal": rep.equal, "deficit_uniform": rep.deficit_uniform}
         _write_text(json.dumps(doc, indent=2) + "\n", args.out)
     else:
+        rat = analysis.format_rational
         lines = [
-            f"common point: alpha_bar = {_rat(rep.alpha_bar)}",
-            f"design code:    M_bar = {_rat(rep.M_bar_design)} "
+            f"common point: alpha_bar = {rat(rep.alpha_bar)}",
+            f"design code:    M_bar = {rat(rep.M_bar_design)} "
             f"(worst-case deficit T = {rep.T_design})",
-            f"complete code:  M_bar = {_rat(rep.M_bar_complete)} "
+            f"complete code:  M_bar = {rat(rep.M_bar_complete)} "
             f"(worst-case deficit T = {rep.T_complete})",
             f"equal: {rep.equal}; deficit uniform over the design: "
             f"{rep.deficit_uniform}",

@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import random
 import struct
-from dataclasses import dataclass
 from operator import mul
 
 from ._kernel import mat_mul as _kmul
 from ._kernel import mat_solve as _ksolve
+from ._record import record
 from .construction import (CodeSpec, group_decoder, parity_block,
                            short_layer, stack_blocks)
 
@@ -40,7 +40,7 @@ class CorruptionError(ValueError):
     """Share data contradicted itself during a repair or a decode."""
 
 
-@dataclass(frozen=True)
+@record
 class MessageVector:
     """A length-M message over GF(q)."""
 
@@ -73,7 +73,7 @@ class MessageVector:
                                      for _ in range(length)))
 
 
-@dataclass(frozen=True)
+@record
 class DiskShare:
     """All symbols stored on one disk, as (group, row, value) triples in
     slot order."""
@@ -94,7 +94,7 @@ class DiskShare:
         return {(j, i): v for j, i, v in self.symbols}
 
 
-@dataclass(frozen=True)
+@record
 class ShareSet:
     """A collection of shares for distinct disks, kept in disk order."""
 
@@ -143,7 +143,7 @@ class ShareSet:
         return ShareSet(shares=rest + (share,))
 
 
-@dataclass(frozen=True)
+@record
 class RepairTranscript:
     """What each helper transmitted during one repair.
 
@@ -271,8 +271,9 @@ def repair(spec: CodeSpec, failed: int,
     symbol each (copy only); the group column is solved and the lost row
     recomputed.  Held rows beyond the m used are also read, listed in the
     transcript's checks, and cross-checked against the recomputation;
-    a mismatch raises CorruptionError.  A helper set that leaves a group
-    short raises ValueError naming the group.
+    a mismatch raises CorruptionError naming the group and the disks of
+    its copied and checked rows.  A helper set that leaves a group short
+    raises ValueError naming the group.
     """
     p = spec.params
     if not 1 <= failed <= p.n:
@@ -308,8 +309,11 @@ def repair(spec: CodeSpec, failed: int,
             checked[block[i]].append((j, i, held[(j, i)]))
             if held[(j, i)] != out[i * count + g]:
                 raise CorruptionError(
-                    f"disk {block[i]} holds an inconsistent symbol for "
-                    f"group {j} row {i}")
+                    f"repair of disk {failed}: group {j} is inconsistent; "
+                    f"its rows copied from disks "
+                    f"{[block[i] for i in surv[j][:p.m]]} disagree with "
+                    f"its check rows on disks "
+                    f"{[block[i] for i in surv[j][p.m:]]}")
         fi = block.index(failed)
         rebuilt.append((j, fi, out[fi * count + g]))
     share = DiskShare(disk=failed, symbols=tuple(rebuilt))

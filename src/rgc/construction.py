@@ -34,7 +34,6 @@ from __future__ import annotations
 import itertools
 import json
 import random
-from dataclasses import dataclass
 from functools import cached_property
 from math import comb
 
@@ -42,6 +41,7 @@ from ._kernel import echelon_add as _kadd
 from ._kernel import mat_mul as _kmul
 from ._kernel import mat_rank as _krank
 from ._kernel import mat_solve as _ksolve
+from ._record import record
 from .designs import (BlockDesign, closed_form_Tc, is_complete_design,
                       json_field, json_int, json_int_rows, load_json_file)
 from .ffield import PrimeField, next_prime
@@ -63,7 +63,7 @@ class WitnessError(RuntimeError):
     """Internal failure while building a rank witness; indicates a bug."""
 
 
-@dataclass(frozen=True)
+@record
 class CodeParams:
     """Derived code parameters for a design plus threshold k.
 
@@ -92,7 +92,7 @@ class CodeParams:
         return self.r - self.t + 1
 
 
-@dataclass(frozen=True)
+@record
 class Layout:
     """Placement of parity-group rows onto disks.
 
@@ -308,7 +308,7 @@ def short_mds_generator(r: int, t: int,
     return tuple(rows)
 
 
-@dataclass(frozen=True)
+@record
 class CodeSpec:
     """Immutable, hashable description of one concrete code.
 
@@ -622,7 +622,7 @@ def reduced_system(spec: CodeSpec, a):
             sum(map(len, blocks)))
 
 
-@dataclass(frozen=True)
+@record
 class VerifyReport:
     """Outcome of verify_S.  reductions counts the kernel vectors reduced,
     pruned the failing sets decided by a failed shorter prefix."""
@@ -710,7 +710,7 @@ def verify_S(spec: CodeSpec, jobs: int = 1, sample: int | None = None,
                         reductions=reductions, pruned=pruned)
 
 
-@dataclass(frozen=True)
+@record
 class BuildResult:
     spec: CodeSpec
     attempts: int

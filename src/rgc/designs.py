@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
 from math import comb
 
+from ._record import record
 
-@dataclass(frozen=True)
+
+@record
 class BlockDesign:
     """A t-design: every t-subset of {1..n} lies in exactly lam blocks."""
 
@@ -204,7 +205,7 @@ def closed_form_Tc(n: int, k: int, r: int, t: int = 2) -> int:
                for i in range(t, min(n - k, r) + 1))
 
 
-@dataclass(frozen=True)
+@record
 class DesignReport:
     ok: bool
     violations: tuple[str, ...]

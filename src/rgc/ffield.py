@@ -7,7 +7,7 @@ and elimination lives in ``_kernel``.  The modulus is capped at 2^61.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from ._record import record
 
 MAX_MODULUS = 1 << 61
 
@@ -52,7 +52,7 @@ def next_prime(n: int) -> int:
     return c
 
 
-@dataclass(frozen=True)
+@record
 class PrimeField:
     """The prime field F(q), q a prime below 2^61."""
 

@@ -11,15 +11,16 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
 
-from .codec import MessageVector, ShareSet, encode, reconstruct, repair
+from ._record import record
+from .codec import (CorruptionError, MessageVector, ShareFormatError,
+                    ShareSet, encode, reconstruct, repair)
 from .construction import CodeSpec
 
 PREDICATES = ("durable", "intact", "ledger_balanced")
 
 
-@dataclass(frozen=True)
+@record
 class ScenarioEvent:
     """One scripted step: fail(node), repair(node), read(disks), or
     assert(predicate)."""
@@ -46,7 +47,7 @@ class ScenarioEvent:
             raise ValueError(f"unknown event kind {self.kind!r}")
 
 
-@dataclass(frozen=True)
+@record
 class Scenario:
     """An ordered event script."""
 
@@ -87,7 +88,7 @@ class Scenario:
         return json.dumps({"events": out}, separators=(",", ":"))
 
 
-@dataclass(frozen=True)
+@record
 class SimulationReport:
     """Replay outcome: every event's result plus the final ledger."""
 
@@ -119,6 +120,16 @@ class SimulationReport:
             "mismatches": self.mismatches,
         }
         return json.dumps(doc, separators=(",", ":"))
+
+
+def _labelled(exc: ValueError, label: str) -> str:
+    """An event's error text: corrupt and malformed share data get their
+    own labels, any other ValueError the given one."""
+    if isinstance(exc, CorruptionError):
+        label = "corrupt share data"
+    elif isinstance(exc, ShareFormatError):
+        label = "malformed share"
+    return f"{label}: {exc}"
 
 
 class Cluster:
@@ -192,7 +203,8 @@ class Cluster:
                     self.spec, node, [s for s in self.nodes.values()
                                       if s is not None])
             except ValueError as exc:
-                ev.update(ok=False, error=f"insufficient helpers: {exc}")
+                ev.update(ok=False,
+                          error=_labelled(exc, "insufficient helpers"))
             else:
                 self.nodes[node] = share
                 total = 0
@@ -224,9 +236,15 @@ class Cluster:
                           error=f"durability violation: read touched "
                                 f"failed nodes {down}")
             else:
-                msg = reconstruct(self.spec, [self.nodes[i] for i in ids])
-                ev.update(ok=True, symbols=len(msg.values))
-                ev["message"] = list(msg.values)
+                try:
+                    msg = reconstruct(self.spec,
+                                      [self.nodes[i] for i in ids])
+                except ValueError as exc:
+                    ev.update(ok=False,
+                              error=_labelled(exc, "undecodable read"))
+                else:
+                    ev.update(ok=True, symbols=len(msg.values))
+                    ev["message"] = list(msg.values)
         self.events.append(ev)
         return ev
 

@@ -1,10 +1,14 @@
 """Shared fixtures plus a terminal reporter that prints one PASS/FAIL
 line per acceptance criterion at the end of the run."""
 
+import random
+
 import pytest
 
-from rgc.construction import build_code
+from rgc.construction import (CodeSpec, build_code, build_layout,
+                              derive_params, verify_S)
 from rgc.designs import gen_complete_design, gen_steiner_triple
+from rgc.ffield import PrimeField
 
 # criterion number -> (summary line, runtime budget in seconds)
 _CRITERIA = {
@@ -97,3 +101,19 @@ def t3_spec():
 def s15_spec():
     """Steiner S(2,3,15) code with k=11, field chosen automatically."""
     return build_code(gen_steiner_triple(15), 11, q="auto", seed=0).spec
+
+
+@pytest.fixture(scope="session")
+def failing_c9_spec():
+    """A GF(31) complete(2,3,9) k=7 candidate that fails the rank
+    condition on exactly the erasure set (7, 8): the second S drawn from
+    random.Random(1)."""
+    design = gen_complete_design(2, 3, 9)
+    params = derive_params(design, 7)
+    rng = random.Random(1)
+    draws = [tuple(rng.randrange(31) for _ in range(params.T * params.M))
+             for _ in range(2)]
+    spec = CodeSpec(params=params, field=PrimeField(31), design=design,
+                    layout=build_layout(design), s_entries=draws[1])
+    assert verify_S(spec).failures == ((7, 8),)
+    return spec

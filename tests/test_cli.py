@@ -288,6 +288,29 @@ def test_sim_run_reports_scripted_violation(capsys, workdir, tmp_path):
     assert "durability violation" in doc["events"][1]["error"]
 
 
+def test_sim_run_records_undecodable_read(capsys, tmp_path,
+                                          failing_c9_spec):
+    """A scripted read that the spec cannot decode makes sim run exit 1,
+    and the report is still written."""
+    spec_path, msg_path = tmp_path / "spec.json", tmp_path / "msg.txt"
+    failing_c9_spec.save(spec_path)
+    msg = MessageVector.random(31, failing_c9_spec.params.M, seed=2)
+    msg_path.write_text(msg.to_text())
+    scen = tmp_path / "scen.json"
+    scen.write_text(json.dumps({"events": [
+        {"read": [1, 2, 3, 4, 5, 6, 9]}, {"read": [1, 2, 3, 4, 5, 6, 7]}]}))
+    out = tmp_path / "report.json"
+    code, _, err = run(capsys, "sim", "run", "--spec", str(spec_path),
+                       "--message", str(msg_path), "--scenario", str(scen),
+                       "--out", str(out))
+    assert code == 1 and err == ""
+    doc = json.loads(out.read_text())
+    assert doc["all_ok"] is False
+    bad, good = doc["events"]
+    assert not bad["ok"] and bad["error"].startswith("undecodable read: ")
+    assert good["ok"] and good["message"] == list(msg.values)
+
+
 @pytest.mark.parametrize("command,flag,mangle", [
     pytest.param(("code", "inspect"), "--spec",
                  lambda spec, design: dict(spec, layout=5), id="layout"),

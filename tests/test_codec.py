@@ -185,8 +185,13 @@ def test_deep_overlap_repair_cross_checks(t3_spec):
         ((group, row, (value + 1) % t3_spec.field.q),)
         + victim.symbols[1:]))
     polluted = shares.replace(tampered)
-    with pytest.raises(CorruptionError):
+    # the error names the group and every disk whose row it read
+    assert (group, row) == (0, 1)
+    with pytest.raises(CorruptionError) as err:
         repair(t3_spec, 1, polluted.without(1))
+    assert str(err.value) == (
+        "repair of disk 1: group 0 is inconsistent; its rows copied from "
+        "disks [2, 3] disagree with its check rows on disks [4]")
 
 
 def test_repair_from_every_d_subset_of_helpers(t3_spec):

@@ -11,7 +11,9 @@ import sys
 import pytest
 
 import rgc
-from rgc.designs import gen_steiner_triple
+from rgc.codec import MessageVector, encode, write_share
+from rgc.construction import build_code
+from rgc.designs import gen_complete_design, gen_steiner_triple
 
 SRC = pathlib.Path(rgc.__file__).parent
 SUBMODULES = ("_kernel", "ffield", "designs", "construction", "codec",
@@ -91,53 +93,104 @@ def test_module_cli_help_raises_no_warning():
     assert proc.stderr == ""
 
 
-# Runs one command in a fresh interpreter and prints the rgc modules
-# whose body ran: a lazy stub is a ModuleType subclass until first use.
+# Runs one command in a fresh interpreter.  Prints its exit code and the
+# rgc modules whose body ran (a lazy stub is a ModuleType subclass until
+# first use), then, on a second line, which of the standard-library
+# modules named in argv[1] the command imported.
 _PROBE = """
 import contextlib, io, sys, types
 from rgc.cli import cli_dispatch
 with contextlib.redirect_stdout(io.StringIO()), \\
         contextlib.redirect_stderr(io.StringIO()):
-    code = cli_dispatch(sys.argv[1:])
+    code = cli_dispatch(sys.argv[2:])
 print(code, *sorted(name for name, module in sys.modules.items()
                     if name.startswith("rgc.")
                     and type(module) is types.ModuleType))
+print(*[name for name in sys.argv[1].split(",") if name in sys.modules])
 """
+
+# dataclasses builds methods from source text when a class is made; no
+# command imports it.  fractions is imported only where analysis runs.
+_STDLIB = ("dataclasses", "fractions")
+_FRACTIONS = {"fractions"}
 
 
 @pytest.fixture(scope="module")
-def design_file(tmp_path_factory):
-    path = tmp_path_factory.mktemp("design") / "s9.json"
-    path.write_text(gen_steiner_triple(9).to_json(), encoding="utf-8")
-    return str(path)
+def walk_dir(tmp_path_factory):
+    """The inputs of the README walkthrough: the S(2,3,9) design, the
+    complete(2,3,9) design, the k=7 code over GF(3), a message and its
+    shares."""
+    root = tmp_path_factory.mktemp("walk")
+    design = gen_steiner_triple(9)
+    (root / "d9.json").write_text(design.to_json(), encoding="utf-8")
+    (root / "c9.json").write_text(gen_complete_design(2, 3, 9).to_json(),
+                                  encoding="utf-8")
+    spec = build_code(design, 7, q=3).spec
+    spec.save(root / "code.json")
+    msg = MessageVector.random(3, spec.params.M, seed=1)
+    (root / "msg.txt").write_text(msg.to_text(), encoding="utf-8")
+    (root / "shares").mkdir()
+    for share in encode(spec, msg):
+        write_share(spec, share,
+                    root / "shares" / f"disk_{share.disk}.share")
+    return root
 
 
-@pytest.mark.parametrize("argv, only, absent", [
+@pytest.mark.parametrize("argv, only, absent, stdlib", [
     pytest.param(["design", "gen", "--steiner-triple", "--n", "9"],
-                 {"designs"}, None, id="design-gen"),
-    pytest.param(["design", "verify", "--design", "{design}"],
-                 {"designs"}, None, id="design-verify"),
+                 {"designs", "_record"}, None, set(), id="design-gen"),
+    pytest.param(["design", "verify", "--design", "{w}/d9.json"],
+                 {"designs", "_record"}, None, set(), id="design-verify"),
+    pytest.param(["code", "build", "--design", "{w}/d9.json", "--k", "7",
+                  "--q", "3", "--out", os.devnull],
+                 None, {"codec", "storesim", "analysis"}, set(),
+                 id="code-build"),
+    pytest.param(["code", "inspect", "--spec", "{w}/code.json"],
+                 None, {"codec", "storesim"}, _FRACTIONS, id="code-inspect"),
+    pytest.param(["encode", "--spec", "{w}/code.json", "--message",
+                  "{w}/msg.txt", "--out-dir", "{w}/encoded"],
+                 None, {"analysis", "storesim"}, set(), id="encode"),
+    pytest.param(["repair", "--spec", "{w}/code.json", "--failed", "4",
+                  "--shares", "{w}/shares", "--out", "{w}/rebuilt.share",
+                  "--transcript", "{w}/t.json"],
+                 None, {"analysis", "storesim"}, set(), id="repair"),
+    pytest.param(["reconstruct", "--spec", "{w}/code.json", "--shares",
+                  "{w}/shares", "--disks", "1,2,3,4,5,6,7", "--out",
+                  os.devnull],
+                 None, {"analysis", "storesim"}, set(), id="reconstruct"),
     pytest.param(["analyze", "tradeoff", "--n", "9", "--k", "7", "--d", "8"],
-                 None, {"construction", "codec"}, id="analyze-tradeoff"),
+                 None, {"construction", "codec"}, _FRACTIONS,
+                 id="analyze-tradeoff"),
     pytest.param(["analyze", "exponents", "--tau1", "3", "--tau2", "2",
                   "--epsilon", "1/2", "--n-list", "10,20"],
-                 None, {"construction", "codec"}, id="analyze-exponents"),
-    pytest.param(["code", "build", "--design", "{design}", "--k", "7",
-                  "--q", "3", "--out", os.devnull],
-                 None, {"codec", "storesim"}, id="code-build"),
+                 None, {"construction", "codec"}, _FRACTIONS,
+                 id="analyze-exponents"),
+    pytest.param(["design", "gen", "--complete", "--t", "2", "--r", "3",
+                  "--n", "9"],
+                 {"designs", "_record"}, None, set(),
+                 id="design-gen-complete"),
+    pytest.param(["analyze", "compare", "--design1", "{w}/d9.json",
+                  "--design2", "{w}/c9.json", "--k", "7"],
+                 None, {"codec", "storesim"}, _FRACTIONS,
+                 id="analyze-compare"),
+    pytest.param(["sim", "soak", "--spec", "{w}/code.json", "--message",
+                  "{w}/msg.txt", "--steps", "20", "--seed", "3"],
+                 None, {"analysis"}, set(), id="sim-soak"),
 ])
-def test_command_runs_only_the_modules_it_uses(design_file, argv, only,
-                                               absent):
-    argv = [a.format(design=design_file) for a in argv]
-    proc = _run("-c", _PROBE, *argv)
+def test_command_runs_only_the_modules_it_uses(walk_dir, argv, only, absent,
+                                               stdlib):
+    argv = [a.format(w=walk_dir) for a in argv]
+    proc = _run("-c", _PROBE, ",".join(_STDLIB), *argv)
     assert proc.returncode == 0, proc.stderr
-    code, *ran = proc.stdout.split()
+    first, second = proc.stdout.splitlines()
+    code, *ran = first.split()
     assert code == "0"
     ran = {name.removeprefix("rgc.") for name in ran} - {"cli"}
     if only is not None:
         assert ran == only
     if absent is not None:
         assert not ran & absent, ran
+    assert set(second.split()) == stdlib
 
 
 def test_no_unused_module_imports():
@@ -158,3 +211,27 @@ def test_no_unused_module_imports():
                 if isinstance(node, ast.Name)}
         unused += [f"{path.name}: {name}" for name in sorted(bound - used)]
     assert not unused
+
+
+def test_no_module_imports_dataclasses():
+    """Records come from _record, which builds its methods as closures:
+    no module under src/rgc/ imports dataclasses, and _record calls no
+    exec, eval or compile."""
+    importers = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "dataclasses" for name in names):
+                importers.append(path.name)
+    assert not importers
+    tree = ast.parse((SRC / "_record.py").read_text(encoding="utf-8"))
+    called = {node.func.id for node in ast.walk(tree)
+              if isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Name)}
+    assert not called & {"exec", "eval", "compile"}
+    assert "attrgetter" in called

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from rgc.codec import MessageVector
+from rgc.codec import DiskShare, MessageVector
 from rgc.storesim import (Cluster, Scenario, ScenarioEvent,
                           random_failure_soak, run_scenario)
 
@@ -59,6 +59,65 @@ def test_read_of_failed_disk_is_flagged_not_raised(golden_spec):
     assert cluster.durable()           # 1 failure is still within budget
     report = cluster.report()
     assert not report.all_ok
+
+
+def test_undecodable_read_is_recorded_not_raised(failing_c9_spec):
+    """A read of an erasure pattern on which the spec fails its rank
+    condition is an ok=False event; the scenario replays to the end."""
+    spec = failing_c9_spec
+    scen = Scenario(events=(
+        ScenarioEvent(kind="read", disks=(1, 2, 3, 4, 5, 6, 9)),
+        ScenarioEvent(kind="read", disks=(1, 2, 3, 4, 5, 6, 7))))
+    report = run_scenario(spec, _msg(spec), scen)
+    bad, good = report.events
+    assert not bad["ok"] and "message" not in bad
+    assert bad["error"].startswith("undecodable read: ")
+    assert "erasure pattern (7, 8)" in bad["error"]
+    assert good["ok"] and good["message"] == list(_msg(spec).values)
+    assert not report.all_ok
+
+
+def test_corrupt_read_is_labelled(s15_spec):
+    """A read whose shares contradict the spare parity checks records
+    the CorruptionError under its own label."""
+    spec = s15_spec
+    block = spec.design.blocks[0]
+    missing = set(block) | {max(set(range(1, 16)) - set(block))}
+    # a group hit in two erased disks keeps one row, which the T > T(A)
+    # spare checks cover
+    j, group = next((j, g) for j, g in enumerate(spec.layout.groups)
+                    if len(missing & set(g)) == 2)
+    i, disk = next((i, d) for i, d in enumerate(group) if d not in missing)
+    cluster = Cluster.provision(spec, _msg(spec))
+    share = cluster.nodes[disk]
+    cluster.nodes[disk] = DiskShare(disk=disk, symbols=tuple(
+        (g, r, (v + 1) % spec.field.q if (g, r) == (j, i) else v)
+        for g, r, v in share.symbols))
+    ev = cluster.read([x for x in range(1, 16) if x not in missing])
+    assert not ev["ok"]
+    assert ev["error"].startswith("corrupt share data: ")
+
+
+def test_repair_errors_are_labelled_by_cause(t3_spec):
+    """Corrupt helper data and a malformed helper share are not reported
+    as missing helpers."""
+    spec = t3_spec
+    cluster = Cluster.provision(spec, _msg(spec))
+    g, i, v = cluster.nodes[2].symbols[0]
+    cluster.nodes[2] = DiskShare(disk=2, symbols=(
+        ((g, i, (v + 1) % spec.field.q),) + cluster.nodes[2].symbols[1:]))
+    cluster.fail(1)
+    ev = cluster.repair(1)
+    assert not ev["ok"]
+    assert ev["error"] == (
+        "corrupt share data: repair of disk 1: group 0 is inconsistent; "
+        "its rows copied from disks [2, 3] disagree with its check rows "
+        "on disks [4]")
+    cluster.nodes[2] = DiskShare(disk=2, symbols=cluster.nodes[2].symbols[1:])
+    ev = cluster.repair(1)
+    assert not ev["ok"] and ev["error"].startswith("malformed share: ")
+    assert "share for disk 2 carries slots" in ev["error"]
+    assert cluster.failed() == (1,) and cluster.repairs == 0
 
 
 def test_repair_preconditions_recorded(golden_spec):
