@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import random
 import struct
+from itertools import repeat
 from operator import mul
 
 from ._kernel import mat_mul as _kmul
@@ -30,6 +31,14 @@ from .construction import (CodeSpec, group_decoder, parity_block,
                            short_layer, stack_blocks)
 
 _MAGIC = b"RGC1"
+
+
+def _require_int(what: str, v) -> None:
+    """ValueError unless v's type is exactly int: a bool, float or str
+    symbol is refused, not rounded or converted."""
+    if type(v) is not int:
+        raise ValueError(f"{what} {v!r} is a {type(v).__name__}, not an "
+                         f"int")
 
 
 class ShareFormatError(ValueError):
@@ -50,8 +59,13 @@ class MessageVector:
     def __post_init__(self):
         if self.q < 2:
             raise ValueError("modulus must be at least 2")
-        if any(not 0 <= v < self.q for v in self.values):
-            raise ValueError("message symbol outside [0, q)")
+        values = self.values
+        if values and (set(map(type, values)) != {int}
+                       or min(values) < 0 or max(values) >= self.q):
+            for v in values:
+                _require_int("message symbol", v)
+                if not 0 <= v < self.q:
+                    raise ValueError("message symbol outside [0, q)")
 
     @classmethod
     def from_text(cls, q: int, text: str) -> MessageVector:
@@ -82,12 +96,28 @@ class DiskShare:
     symbols: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self):
+        _require_int("disk id", self.disk)
         if self.disk < 1:
             raise ValueError("disk ids are 1-based")
-        for sym in self.symbols:
-            if len(sym) != 3 or any(x < 0 for x in sym):
-                raise ValueError(f"malformed share symbol {sym!r}")
-        if list(self.symbols) != sorted(self.symbols):
+        syms = self.symbols
+        if not syms:
+            return
+        # every check runs in C builtins; the loop only names a failure
+        try:
+            js, is_, vs = zip(*syms, strict=True)
+            entries = js + is_ + vs
+            valid = set(map(type, entries)) == {int} and min(entries) >= 0
+        except ValueError:   # symbols of unequal length, or not 3 long
+            valid = False
+        if not valid:
+            for sym in syms:
+                if len(sym) != 3:
+                    raise ValueError(f"malformed share symbol {sym!r}")
+                for x in sym:
+                    _require_int(f"share symbol {sym!r}: entry", x)
+                    if x < 0:
+                        raise ValueError(f"malformed share symbol {sym!r}")
+        if list(syms) != sorted(syms):
             raise ValueError("share symbols must be in slot order")
 
     def value_map(self) -> dict[tuple[int, int], int]:
@@ -174,21 +204,26 @@ class RepairTranscript:
         return sum(len(syms) for _, syms in self.checks)
 
 
-def check_share(spec: CodeSpec, share: DiskShare) -> None:
-    """Validate a share's coordinates and values against the code spec."""
+def check_share(spec: CodeSpec,
+                share: DiskShare) -> tuple[tuple[int, ...], ...]:
+    """Validate a share's coordinates and values against the code spec;
+    returns the share's group, row and value columns."""
     p = spec.params
     if not 1 <= share.disk <= p.n:
         raise ShareFormatError(f"disk {share.disk} outside 1..{p.n}")
-    slots = spec.layout.disk_slots(share.disk)
-    coords = tuple((j, i) for j, i, _ in share.symbols)
-    if coords != slots:
+    groups, rows = spec.layout.disk_columns(share.disk)
+    syms = share.symbols
+    js, is_, vs = zip(*syms) if syms else ((), (), ())
+    if js != groups or is_ != rows:
+        coords = tuple((j, i) for j, i, _ in syms)
         raise ShareFormatError(
             f"share for disk {share.disk} carries slots {coords}, "
-            f"expected {slots}")
+            f"expected {spec.layout.disk_slots(share.disk)}")
     q = spec.field.q
-    if any(not 0 <= v < q for _, _, v in share.symbols):
+    if vs and (min(vs) < 0 or max(vs) >= q):
         raise ShareFormatError(f"share for disk {share.disk} has a symbol "
                                f"outside GF({q})")
+    return js, is_, vs
 
 
 def _message_values(spec: CodeSpec, message) -> tuple[int, ...]:
@@ -196,14 +231,17 @@ def _message_values(spec: CodeSpec, message) -> tuple[int, ...]:
         if message.q != spec.field.q:
             raise ValueError(f"message modulus {message.q} does not match "
                              f"the code field GF({spec.field.q})")
-        values = message.values
+        values = message.values   # ints, as MessageVector checks
     else:
-        values = tuple(int(v) for v in message)
+        values = tuple(message)
+        if set(map(type, values)) - {int}:
+            for v in values:
+                _require_int("message symbol", v)
     p, q = spec.params, spec.field.q
     if len(values) != p.M:
         raise ValueError(f"message must have M = {p.M} symbols, "
                          f"got {len(values)}")
-    if any(not 0 <= v < q for v in values):
+    if values and (min(values) < 0 or max(values) >= q):
         raise ValueError(f"message symbol outside GF({q})")
     return values
 
@@ -227,16 +265,16 @@ def _group_columns(spec: CodeSpec, groups, held):
     those m are not read.  A group holding fewer than m rows gets its
     column with the free symbols 0 and, in kernels, its kernel basis.
     """
-    p = spec.params
+    m, rows = spec.params.m, range(spec.params.r)
     by_sel: dict[tuple[int, ...], list[int]] = {}
     for j in groups:
-        sel = tuple([i for i in range(p.r) if (j, i) in held][:p.m])
+        sel = tuple([i for i in rows if (j, i) in held][:m])
         by_sel.setdefault(sel, []).append(j)
     cols, kernels = {}, {}
     for sel, js in by_sel.items():
         solve, kernel = group_decoder(spec, sel)
         s, count = len(sel), len(js)
-        x = _kmul(solve, p.m, s, [held[(j, i)] for i in sel for j in js],
+        x = _kmul(solve, m, s, [held[(j, i)] for i in sel for j in js],
                   s, count, spec.field.q)
         for g, j in enumerate(js):
             cols[j] = x[g::count]
@@ -249,11 +287,10 @@ def encode(spec: CodeSpec, message) -> ShareSet:
     """Produce the n disk shares for a message."""
     values = _message_values(spec, message)
     p, q = spec.params, spec.field.q
+    m, N = p.m, p.nstar
     w = list(values)
-    for row in spec.s_rows:
-        w.append(sum(c * v for c, v in zip(row, values) if c) % q)
-    N = p.nstar
-    out = short_layer(spec, [w[j * p.m:(j + 1) * p.m] for j in range(N)])
+    w += [sum(map(mul, row, values)) % q for row in spec.s_rows]
+    out = short_layer(spec, [w[j * m:(j + 1) * m] for j in range(N)])
     return ShareSet(shares=tuple(
         DiskShare(disk=disk, symbols=tuple(
             (j, i, out[i * N + j]) for j, i in spec.layout.disk_slots(disk)))
@@ -376,22 +413,30 @@ def symbol_width(q: int) -> int:
     return max(1, ((q - 1).bit_length() + 7) // 8)
 
 
+def _record_struct(width: int) -> struct.Struct:
+    """One share record: group, row, value width, then the value."""
+    return struct.Struct(f"<IBB{width}s")
+
+
 def share_to_bytes(spec: CodeSpec, share: DiskShare) -> bytes:
     """Serialize one share: magic, spec digest, disk id, symbol count,
     then one record per symbol."""
-    check_share(spec, share)
+    js, is_, vs = check_share(spec, share)
     width = symbol_width(spec.field.q)
-    out = bytearray()
-    out += _MAGIC
-    out += spec.spec_hash
-    out += struct.pack("<II", share.disk, len(share.symbols))
-    for j, i, v in share.symbols:
-        out += struct.pack("<IBB", j, i, width)
-        out += v.to_bytes(width, "little")
-    return bytes(out)
+    header = _MAGIC + spec.spec_hash + struct.pack("<II", share.disk,
+                                                   len(vs))
+    return header + b"".join(map(
+        _record_struct(width).pack, js, is_, repeat(width),
+        map(int.to_bytes, vs, repeat(width), repeat("little"))))
 
 
 def share_from_bytes(spec: CodeSpec, raw: bytes) -> DiskShare:
+    """Parse and validate one share.
+
+    A well-formed share (exact length, every record of the field width)
+    is unpacked in one pass; anything else is walked record by record,
+    so the error names the first fault.
+    """
     if raw[:4] != _MAGIC:
         raise ShareFormatError("bad magic; not a share file")
     if len(raw) < 44:
@@ -401,8 +446,29 @@ def share_from_bytes(spec: CodeSpec, raw: bytes) -> DiskShare:
         raise ShareFormatError("share was written for a different code "
                                "spec (digest mismatch)")
     disk, count = struct.unpack_from("<II", raw, 36)
-    off = 44
     width = symbol_width(spec.field.q)
+    rec = _record_struct(width)
+    symbols = None
+    if count and len(raw) == 44 + count * rec.size:
+        js, is_, ws, vs = zip(*rec.iter_unpack(memoryview(raw)[44:]))
+        if set(ws) == {width}:
+            symbols = tuple(zip(js, is_, map(int.from_bytes, vs,
+                                             repeat("little"))))
+    if symbols is None:
+        symbols = _walk_records(raw, count, width)
+    try:
+        share = DiskShare(disk=disk, symbols=symbols)
+    except ValueError as exc:
+        raise ShareFormatError(str(exc)) from None
+    check_share(spec, share)
+    return share
+
+
+def _walk_records(raw: bytes, count: int, width: int):
+    """The records of a share read one at a time; ShareFormatError names
+    the first that is truncated or of the wrong width, or trailing
+    bytes."""
+    off = 44
     symbols = []
     for _ in range(count):
         if off + 6 > len(raw):
@@ -420,12 +486,7 @@ def share_from_bytes(spec: CodeSpec, raw: bytes) -> DiskShare:
     if off != len(raw):
         raise ShareFormatError(f"{len(raw) - off} trailing bytes after the "
                                f"last record")
-    try:
-        share = DiskShare(disk=disk, symbols=tuple(symbols))
-    except ValueError as exc:
-        raise ShareFormatError(str(exc)) from None
-    check_share(spec, share)
-    return share
+    return tuple(symbols)
 
 
 def write_share(spec: CodeSpec, share: DiskShare, path) -> None:

@@ -115,6 +115,15 @@ class Layout:
         """All (group, row) pairs stored on a disk, in slot order."""
         return self._by_disk.get(disk, ())
 
+    @cached_property
+    def _columns_by_disk(self) -> dict[int, tuple[tuple[int, ...], ...]]:
+        return {disk: tuple(zip(*slots))
+                for disk, slots in self._by_disk.items()}
+
+    def disk_columns(self, disk: int) -> tuple[tuple[int, ...], ...]:
+        """disk_slots as two columns: the groups, then the rows."""
+        return self._columns_by_disk.get(disk, ((), ()))
+
 
 def build_layout(design: BlockDesign) -> Layout:
     """Deterministic placement: row i of group j goes to the i-th

@@ -14,7 +14,7 @@ from rgc import _kernel
 from rgc.codec import (CorruptionError, DiskShare, MessageVector,
                        ShareFormatError, ShareSet, check_share, encode,
                        read_share, reconstruct, repair, share_from_bytes,
-                       share_to_bytes, write_share)
+                       share_to_bytes, symbol_width, write_share)
 from rgc.construction import (CodeSpec, compute_TA, reduced_system,
                               verify_S)
 
@@ -327,3 +327,159 @@ def test_share_bytes_error_reporting(golden_spec, complete9_spec):
         share_from_bytes(complete9_spec, blob)
     with pytest.raises(ShareFormatError, match="trailing"):
         share_from_bytes(golden_spec, blob + b"\x00")
+
+
+def _raises_exactly(message, fn, *args, exc=ShareFormatError):
+    with pytest.raises(exc) as err:
+        fn(*args)
+    assert type(err.value) is exc
+    assert str(err.value) == message
+
+
+def test_share_bytes_every_message(golden_spec, complete9_spec):
+    """Each fault of a share file raises its own message; these guard
+    the fallback from the one-pass unpack to the record walk."""
+    spec, q = golden_spec, golden_spec.field.q       # one-byte symbols
+    share = encode(spec, _msg(spec, 7)).get(1)
+    blob = share_to_bytes(spec, share)
+    assert len(blob) == 44 + 7 * len(share.symbols)
+
+    def parse(raw):
+        return share_from_bytes(spec, bytes(raw))
+
+    def patched(pos, value):
+        raw = bytearray(blob)
+        raw[pos] = value
+        return raw
+
+    _raises_exactly("bad magic; not a share file", parse, b"RGC")
+    _raises_exactly("truncated share header", parse, blob[:43])
+    _raises_exactly("truncated share record", parse, blob[:44 + 5])
+    _raises_exactly("truncated share record", parse, blob[:-7 - 3])
+    _raises_exactly("record width 2 does not match the field width 1",
+                    parse, patched(44 + 7 + 5, 2))
+    _raises_exactly("2 trailing bytes after the last record", parse,
+                    blob + b"\x00\x00")
+    _raises_exactly("5 trailing bytes after the last record", parse,
+                    blob[:36] + (1).to_bytes(4, "little")
+                    + (len(share.symbols) - 1).to_bytes(4, "little")
+                    + blob[44:-2])
+    c9 = complete9_spec                              # two-byte symbols
+    c9_blob = share_to_bytes(c9, encode(c9, _msg(c9, 7)).get(1))
+    _raises_exactly("truncated share value", share_from_bytes, c9,
+                    c9_blob[:44 + 6 + 1])
+    _raises_exactly("truncated share value", share_from_bytes, c9,
+                    c9_blob[:-1])
+
+    # DiskShare's checks, reached from bytes: a record out of slot order
+    first, second = blob[44:51], blob[51:58]
+    _raises_exactly("share symbols must be in slot order", parse,
+                    blob[:44] + second + first + blob[58:])
+    # check_share's checks: a group index moved, a value outside GF(3)
+    last_group = 44 + 7 * (len(share.symbols) - 1)
+    moved = patched(last_group, 99)
+    coords = tuple((j, i) for j, i, _ in share.symbols[:-1]) + (
+        (99, share.symbols[-1][1]),)
+    _raises_exactly(f"share for disk 1 carries slots {coords}, expected "
+                    f"{spec.layout.disk_slots(1)}", parse, moved)
+    _raises_exactly(f"share for disk 1 has a symbol outside GF({q})",
+                    parse, patched(44 + 6, q))
+    _raises_exactly("disk 10 outside 1..9", parse,
+                    blob[:36] + (10).to_bytes(4, "little") + blob[40:])
+
+
+def test_share_validation_messages(golden_spec):
+    spec = golden_spec
+    share = encode(spec, _msg(spec, 7)).get(1)
+    syms = share.symbols
+    _raises_exactly("malformed share symbol (0, 1)", DiskShare, 1,
+                    ((0, 1),) + syms[1:], exc=ValueError)
+    _raises_exactly("malformed share symbol (0, 1, 2, 3)", DiskShare, 1,
+                    syms[:1] + ((0, 1, 2, 3),), exc=ValueError)
+    _raises_exactly("malformed share symbol (0, 0, -1)", DiskShare, 1,
+                    ((0, 0, -1),) + syms[1:], exc=ValueError)
+    _raises_exactly("share symbols must be in slot order", DiskShare, 1,
+                    syms[::-1], exc=ValueError)
+    _raises_exactly("disk ids are 1-based", DiskShare, 0, syms,
+                    exc=ValueError)
+    off = DiskShare(disk=1, symbols=syms[:-1] + ((5, 0, 0),))
+    _raises_exactly(f"share for disk 1 carries slots "
+                    f"{tuple((j, i) for j, i, _ in off.symbols)}, expected "
+                    f"{spec.layout.disk_slots(1)}", check_share, spec, off)
+    _raises_exactly("share for disk 1 carries slots (), expected "
+                    f"{spec.layout.disk_slots(1)}", check_share, spec,
+                    DiskShare(disk=1, symbols=()))
+    big = DiskShare(disk=1, symbols=syms[:-1] + (syms[-1][:2] + (3,),))
+    _raises_exactly("share for disk 1 has a symbol outside GF(3)",
+                    check_share, spec, big)
+    _raises_exactly("disk 10 outside 1..9", check_share, spec,
+                    DiskShare(disk=10, symbols=syms))
+    for bad in (big, off):
+        with pytest.raises(ShareFormatError):
+            share_to_bytes(spec, bad)
+
+
+def test_non_int_symbols_are_rejected(golden_spec, complete9_spec):
+    """A float (or bool, or str) symbol is refused wherever a message or
+    a share is made, before any arithmetic can round it."""
+    c9 = complete9_spec
+    _raises_exactly("message symbol 1.5 is a float, not an int", encode,
+                    c9, [1.5] * c9.params.M, exc=ValueError)
+    _raises_exactly("message symbol '1' is a str, not an int", encode,
+                    c9, ["1"] * c9.params.M, exc=ValueError)
+    _raises_exactly("message symbol 1.0 is a float, not an int",
+                    MessageVector, 7, (1.0, 2.0), exc=ValueError)
+    _raises_exactly("message symbol True is a bool, not an int",
+                    MessageVector, 7, (1, True), exc=ValueError)
+    assert encode(c9, [1] * c9.params.M) == encode(
+        c9, MessageVector(c9.field.q, (1,) * c9.params.M))
+    syms = encode(golden_spec, _msg(golden_spec, 7)).get(1).symbols
+    floated = syms[:-1] + (syms[-1][:2] + (1.0,),)
+    _raises_exactly(f"share symbol {floated[-1]!r}: entry 1.0 is a float, "
+                    f"not an int", DiskShare, 1, floated, exc=ValueError)
+    _raises_exactly("share symbol (0, '0', 1): entry '0' is a str, not an "
+                    "int", DiskShare, 1, ((0, "0", 1),), exc=ValueError)
+    _raises_exactly("disk id 1.0 is a float, not an int", DiskShare, 1.0,
+                    syms, exc=ValueError)
+
+
+def _byte_sweep(spec, blob, positions):
+    """Every single-byte change at the given positions: each parse either
+    raises ShareFormatError or returns a share that writes back as the
+    same bytes."""
+    returned = 0
+    for pos in positions:
+        for value in range(256):
+            if value == blob[pos]:
+                continue
+            raw = blob[:pos] + bytes((value,)) + blob[pos + 1:]
+            try:
+                share = share_from_bytes(spec, raw)
+            except ShareFormatError as exc:
+                assert type(exc) is ShareFormatError
+                continue
+            assert share_to_bytes(spec, share) == raw
+            returned += 1
+    return returned
+
+
+def test_share_bytes_sweep(golden_spec, complete9_spec):
+    for spec in (golden_spec, complete9_spec):
+        share = encode(spec, _msg(spec, 11)).get(2)
+        blob = share_to_bytes(spec, share)
+        size = 6 + symbol_width(spec.field.q)
+        assert len(blob) == 44 + size * len(share.symbols)
+        for cut in range(len(blob)):
+            with pytest.raises(ShareFormatError) as err:
+                share_from_bytes(spec, blob[:cut])
+            assert type(err.value) is ShareFormatError
+        assert share_from_bytes(spec, blob) == share
+        header = range(44)
+        records = [*range(44, 44 + size),
+                   *range(len(blob) - size, len(blob))]
+        assert _byte_sweep(spec, blob, header) == 0
+        # only a value byte can change and leave a valid share
+        width = size - 6
+        returned = _byte_sweep(spec, blob, records)
+        value_bytes = 2 * width
+        assert 0 < returned <= value_bytes * 255

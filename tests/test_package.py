@@ -3,6 +3,8 @@ object, submodule bodies run only when used, and no module imports a
 name it does not use."""
 
 import ast
+import importlib.util
+import inspect
 import os
 import pathlib
 import subprocess
@@ -16,6 +18,7 @@ from rgc.construction import build_code
 from rgc.designs import gen_complete_design, gen_steiner_triple
 
 SRC = pathlib.Path(rgc.__file__).parent
+SPANS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 SUBMODULES = ("_kernel", "ffield", "designs", "construction", "codec",
               "analysis", "storesim")
 
@@ -235,3 +238,29 @@ def test_no_module_imports_dataclasses():
               and isinstance(node.func, ast.Name)}
     assert not called & {"exec", "eval", "compile"}
     assert "attrgetter" in called
+
+
+def test_benchmark_tracer_targets_resolve():
+    """After import rgc, every function the benchmark tracer wraps
+    resolves, and every argument a hook reads by name is a parameter of
+    its target, so a refactor cannot silently drop a traced layer."""
+    loader = importlib.util.spec_from_file_location("_bench_spans", SPANS)
+    spans = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(spans)
+    tree = ast.parse(SPANS.read_text(encoding="utf-8"))
+    reads = {fn.name: {node.slice.value for node in ast.walk(fn)
+                       if isinstance(node, ast.Subscript)
+                       and isinstance(node.value, ast.Name)
+                       and node.value.id == "bound"
+                       and isinstance(node.slice, ast.Constant)}
+             for fn in tree.body if isinstance(fn, ast.FunctionDef)}
+    assert reads["_encode"] == {"spec"}
+    for modname, path, name, _, bound_hook in spans.TARGETS:
+        _, fn = spans._resolve(modname, path)
+        assert callable(fn), name
+        if bound_hook is not None:
+            params = set(inspect.signature(fn).parameters)
+            assert reads[bound_hook.__name__] <= params, (path, params)
+    names = {target[2] for target in spans.TARGETS}
+    assert {"codec.encode", "codec.share_io"} <= names
+    spans.Tracer()   # binds every hooked signature
