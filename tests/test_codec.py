@@ -298,6 +298,98 @@ def test_group_decoder_inverts_each_row_tuple_once(complete9_spec,
     assert calls == []
 
 
+def _flip(held, disk, pos, q):
+    """held with symbol `pos` of `disk`'s share raised by one."""
+    syms = held.get(disk).symbols
+    j, i, v = syms[pos]
+    return held.replace(DiskShare(disk=disk, symbols=(
+        syms[:pos] + ((j, i, (v + 1) % q),) + syms[pos + 1:])))
+
+
+def _outcome(fn, *args) -> str:
+    """What a read or a repair returned, or its exception's class and
+    full text."""
+    try:
+        out = fn(*args)
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    if isinstance(out, MessageVector):
+        return repr(out.values)
+    share, transcript = out
+    return repr((share.disk, share.symbols, transcript.failed,
+                 transcript.helpers, transcript.checks))
+
+
+def _every_symbol(_, held):
+    return [(share.disk, pos) for share in held
+            for pos in range(len(share.symbols))]
+
+
+def _end_symbols(limit):
+    def flips(index, held):
+        if index >= limit:
+            return []
+        return [(share.disk, pos) for share in held
+                for pos in (0, len(share.symbols) - 1)]
+    return flips
+
+
+def _outcome_digest(spec, flips):
+    """sha256 of the outcomes of every k-set read of the seed-7 message,
+    each followed by the reads with the symbols flips(index, held)
+    flipped, then of every repair of every disk from every set of d - 1
+    or more helpers, and from all n - 1 others with each of the symbols
+    flips(0, helpers) flipped."""
+    p, q = spec.params, spec.field.q
+    shares = encode(spec, _msg(spec, 7))
+    disks = range(1, p.n + 1)
+    outcomes = []
+    for index, keep in enumerate(itertools.combinations(disks, p.k)):
+        held = shares.subset(keep)
+        outcomes.append(_outcome(reconstruct, spec, held))
+        outcomes += [_outcome(reconstruct, spec, _flip(held, disk, pos, q))
+                     for disk, pos in flips(index, held)]
+    for failed in disks:
+        others = [x for x in disks if x != failed]
+        for size in range(p.d - 1, p.n):
+            for helpers in itertools.combinations(others, size):
+                outcomes.append(_outcome(repair, spec, failed,
+                                         shares.subset(helpers)))
+        pool = shares.without(failed)
+        outcomes += [_outcome(repair, spec, failed, _flip(pool, disk, pos, q))
+                     for disk, pos in flips(0, pool)]
+    blob = "\n".join(outcomes).encode("utf-8")
+    return len(outcomes), hashlib.sha256(blob).hexdigest()
+
+
+def test_read_and_repair_outcomes_pinned(golden_spec, t3_spec,
+                                         complete9_spec, s15_spec,
+                                         failing_c9_spec):
+    """Messages, errors, rebuilt shares and transcripts of every read
+    and repair of the reference codes, flipped symbols included: golden
+    and c347 flip every held symbol, c9 the first and last symbol of
+    each held disk, s15 those on its first 50 k-sets and its repairs."""
+    cases = (
+        (golden_spec, _every_symbol, 1413,
+         "c5f30ffb5fc983637f0903dc056fbaef"
+         "1ded30e81922e25d590b06b8eaeaeded"),
+        (t3_spec, _every_symbol, 3829,
+         "a1085bdc09154e34858a0e5353e2f951"
+         "399b91a7c858a49b9e613f1394c17d89"),
+        (complete9_spec, _end_symbols(36), 765,
+         "303e48b92c82f8edf0f1e5ef12315881"
+         "61382f4c61bf2fdbf667123df15e5a5e"),
+        (s15_spec, _end_symbols(50), 3110,
+         "b3ce7f789e260b63e1c012b86c771a42"
+         "5363ce4623df8b17c016f43e90afa527"),
+        (failing_c9_spec, _end_symbols(0), 117,
+         "060cac23160f77974d795ef5cdd5f150"
+         "b9d0a212b0f07403139172a45359e4a9"),
+    )
+    for spec, flips, count, pin in cases:
+        assert _outcome_digest(spec, flips) == (count, pin)
+
+
 def test_deep_overlap_round_trip(t3_spec):
     msg = _msg(t3_spec, 9)
     shares = encode(t3_spec, msg)
