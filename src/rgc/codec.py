@@ -4,17 +4,17 @@ Shares are per-disk symbol lists addressed by (group, row): group j is
 the parity group hosted by design block j, row i its position inside
 the block.  Encoding expands the message through the long layer
 (appending T parity symbols) and then all group columns through the
-short layer (construction.short_layer).  One group decoder
-(construction.group_decoder, an inverse kept per spec and held-row
-tuple) solves a group's m = r-t+1 long-layer symbols from its lowest m
-held rows, or, holding fewer, up to a kernel basis.  Repair copies m
-held rows of each affected group from any helper set that holds them,
-in particular from any d = n-t+1 other disks, and reads any further
-held rows only to cross-check.  Reconstruction from k disks runs the
-group decoder on every group, then one T x T(A) solve of the reduced
-system (the long-layer parity checks on the kernels of the groups hit
-in at least t erased disks) gives the kernel coefficients; its rank
-decides decodability.
+short layer (construction.short_layer).  Reads and repairs follow the
+plan of the held disks (construction.plan): each group uses its lowest
+m = r-t+1 held rows and keeps the rest as surplus.  The group decoder
+(construction.group_decoder, an inverse kept per spec and row tuple)
+solves a group's long-layer column from its used rows, up to a kernel
+basis when it uses fewer than m.  Repair copies the used rows of each
+affected group from any d = n-t+1 other disks, or any helpers holding
+m rows of each, and reads the surplus only to cross-check.
+Reconstruction runs the group decoder on every group, then one T x T(A)
+solve on the heavy groups' kernels (groups using fewer than m rows)
+gives the kernel coefficients; its rank decides decodability.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ from operator import mul
 from ._kernel import mat_mul as _kmul
 from ._kernel import mat_solve as _ksolve
 from ._record import record
-from .construction import (CodeSpec, group_decoder, parity_block,
-                           short_layer, stack_blocks)
+from .construction import (CodeSpec, group_decoder, parity_block, plan,
+                           short_layer)
 
 _MAGIC = b"RGC1"
 
@@ -256,20 +256,20 @@ def _share_map(spec: CodeSpec, shares) -> dict[int, DiskShare]:
     return out
 
 
-def _group_columns(spec: CodeSpec, groups, held):
-    """(columns, kernels) of the given groups' long-layer columns.
+def _group_columns(spec: CodeSpec, steps, held):
+    """(columns, kernels) of the long-layer columns of the groups of a
+    plan.
 
     held maps (group, row) to a stored symbol.  Each group is solved from
-    its lowest m held rows; groups holding the same rows share one
-    product with their group_decoder solve matrix.  Held rows beyond
-    those m are not read.  A group holding fewer than m rows gets its
-    column with the free symbols 0 and, in kernels, its kernel basis.
+    the rows its plan uses; groups using the same rows share one product
+    with their group_decoder solve matrix.  Surplus rows are not read.
+    A heavy group gets its column with the free symbols 0 and, in
+    kernels, its kernel basis.
     """
-    m, rows = spec.params.m, range(spec.params.r)
+    m = spec.params.m
     by_sel: dict[tuple[int, ...], list[int]] = {}
-    for j in groups:
-        sel = tuple([i for i in rows if (j, i) in held][:m])
-        by_sel.setdefault(sel, []).append(j)
+    for j, used, _ in steps:
+        by_sel.setdefault(used, []).append(j)
     cols, kernels = {}, {}
     for sel, js in by_sel.items():
         solve, kernel = group_decoder(spec, sel)
@@ -320,39 +320,35 @@ def repair(spec: CodeSpec, failed: int,
         raise ValueError(f"disk {failed} cannot help repair itself")
     held = {(j, i): v for share in pool.values() for j, i, v in share.symbols}
     groups = spec.layout.groups
-    affected = [j for j, block in enumerate(groups) if failed in block]
-    surv = {}
-    for j in affected:
-        block = groups[j]
-        surv[j] = [i for i, disk in enumerate(block) if disk in pool]
-        if len(surv[j]) < p.m:
-            absent = [disk for disk in block
+    affected, lost = spec.layout.disk_columns(failed)  # its groups, rows
+    steps = plan(spec, pool, affected)
+    for j, used, _ in steps:
+        if len(used) < p.m:
+            absent = [disk for disk in groups[j]
                       if disk != failed and disk not in pool]
             raise ValueError(
-                f"repair of disk {failed}: group {j} on disks {block} "
-                f"holds {len(surv[j])} of the m = {p.m} rows it needs; "
+                f"repair of disk {failed}: group {j} on disks {groups[j]} "
+                f"holds {len(used)} of the m = {p.m} rows it needs; "
                 f"missing helpers {absent}")
-    cols, _ = _group_columns(spec, affected, held)
+    cols, _ = _group_columns(spec, steps, held)
     out = short_layer(spec, [cols[j] for j in affected])
     count = len(affected)
     sent: dict[int, list[tuple[int, int, int]]] = {h: [] for h in pool}
     checked: dict[int, list[tuple[int, int, int]]] = {h: [] for h in pool}
     rebuilt: list[tuple[int, int, int]] = []
-    for g, j in enumerate(affected):
+    for g, (j, used, surplus) in enumerate(steps):
         block = groups[j]
-        for i in surv[j][:p.m]:
+        for i in used:
             sent[block[i]].append((j, i, held[(j, i)]))
-        for i in surv[j][p.m:]:
+        for i in surplus:
             checked[block[i]].append((j, i, held[(j, i)]))
             if held[(j, i)] != out[i * count + g]:
                 raise CorruptionError(
                     f"repair of disk {failed}: group {j} is inconsistent; "
                     f"its rows copied from disks "
-                    f"{[block[i] for i in surv[j][:p.m]]} disagree with "
-                    f"its check rows on disks "
-                    f"{[block[i] for i in surv[j][p.m:]]}")
-        fi = block.index(failed)
-        rebuilt.append((j, fi, out[fi * count + g]))
+                    f"{[block[i] for i in used]} disagree with its check "
+                    f"rows on disks {[block[i] for i in surplus]}")
+        rebuilt.append((j, lost[g], out[lost[g] * count + g]))
     share = DiskShare(disk=failed, symbols=tuple(rebuilt))
     transcript = RepairTranscript(
         failed=failed,
@@ -379,16 +375,18 @@ def reconstruct(spec: CodeSpec, shares) -> MessageVector:
                          f"got {len(pool)}")
     missing = tuple(sorted(set(range(1, p.n + 1)) - set(pool)))
     held = {(j, i): v for share in pool.values() for j, i, v in share.symbols}
-    cols, kernels = _group_columns(spec, range(p.nstar), held)
+    cols, kernels = _group_columns(spec, plan(spec, pool), held)
     # long-layer symbols; heavy groups' free symbols stay 0 for now
     w = [v for j in range(p.nstar) for v in cols[j]]
     heavy = sorted(kernels)
-    blocks = [parity_block(spec, j, kernels[j]) for j in heavy]
-    width = sum(map(len, blocks))
+    # the T x T(A) matrix [S | -I] K_A, one image per kernel vector
+    images = [col for j in heavy for col in parity_block(spec, j, kernels[j])]
+    width = len(images)
     # [S | -I] w = 0 with the known part moved to the right-hand side
     rhs = [(w[M + t] - sum(map(mul, srow, w))) % q
            for t, srow in enumerate(spec.s_rows)]
-    rank, z = _ksolve(stack_blocks(blocks, T), T, width, rhs, 1, q)
+    rank, z = _ksolve([col[t] for t in range(T) for col in images], T,
+                      width, rhs, 1, q)
     if rank < width:
         raise ValueError(
             f"the stored parity matrix cannot decode erasure pattern "

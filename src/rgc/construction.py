@@ -21,12 +21,13 @@ and A is decodable exactly when it has rank T(A).  verify_S walks the
 erasure sets as paths of their prefix tree (_walk): one more erased disk
 only grows the kernels of the blocks that contain it, so span(K_A) is
 built one vector at a time, and an image under [S | -I] that depends on
-the earlier ones fails every completion of the prefix.  The reduced
-system drives decoding in codec and rank_witness, which builds, for one
-erasure set, a 0/1 matrix S that satisfies the condition, so the generic
-determinant argument for random S is checkable per set.  erasure_system
-is the independent dense reference: every symbol stored on a surviving
-disk as a linear form in the message.
+the earlier ones fails every completion of the prefix.  plan gives each
+group's lowest m held rows (used) and the rest (surplus); codec's reads
+and repairs follow it, and rank_witness takes its heavy groups' kernels
+from it to build, for one erasure set, a 0/1 matrix S that satisfies
+the condition, so the generic determinant argument for random S is
+checkable per set.  erasure_system is the independent dense reference:
+every symbol stored on a surviving disk as a linear form in the message.
 """
 
 from __future__ import annotations
@@ -603,32 +604,28 @@ def parity_block(spec: CodeSpec, j: int, kernel) -> list[tuple[int, ...]]:
     return out
 
 
-def stack_blocks(blocks, T: int) -> list[int]:
-    """The flat T x T(A) reduced matrix of the heavy groups' parity
-    blocks, side by side in the given order."""
-    cols = [col for blk in blocks for col in blk]
-    return [col[t] for t in range(T) for col in cols]
+def plan(spec: CodeSpec, disks, groups=None) -> list[tuple]:
+    """(j, used, surplus) for each group j of `groups` (all, by default)
+    when the disks `disks` are held: used is the group's lowest m held
+    rows and surplus the held rows beyond them, as row tuples.  A group
+    using fewer than m rows is heavy; group_decoder gives its kernel.
 
-
-def reduced_system(spec: CodeSpec, a):
-    """(kernels, matrix, width) of the reduced system of erasure set a.
-
-    kernels maps each heavy group, one whose block meets a in e >= t
-    disks, in group order, to the flat m x f kernel basis of its
-    surviving short-generator rows (f = e - t + 1; see group_decoder).
-    matrix is the flat T x width matrix [S | -I] K_A, width = T(A), with
-    columns in the order of kernels; a is decodable exactly when its
-    rank is width.
+    Only the groups on disks not held are worked out, from their lost-row
+    masks; every other group shares the one split (rows 0..m-1, rows
+    m..r-1).
     """
-    aset = _erasure_set(spec.params.n, a, spec.params.n - spec.params.k)
-    kernels, blocks = {}, []
-    for j, group in enumerate(spec.layout.groups):
-        rows = tuple(i for i, disk in enumerate(group) if disk not in aset)
-        if len(group) - len(rows) >= spec.params.t:
-            _, kernels[j] = group_decoder(spec, rows)
-            blocks.append(parity_block(spec, j, kernels[j]))
-    return (kernels, stack_blocks(blocks, spec.params.T),
-            sum(map(len, blocks)))
+    p = spec.params
+    lost: dict[int, int] = {}
+    for x in range(1, p.n + 1):
+        if x not in disks:
+            for j, i in spec.layout.disk_slots(x):
+                lost[j] = lost.get(j, 0) | 1 << i
+    splits = {}     # lost-row mask -> (used, surplus)
+    for h in {0, *lost.values()}:
+        held = tuple(i for i in range(p.r) if not h >> i & 1)
+        splits[h] = held[:p.m], held[p.m:]
+    return [(j, *splits[lost.get(j, 0)])
+            for j in (range(p.nstar) if groups is None else groups)]
 
 
 @record
@@ -805,9 +802,9 @@ def rank_witness(spec: CodeSpec, a) -> tuple[int, ...]:
 
     Existence of a witness for every A shows the determinant polynomial
     behind the random-S argument is not identically zero.  The greedy
-    runs in the reduced space of reduced_system: let u(x) be the row of
-    the stacked kernel basis K_A at long-layer position x of a heavy
-    group.  Row t of S, a unit vector e_x or zero, adds the row
+    runs in the reduced space of the heavy groups of a's plan: let u(x)
+    be the row of the stacked kernel basis K_A at long-layer position x
+    of a heavy group.  Row t of S, a unit vector e_x or zero, adds the row
     u(x) - u(M+t) to [S | -I] K_A, with u(M+t) = 0 when slot M+t is not
     heavy.  Starting from an empty basis, row t is zero when slot M+t is
     heavy and -u(M+t) raises the rank, else the unit vector at the first
@@ -820,10 +817,13 @@ def rank_witness(spec: CodeSpec, a) -> tuple[int, ...]:
     """
     p, q = spec.params, spec.field.q
     m, M, T = p.m, p.M, p.T
-    kernels, _, width = reduced_system(spec, a)
+    aset = _erasure_set(p.n, a, p.n - p.k)
+    kernels = [(j, group_decoder(spec, used)[1]) for j, used, _ in
+               plan(spec, set(range(1, p.n + 1)) - aset) if len(used) < m]
+    width = sum(len(kernel) for _, kernel in kernels) // m
     u: dict[int, list[int]] = {}
     off = 0
-    for j, kernel in kernels.items():
+    for j, kernel in kernels:
         f = len(kernel) // m
         for c in range(m):
             row = [0] * width

@@ -15,8 +15,8 @@ from rgc.codec import (CorruptionError, DiskShare, MessageVector,
                        ShareFormatError, ShareSet, check_share, encode,
                        read_share, reconstruct, repair, share_from_bytes,
                        share_to_bytes, symbol_width, write_share)
-from rgc.construction import (CodeSpec, compute_TA, reduced_system,
-                              verify_S)
+from rgc.construction import (CodeSpec, compute_TA, group_decoder,
+                              parity_block, plan, verify_S)
 
 
 def _msg(spec, seed):
@@ -125,16 +125,18 @@ def test_reconstruct_detects_flip_when_overdetermined(s15_spec):
     more parity checks T than unknowns T(A), so flipped symbols of the
     heavy groups are caught."""
     spec = s15_spec
-    q = spec.field.q
+    p, q = spec.params, spec.field.q
     block = spec.design.blocks[0]
     missing = tuple(sorted(block + (max(set(range(1, 16)) - set(block)),)))
-    kernels, matrix, width = reduced_system(spec, missing)
+    heavy = [(j, used, surplus) for j, used, surplus in
+             plan(spec, set(range(1, 16)) - set(missing)) if len(used) < p.m]
+    columns = [col for j, used, _ in heavy
+               for col in parity_block(spec, j, group_decoder(spec, used)[1])]
+    width = len(columns)
     assert width == compute_TA(spec.design, missing)
-    assert len(matrix) == spec.params.T * width
-    assert spec.params.T > width
-    kept = [(j, i) for j in kernels
-            for i, disk in enumerate(spec.layout.groups[j])
-            if disk not in missing]
+    assert all(len(col) == p.T for col in columns)
+    assert p.T > width
+    kept = [(j, i) for j, used, surplus in heavy for i in used + surplus]
     assert kept
     msg = _msg(spec, 3)
     shares = encode(spec, msg).without(*missing)

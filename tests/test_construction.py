@@ -19,9 +19,9 @@ from rgc.construction import (BudgetExceededError, CodeSpec, SynthesisError,
                               build_layout, choose_phi, closed_form_Tc,
                               compute_T, compute_TA, derive_params,
                               _vandermonde_parity, erasure_system,
-                              group_decoder, parity_block, rank_witness,
-                              reduced_system, short_mds_generator,
-                              stack_blocks, synthesize_S, verify_S)
+                              group_decoder, parity_block, plan,
+                              rank_witness, short_mds_generator,
+                              synthesize_S, verify_S)
 from rgc.designs import S_2_4_13, gen_complete_design, gen_steiner_triple
 from rgc.ffield import PrimeField
 from rgc._kernel import mat_mul, mat_rank
@@ -333,15 +333,15 @@ def _prefix_fails(spec, prefix):
     """Rank check of [S | -I] on the kernels of the groups that the
     disks `prefix` hit in t or more disks, made from scratch."""
     t, q, T = spec.params.t, spec.field.q, spec.params.T
-    blocks = []
+    cols = []
     for j, group in enumerate(spec.layout.groups):
         rows = tuple(i for i, disk in enumerate(group) if disk not in prefix)
         if len(group) - len(rows) >= t:
             _, kernel = group_decoder(spec, rows)
-            blocks.append(parity_block(spec, j, kernel))
-    width = sum(map(len, blocks))
-    return width > 0 and mat_rank(stack_blocks(blocks, T), T, width,
-                                  q) < width
+            cols += parity_block(spec, j, kernel)
+    width = len(cols)
+    return width > 0 and mat_rank([col[u] for u in range(T) for col in cols],
+                                  T, width, q) < width
 
 
 def _walk_bounds(spec):
@@ -424,8 +424,8 @@ def test_verify_prunes_failed_prefixes():
     """Codes that fail on prefixes shorter than n - k: S = 0 on
     complete(2,3,8) k=4 over GF(2), checked against the dense reference,
     and S(2,3,15) k=10 over GF(3) with one group's message columns of S
-    zeroed, checked set by set on the reduced system.  A sampled check
-    fails on exactly the exhaustive failures it draws."""
+    zeroed, checked set by set on the reduced system of each set's plan.
+    A sampled check fails on exactly the exhaustive failures it draws."""
     zero = _zero_s(_random_candidate(gen_complete_design(2, 3, 8), 4, 2, 0))
     report = verify_S(zero)
     assert report.failures == _dense_failures(zero)
@@ -433,10 +433,14 @@ def test_verify_prunes_failed_prefixes():
     spec = _zero_s(_random_candidate(gen_steiner_triple(15), 10, 3, 0),
                    group=0)
     report = verify_S(spec)
+    p = spec.params
     want = []
     for a in _erasure_sets(spec):
-        _, matrix, width = reduced_system(spec, a)
-        if mat_rank(matrix, spec.params.T, width, spec.field.q) < width:
+        held = set(range(1, p.n + 1)) - set(a)
+        cols = [col for j, used, _ in plan(spec, held) if len(used) < p.m
+                for col in parity_block(spec, j, group_decoder(spec, used)[1])]
+        matrix = [col[u] for u in range(p.T) for col in cols]
+        if mat_rank(matrix, p.T, len(cols), spec.field.q) < len(cols):
             want.append(a)
     assert report.failures == tuple(want)
     assert 0 < report.pruned < len(want) < report.total
@@ -445,6 +449,39 @@ def test_verify_prunes_failed_prefixes():
         drawn = _sampled_sets(spec, sample, seed)
         assert sampled.checked == sample and sampled.sampled
         assert sampled.failures == tuple(a for a in want if a in drawn)
+
+
+def test_plan_splits_the_held_rows(golden_spec, t3_spec, s15_spec,
+                                  failing_c9_spec):
+    """On every erasure set a: used is a group's lowest min(m, held) held
+    rows and surplus the rest, a group that a misses uses rows 0..m-1,
+    and the heavy groups lack compute_TA(a) rows in all.  A repair plan
+    from the n - 1 other disks or from any d of them has no heavy
+    group."""
+    for spec in (golden_spec, t3_spec, s15_spec, failing_c9_spec):
+        p = spec.params
+        disks = set(range(1, p.n + 1))
+        whole = (tuple(range(p.m)), tuple(range(p.m, p.r)))
+        for a in _erasure_sets(spec):
+            steps = plan(spec, disks - set(a))
+            assert [j for j, _, _ in steps] == list(range(p.nstar))
+            deficit = 0
+            for (_, used, surplus), block in zip(steps, spec.layout.groups):
+                held = tuple(i for i, x in enumerate(block) if x not in a)
+                assert (used, surplus) == (held[:p.m], held[p.m:])
+                if not set(block) & set(a):
+                    assert (used, surplus) == whole
+                if len(used) < p.m:
+                    deficit += p.m - len(used)
+            assert deficit == compute_TA(spec.design, a)
+        for failed in disks:
+            groups = spec.layout.disk_columns(failed)[0]
+            for size in {p.d, p.n - 1}:
+                for helpers in itertools.combinations(disks - {failed},
+                                                      size):
+                    steps = plan(spec, set(helpers), groups)
+                    assert tuple(j for j, _, _ in steps) == groups
+                    assert all(len(used) == p.m for _, used, _ in steps)
 
 
 def test_no_cyclic_garbage(s15_spec, complete9_spec):
@@ -516,8 +553,11 @@ def test_witness_self_check_rejects_a_wrong_structure(golden_spec,
                                                       monkeypatch):
     # with no heavy groups the greedy keeps S = 0, which no erasure set
     # of the golden code survives; the dense self-check must say so
-    monkeypatch.setattr(construction, "reduced_system",
-                        lambda spec, a: ({}, [], 0))
+    p = golden_spec.params
+    whole = tuple(range(p.m)), tuple(range(p.m, p.r))
+    monkeypatch.setattr(construction, "plan",
+                        lambda spec, disks, groups=None:
+                        [(j, *whole) for j in range(p.nstar)])
     with pytest.raises(WitnessError):
         rank_witness(golden_spec, (1, 2))
 
