@@ -32,11 +32,11 @@ class ScenarioEvent:
 
     def __post_init__(self):
         if self.kind in ("fail", "repair"):
-            if not isinstance(self.node, int):
+            if type(self.node) is not int:
                 raise ValueError(f"{self.kind} event needs a node id")
         elif self.kind == "read":
             if (self.disks is None
-                    or not all(isinstance(x, int) for x in self.disks)):
+                    or not all(type(x) is int for x in self.disks)):
                 raise ValueError("read event needs a list of disk ids")
         elif self.kind == "assert":
             if self.predicate not in PREDICATES:
@@ -174,7 +174,7 @@ class Cluster:
         return sum(self.sent.values()) == sum(self.received.values())
 
     def _valid_node(self, node) -> bool:
-        return isinstance(node, int) and 1 <= node <= self.spec.params.n
+        return type(node) is int and 1 <= node <= self.spec.params.n
 
     # ---- event handlers (record, never raise) -------------------------
 

@@ -132,6 +132,30 @@ def test_repair_preconditions_recorded(golden_spec):
     assert not ev["ok"] and "unknown node" in ev["error"]
 
 
+def test_bool_node_ids_are_refused(golden_spec):
+    """JSON true is not node 1: a scenario naming it is refused, and a
+    cluster records it as an unknown node or an invalid read subset."""
+    for event in ({"fail": True}, {"repair": True},
+                  {"read": [True, 2, 3, 4, 5, 6, 7]}):
+        with pytest.raises(ValueError):
+            Scenario.from_json(json.dumps({"events": [event]}))
+    with pytest.raises(ValueError):
+        ScenarioEvent(kind="repair", node=True)
+    with pytest.raises(ValueError):
+        ScenarioEvent(kind="read", disks=(1, 2, 3, 4, 5, 6, False))
+    cluster = Cluster.provision(golden_spec, _msg(golden_spec))
+    ev = cluster.fail(True)
+    assert not ev["ok"] and ev["error"] == "unknown node True"
+    assert cluster.live() == tuple(range(1, 10))
+    cluster.fail(1)
+    ev = cluster.repair(True)
+    assert not ev["ok"] and ev["error"] == "unknown node True"
+    ev = cluster.read([True, 2, 3, 4, 5, 6, 7])
+    assert not ev["ok"]
+    assert ev["error"] == "read subset has invalid or duplicate disk ids"
+    assert cluster.failed() == (1,) and cluster.repairs == 0
+
+
 def test_degraded_repair_uses_every_live_node(t3_spec):
     """c347 (t = 3): with nodes 1 and 2 down, node 1 is rebuilt from the
     d = 5 live nodes: 40 copied symbols, plus 10 check reads from the
