@@ -216,6 +216,27 @@ def test_no_unused_module_imports():
     assert not unused
 
 
+def test_no_unused_private_helpers():
+    """Every module-level private function or class under src/rgc/ is
+    loaded somewhere under src/rgc/, so no dead helper is left behind."""
+    defined, loaded = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined.update(
+            (path.name, node.name) for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.endswith("__"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Load)):
+                loaded.add(node.attr)
+    assert ("construction.py", "_walk") in defined
+    assert sorted(f"{module}: {name}" for module, name in defined
+                  if name not in loaded) == []
+
+
 def test_no_module_imports_dataclasses():
     """Records come from _record, which builds its methods as closures:
     no module under src/rgc/ imports dataclasses, and _record calls no
