@@ -370,7 +370,8 @@ def test_read_and_repair_outcomes_pinned(golden_spec, t3_spec,
     """Messages, errors, rebuilt shares and transcripts of every read
     and repair of the reference codes, flipped symbols included: golden
     and c347 flip every held symbol, c9 the first and last symbol of
-    each held disk, s15 those on its first 50 k-sets and its repairs."""
+    each held disk, s15 those on its first 50 k-sets and its repairs,
+    and the failing GF(31) c9 candidate none."""
     cases = (
         (golden_spec, _every_symbol, 1413,
          "c5f30ffb5fc983637f0903dc056fbaef"
