@@ -1,5 +1,6 @@
 """Tradeoff bounds, design benchmarking, and exponent-region math."""
 
+import hashlib
 import json
 import math
 import warnings
@@ -9,17 +10,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rgc import analysis
 from rgc.analysis import (EXPONENT_CSV_HEADER, TRADEOFF_CSV_HEADER,
-                          ParameterRegimeWarning, ceil_rational_power,
-                          check_nominal_bounds, check_realized_bounds,
-                          compare_designs, complete_tradeoff_point,
+                          ParameterRegimeWarning, TradeoffPoint,
+                          ceil_rational_power, check_nominal_bounds,
+                          check_realized_bounds, compare_designs,
+                          complete_tradeoff_point,
                           cutset_max_M, exponent_csv, exponent_json,
                           exponent_point, exponent_region_membership,
                           format_fraction, integer_root, msr_mbr_points,
                           realized_point, regime_threshold, sweep_tradeoff,
                           timesharing_M, tradeoff_csv, tradeoff_json)
 from rgc.construction import derive_params
-from rgc.designs import gen_complete_design, gen_steiner_triple
+from rgc.designs import (S_2_3_7, S_2_3_9, S_2_4_13, gen_complete_design,
+                         gen_steiner_triple)
 
 F = Fraction
 
@@ -151,6 +155,39 @@ def test_nominal_bounds_exact_algebraic_sign():
     assert check.ineq2
 
 
+@pytest.mark.parametrize("n,tau2,eps", [
+    (256, 1, F(1, 2)),     # c = 16
+    (128, 1, F(1, 2)),     # c = 8 sqrt 2, c^2 rational
+    (100, 2, F(1, 3)),     # degree-3 c
+    (12, 3, F(5, 6)),      # degree-6 c
+])
+def test_nominal_repair_bound_decided_on_both_sides(monkeypatch, n, tau2,
+                                                    eps):
+    """ineq2 asks g c (c - tau2) <= n tau1 (n - tau2) at c = n^eps.  With
+    the redundancy g set just below and just above the root g* of that
+    equation, the check must settle each side exactly."""
+    tau1 = tau2 + 1
+    bound = n * tau1 * (n - tau2)
+    p, s, digits = eps.numerator, eps.denominator, 40
+    lo = F(integer_root(n ** p * 10 ** (s * digits), s), 10 ** digits)
+    exact = lo ** s == n ** p
+    hi = lo if exact else lo + F(1, 10 ** digits)
+    g_below, g_above = (bound / (c * (c - tau2)) for c in (hi, lo))
+    if exact:
+        g_above += F(1, 10 ** digits)
+
+    def with_redundancy(g):
+        point = TradeoffPoint(alpha_bar=(g + 1) / n, M_bar=F(1),
+                              provenance="constructed")
+        monkeypatch.setattr(analysis, "complete_tradeoff_point",
+                            lambda *args: point)
+        return check_nominal_bounds(n, tau1, tau2, eps).ineq2
+
+    assert with_redundancy(g_below)
+    assert not with_redundancy(g_above)
+    assert with_redundancy(F(0)) and with_redundancy(F(-3))
+
+
 def test_region_membership_classification():
     on_edge = exponent_region_membership(F(1), F(3, 2))
     assert on_edge.achievable == "boundary"
@@ -208,3 +245,50 @@ def test_fraction_formatting():
     assert format_fraction(F(67, 5)) == "67/5"
     assert format_fraction(F(4)) == "4"
     assert format_fraction(7) == "7"
+
+
+def _analysis_outcome(fn, *args) -> str:
+    """repr of what fn returned, or its exception's class and full text,
+    followed by the class and text of every warning it issued."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            out = repr(fn(*args))
+        except Exception as exc:
+            out = f"{type(exc).__name__}: {exc}"
+    return "\n".join([out] + [f"{w.category.__name__}: {w.message}"
+                              for w in caught])
+
+
+def test_analysis_outcomes_pinned():
+    """Exponent points, nominal and realized bound checks, swept tables
+    in both formats, and design comparisons, errors included."""
+    eps_all = sorted({F(p, s) for s in range(2, 7) for p in range(1, s)})
+    outcomes = []
+    for n in [*range(4, 65), 128, 256, 512, 1024]:
+        for tau2 in (1, 2):
+            for tau1 in range(tau2, tau2 + 3):
+                for eps in eps_all:
+                    r = ceil_rational_power(n, eps)
+                    outcomes += [
+                        _analysis_outcome(exponent_point, n, tau1, tau2, eps),
+                        _analysis_outcome(check_nominal_bounds, n, tau1, tau2,
+                                          eps),
+                        _analysis_outcome(check_realized_bounds, n, tau1,
+                                          tau2, r)]
+    assert len(outcomes) == 12870
+    for n in range(2, 13):
+        for d in range(1, n):
+            for k in range(1, d + 1):
+                rows = sweep_tradeoff(n, k, d)
+                outcomes += [tradeoff_csv(rows),
+                             json.dumps(tradeoff_json(rows))]
+    for design, ks in ((S_2_3_7, (3, 5)), (S_2_3_9, (6, 7)),
+                       (S_2_4_13, (10, 12))):
+        complete = gen_complete_design(design.t, design.r, design.n)
+        outcomes += [_analysis_outcome(compare_designs, design, complete, k)
+                     for k in ks]
+    blob = "\n".join(outcomes).encode("utf-8")
+    assert hashlib.sha256(blob).hexdigest() == (
+        "244db30d43af5cf80bd58281919977fa"
+        "a3456b4bfa41267958d79389582facd4")

@@ -1,7 +1,9 @@
 """Command-line surface: every path is a thin adapter over the library."""
 
+import importlib.util
 import json
 import os
+import pathlib
 
 import pytest
 
@@ -10,6 +12,9 @@ from rgc.cli import cli_dispatch
 from rgc.codec import MessageVector, encode, read_share, write_share
 from rgc.construction import CodeSpec, build_code
 from rgc.designs import BlockDesign, gen_steiner_triple
+
+WORKLOADS = (pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+             / "workloads.py")
 
 
 def run(capsys, *argv):
@@ -360,3 +365,24 @@ def test_malformed_json_exits_1_with_one_error_line(capsys, tmp_path,
     assert code == 1
     assert err.startswith("error:") and err.count("\n") == 1
     assert str(bad) in err
+
+
+def test_benchmark_cli_pins(tmp_path):
+    """The benchmark's walkthrough commands whose outputs do not depend
+    on its seed reproduce every output the benchmark pins."""
+    loader = importlib.util.spec_from_file_location("_bench_workloads",
+                                                    WORKLOADS)
+    workloads = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(workloads)
+    seeded = {"encode", "repair", "reconstruct", "sim-soak"}
+    walk = {"failed": 1, "read": [], "soak_seed": 0}
+    outputs = {}
+    for name, argv in workloads.walkthrough(tmp_path, walk):
+        if name not in seeded:
+            workloads.clear_caches()
+            code, outputs[name] = workloads.run_inprocess(argv, None)
+            assert code == 0, name
+    for name, pin in workloads.CLI_PINS.items():
+        data = ((tmp_path / name).read_bytes() if name.endswith(".json")
+                else outputs[name])
+        assert workloads.sha256(data) == pin, name
