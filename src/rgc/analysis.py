@@ -2,8 +2,13 @@
 
 All tradeoff quantities are exact rationals: per-disk storage and data
 size are normalized by the per-helper repair transfer, giving points
-(alpha_bar, M_bar) comparable across codes.  Floating point appears
-only when converting exact rationals to log-scale exponents for output.
+(alpha_bar, M_bar) comparable across codes.  One helper, _point, makes
+that normalization from (d, alpha, gamma, M) for built codes, complete
+designs and design comparisons alike.  Bounds at a nominal exponent
+involve c = n^epsilon, usually irrational; they are settled exactly by
+integer roots, and the repair bound, monotone in c, by decimal brackets
+around c.  Floating point appears only when converting exact rationals
+to log-scale exponents for output.
 """
 
 from __future__ import annotations
@@ -30,6 +35,14 @@ class TradeoffPoint:
     alpha_bar: Fraction
     M_bar: Fraction
     provenance: str  # constructed | bound | timesharing
+
+
+def _point(d: int, alpha: int, gamma: int, M: int) -> TradeoffPoint:
+    """Storage alpha and data size M divided by the per-helper transfer
+    gamma/d."""
+    return TradeoffPoint(alpha_bar=Fraction(alpha * d, gamma),
+                         M_bar=Fraction(M * d, gamma),
+                         provenance="constructed")
 
 
 def _validate_nkd(n: int, k: int, d: int) -> None:
@@ -99,14 +112,14 @@ def complete_tradeoff_point(n: int, k: int, d: int,
             f"minimum-storage regime", ParameterRegimeWarning,
             stacklevel=2)
     m = r - t + 1
-    tc = closed_form_Tc(n, k, r, t)
-    alpha_bar = Fraction(d, m)
-    m_bar = Fraction(n * d, r) - Fraction(d * tc, m * comb(n - 1, r - 1))
-    if m_bar <= 0:
+    # C(n, r) blocks of m long-layer slots, C(n-1, r-1) through each disk
+    alpha = comb(n - 1, r - 1)
+    point = _point(d, alpha, m * alpha,
+                   m * comb(n, r) - closed_form_Tc(n, k, r, t))
+    if point.M_bar <= 0:
         raise ValueError(f"(n,k,d,r)=({n},{k},{d},{r}) gives a "
-                         f"nonpositive data size {m_bar}")
-    return TradeoffPoint(alpha_bar=alpha_bar, M_bar=m_bar,
-                         provenance="constructed")
+                         f"nonpositive data size {point.M_bar}")
+    return point
 
 
 @record
@@ -160,10 +173,7 @@ def sweep_tradeoff(n: int, k: int, d: int) -> tuple[TradeoffRow, ...]:
 def realized_point(params) -> TradeoffPoint:
     """Normalized point actually achieved by a built code: storage and
     data divided by the per-helper transfer gamma/d."""
-    alpha_bar = Fraction(params.alpha * params.d, params.gamma)
-    m_bar = Fraction(params.M * params.d, params.gamma)
-    return TradeoffPoint(alpha_bar=alpha_bar, M_bar=m_bar,
-                         provenance="constructed")
+    return _point(params.d, params.alpha, params.gamma, params.M)
 
 
 @record
@@ -201,25 +211,22 @@ def compare_designs(d1: BlockDesign, d2: BlockDesign,
     d = n - t + 1
     _validate_nkd(n, k, d)
     m = r - t + 1
-    t1 = construction.compute_T(d1, k)
-    t2 = construction.compute_T(d2, k)
-    alpha_bar = Fraction(d, m)
-
-    def m_bar(design, tval):
-        return Fraction(d * (m * design.num_blocks - tval),
-                        m * design.replication)
-
-    mb1, mb2 = m_bar(d1, t1), m_bar(d2, t2)
-    if mb1 > mb2:
+    # one walk gives the worst case and uniformity; a complete d1 is d2,
+    # whose compute_T checks the closed form
+    deficits = set(construction.erasure_deficits(d1, k))
+    t1, t2 = max(deficits), construction.compute_T(d2, k)
+    p1, p2 = (_point(d, x.replication, m * x.replication,
+                     m * x.num_blocks - tval)
+              for x, tval in ((d1, t1), (d2, t2)))
+    if p1.M_bar > p2.M_bar:
         raise RuntimeError(
-            f"design point {mb1} exceeds the complete-design benchmark "
-            f"{mb2}; this contradicts the averaging bound")
-    # uniform exactly when the smallest deficit reaches the worst case
-    uniform = min(construction.erasure_deficits(d1, k)) == t1
-    return CompareReport(n=n, r=r, t=t, k=k, alpha_bar=alpha_bar,
-                         M_bar_design=mb1, M_bar_complete=mb2,
+            f"design point {p1.M_bar} exceeds the complete-design benchmark "
+            f"{p2.M_bar}; this contradicts the averaging bound")
+    return CompareReport(n=n, r=r, t=t, k=k, alpha_bar=p1.alpha_bar,
+                         M_bar_design=p1.M_bar, M_bar_complete=p2.M_bar,
                          T_design=t1, T_complete=t2,
-                         equal=mb1 == mb2, deficit_uniform=uniform)
+                         equal=p1.M_bar == p2.M_bar,
+                         deficit_uniform=len(deficits) == 1)
 
 
 def integer_root(x: int, s: int) -> int:
@@ -250,51 +257,6 @@ def ceil_rational_power(n: int, epsilon) -> int:
     np_ = n ** p
     root = integer_root(np_, s)
     return root if root ** s == np_ else root + 1
-
-
-def _sign(x) -> int:
-    return (x > 0) - (x < 0)
-
-
-def _alg_sign(a2: Fraction, a1: Fraction, a0: Fraction, n: int, p: int,
-              s: int) -> int:
-    """Exact sign of a2*c^2 + a1*c + a0 at c = n**(p/s), gcd(p,s)=1.
-
-    Rational c and rational c^2 are handled closed-form; otherwise c has
-    algebraic degree >= 3, no rational-coefficient quadratic vanishes at
-    it, and interval refinement around c settles the sign.
-    """
-    np_ = n ** p
-    root = integer_root(np_, s)
-    if root ** s == np_:
-        c = Fraction(root)
-        return _sign(a2 * c * c + a1 * c + a0)
-    sq = np_ * np_
-    root2 = integer_root(sq, s)
-    if root2 ** s == sq:
-        # c^2 is the integer root2 while c itself is irrational
-        lin = a2 * root2 + a0
-        if a1 == 0:
-            return _sign(lin)
-        if lin == 0 or (lin > 0) == (a1 > 0):
-            return _sign(a1) if lin == 0 else _sign(lin)
-        if lin * lin == a1 * a1 * root2:
-            raise RuntimeError("algebraic degeneracy: irrational c "
-                               "satisfied a rational relation")
-        return _sign(lin) if lin * lin > a1 * a1 * root2 else _sign(a1)
-    if a2 == 0 and a1 == 0:
-        return _sign(a0)
-    for digits in range(1, 200):
-        scale = 10 ** digits
-        lo = Fraction(integer_root(np_ * scale ** s, s), scale)
-        hi = lo + Fraction(1, scale)
-        v_lo = a2 * lo * lo + a1 * lo + a0
-        v_hi = a2 * hi * hi + a1 * hi + a0
-        if v_lo > 0 and v_hi > 0:
-            return 1
-        if v_lo < 0 and v_hi < 0:
-            return -1
-    raise RuntimeError("interval refinement did not converge")
 
 
 @record
@@ -380,10 +342,11 @@ def check_nominal_bounds(n: int, tau1: int, tau2: int,
                          epsilon) -> BoundCheck:
     """Achievability inequalities at the nominal exponent epsilon.
 
-    The bounds involve n^epsilon, which is typically irrational, so
-    signs are settled by exact algebraic evaluation: data size against
-    n^(1-eps) (n - tau2), and redundancy against
-    n^(1-eps) tau1 (n - tau2) / (n^eps - tau2).
+    The bounds compare data size against n^(1-eps) (n - tau2), and
+    redundancy against n^(1-eps) tau1 (n - tau2) / (n^eps - tau2).
+    n^eps is typically irrational, so both are settled exactly: the
+    first by comparing integer powers, the second by decimal brackets
+    around n^eps, on which its left side is monotone.
     """
     if not tau1 >= tau2 >= 1:
         raise ValueError(f"need tau1 >= tau2 >= 1, got ({tau1},{tau2})")
@@ -400,11 +363,25 @@ def check_nominal_bounds(n: int, tau1: int, tau2: int,
     # compare s-th powers of M_bar/(n - tau2) and n^(s-p)
     ratio = point.M_bar / (n - tau2)
     ok1 = ratio ** s >= n ** (s - p)
-    # ineq2 with c = n^eps: (redundancy) c(c - tau2) <= n tau1 (n - tau2)
+    # ineq2 with c = n^eps: f(c) = g c (c - tau2) <= B, with g the
+    # redundancy and B = n tau1 (n - tau2).  Decimal brackets
+    # lo <= c <= hi settle it: lo >= tau2 (an integer below c), where f
+    # grows if g > 0, and f(hi) <= 0 < B if g <= 0.  The brackets shrink
+    # to c and end unless f(c) = B, which needs a rational, so integer,
+    # c, bracketed exactly at digits 0: if c^2 is rational, -g tau2 c is
+    # the one irrational term, and no quadratic vanishes at degree >= 3.
     g = n * point.alpha_bar - point.M_bar
-    ok2 = _alg_sign(g, -g * tau2, -Fraction(n * tau1 * (n - tau2)),
-                    n, p, s) <= 0
-    return BoundCheck(ineq1=ok1, ineq2=ok2)
+    bound = n * tau1 * (n - tau2)
+    for digits in range(200):
+        x = n ** p * 10 ** (s * digits)
+        root = integer_root(x, s)
+        lo = Fraction(root, 10 ** digits)
+        hi = lo if root ** s == x else lo + Fraction(1, 10 ** digits)
+        if g * hi * (hi - tau2) <= bound:
+            return BoundCheck(ineq1=ok1, ineq2=True)
+        if g * lo * (lo - tau2) > bound:
+            return BoundCheck(ineq1=ok1, ineq2=False)
+    raise RuntimeError("interval refinement did not converge")
 
 
 @record
@@ -427,22 +404,18 @@ def exponent_region_membership(Er, Ed) -> RegionMembership:
     constraints = (("Ed<=Er+1", Ed - Er - 1),
                    ("2Ed<=2+Er", 2 * Ed - 2 - Er),
                    ("Ed<=2", Ed - 2))
-    if any(slack > 0 for _, slack in constraints):
-        member = "outside"
-    elif any(slack == 0 for _, slack in constraints):
-        member = "boundary"
-    else:
-        member = "inside"
-    tight = tuple(name for name, slack in constraints if slack == 0)
-    ts_slack = Ed - max(1, Er)
-    if ts_slack > 0:
-        ts = "outside"
-    elif ts_slack == 0:
-        ts = "boundary"
-    else:
-        ts = "inside"
-    return RegionMembership(achievable=member, timesharing=ts,
-                            tight=tight)
+    slacks = [slack for _, slack in constraints]
+    return RegionMembership(
+        achievable=_classify(slacks),
+        timesharing=_classify([Ed - max(1, Er)]),
+        tight=tuple(name for name, slack in constraints if slack == 0))
+
+
+def _classify(slacks) -> str:
+    """outside if any slack is positive, else boundary if any is zero."""
+    if any(slack > 0 for slack in slacks):
+        return "outside"
+    return "boundary" if any(slack == 0 for slack in slacks) else "inside"
 
 
 def format_fraction(x) -> str:
@@ -466,63 +439,51 @@ TRADEOFF_CSV_HEADER = ("n,k,d,r,alpha_bar_num,alpha_bar_den,M_bar_num,"
 EXPONENT_CSV_HEADER = "n,tau1,tau2,epsilon,Er,Ed,region"
 
 
+def _csv(header: str, docs) -> str:
+    """CSV of JSON rows: each header column names a key of the row, or
+    an {num, den} key with _num or _den appended."""
+    cols = header.split(",")
+
+    def cell(doc, col):
+        value = doc[col] if col in doc else doc[col[:-4]][col[-3:]]
+        if isinstance(value, float):
+            return f"{value:.6f}"
+        if isinstance(value, bool):
+            return str(int(value))
+        return "" if value is None else str(value)
+
+    return "\n".join([header] + [",".join(cell(doc, col) for col in cols)
+                                 for doc in docs]) + "\n"
+
+
+def _ratio(x: Fraction) -> dict:
+    return {"num": x.numerator, "den": x.denominator}
+
+
 def tradeoff_csv(rows) -> str:
-    out = [TRADEOFF_CSV_HEADER]
-    for row in rows:
-        pt = row.point
-        out.append(",".join([
-            str(row.n), str(row.k), str(row.d),
-            "" if row.r is None else str(row.r),
-            str(pt.alpha_bar.numerator), str(pt.alpha_bar.denominator),
-            str(pt.M_bar.numerator), str(pt.M_bar.denominator),
-            format_fraction(row.cutset_M),
-            "" if row.timesharing_M is None
-            else format_fraction(row.timesharing_M),
-            "1" if row.above_timesharing else "0"]))
-    return "\n".join(out) + "\n"
+    return _csv(TRADEOFF_CSV_HEADER, tradeoff_json(rows))
 
 
 def tradeoff_json(rows) -> list[dict]:
-    out = []
-    for row in rows:
-        pt = row.point
-        out.append({
-            "n": row.n, "k": row.k, "d": row.d, "r": row.r,
-            "alpha_bar": {"num": pt.alpha_bar.numerator,
-                          "den": pt.alpha_bar.denominator},
-            "M_bar": {"num": pt.M_bar.numerator,
-                      "den": pt.M_bar.denominator},
-            "provenance": pt.provenance,
-            "cutset_M": format_fraction(row.cutset_M),
-            "timesharing_M": (None if row.timesharing_M is None
-                              else format_fraction(row.timesharing_M)),
-            "above_timesharing": row.above_timesharing})
-    return out
+    return [{"n": row.n, "k": row.k, "d": row.d, "r": row.r,
+             "alpha_bar": _ratio(row.point.alpha_bar),
+             "M_bar": _ratio(row.point.M_bar),
+             "provenance": row.point.provenance,
+             "cutset_M": format_fraction(row.cutset_M),
+             "timesharing_M": (None if row.timesharing_M is None
+                               else format_fraction(row.timesharing_M)),
+             "above_timesharing": row.above_timesharing} for row in rows]
 
 
 def exponent_csv(entries) -> str:
     """entries: iterable of (ExponentPoint, RegionMembership)."""
-    out = [EXPONENT_CSV_HEADER]
-    for point, member in entries:
-        out.append(",".join([
-            str(point.n), str(point.tau1), str(point.tau2),
-            format_fraction(point.epsilon),
-            f"{point.Er:.6f}", f"{point.Ed:.6f}",
-            member.achievable]))
-    return "\n".join(out) + "\n"
+    return _csv(EXPONENT_CSV_HEADER, exponent_json(entries))
 
 
 def exponent_json(entries) -> list[dict]:
-    out = []
-    for point, member in entries:
-        out.append({
-            "n": point.n, "tau1": point.tau1, "tau2": point.tau2,
-            "epsilon": format_fraction(point.epsilon), "r": point.r,
-            "alpha_bar": {"num": point.alpha_bar.numerator,
-                          "den": point.alpha_bar.denominator},
-            "M_bar": {"num": point.M_bar.numerator,
-                      "den": point.M_bar.denominator},
-            "Er": point.Er, "Ed": point.Ed,
-            "region": member.achievable,
-            "timesharing": member.timesharing})
-    return out
+    return [{"n": point.n, "tau1": point.tau1, "tau2": point.tau2,
+             "epsilon": format_fraction(point.epsilon), "r": point.r,
+             "alpha_bar": _ratio(point.alpha_bar),
+             "M_bar": _ratio(point.M_bar), "Er": point.Er, "Ed": point.Ed,
+             "region": member.achievable,
+             "timesharing": member.timesharing} for point, member in entries]
