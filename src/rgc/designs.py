@@ -193,7 +193,8 @@ def gen_complete_design(t: int, r: int, n: int) -> BlockDesign:
 
 def is_complete_design(design: BlockDesign) -> bool:
     """True when the block list is exactly all r-subsets, each once."""
-    if design.lam != comb(design.n - design.t, design.r - design.t):
+    if (design.lam != comb(design.n - design.t, design.r - design.t)
+            or design.num_blocks != comb(design.n, design.r)):
         return False
     expected = tuple(itertools.combinations(range(1, design.n + 1), design.r))
     return design.blocks == expected

@@ -40,6 +40,19 @@ def test_complete_designs_verify(n):
             assert verify_design(design).ok
 
 
+def test_complete_check_counts_blocks_before_listing_them(monkeypatch):
+    """A design with the complete design's lambda but one block is told
+    apart by its block count, without listing all C(n, r) blocks."""
+    def refuse(*args):
+        raise AssertionError("listed every r-subset")
+
+    monkeypatch.setattr(itertools, "combinations", refuse)
+    for n, r in ((22, 8), (40, 12)):
+        lone = BlockDesign(n=n, t=2, r=r, lam=math.comb(n - 2, r - 2),
+                           blocks=(tuple(range(1, r + 1)),))
+        assert not is_complete_design(lone)
+
+
 def test_complete_design_rejects_bad_ranges():
     with pytest.raises(ValueError):
         gen_complete_design(3, 2, 5)   # r < t
