@@ -448,7 +448,8 @@ class CodeSpec:
                    layout=Layout(groups=json_int_rows(doc, "layout",
                                                       "code spec")),
                    phi=phi,
-                   s_entries=_decimals(doc, "s") if phi is None else None)
+                   s_entries=(_decimals(doc, "s")
+                              if phi is None or "s" in doc else None))
 
     @cached_property
     def spec_hash(self) -> bytes:

@@ -3,6 +3,7 @@
 import gc
 import hashlib
 import itertools
+import json
 import math
 import random
 
@@ -140,6 +141,13 @@ def test_spec_json_rejects_tampered_entries(golden_spec):
                                          '"phi":["1","1"]')
     with pytest.raises(ValueError):
         CodeSpec.from_json(text)
+
+
+def test_spec_json_rejects_both_phi_and_s(golden_spec):
+    doc = json.loads(golden_spec.to_json())
+    doc["s"] = ["1"]
+    with pytest.raises(ValueError, match="exactly one of phi and s_entries"):
+        CodeSpec.from_json(json.dumps(doc))
 
 
 def test_verify_full_and_sampled(golden_spec):
