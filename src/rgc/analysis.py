@@ -112,10 +112,11 @@ def complete_tradeoff_point(n: int, k: int, d: int,
             f"minimum-storage regime", ParameterRegimeWarning,
             stacklevel=2)
     m = r - t + 1
-    # C(n, r) blocks of m long-layer slots, C(n-1, r-1) through each disk
+    # C(n-1, r-1) blocks through each disk, C(n, r) = C(n-1, r-1) n / r
+    # in all, each of m long-layer slots
     alpha = comb(n - 1, r - 1)
     point = _point(d, alpha, m * alpha,
-                   m * comb(n, r) - closed_form_Tc(n, k, r, t))
+                   m * (alpha * n // r) - closed_form_Tc(n, k, r, t))
     if point.M_bar <= 0:
         raise ValueError(f"(n,k,d,r)=({n},{k},{d},{r}) gives a "
                          f"nonpositive data size {point.M_bar}")
