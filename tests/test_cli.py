@@ -1,5 +1,6 @@
 """Command-line surface: every path is a thin adapter over the library."""
 
+import hashlib
 import importlib.util
 import json
 import os
@@ -9,9 +10,12 @@ import pytest
 
 from rgc.analysis import sweep_tradeoff, tradeoff_csv
 from rgc.cli import cli_dispatch
-from rgc.codec import MessageVector, encode, read_share, write_share
+from rgc.codec import (DiskShare, MessageVector, encode, read_share,
+                       write_share)
 from rgc.construction import CodeSpec, build_code
 from rgc.designs import BlockDesign, gen_steiner_triple
+from rgc.storesim import (Cluster, Scenario, ScenarioEvent,
+                          random_failure_soak, run_scenario)
 
 WORKLOADS = (pathlib.Path(__file__).resolve().parents[1] / "perfbench"
              / "workloads.py")
@@ -386,3 +390,204 @@ def test_benchmark_cli_pins(tmp_path):
         data = ((tmp_path / name).read_bytes() if name.endswith(".json")
                 else outputs[name])
         assert workloads.sha256(data) == pin, name
+
+
+def _cli_outcome(capsys, tmp_path, argv):
+    """Exit code, stdout and stderr of one command with the work
+    directory replaced by a placeholder; a usage error (exit 2) gives
+    its exit code only, since argparse words its own messages."""
+    code = cli_dispatch([a.replace("<tmp>", str(tmp_path)) for a in argv])
+    captured = capsys.readouterr()
+    if code == 2:
+        return "exit 2"
+    text = f"exit {code}\n{captured.out}\n{captured.err}"
+    return text.replace(str(tmp_path), "<tmp>")
+
+
+def _message(spec, seed=0):
+    return MessageVector.random(spec.field.q, spec.params.M, seed=seed)
+
+
+def _scenario_error(text):
+    try:
+        Scenario.from_json(text)
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    raise AssertionError(f"scenario accepted: {text}")
+
+
+def test_cli_and_simulator_outcomes_pinned(capsys, tmp_path, golden_spec,
+                                           t3_spec, failing_c9_spec):
+    """Every subcommand, its domain errors and usage errors; scripted
+    and random simulations reaching every event kind, predicate and
+    error label; and every malformed-scenario error text."""
+    d9 = gen_steiner_triple(9)
+    (tmp_path / "bad.json").write_text(BlockDesign(
+        n=9, t=2, r=3, lam=1, blocks=d9.blocks[1:]).to_json())
+    failing_c9_spec.save(tmp_path / "fail.json")
+    (tmp_path / "short.txt").write_text("1 2 0\n")
+    (tmp_path / "msg.txt").write_text(
+        MessageVector.random(3, 23, seed=21).to_text())
+    (tmp_path / "empty").mkdir()
+    scenarios = {"ok": [{"fail": 2}, {"repair": 2}, {"assert": "intact"},
+                        {"assert": "durable"},
+                        {"read": [1, 3, 4, 5, 6, 7, 9]}],
+                 "viol": [{"fail": 1}, {"read": [1, 2, 3, 4, 5, 6, 7]},
+                          {"assert": "ledger_balanced"}],
+                 "bad": [{"fail": 1, "repair": 1}]}
+    for name, events in scenarios.items():
+        (tmp_path / f"{name}.scen").write_text(json.dumps({"events": events}))
+    spec = ("--spec", "<tmp>/spec.json")
+    msg = ("--message", "<tmp>/msg.txt")
+    argvs = [
+        ("design", "gen", "--steiner-triple", "--n", "9"),
+        ("design", "gen", "--steiner-triple", "--n", "9",
+         "--out", "<tmp>/d9.json"),
+        ("design", "gen", "--steiner-triple", "--n", "8"),
+        ("design", "gen", "--complete", "--t", "2", "--r", "3", "--n", "9",
+         "--out", "<tmp>/c9.json"),
+        ("design", "gen", "--complete", "--t", "3", "--r", "4", "--n", "7",
+         "--out", "<tmp>/c347.json"),
+        ("design", "gen", "--complete", "--t", "4", "--r", "3", "--n", "9"),
+        ("design", "gen", "--complete", "--n", "9"),
+        ("design", "gen", "--complete", "--t", "2", "--n", "9"),
+        ("design", "gen", "--n", "9"),
+        ("design", "gen", "--steiner-triple", "--complete", "--n", "9"),
+        ("design", "verify", "--design", "<tmp>/d9.json"),
+        ("design", "verify", "--design", "<tmp>/c347.json"),
+        ("design", "verify", "--design", "<tmp>/bad.json"),
+        ("design", "verify", "--design", "<tmp>/missing.json"),
+        ("design", "verify"),
+        ("code", "build", "--design", "<tmp>/d9.json", "--k", "7",
+         "--q", "3", "--seed", "1", "--out", "<tmp>/spec.json"),
+        ("code", "build", "--design", "<tmp>/c347.json", "--k", "4",
+         "--out", "<tmp>/t3.json"),
+        ("code", "build", "--design", "<tmp>/d9.json", "--k", "9"),
+        ("code", "build", "--design", "<tmp>/d9.json", "--k", "7",
+         "--budget", "0"),
+        ("code", "build", "--design", "<tmp>/d9.json", "--k", "7",
+         "--q", "abc"),
+        ("code", "inspect", *spec),
+        ("code", "inspect", "--spec", "<tmp>/t3.json"),
+        ("code", "inspect", "--spec", "<tmp>/d9.json"),
+        ("code", "verify", *spec),
+        ("code", "verify", *spec, "--sample", "5", "--seed", "2"),
+        ("code", "verify", "--spec", "<tmp>/fail.json"),
+        ("code", "frobnicate"),
+        ("encode", *spec, *msg, "--out-dir", "<tmp>/shares"),
+        ("encode", *spec, "--message", "<tmp>/short.txt",
+         "--out-dir", "<tmp>/x"),
+        ("encode", *spec, "--message", "<tmp>/missing.txt",
+         "--out-dir", "<tmp>/x"),
+        ("repair", *spec, "--failed", "6", "--shares", "<tmp>/shares",
+         "--out", "<tmp>/r6.share", "--transcript", "<tmp>/t6.json"),
+        ("repair", *spec, "--failed", "2", "--shares", "<tmp>/shares",
+         "--out", "<tmp>/r2.share"),
+        ("repair", *spec, "--failed", "9", "--shares", "<tmp>/empty",
+         "--out", "<tmp>/r9.share"),
+        ("repair", *spec, "--failed", "10", "--shares", "<tmp>/shares",
+         "--out", "<tmp>/r10.share"),
+        ("repair", *spec, "--shares", "<tmp>/shares"),
+        ("reconstruct", *spec, "--shares", "<tmp>/shares",
+         "--disks", "1,3,4,5,7,8,9"),
+        ("reconstruct", *spec, "--shares", "<tmp>/shares",
+         "--disks", "1,2,3,4,5,6,7", "--out", "<tmp>/rec.txt"),
+        ("reconstruct", *spec, "--shares", "<tmp>/shares", "--disks", "1,2"),
+        ("reconstruct", *spec, "--shares", "<tmp>/shares", "--disks", "1,x"),
+        ("analyze", "tradeoff", "--n", "9", "--k", "7", "--d", "8"),
+        ("analyze", "tradeoff", "--n", "9", "--k", "7", "--d", "8",
+         "--format", "json"),
+        ("analyze", "tradeoff", "--n", "9", "--k", "9", "--d", "8"),
+        ("analyze", "tradeoff", "--n", "9", "--k", "7"),
+        ("analyze", "exponents", "--tau1", "1", "--tau2", "1",
+         "--epsilon", "1/2", "--n-list", "64,256"),
+        ("analyze", "exponents", "--tau1", "2", "--tau2", "1",
+         "--epsilon", "2/3", "--n-list", "64", "--format", "json"),
+        ("analyze", "exponents", "--tau1", "1", "--tau2", "1",
+         "--epsilon", "3/2", "--n-list", "64"),
+        ("analyze", "exponents", "--tau1", "1", "--tau2", "1",
+         "--epsilon", "1/2", "--n-list", "64,x"),
+        ("analyze", "exponents", "--tau1", "1", "--tau2", "1",
+         "--epsilon", "1/0", "--n-list", "64"),
+        ("analyze", "compare", "--design1", "<tmp>/d9.json",
+         "--design2", "<tmp>/c9.json", "--k", "7"),
+        ("analyze", "compare", "--design1", "<tmp>/d9.json",
+         "--design2", "<tmp>/c9.json", "--k", "6", "--format", "json"),
+        ("analyze", "compare", "--design1", "<tmp>/d9.json",
+         "--design2", "<tmp>/d9.json", "--k", "7"),
+        ("sim", "run", *spec, *msg, "--scenario", "<tmp>/ok.scen"),
+        ("sim", "run", *spec, *msg, "--scenario", "<tmp>/viol.scen",
+         "--out", "<tmp>/viol.json"),
+        ("sim", "run", *spec, *msg, "--scenario", "<tmp>/bad.scen"),
+        ("sim", "soak", *spec, *msg, "--steps", "12", "--seed", "4"),
+        ("sim", "soak", *spec, *msg, "--steps", "-1"),
+        ("sim", "soak", *spec, *msg),
+        ("frobnicate",),
+        (),
+    ]
+    outcomes = [_cli_outcome(capsys, tmp_path, list(argv))
+                for argv in argvs]
+    for name in ("d9.json", "c9.json", "c347.json", "spec.json", "t3.json",
+                 "r6.share", "t6.json", "r2.share", "rec.txt", "viol.json"):
+        outcomes.append((tmp_path / name).read_bytes().hex())
+
+    def scripted(spec, events):
+        scen = Scenario(events=tuple(ScenarioEvent(**ev) for ev in events))
+        return run_scenario(spec, _message(spec), scen).to_json()
+
+    golden = [dict(kind="fail", node=99), dict(kind="repair", node=0),
+              dict(kind="repair", node=5), dict(kind="fail", node=4),
+              dict(kind="fail", node=4), dict(kind="assert",
+                                              predicate="durable"),
+              dict(kind="read", disks=(1, 2, 3, 4, 5, 6, 7)),
+              dict(kind="read", disks=(1, 2, 3)),
+              dict(kind="read", disks=(1, 1, 2, 3, 5, 6, 7)),
+              dict(kind="read", disks=(0, 1, 2, 3, 5, 6, 7)),
+              dict(kind="read", disks=(1, 2, 3, 5, 6, 7, 8)),
+              dict(kind="fail", node=5), dict(kind="repair", node=4),
+              dict(kind="fail", node=6),
+              dict(kind="assert", predicate="durable"),
+              dict(kind="repair", node=5),
+              dict(kind="assert", predicate="intact"),
+              dict(kind="assert", predicate="ledger_balanced")]
+    deep = [dict(kind="fail", node=1), dict(kind="fail", node=2),
+            dict(kind="repair", node=1), dict(kind="repair", node=2),
+            dict(kind="read", disks=(1, 2, 3, 4)),
+            dict(kind="assert", predicate="intact"),
+            dict(kind="assert", predicate="ledger_balanced")]
+    undecodable = [dict(kind="read", disks=(1, 2, 3, 4, 5, 6, 9))]
+    outcomes += [scripted(golden_spec, golden), scripted(t3_spec, deep),
+                 scripted(failing_c9_spec, undecodable)]
+    # corrupt and malformed helper data cannot come from a freshly
+    # provisioned cluster, so these events go to the cluster directly
+    cluster = Cluster.provision(t3_spec, _message(t3_spec))
+    g, i, v = cluster.nodes[2].symbols[0]
+    cluster.nodes[2] = DiskShare(disk=2, symbols=(
+        ((g, i, (v + 1) % t3_spec.field.q),)
+        + cluster.nodes[2].symbols[1:]))
+    cluster.fail(1)
+    cluster.repair(1)
+    cluster.read((2, 3, 4, 5))
+    cluster.check("intact")
+    cluster.check("happy")
+    cluster.nodes[2] = DiskShare(disk=2, symbols=cluster.nodes[2].symbols[1:])
+    cluster.repair(1)
+    cluster.read((2, 3, 4, 5))
+    outcomes.append(cluster.report().to_json())
+    outcomes += [random_failure_soak(golden_spec, _message(golden_spec), 20,
+                                     seed=12).to_json(),
+                 random_failure_soak(t3_spec, _message(t3_spec), 10,
+                                     seed=2).to_json()]
+    outcomes += [_scenario_error(text) for text in (
+        "fail 1", "[]", '{"steps": []}', '{"events": null}',
+        '{"events": [5]}', '{"events": [{}]}',
+        '{"events": [{"fail": 1, "repair": 2}]}',
+        '{"events": [{"reboot": 1}]}', '{"events": [{"fail": "1"}]}',
+        '{"events": [{"fail": true}]}', '{"events": [{"repair": null}]}',
+        '{"events": [{"read": 5}]}', '{"events": [{"read": [1, "2"]}]}',
+        '{"events": [{"read": [true]}]}', '{"events": [{"read": null}]}',
+        '{"events": [{"assert": "happy"}]}', '{"events": [{"assert": 3}]}')]
+    blob = "\n\x00".join(outcomes).encode("utf-8")
+    assert hashlib.sha256(blob).hexdigest() == (
+        "fac777a4022112cca42a1b9d995a5aec"
+        "6be3c794aeae8021e027ffe309b6754e")
