@@ -1,6 +1,9 @@
 """Command-line surface: design generation, code building, file-based
 encode/repair/reconstruct, tradeoff analysis, and simulation.
 
+Each command is declared once: its subparser carries its flags and,
+through set_defaults, its handler, which cli_dispatch calls.
+
 Exit codes: 0 success, 1 domain error (one-line message on stderr),
 2 usage error.  Randomized paths are seeded and reproducible; builds
 with identical inputs produce byte-identical spec files.
@@ -57,14 +60,12 @@ def rational(text: str):
         raise ValueError(text) from None
 
 
-def _cmd_design_gen(args, parser) -> int:
-    if args.steiner_triple == args.complete:
-        parser.error("choose exactly one of --steiner-triple/--complete")
+def _cmd_design_gen(args) -> int:
     if args.steiner_triple:
         design = designs.gen_steiner_triple(args.n)
     else:
         if args.t is None or args.r is None:
-            parser.error("--complete requires --t and --r")
+            args.usage_error("--complete requires --t and --r")
         design = designs.gen_complete_design(args.t, args.r, args.n)
     _write_text(design.to_json() + "\n", args.out)
     return 0
@@ -111,8 +112,8 @@ def _cmd_code_inspect(args) -> int:
         f"alpha = {p.alpha}",
         f"beta = {p.beta if p.beta is not None else '-'}",
         f"gamma = {p.gamma}", f"M = {p.M}", f"T = {p.T}",
-        f"long parity form: "
-        f"{'coefficient vector ' + str(list(spec.phi)) if spec.phi is not None else 'matrix'}",
+        "long parity form: " + ("matrix" if spec.phi is None else
+                                f"coefficient vector {list(spec.phi)}"),
         f"alpha_bar = {rat(point.alpha_bar)}",
         f"M_bar = {rat(point.M_bar)}",
         f"cutset_max_M = {rat(cut)} (satisfied: {point.M_bar <= cut})",
@@ -256,6 +257,13 @@ def _cmd_sim_soak(args) -> int:
     return 0 if report.mismatches == 0 else 1
 
 
+def _command(sub, name: str, handler, help: str):
+    """Add a subcommand parser whose parsed args carry its handler."""
+    parser = sub.add_parser(name, help=help)
+    parser.set_defaults(handler=handler)
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rgc",
@@ -265,22 +273,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_design = sub.add_parser("design", help="generate or verify designs")
     dsub = p_design.add_subparsers(dest="subcommand", required=True)
-    p_gen = dsub.add_parser("gen", help="generate a block design")
-    p_gen.add_argument("--steiner-triple", action="store_true",
-                       help="Steiner triple system (t=2, r=3, lambda=1)")
-    p_gen.add_argument("--complete", action="store_true",
-                       help="complete design: all r-subsets")
+    p_gen = _command(dsub, "gen", _cmd_design_gen, "generate a block design")
+    p_gen.set_defaults(usage_error=p_gen.error)
+    family = p_gen.add_mutually_exclusive_group(required=True)
+    family.add_argument("--steiner-triple", action="store_true",
+                        help="Steiner triple system (t=2, r=3, lambda=1)")
+    family.add_argument("--complete", action="store_true",
+                        help="complete design: all r-subsets")
     p_gen.add_argument("--n", type=int, required=True)
     p_gen.add_argument("--t", type=int, default=None)
     p_gen.add_argument("--r", type=int, default=None)
     p_gen.add_argument("--out", default=None)
-    p_ver = dsub.add_parser("verify", help="check the coverage property")
+    p_ver = _command(dsub, "verify", _cmd_design_verify,
+                     "check the coverage property")
     p_ver.add_argument("--design", required=True)
 
     p_code = sub.add_parser("code", help="build or inspect code specs")
     csub = p_code.add_subparsers(dest="subcommand", required=True)
-    p_build = csub.add_parser("build", help="derive params and long "
-                                            "parity, verified")
+    p_build = _command(csub, "build", _cmd_code_build,
+                       "derive params and long parity, verified")
     p_build.add_argument("--design", required=True)
     p_build.add_argument("--k", type=int, required=True)
     p_build.add_argument("--q", type=modulus, default="auto",
@@ -293,22 +304,24 @@ def build_parser() -> argparse.ArgumentParser:
                          help="verify a seeded sample of erasure sets "
                               "instead of all of them")
     p_build.add_argument("--out", default=None)
-    p_insp = csub.add_parser("inspect", help="print parameters and "
-                                             "normalized point")
+    p_insp = _command(csub, "inspect", _cmd_code_inspect,
+                      "print parameters and normalized point")
     p_insp.add_argument("--spec", required=True)
     p_insp.add_argument("--out", default=None)
-    p_cver = csub.add_parser("verify", help="re-check the rank condition")
+    p_cver = _command(csub, "verify", _cmd_code_verify,
+                      "re-check the rank condition")
     p_cver.add_argument("--spec", required=True)
     p_cver.add_argument("--sample", type=int, default=None)
     p_cver.add_argument("--seed", type=int, default=0)
 
-    p_enc = sub.add_parser("encode", help="write per-disk share files")
+    p_enc = _command(sub, "encode", _cmd_encode, "write per-disk share files")
     p_enc.add_argument("--spec", required=True)
     p_enc.add_argument("--message", required=True,
                        help="whitespace-separated decimal symbols")
     p_enc.add_argument("--out-dir", required=True)
 
-    p_rep = sub.add_parser("repair", help="rebuild one disk's share file")
+    p_rep = _command(sub, "repair", _cmd_repair,
+                     "rebuild one disk's share file")
     p_rep.add_argument("--spec", required=True)
     p_rep.add_argument("--failed", type=int, required=True)
     p_rep.add_argument("--shares", required=True,
@@ -317,8 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--transcript", default=None,
                        help="write per-helper transfer JSON here")
 
-    p_rec = sub.add_parser("reconstruct", help="decode the message from "
-                                               "k share files")
+    p_rec = _command(sub, "reconstruct", _cmd_reconstruct,
+                     "decode the message from k share files")
     p_rec.add_argument("--spec", required=True)
     p_rec.add_argument("--shares", required=True)
     p_rec.add_argument("--disks", required=True,
@@ -327,14 +340,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_an = sub.add_parser("analyze", help="bounds, sweeps, comparisons")
     asub = p_an.add_subparsers(dest="subcommand", required=True)
-    p_tr = asub.add_parser("tradeoff", help="sweep the storage-bandwidth "
-                                            "tradeoff")
+    p_tr = _command(asub, "tradeoff", _cmd_analyze_tradeoff,
+                    "sweep the storage-bandwidth tradeoff")
     p_tr.add_argument("--n", type=int, required=True)
     p_tr.add_argument("--k", type=int, required=True)
     p_tr.add_argument("--d", type=int, required=True)
     p_tr.add_argument("--format", choices=("csv", "json"), default="csv")
     p_tr.add_argument("--out", default=None)
-    p_ex = asub.add_parser("exponents", help="finite-n exponent samples")
+    p_ex = _command(asub, "exponents", _cmd_analyze_exponents,
+                    "finite-n exponent samples")
     p_ex.add_argument("--tau1", type=int, required=True)
     p_ex.add_argument("--tau2", type=int, required=True)
     p_ex.add_argument("--epsilon", type=rational, required=True,
@@ -343,8 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="comma-separated n values")
     p_ex.add_argument("--format", choices=("csv", "json"), default="csv")
     p_ex.add_argument("--out", default=None)
-    p_cmp = asub.add_parser("compare", help="design vs complete-design "
-                                            "benchmark")
+    p_cmp = _command(asub, "compare", _cmd_analyze_compare,
+                     "design vs complete-design benchmark")
     p_cmp.add_argument("--design1", required=True)
     p_cmp.add_argument("--design2", required=True,
                        help="must be the complete design")
@@ -355,12 +369,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("sim", help="cluster simulation")
     ssub = p_sim.add_subparsers(dest="subcommand", required=True)
-    p_run = ssub.add_parser("run", help="replay a scenario file")
+    p_run = _command(ssub, "run", _cmd_sim_run, "replay a scenario file")
     p_run.add_argument("--spec", required=True)
     p_run.add_argument("--message", required=True)
     p_run.add_argument("--scenario", required=True)
     p_run.add_argument("--out", default=None)
-    p_soak = ssub.add_parser("soak", help="seeded fail/repair cycles")
+    p_soak = _command(ssub, "soak", _cmd_sim_soak,
+                      "seeded fail/repair cycles")
     p_soak.add_argument("--spec", required=True)
     p_soak.add_argument("--message", required=True)
     p_soak.add_argument("--steps", type=int, required=True)
@@ -369,30 +384,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_HANDLERS = {
-    ("design", "verify"): _cmd_design_verify,
-    ("code", "build"): _cmd_code_build,
-    ("code", "inspect"): _cmd_code_inspect,
-    ("code", "verify"): _cmd_code_verify,
-    ("encode", None): _cmd_encode,
-    ("repair", None): _cmd_repair,
-    ("reconstruct", None): _cmd_reconstruct,
-    ("analyze", "tradeoff"): _cmd_analyze_tradeoff,
-    ("analyze", "exponents"): _cmd_analyze_exponents,
-    ("analyze", "compare"): _cmd_analyze_compare,
-    ("sim", "run"): _cmd_sim_run,
-    ("sim", "soak"): _cmd_sim_soak,
-}
-
-
 def cli_dispatch(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        key = (args.command, getattr(args, "subcommand", None))
-        if key == ("design", "gen"):
-            return _cmd_design_gen(args, parser)
-        return _HANDLERS[key](args)
+        args = build_parser().parse_args(argv)
+        return args.handler(args)
     except SystemExit as exc:
         # argparse usage errors exit 2; --help exits 0
         return exc.code if isinstance(exc.code, int) else 0

@@ -38,7 +38,8 @@ class BlockDesign:
             if len(b) != self.r or len(set(b)) != self.r:
                 raise ValueError(f"block {b} is not an {self.r}-subset")
             if b[0] < 1 or b[-1] > self.n:
-                raise ValueError(f"block {b} leaves the ground set 1..{self.n}")
+                raise ValueError(f"block {b} leaves the ground set "
+                                 f"1..{self.n}")
         object.__setattr__(self, "blocks", canon)
 
     @property
@@ -252,7 +253,8 @@ def count_blocks_containing(design: BlockDesign, s) -> int:
     closed form lambda*C(n-|s|, t-|s|)/C(r-|s|, t-|s|)."""
     s = frozenset(s)
     if len(s) > design.t:
-        raise ValueError(f"subset of size {len(s)} exceeds strength t={design.t}")
+        raise ValueError(f"subset of size {len(s)} exceeds strength "
+                         f"t={design.t}")
     if any(not 1 <= x <= design.n for x in s):
         raise ValueError("subset leaves the ground set")
     count = sum(1 for b in design.blocks if s.issubset(b))

@@ -60,6 +60,8 @@ def test_usage_errors_exit_2(capsys):
     assert run(capsys, "design", "gen", "--n", "9")[0] == 2
     assert run(capsys, "design", "gen", "--steiner-triple", "--complete",
                "--n", "9")[0] == 2
+    code, _, err = run(capsys, "design", "gen", "--complete", "--n", "9")
+    assert code == 2 and "--complete requires --t and --r" in err
     assert run(capsys, "analyze", "tradeoff", "--n", "9", "--k", "7")[0] \
         == 2
     assert run(capsys, "frobnicate")[0] == 2

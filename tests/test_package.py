@@ -237,6 +237,17 @@ def test_no_unused_private_helpers():
                   if name not in loaded) == []
 
 
+def test_no_source_line_exceeds_79_characters():
+    """Every line under src/rgc/ fits in 79 characters, so a line count
+    cannot shrink by packing code onto fewer lines."""
+    long_lines = [f"{path.name}:{number}"
+                  for path in sorted(SRC.glob("*.py"))
+                  for number, line in enumerate(
+                      path.read_text(encoding="utf-8").splitlines(), 1)
+                  if len(line) > 79]
+    assert long_lines == []
+
+
 def test_no_module_imports_dataclasses():
     """Records come from _record, which builds its methods as closures:
     no module under src/rgc/ imports dataclasses, and _record calls no
