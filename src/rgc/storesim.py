@@ -5,6 +5,11 @@ then replays scripted or randomized fail/repair/read events, keeping a
 per-node bandwidth ledger.  Event handlers record failures instead of
 raising, so a scenario always replays to completion and the report
 carries the outcome of every step.
+
+Scenario events come in four kinds: fail(node), repair(node),
+read(disks) and assert(predicate).  One table, _EVENT_KINDS, names each
+kind's argument field and the Cluster method that replays it;
+validation, JSON in and out, and replay all read it.
 """
 
 from __future__ import annotations
@@ -19,6 +24,10 @@ from .construction import CodeSpec
 
 PREDICATES = ("durable", "intact", "ledger_balanced")
 
+# event kind -> (ScenarioEvent field holding its argument, Cluster method)
+_EVENT_KINDS = {"fail": ("node", "fail"), "repair": ("node", "repair"),
+                "read": ("disks", "read"), "assert": ("predicate", "check")}
+
 
 @record
 class ScenarioEvent:
@@ -31,20 +40,21 @@ class ScenarioEvent:
     predicate: str | None = None
 
     def __post_init__(self):
-        if self.kind in ("fail", "repair"):
-            if type(self.node) is not int:
-                raise ValueError(f"{self.kind} event needs a node id")
-        elif self.kind == "read":
-            if (self.disks is None
-                    or not all(type(x) is int for x in self.disks)):
-                raise ValueError("read event needs a list of disk ids")
-        elif self.kind == "assert":
-            if self.predicate not in PREDICATES:
-                raise ValueError(
-                    f"unknown predicate {self.predicate!r}; choose from "
-                    f"{PREDICATES}")
-        else:
+        if self.kind not in _EVENT_KINDS:
             raise ValueError(f"unknown event kind {self.kind!r}")
+        field = _EVENT_KINDS[self.kind][0]
+        for other, _ in _EVENT_KINDS.values():
+            if other != field and getattr(self, other) is not None:
+                raise ValueError(f"{self.kind} event takes no {other}")
+        arg = getattr(self, field)
+        if field == "node" and type(arg) is not int:
+            raise ValueError(f"{self.kind} event needs a node id")
+        if field == "disks" and (arg is None
+                                 or not all(type(x) is int for x in arg)):
+            raise ValueError("read event needs a list of disk ids")
+        if field == "predicate" and arg not in PREDICATES:
+            raise ValueError(f"unknown predicate {arg!r}; choose from "
+                             f"{PREDICATES}")
 
 
 @record
@@ -65,26 +75,18 @@ class Scenario:
                 raise ValueError(f"each event must have exactly one key, "
                                  f"got {entry!r}")
             kind, arg = next(iter(entry.items()))
-            if kind in ("fail", "repair"):
-                events.append(ScenarioEvent(kind=kind, node=arg))
-            elif kind == "read":
-                disks = tuple(arg) if isinstance(arg, list) else None
-                events.append(ScenarioEvent(kind=kind, disks=disks))
-            elif kind == "assert":
-                events.append(ScenarioEvent(kind=kind, predicate=arg))
-            else:
+            if kind not in _EVENT_KINDS:
                 raise ValueError(f"unknown event kind {kind!r}")
+            field = _EVENT_KINDS[kind][0]
+            if field == "disks":
+                arg = tuple(arg) if isinstance(arg, list) else None
+            events.append(ScenarioEvent(kind=kind, **{field: arg}))
         return cls(events=tuple(events))
 
     def to_json(self) -> str:
-        out = []
-        for ev in self.events:
-            if ev.kind in ("fail", "repair"):
-                out.append({ev.kind: ev.node})
-            elif ev.kind == "read":
-                out.append({"read": list(ev.disks)})
-            else:
-                out.append({"assert": ev.predicate})
+        # json writes the disks tuple of a read as a list
+        out = [{ev.kind: getattr(ev, _EVENT_KINDS[ev.kind][0])}
+               for ev in self.events]
         return json.dumps({"events": out}, separators=(",", ":"))
 
 
@@ -219,9 +221,9 @@ class Cluster:
         return ev
 
     def read(self, disks) -> dict:
-        ev = {"event": "read", "disks": list(disks)}
-        p = self.spec.params
         ids = list(disks)
+        ev = {"event": "read", "disks": ids}
+        p = self.spec.params
         if (len(set(ids)) != len(ids)
                 or not all(self._valid_node(i) for i in ids)):
             ev.update(ok=False, error="read subset has invalid or "
@@ -250,12 +252,8 @@ class Cluster:
 
     def check(self, predicate: str) -> dict:
         ev = {"event": "assert", "predicate": predicate}
-        if predicate == "durable":
-            ev["ok"] = self.durable()
-        elif predicate == "intact":
-            ev["ok"] = self.intact()
-        elif predicate == "ledger_balanced":
-            ev["ok"] = self.ledger_balanced()
+        if predicate in PREDICATES:
+            ev["ok"] = getattr(self, predicate)()
         else:
             ev.update(ok=False, error=f"unknown predicate {predicate!r}")
         self.events.append(ev)
@@ -278,14 +276,8 @@ def run_scenario(spec: CodeSpec, msg: MessageVector,
     cluster."""
     cluster = Cluster.provision(spec, msg)
     for ev in scenario.events:
-        if ev.kind == "fail":
-            cluster.fail(ev.node)
-        elif ev.kind == "repair":
-            cluster.repair(ev.node)
-        elif ev.kind == "read":
-            cluster.read(ev.disks)
-        else:
-            cluster.check(ev.predicate)
+        field, method = _EVENT_KINDS[ev.kind]
+        getattr(cluster, method)(getattr(ev, field))
     return cluster.report()
 
 

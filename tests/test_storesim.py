@@ -25,6 +25,20 @@ def test_event_validation():
         ScenarioEvent(kind="reboot", node=1)             # unknown kind
 
 
+def test_event_refuses_fields_of_other_kinds():
+    """A field that is not the kind's own argument is refused by name,
+    since the scenario JSON could not carry it."""
+    with pytest.raises(ValueError, match="^fail event takes no disks$"):
+        ScenarioEvent(kind="fail", node=3, disks=(1, 2), predicate="intact")
+    for kw, field in ((dict(kind="repair", node=1, predicate="durable"),
+                       "predicate"),
+                      (dict(kind="read", disks=(1,), node=1), "node"),
+                      (dict(kind="assert", predicate="intact", disks=()),
+                       "disks")):
+        with pytest.raises(ValueError, match=f"takes no {field}$"):
+            ScenarioEvent(**kw)
+
+
 def test_scenario_json_round_trip():
     text = json.dumps({"events": [
         {"fail": 2}, {"repair": 2}, {"read": [1, 2, 3, 4, 5, 6, 7]},
@@ -48,6 +62,15 @@ def test_fail_repair_read_cycle(golden_spec):
     ev = cluster.read([1, 2, 3, 4, 5, 6, 7])
     assert ev["ok"] and ev["message"] == list(_msg(golden_spec).values)
     assert cluster.intact() and cluster.ledger_balanced()
+
+
+def test_read_lists_the_ids_of_an_iterator_once(golden_spec):
+    """An iterator of disk ids is consumed once: the read checks and
+    decodes the same ids that its event lists."""
+    cluster = Cluster.provision(golden_spec, _msg(golden_spec))
+    ev = cluster.read(x for x in range(1, 8))
+    assert ev["disks"] == list(range(1, 8))
+    assert ev["ok"] and ev["message"] == list(_msg(golden_spec).values)
 
 
 def test_read_of_failed_disk_is_flagged_not_raised(golden_spec):
