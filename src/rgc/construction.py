@@ -258,26 +258,29 @@ def compute_T(design: BlockDesign, k: int) -> int:
     return best
 
 
+def _params(design: BlockDesign, k: int, T: int) -> CodeParams:
+    """CodeParams of a design, threshold k and long-layer deficit T."""
+    n, t, r, lam = design.n, design.t, design.r, design.lam
+    alpha, nstar, m = design.replication, design.num_blocks, r - t + 1
+    return CodeParams(n=n, k=k, d=n - t + 1, t=t, r=r, lam=lam,
+                      alpha=alpha, beta=lam if t == 2 else None,
+                      gamma=m * alpha, M=m * nstar - T, T=T, nstar=nstar)
+
+
 def derive_params(design: BlockDesign, k: int) -> CodeParams:
     """Fill CodeParams for a design and reconstruction threshold k."""
-    n, t, r, lam = design.n, design.t, design.r, design.lam
-    if t < 2:
+    if design.t < 2:
         raise ValueError("design strength t must be at least 2; t=1 would "
                          "require all n disks as repair helpers")
-    d = n - t + 1
+    d = design.n - design.t + 1
     if not 1 <= k <= d:
         raise ValueError(f"k={k} must satisfy 1 <= k <= d = n-t+1 = {d}")
-    alpha = design.replication
-    nstar = design.num_blocks
-    m = r - t + 1
     T = compute_T(design, k)
-    M = m * nstar - T
-    if M < 1:
+    params = _params(design, k, T)
+    if params.M < 1:
         raise ValueError(f"parity deficit T = {T} consumes the whole "
-                         f"long layer ({m * nstar} slots)")
-    return CodeParams(n=n, k=k, d=d, t=t, r=r, lam=lam, alpha=alpha,
-                      beta=lam if t == 2 else None, gamma=m * alpha,
-                      M=M, T=T, nstar=nstar)
+                         f"long layer ({params.M + T} slots)")
+    return params
 
 
 def short_mds_generator(r: int, t: int,
@@ -337,23 +340,15 @@ class CodeSpec:
 
     def __post_init__(self):
         p, q = self.params, self.field.q
-        if p.d != p.n - p.t + 1 or p.m < 1:
-            raise ValueError("inconsistent (n, t, d) in params")
-        if (p.n, p.t, p.r, p.lam) != (self.design.n, self.design.t,
-                                      self.design.r, self.design.lam):
-            raise ValueError("params do not match the design")
-        if p.nstar != self.design.num_blocks:
-            raise ValueError("params.nstar does not match the design")
-        if p.alpha != self.design.replication:
-            raise ValueError("params.alpha does not match the design")
-        if p.beta != (p.lam if p.t == 2 else None):
-            raise ValueError("params.beta is inconsistent")
-        if p.gamma != p.m * p.alpha:
-            raise ValueError("params.gamma is inconsistent")
-        if p.M != p.m * p.nstar - p.T or p.T < 0 or p.M < 1:
-            raise ValueError("params (M, T) are inconsistent")
-        if not 1 <= p.k <= p.d:
+        want = _params(self.design, p.k, p.T)
+        if not 1 <= p.k <= want.d:
             raise ValueError("params.k out of range")
+        if p.T < 0 or want.M < 1:
+            raise ValueError("params.T out of range")
+        if p != want:
+            field = next(f for f in CodeParams.__annotations__
+                         if getattr(p, f) != getattr(want, f))
+            raise ValueError(f"params.{field} does not match the design")
         if self.layout != build_layout(self.design):
             raise ValueError("layout does not match the design placement")
         if (self.phi is None) == (self.s_entries is None):

@@ -150,6 +150,19 @@ def test_spec_json_rejects_both_phi_and_s(golden_spec):
         CodeSpec.from_json(json.dumps(doc))
 
 
+@pytest.mark.parametrize("key", ["n", "d", "t", "r", "lambda", "alpha",
+                                 "beta", "gamma", "M", "nstar"])
+def test_spec_json_rejects_a_changed_param_by_name(golden_spec, key):
+    """Each derived parameter is checked against the design, and the
+    error names the field.  k is left out: k alone within 1..d gives a
+    consistent code with extra parity; T alone is caught through M."""
+    doc = json.loads(golden_spec.to_json())
+    doc["params"][key] += 1
+    field = "lam" if key == "lambda" else key
+    with pytest.raises(ValueError, match=rf"\bparams\.{field}\b"):
+        CodeSpec.from_json(json.dumps(doc))
+
+
 def test_verify_full_and_sampled(golden_spec):
     full = verify_S(golden_spec)
     assert full.ok and full.checked == full.total == 36
