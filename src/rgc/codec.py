@@ -65,7 +65,8 @@ class MessageVector:
             for v in values:
                 _require_int("message symbol", v)
                 if not 0 <= v < self.q:
-                    raise ValueError("message symbol outside [0, q)")
+                    raise ValueError(f"message symbol outside "
+                                     f"GF({self.q})")
 
     @classmethod
     def from_text(cls, q: int, text: str) -> MessageVector:
@@ -227,23 +228,16 @@ def check_share(spec: CodeSpec,
 
 
 def _message_values(spec: CodeSpec, message) -> tuple[int, ...]:
-    if isinstance(message, MessageVector):
-        if message.q != spec.field.q:
-            raise ValueError(f"message modulus {message.q} does not match "
-                             f"the code field GF({spec.field.q})")
-        values = message.values   # ints, as MessageVector checks
-    else:
-        values = tuple(message)
-        if set(map(type, values)) - {int}:
-            for v in values:
-                _require_int("message symbol", v)
-    p, q = spec.params, spec.field.q
-    if len(values) != p.M:
-        raise ValueError(f"message must have M = {p.M} symbols, "
-                         f"got {len(values)}")
-    if values and (min(values) < 0 or max(values) >= q):
-        raise ValueError(f"message symbol outside GF({q})")
-    return values
+    q, M = spec.field.q, spec.params.M
+    if not isinstance(message, MessageVector):
+        message = MessageVector(q, tuple(message))
+    elif message.q != q:
+        raise ValueError(f"message modulus {message.q} does not match "
+                         f"the code field GF({q})")
+    if len(message.values) != M:
+        raise ValueError(f"message must have M = {M} symbols, "
+                         f"got {len(message.values)}")
+    return message.values
 
 
 def _share_map(spec: CodeSpec, shares) -> dict[int, DiskShare]:

@@ -849,7 +849,7 @@ def rank_witness(spec: CodeSpec, a) -> tuple[int, ...]:
     return witness
 
 
-def build_code(design: BlockDesign, k: int, q: int | str | None = "auto",
+def build_code(design: BlockDesign, k: int, q: int | str = "auto",
                seed: int = 0, budget: int = 8, jobs: int = 1,
                sample: int | None = None) -> BuildResult:
     """Derive parameters, pick a field, and produce a verified CodeSpec.
@@ -862,7 +862,7 @@ def build_code(design: BlockDesign, k: int, q: int | str | None = "auto",
     _serial_only(jobs)
     _check_search(budget, sample)
     params = derive_params(design, k)
-    if q in (None, "auto"):
+    if q == "auto":
         threshold = comb(params.n, k) * params.T * params.M
         floor = params.r - 1 if (params.t > 2 and params.m > 1) else 1
         qv = next_prime(max(threshold, floor))

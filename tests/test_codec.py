@@ -514,6 +514,16 @@ def test_share_validation_messages(golden_spec):
             share_to_bytes(spec, bad)
 
 
+def test_message_range_error_is_one_text(golden_spec):
+    """A symbol outside the field is refused with one text, whether the
+    message comes as a plain list or as a MessageVector."""
+    values = (0,) * (golden_spec.params.M - 1) + (3,)
+    _raises_exactly("message symbol outside GF(3)", encode, golden_spec,
+                    list(values), exc=ValueError)
+    _raises_exactly("message symbol outside GF(3)", MessageVector, 3,
+                    values, exc=ValueError)
+
+
 def test_non_int_symbols_are_rejected(golden_spec, complete9_spec):
     """A float (or bool, or str) symbol is refused wherever a message or
     a share is made, before any arithmetic can round it."""
