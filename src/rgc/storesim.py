@@ -6,10 +6,9 @@ per-node bandwidth ledger.  Event handlers record failures instead of
 raising, so a scenario always replays to completion and the report
 carries the outcome of every step.
 
-Scenario events come in four kinds: fail(node), repair(node),
-read(disks) and assert(predicate).  One table, _EVENT_KINDS, names each
-kind's argument field and the Cluster method that replays it;
-validation, JSON in and out, and replay all read it.
+Scenario events are fail(node), repair(node), read(disks) and
+assert(predicate); validation, JSON in and out, and replay all read one
+table, _EVENT_KINDS, of each kind's argument field and Cluster method.
 """
 
 from __future__ import annotations
