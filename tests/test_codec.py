@@ -465,6 +465,15 @@ def test_share_bytes_every_message(golden_spec, complete9_spec):
                     c9_blob[:44 + 6 + 1])
     _raises_exactly("truncated share value", share_from_bytes, c9,
                     c9_blob[:-1])
+    cut = bytearray(c9_blob[:-1])                    # last record cut off
+    cut[len(c9_blob) - 8 + 5] = 1
+    _raises_exactly("record width 1 does not match the field width 2",
+                    share_from_bytes, c9, bytes(cut))
+    _raises_exactly("7 trailing bytes after the last record", parse,
+                    blob[:40] + (0).to_bytes(4, "little") + blob[44:51])
+    _raises_exactly("truncated share record", parse,
+                    blob[:40] + (2 ** 32 - 1).to_bytes(4, "little")
+                    + blob[44:])
 
     # DiskShare's checks, reached from bytes: a record out of slot order
     first, second = blob[44:51], blob[51:58]
@@ -588,3 +597,39 @@ def test_share_bytes_sweep(golden_spec, complete9_spec):
         returned = _byte_sweep(spec, blob, records)
         value_bytes = 2 * width
         assert 0 < returned <= value_bytes * 255
+
+
+def _parse_outcome(spec, raw):
+    try:
+        return repr(share_from_bytes(spec, raw))
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _malformed(blob):
+    """Every truncation of a share file; every byte set to 0, 1, 2, 3,
+    255 and to its value + 1, alone and with the last 1 and 4 bytes cut;
+    the header's count set to 0, 1, one less, one more and 2**32 - 1,
+    with the records and without them."""
+    yield from (blob[:cut] for cut in range(len(blob)))
+    for pos, byte in enumerate(blob):
+        for value in (0, 1, 2, 3, 255, (byte + 1) % 256):
+            raw = blob[:pos] + bytes((value,)) + blob[pos + 1:]
+            yield from (raw, raw[:-1], raw[:-4])
+    count = int.from_bytes(blob[40:44], "little")
+    for c in (0, 1, count - 1, count + 1, 2 ** 32 - 1):
+        head = blob[:40] + c.to_bytes(4, "little")
+        yield from (head + blob[44:], head)
+
+
+def test_share_parse_outcomes_pinned(golden_spec, complete9_spec):
+    """The parsed share, or the error class and text, of every malformed
+    file made from the seed-5 shares of the golden and c9 codes."""
+    outcomes = [_parse_outcome(spec, raw)
+                for spec in (golden_spec, complete9_spec)
+                for share in encode(spec, _msg(spec, 5))
+                for raw in _malformed(share_to_bytes(spec, share))]
+    blob = "\n".join(outcomes).encode("utf-8")
+    assert (len(outcomes), hashlib.sha256(blob).hexdigest()) == (
+        58320, "3cd82293d66038de6bfce48b7bc45c60"
+               "f586449ac902f1cca3fe98c2c8813c88")
