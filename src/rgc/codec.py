@@ -15,6 +15,8 @@ m rows of each, and reads the surplus only to cross-check.
 Reconstruction runs the group decoder on every group, then one T x T(A)
 solve on the heavy groups' kernels (groups using fewer than m rows)
 gives the kernel coefficients; its rank decides decodability.
+A share file is parsed in one struct pass over its whole records; the
+first fault in file order is named from that pass.
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ from .construction import (CodeSpec, group_decoder, parity_block, plan,
                            short_layer)
 
 _MAGIC = b"RGC1"
+# magic, spec digest, disk id, symbol count
+_HEADER = struct.Struct("<4s32sII")
 
 
 def _require_int(what: str, v) -> None:
@@ -415,8 +419,7 @@ def share_to_bytes(spec: CodeSpec, share: DiskShare) -> bytes:
     then one record per symbol."""
     js, is_, vs = check_share(spec, share)
     width = symbol_width(spec.field.q)
-    header = _MAGIC + spec.spec_hash + struct.pack("<II", share.disk,
-                                                   len(vs))
+    header = _HEADER.pack(_MAGIC, spec.spec_hash, share.disk, len(vs))
     return header + b"".join(map(
         _record_struct(width).pack, js, is_, repeat(width),
         map(int.to_bytes, vs, repeat(width), repeat("little"))))
@@ -425,60 +428,45 @@ def share_to_bytes(spec: CodeSpec, share: DiskShare) -> bytes:
 def share_from_bytes(spec: CodeSpec, raw: bytes) -> DiskShare:
     """Parse and validate one share.
 
-    A well-formed share (exact length, every record of the field width)
-    is unpacked in one pass; anything else is walked record by record,
-    so the error names the first fault.
+    The whole records, up to the header's count, are unpacked in one
+    pass; ShareFormatError names the first fault: a record of the wrong
+    width, a record cut off at the end of the file, or trailing bytes.
     """
     if raw[:4] != _MAGIC:
         raise ShareFormatError("bad magic; not a share file")
-    if len(raw) < 44:
+    if len(raw) < _HEADER.size:
         raise ShareFormatError("truncated share header")
-    digest = raw[4:36]
+    _, digest, disk, count = _HEADER.unpack_from(raw)
     if digest != spec.spec_hash:
         raise ShareFormatError("share was written for a different code "
                                "spec (digest mismatch)")
-    disk, count = struct.unpack_from("<II", raw, 36)
     width = symbol_width(spec.field.q)
     rec = _record_struct(width)
-    symbols = None
-    if count and len(raw) == 44 + count * rec.size:
-        js, is_, ws, vs = zip(*rec.iter_unpack(memoryview(raw)[44:]))
-        if set(ws) == {width}:
-            symbols = tuple(zip(js, is_, map(int.from_bytes, vs,
-                                             repeat("little"))))
-    if symbols is None:
-        symbols = _walk_records(raw, count, width)
+    off = _HEADER.size
+    whole = min(count, (len(raw) - off) // rec.size)
+    end = off + whole * rec.size
+    js, is_, ws, vs = (tuple(zip(*rec.iter_unpack(memoryview(raw)[off:end])))
+                       or ((),) * 4)
+    rest = len(raw) - end
+    if whole < count and rest >= 6:     # the cut-off record's width byte
+        ws += (raw[end + 5],)
+    if set(ws) - {width}:
+        w = next(w for w in ws if w != width)
+        raise ShareFormatError(f"record width {w} does not match the "
+                               f"field width {width}")
+    if whole < count:
+        raise ShareFormatError("truncated share record" if rest < 6
+                               else "truncated share value")
+    if rest:
+        raise ShareFormatError(f"{rest} trailing bytes after the last "
+                               f"record")
     try:
-        share = DiskShare(disk=disk, symbols=symbols)
+        share = DiskShare(disk=disk, symbols=tuple(zip(
+            js, is_, map(int.from_bytes, vs, repeat("little")))))
     except ValueError as exc:
         raise ShareFormatError(str(exc)) from None
     check_share(spec, share)
     return share
-
-
-def _walk_records(raw: bytes, count: int, width: int):
-    """The records of a share read one at a time; ShareFormatError names
-    the first that is truncated or of the wrong width, or trailing
-    bytes."""
-    off = 44
-    symbols = []
-    for _ in range(count):
-        if off + 6 > len(raw):
-            raise ShareFormatError("truncated share record")
-        j, i, w = struct.unpack_from("<IBB", raw, off)
-        off += 6
-        if w != width:
-            raise ShareFormatError(f"record width {w} does not match the "
-                                   f"field width {width}")
-        if off + w > len(raw):
-            raise ShareFormatError("truncated share value")
-        v = int.from_bytes(raw[off:off + w], "little")
-        off += w
-        symbols.append((j, i, v))
-    if off != len(raw):
-        raise ShareFormatError(f"{len(raw) - off} trailing bytes after the "
-                               f"last record")
-    return tuple(symbols)
 
 
 def write_share(spec: CodeSpec, share: DiskShare, path) -> None:

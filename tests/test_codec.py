@@ -432,8 +432,8 @@ def _raises_exactly(message, fn, *args, exc=ShareFormatError):
 
 
 def test_share_bytes_every_message(golden_spec, complete9_spec):
-    """Each fault of a share file raises its own message; these guard
-    the fallback from the one-pass unpack to the record walk."""
+    """Each fault of a share file raises its own message, the first in
+    file order, although all records are unpacked in one pass."""
     spec, q = golden_spec, golden_spec.field.q       # one-byte symbols
     share = encode(spec, _msg(spec, 7)).get(1)
     blob = share_to_bytes(spec, share)
