@@ -479,18 +479,8 @@ def choose_phi(r: int, field: PrimeField) -> tuple[int, ...]:
         raise ValueError(f"field GF({q}) cannot supply {r - 1} distinct "
                          f"nonzero coefficients with the -1 exclusion; "
                          f"need q >= r = {r}")
-    phi: list[int] = []
-    used: set[int] = set()
-    for pos in range(1, r):
-        last = pos == r - 1
-        pick = next((c for c in range(1, q)
-                     if c not in used and (last or (c + 1) % q != 0)), None)
-        if pick is None:
-            raise ValueError(f"no admissible coefficient assignment in "
-                             f"GF({q}) for block size {r}")
-        phi.append(pick)
-        used.add(pick)
-    return tuple(phi)
+    # distinct and nonzero; only the last, r-1, can reach q-1 = -1
+    return tuple(range(1, r))
 
 
 def build_explicit_steiner_code(design: BlockDesign,

@@ -248,26 +248,6 @@ def verify_design(design: BlockDesign) -> DesignReport:
                         checked_subsets=checked)
 
 
-def count_blocks_containing(design: BlockDesign, s) -> int:
-    """Blocks containing the subset s (|s| <= t), checked against the
-    closed form lambda*C(n-|s|, t-|s|)/C(r-|s|, t-|s|)."""
-    s = frozenset(s)
-    if len(s) > design.t:
-        raise ValueError(f"subset of size {len(s)} exceeds strength "
-                         f"t={design.t}")
-    if any(not 1 <= x <= design.n for x in s):
-        raise ValueError("subset leaves the ground set")
-    count = sum(1 for b in design.blocks if s.issubset(b))
-    i = len(s)
-    formula = (design.lam * comb(design.n - i, design.t - i)
-               // comb(design.r - i, design.t - i))
-    if count != formula:
-        raise ValueError(
-            f"enumeration {count} disagrees with formula {formula}; "
-            "the design is not a valid t-design")
-    return count
-
-
 # Reference systems used by the worked examples and golden tests.
 S_2_3_7 = BlockDesign(n=7, t=2, r=3, lam=1, blocks=(
     (1, 2, 3), (1, 4, 5), (1, 6, 7), (2, 4, 6), (2, 5, 7), (3, 4, 7),

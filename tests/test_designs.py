@@ -7,10 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rgc.designs import (CATALOG, BlockDesign, count_blocks_containing,
-                         gen_complete_design, gen_steiner_triple,
-                         is_complete_design, load_design, save_design,
-                         verify_design)
+from rgc.designs import (CATALOG, BlockDesign, gen_complete_design,
+                         gen_steiner_triple, is_complete_design, load_design,
+                         save_design, verify_design)
 
 
 @pytest.mark.parametrize("n", [7, 9, 13, 15, 19, 21, 25, 27])
@@ -88,13 +87,12 @@ def test_catalog_counts():
         assert design.num_blocks == design.expected_num_blocks()
 
 
-def test_count_blocks_containing_matches_parameters():
+def test_blocks_through_points_and_pairs_match_parameters():
     design = gen_steiner_triple(13)
     for point in range(1, 14):
-        assert count_blocks_containing(design, (point,)) == \
-            design.replication
+        assert sum(point in b for b in design.blocks) == design.replication
     for pair in itertools.combinations(range(1, 14), 2):
-        assert count_blocks_containing(design, pair) == 1
+        assert sum(set(pair) <= set(b) for b in design.blocks) == 1
 
 
 def test_json_round_trip(tmp_path):
