@@ -847,7 +847,8 @@ def build_code(design: BlockDesign, k: int, q: int | str = "auto",
     q="auto" selects the smallest prime exceeding C(n,k)*T*M, the
     threshold above which a valid S is guaranteed to exist.  Steiner
     designs with k = n-2 use the closed-form coefficient construction;
-    other codes synthesize and verify an S matrix.
+    other codes synthesize and verify an S matrix.  Any other q must be
+    an int: a bool, float or str is refused, not converted.
     """
     _serial_only(jobs)
     _check_search(budget, sample)
@@ -855,10 +856,11 @@ def build_code(design: BlockDesign, k: int, q: int | str = "auto",
     if q == "auto":
         threshold = comb(params.n, k) * params.T * params.M
         floor = params.r - 1 if (params.t > 2 and params.m > 1) else 1
-        qv = next_prime(max(threshold, floor))
-    else:
-        qv = int(q)
-    field = PrimeField(qv)
+        q = next_prime(max(threshold, floor))
+    elif type(q) is not int:
+        raise ValueError(f"modulus {q!r} is a {type(q).__name__}, not "
+                         f"'auto' or an int")
+    field = PrimeField(q)
     if params.t == 2 and params.lam == 1 and k == params.n - 2:
         return BuildResult(spec=build_explicit_steiner_code(design, field),
                            attempts=0, structured=False)

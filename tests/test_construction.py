@@ -181,6 +181,17 @@ def test_verification_is_serial_only(golden_spec, steiner9):
         build_code(steiner9, 7, q=3, jobs=2)
 
 
+def test_build_takes_only_auto_or_an_int_modulus(steiner9):
+    """A float, bool or str modulus is refused, not truncated or
+    parsed."""
+    for q, kind in ((7.9, "float"), (True, "bool"), ("11", "str")):
+        with pytest.raises(ValueError) as err:
+            build_code(steiner9, 7, q=q)
+        assert str(err.value) == (f"modulus {q!r} is a {kind}, not 'auto' "
+                                  f"or an int")
+    assert build_code(steiner9, 7, q=7).spec.field.q == 7
+
+
 def test_build_checks_budget_and_sample_on_every_path(steiner9):
     # k = n-2 on a Steiner system takes the closed form; T = 0 needs no
     # synthesis: neither path may accept a search it would not run
