@@ -16,6 +16,9 @@ from math import comb
 
 from ._record import record
 
+# Cap on the blocks that a generator lists.
+MAX_BLOCKS = 10 ** 6
+
 
 @record
 class BlockDesign:
@@ -140,11 +143,18 @@ def gen_steiner_triple(n: int) -> BlockDesign:
         raise ValueError(
             f"no Steiner triple system on {n} points: need n >= 7 with "
             "n = 1 or 3 (mod 6)")
+    _check_block_count(n * (n - 1) // 6)
     if n % 6 == 3:
         blocks = _bose_triples(n)
     else:
         blocks = _skolem_triples(n)
     return BlockDesign(n=n, t=2, r=3, lam=1, blocks=tuple(blocks))
+
+
+def _check_block_count(count: int) -> None:
+    if count > MAX_BLOCKS:
+        raise ValueError(f"the design would have {count} blocks, above "
+                         f"the cap of {MAX_BLOCKS}")
 
 
 def _bose_triples(n: int) -> list[tuple[int, int, int]]:
@@ -188,6 +198,7 @@ def gen_complete_design(t: int, r: int, n: int) -> BlockDesign:
     """All C(n,r) blocks; a t-design with lambda = C(n-t, r-t)."""
     if not 1 <= t <= r <= n:
         raise ValueError(f"need 1 <= t <= r <= n, got ({t},{r},{n})")
+    _check_block_count(comb(n, r))
     blocks = tuple(itertools.combinations(range(1, n + 1), r))
     return BlockDesign(n=n, t=t, r=r, lam=comb(n - t, r - t), blocks=blocks)
 

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rgc.designs import (CATALOG, BlockDesign, gen_complete_design,
-                         gen_steiner_triple, is_complete_design, load_design,
-                         save_design, verify_design)
+from rgc.designs import (CATALOG, MAX_BLOCKS, BlockDesign,
+                         gen_complete_design, gen_steiner_triple,
+                         is_complete_design, load_design, save_design,
+                         verify_design)
 
 
 @pytest.mark.parametrize("n", [7, 9, 13, 15, 19, 21, 25, 27])
@@ -50,6 +51,21 @@ def test_complete_check_counts_blocks_before_listing_them(monkeypatch):
         lone = BlockDesign(n=n, t=2, r=r, lam=math.comb(n - 2, r - 2),
                            blocks=(tuple(range(1, r + 1)),))
         assert not is_complete_design(lone)
+
+
+def test_generators_refuse_more_blocks_than_the_cap(monkeypatch):
+    """An oversized request is refused before any block is listed."""
+    def refuse(*args):
+        raise AssertionError("listed blocks")
+
+    monkeypatch.setattr(itertools, "combinations", refuse)
+    for make, count in ((lambda: gen_complete_design(2, 30, 60),
+                         math.comb(60, 30)),
+                        (lambda: gen_steiner_triple(2451), 1000825)):
+        with pytest.raises(ValueError) as err:
+            make()
+        assert str(err.value) == (f"the design would have {count} "
+                                  f"blocks, above the cap of {MAX_BLOCKS}")
 
 
 def test_complete_design_rejects_bad_ranges():
