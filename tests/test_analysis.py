@@ -81,6 +81,36 @@ def test_realized_point_on_derived_params():
     assert point2.M_bar == F(p2.M * p2.d, p2.gamma)
 
 
+def _against_timesharing(design, k):
+    """Where a built code's point lies against the time-sharing line."""
+    p = derive_params(design, k)
+    point = realized_point(p)
+    try:
+        line = timesharing_M(p.n, k, p.d, point.alpha_bar)
+    except ValueError:
+        return "outside"
+    if point.M_bar == line:
+        return "on"
+    return "above" if point.M_bar > line else "below"
+
+
+def test_timesharing_verdict_depends_on_design_and_k():
+    """The README's cases: a design code is not always above the line."""
+    s9, c9 = S_2_3_9, gen_complete_design(2, 3, 9)
+    s15 = gen_steiner_triple(15)
+    cases = {
+        "above": ((s9, 7), (c9, 6), (c9, 7), (s15, 11), (s15, 12),
+                  (s15, 13), (S_2_4_13, 10), (S_2_4_13, 11)),
+        "on": ((s9, 6),),
+        "below": ((s9, 5), (gen_complete_design(3, 4, 7), 4),
+                  (S_2_4_13, 9)),
+        "outside": ((s9, 2), (s9, 3), (s9, 4)),
+    }
+    for verdict, codes in cases.items():
+        for design, k in codes:
+            assert _against_timesharing(design, k) == verdict, (design.n, k)
+
+
 def test_compare_strict_when_deficits_vary():
     rep = compare_designs(gen_steiner_triple(9),
                           gen_complete_design(2, 3, 9), 6)
