@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import json
 import math
+import pathlib
 import random
 
 import pytest
@@ -26,6 +27,8 @@ from rgc.construction import (BudgetExceededError, CodeSpec, SynthesisError,
 from rgc.designs import S_2_4_13, gen_complete_design, gen_steiner_triple
 from rgc.ffield import PrimeField
 from rgc._kernel import mat_mul, mat_rank
+
+SPECS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "specs"
 
 
 @pytest.fixture(scope="module")
@@ -263,6 +266,16 @@ def test_reference_spec_hashes_unchanged(golden_spec, complete9_spec,
     for spec, q, pin in pins:
         assert spec.field.q == q
         assert hashlib.sha256(spec.to_json().encode()).hexdigest() == pin
+
+
+def test_benchmark_saved_specs_are_the_built_specs(complete9_spec,
+                                                   s15_spec):
+    """The specs the benchmark's store workloads load are, byte for
+    byte, the saved form of the reference codes built with seed 0."""
+    for name, spec in (("c9", complete9_spec), ("s15", s15_spec)):
+        path = SPECS / f"{name}.json"
+        assert CodeSpec.load(path) == spec
+        assert path.read_text(encoding="utf-8") == spec.to_json() + "\n"
 
 
 def _erasure_sets(spec):
