@@ -268,6 +268,31 @@ def test_reference_spec_hashes_unchanged(golden_spec, complete9_spec,
         assert hashlib.sha256(spec.to_json().encode()).hexdigest() == pin
 
 
+def test_synthesis_outcomes_pinned():
+    """Attempts, structured flag and spec bytes of builds that try
+    failing candidates first, and the text of a build whose budget runs
+    out, are pinned."""
+    c9, s15 = gen_complete_design(2, 3, 9), gen_steiner_triple(15)
+    pins = (
+        (c9, 7, 11, 6, False, "056c504650b14672441327cd27af85bd"
+                              "62ff3b85486ae651f45033c30b8d6bf9"),
+        (c9, 7, 31, 4, False, "8741a682e80dcdd5bfc0af4a6f073a83"
+                              "4b314012f2394168954b08986a92d6d8"),
+        (s15, 11, 211, 1, True, "904d05a3fd757e7c8fd08934561e5e5a"
+                                "e2877c478738cdc64f937070d698fc58"),
+    )
+    for design, k, q, attempts, structured, pin in pins:
+        result = build_code(design, k, q=q)
+        assert (result.attempts, result.structured) == (attempts, structured)
+        assert hashlib.sha256(
+            result.spec.to_json().encode()).hexdigest() == pin
+    with pytest.raises(SynthesisError) as err:
+        build_code(s15, 11, q=101)
+    assert str(err.value) == (
+        "no admissible S after 8 candidates over GF(101); the existence "
+        "guarantee needs q > C(n,k)*T*M = 524160")
+
+
 def test_benchmark_saved_specs_are_the_built_specs(complete9_spec,
                                                    s15_spec):
     """The specs the benchmark's store workloads load are, byte for
