@@ -302,7 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="max synthesis attempts")
     p_build.add_argument("--sample", type=int, default=None,
                          help="verify a seeded sample of erasure sets "
-                              "instead of all of them")
+                              "instead of all of them; deriving T still "
+                              "needs C(n,n-k) within the cap")
     p_build.add_argument("--out", default=None)
     p_insp = _command(csub, "inspect", _cmd_code_inspect,
                       "print parameters and normalized point")

@@ -7,7 +7,9 @@ symbols: m = r - t + 1 long-layer symbols expanded by a short systematic
 long-layer slots column by column, the first M hold message symbols and
 the last T hold parity symbols S @ d, sized so that any n - k disk
 erasures still leave a rank-M system.  T is the worst case, over erasure
-sets A, of the symbol deficit beyond what the short layer absorbs.
+sets A, of the symbol deficit beyond what the short layer absorbs;
+compute_T walks the sets until one reaches a double-count bound that no
+set exceeds.
 
 Every block shares one short generator: short_layer is the one product
 of it with group columns, and group_decoder inverts, once per spec and
@@ -44,7 +46,8 @@ from ._kernel import mat_rank as _krank
 from ._kernel import mat_solve as _ksolve
 from ._record import record
 from .designs import (BlockDesign, closed_form_Tc, is_complete_design,
-                      json_field, json_int, json_int_rows, load_json_file)
+                      json_field, json_int, json_int_rows, load_json_file,
+                      t_subset_counts)
 from .ffield import PrimeField, next_prime
 
 
@@ -240,20 +243,38 @@ def _walk(design: BlockDesign, sets, grow=None):
 
 
 def compute_T(design: BlockDesign, k: int) -> int:
-    """Worst-case deficit max_A T(A) over all (n-k)-subsets, exhaustive.
+    """Worst-case deficit max_A T(A) over all (n-k)-subsets A.
 
-    For complete designs the result is cross-checked against the closed
-    form closed_form_Tc; a mismatch raises.
+    Every A obeys T(A) <= U = lam_max * C(n-k, t), where lam_max is the
+    most blocks on any one t-subset, counted from the blocks
+    (t_subset_counts), not taken from design.lam.  A block meeting A in
+    e >= t disks adds e - t + 1 <= C(e, t), and summed over the blocks
+    C(|B & A|, t) counts (block, t-subset of A) pairs, at most lam_max
+    for each of the C(n-k, t) t-subsets of A.  So the erasure_deficits
+    walk stops at the first set that reaches U, and U = 0 (n-k < t)
+    returns 0 with no walk; T stays exact.  More than MAX_SUBSETS
+    erasure sets are refused up front either way.  For complete designs
+    the result is cross-checked against the closed form closed_form_Tc;
+    a mismatch raises.
     """
     n = design.n
     if not 1 <= k <= n - 1:
         raise ValueError(f"k={k} must be in 1..{n - 1}")
-    best = max(erasure_deficits(design, k))
+    deficits = erasure_deficits(design, k)
+    lam_max = max(t_subset_counts(design).values(), default=0)
+    bound = lam_max * comb(n - k, design.t)
+    best = 0
+    if bound:
+        for width in deficits:
+            if width > best:
+                best = width
+                if best >= bound:
+                    break
     if is_complete_design(design):
         formula = closed_form_Tc(n, k, design.r, design.t)
         if best != formula:
             raise ValueError(
-                f"exhaustive T = {best} disagrees with the complete-design "
+                f"computed T = {best} disagrees with the complete-design "
                 f"closed form {formula}")
     return best
 
@@ -650,14 +671,33 @@ def verify_S(spec: CodeSpec, jobs: int = 1, sample: int | None = None,
 
     When C(n, n-k) exceeds MAX_SUBSETS, a seeded random sample must be
     requested explicitly via `sample`; the report then marks itself as
-    incomplete verification.
+    incomplete verification.  A sample, or the sets it stands for, may
+    not exceed MAX_SUBSETS either.
     """
     _serial_only(jobs)
-    p, q = spec.params, spec.field.q
-    miss = p.n - p.k
-    total = comb(p.n, miss)
+    return _verify(spec, sample, seed, False)
+
+
+def _check_sample(sample: int | None, n: int, miss: int) -> int:
+    """C(n, miss), the erasure sets, after refusing a sample below 1 or
+    one that would check more than MAX_SUBSETS sets."""
     if sample is not None and sample < 1:
         raise ValueError("sample must be positive")
+    total = comb(n, miss) if miss >= 0 else 0
+    if sample is not None and min(sample, total) > MAX_SUBSETS:
+        raise BudgetExceededError(
+            f"a sample of {sample} of the C({n},{miss}) = {total} erasure "
+            f"sets exceeds the cap {MAX_SUBSETS}")
+    return total
+
+
+def _verify(spec: CodeSpec, sample: int | None, seed: int,
+            first_only: bool) -> VerifyReport:
+    """verify_S's report; with first_only the walk stops at the first
+    failing set, so only ok is complete."""
+    p, q = spec.params, spec.field.q
+    miss = p.n - p.k
+    total = _check_sample(sample, p.n, miss)
     if total > MAX_SUBSETS and sample is None:
         raise BudgetExceededError(
             f"C({p.n},{miss}) = {total} erasure sets exceed the cap "
@@ -697,6 +737,8 @@ def verify_S(spec: CodeSpec, jobs: int = 1, sample: int | None = None,
         if fail:
             failures.append(a)
             pruned += fail < miss
+            if first_only:
+                break
     return VerifyReport(ok=not failures, failures=tuple(failures),
                         checked=checked, total=total, sampled=sampled,
                         reductions=reductions, pruned=pruned)
@@ -709,11 +751,11 @@ class BuildResult:
     structured: bool
 
 
-def _check_search(budget: int, sample: int | None) -> None:
+def _check_search(budget: int, sample: int | None, n: int,
+                  miss: int) -> None:
     if budget < 1:
         raise ValueError("budget must be at least 1")
-    if sample is not None and sample < 1:
-        raise ValueError("sample must be positive")
+    _check_sample(sample, n, miss)
 
 
 def _vandermonde_parity(M: int, T: int, field: PrimeField) -> tuple[int, ...]:
@@ -722,21 +764,27 @@ def _vandermonde_parity(M: int, T: int, field: PrimeField) -> tuple[int, ...]:
 
     Row t of S expresses node M+t through nodes 0..M-1, so S[t][c] is
     the Lagrange basis polynomial of node c evaluated at M+t:
-    prod_{j != c} (M+t-j) / (c-j).
+    prod_{j != c} (M+t-j) / (c-j).  Every inverse it takes is of an
+    integer in 1..M+T-1, read from one table of inverse factorials.
     """
-    q = field.q
-    fact = [1] * (M + T)
-    for i in range(1, M + T):
+    q, size = field.q, M + T
+    fact = [1] * size
+    for i in range(1, size):
         fact[i] = fact[i - 1] * i % q
+    inv_fact = [1] * size
+    inv_fact[-1] = pow(fact[-1], -1, q)
+    for i in range(size - 1, 1, -1):
+        inv_fact[i - 1] = inv_fact[i] * i % q
+    # 1 / i = (i-1)! / i!
+    inv = [0] + [fact[i - 1] * inv_fact[i] % q for i in range(1, size)]
     # 1 / prod_{j != c} (c-j) = (-1)^(M-1-c) / (c! (M-1-c)!)
-    inv_den = [(-1) ** (M - 1 - c) * pow(fact[c] * fact[M - 1 - c], -1, q)
+    inv_den = [(-1) ** (M - 1 - c) * inv_fact[c] * inv_fact[M - 1 - c]
                for c in range(M)]
     out = []
     for t in range(T):
         x = M + t
-        num = fact[x] * pow(fact[t], -1, q)     # prod_{j < M} (x - j)
-        out.extend(num * pow(x - c, -1, q) * inv_den[c] % q
-                   for c in range(M))
+        num = fact[x] * inv_fact[t]     # prod_{j < M} (x - j)
+        out.extend(num * inv[x - c] * inv_den[c] % q for c in range(M))
     return tuple(out)
 
 
@@ -747,12 +795,13 @@ def synthesize_S(params: CodeParams, design: BlockDesign, field: PrimeField,
 
     The first candidate is the parity block of a systematic Vandermonde
     MDS code (when q >= M+T); later candidates are seeded uniform draws.
+    A candidate's check stops at its first undecodable erasure set.
     A code with T = 0 has no parity to find and returns at once with
     attempts = 0.  Deterministic for a given seed.  Raises
     SynthesisError when the budget is exhausted, quoting the field-size
     existence threshold.
     """
-    _check_search(budget, sample)
+    _check_search(budget, sample, params.n, params.n - params.k)
     M, T = params.M, params.T
     q = field.q
     layout = build_layout(design)
@@ -772,8 +821,7 @@ def synthesize_S(params: CodeParams, design: BlockDesign, field: PrimeField,
         attempts += 1
         trial = CodeSpec(params=params, field=field, design=design,
                          layout=layout, s_entries=entries)
-        report = verify_S(trial, sample=sample)
-        if report.ok:
+        if _verify(trial, sample, 0, True).ok:
             return BuildResult(spec=trial, attempts=attempts,
                                structured=structured)
     threshold = comb(params.n, params.k) * T * M
@@ -851,7 +899,7 @@ def build_code(design: BlockDesign, k: int, q: int | str = "auto",
     an int: a bool, float or str is refused, not converted.
     """
     _serial_only(jobs)
-    _check_search(budget, sample)
+    _check_search(budget, sample, design.n, design.n - k)
     params = derive_params(design, k)
     if q == "auto":
         threshold = comb(params.n, k) * params.T * params.M

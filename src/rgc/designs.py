@@ -228,6 +228,16 @@ class DesignReport:
         return self.violations[0] if self.violations else None
 
 
+def t_subset_counts(design: BlockDesign) -> dict[tuple[int, ...], int]:
+    """The number of blocks holding each t-subset that some block holds,
+    counted from the block list, whatever lam says."""
+    cover: dict[tuple[int, ...], int] = {}
+    for block in design.blocks:
+        for sub in itertools.combinations(block, design.t):
+            cover[sub] = cover.get(sub, 0) + 1
+    return cover
+
+
 def verify_design(design: BlockDesign) -> DesignReport:
     """Exhaustively check the t-design axioms; report the violations."""
     violations = []
@@ -240,10 +250,7 @@ def verify_design(design: BlockDesign) -> DesignReport:
         violations.append(
             f"block count {design.num_blocks} != lambda*C(n,t)/C(r,t) "
             f"= {expected}")
-    cover: dict[tuple[int, ...], int] = {}
-    for block in design.blocks:
-        for sub in itertools.combinations(block, design.t):
-            cover[sub] = cover.get(sub, 0) + 1
+    cover = t_subset_counts(design)
     checked = 0
     for sub in itertools.combinations(range(1, design.n + 1), design.t):
         checked += 1

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rgc import construction
+from rgc import construction, designs
 from rgc.codec import (CorruptionError, MessageVector, encode, reconstruct,
                        repair)
 from rgc.construction import (BudgetExceededError, CodeSpec, SynthesisError,
@@ -24,7 +24,8 @@ from rgc.construction import (BudgetExceededError, CodeSpec, SynthesisError,
                               group_decoder, parity_block, plan,
                               rank_witness, short_mds_generator,
                               synthesize_S, verify_S)
-from rgc.designs import S_2_4_13, gen_complete_design, gen_steiner_triple
+from rgc.designs import (CATALOG, S_2_4_13, BlockDesign, gen_complete_design,
+                         gen_steiner_triple)
 from rgc.ffield import PrimeField
 from rgc._kernel import mat_mul, mat_rank
 
@@ -74,6 +75,75 @@ def test_deficit_budget_guard():
     design = gen_complete_design(2, 3, 30)
     with pytest.raises(BudgetExceededError):
         compute_T(design, 15)
+
+
+def _random_multiset():
+    """25 random triples on 10 points, some repeated: lam = 1 is false,
+    as four blocks hold one pair."""
+    rng = random.Random(3)
+    return BlockDesign(n=10, t=2, r=3, lam=1, blocks=tuple(
+        tuple(rng.sample(range(1, 11), 3)) for _ in range(25)))
+
+
+def _drained_deficits(monkeypatch):
+    """Make compute_T read erasure_deficits through a recorder, and
+    return a function that drains what compute_T left of the walk and
+    gives (the sets compute_T read, the maximum over all sets)."""
+    walk = construction.erasure_deficits
+    state = {}
+
+    def recorded(design, k):
+        widths = walk(design, k)
+        state.update(widths=widths, read=0, best=0)
+
+        def read():
+            for width in widths:
+                state["read"] += 1
+                state["best"] = max(state["best"], width)
+                yield width
+        return read()
+
+    def drain():
+        return state["read"], max([state["best"], *state["widths"]])
+    monkeypatch.setattr(construction, "erasure_deficits", recorded)
+    return drain
+
+
+def test_compute_T_is_the_maximum_deficit(monkeypatch):
+    """compute_T, which stops at the bound lam_max * C(n-k, t), equals
+    max(erasure_deficits(d, k)) on every k whose walk has at most 10^5
+    sets, and refuses what that refuses with the same error.  Only
+    S(2,3,21) k = 7..13 is left out, 1.3 million sets; S(2,3,19) covers
+    the same early exits on walks of up to 92,378 sets.  The random
+    multiset's lam_max is 4, so a bound taken from design.lam would stop
+    too early on k = 1..8."""
+    assert max(designs.t_subset_counts(_random_multiset()).values()) == 4
+    cases = ([gen_steiner_triple(n) for n in (7, 9, 13, 15, 19, 21)]
+             + [gen_complete_design(t, r, n) for t, r, n in (
+                 (2, 3, 7), (2, 3, 9), (3, 4, 7), (2, 4, 8), (3, 5, 8),
+                 (4, 5, 8))]
+             + list(CATALOG.values()) + [_random_multiset()])
+    drain = _drained_deficits(monkeypatch)
+    for design in cases:
+        for k in range(1, design.n):
+            if math.comb(design.n, k) <= 10 ** 5:
+                assert compute_T(design, k) == drain()[1], (design, k)
+    too_many = gen_complete_design(2, 3, 30)
+    with pytest.raises(BudgetExceededError) as err:
+        compute_T(too_many, 15)
+    with pytest.raises(BudgetExceededError) as want:
+        max(construction.erasure_deficits(too_many, 15))
+    assert str(err.value) == str(want.value)
+
+
+def test_compute_T_stops_at_the_bound(monkeypatch):
+    """On S(2,3,15) k = 11 and S(2,3,27) k = 22 a set reaches the bound
+    C(n-k, 2) after a few of the C(15,4) = 1365 and C(27,5) = 80730
+    erasure sets."""
+    drain = _drained_deficits(monkeypatch)
+    for n, k, sets, T in ((15, 11, 13, 6), (27, 22, 279, 10)):
+        assert compute_T(gen_steiner_triple(n), k) == T
+        assert drain() == (sets, T)
 
 
 def test_closed_form_matches_exhaustive_small():
@@ -174,6 +244,33 @@ def test_verify_full_and_sampled(golden_spec):
     assert sampled.ok and sampled.checked == 10 and sampled.sampled
     again = verify_S(golden_spec, sample=10, seed=4)
     assert sampled.failures == again.failures
+
+
+def test_sample_may_not_exceed_the_cap(s15_spec, monkeypatch):
+    """A sample checks at most MAX_SUBSETS sets, whether it would draw
+    them or stand for all C(15,4) = 1365 of s15's; build_code refuses
+    such a sample before it derives T."""
+    monkeypatch.setattr(construction, "MAX_SUBSETS", 1000)
+    assert verify_S(s15_spec, sample=1000).checked == 1000
+    for sample in (1300, 2000):
+        with pytest.raises(BudgetExceededError) as err:
+            verify_S(s15_spec, sample=sample)
+        assert str(err.value) == (
+            f"a sample of {sample} of the C(15,4) = 1365 erasure sets "
+            f"exceeds the cap 1000")
+    monkeypatch.setattr(construction, "compute_T", None)
+    with pytest.raises(BudgetExceededError, match="a sample of 1300"):
+        build_code(s15_spec.design, 11, sample=1300)
+
+
+def test_synthesis_check_stops_at_the_first_failure():
+    """synthesize_S's check of a candidate agrees with verify_S on ok,
+    and on a failing candidate stops at verify_S's first failing set."""
+    for spec in _small_field_candidates():
+        report = verify_S(spec)
+        quick = construction._verify(spec, None, 0, True)
+        assert quick.ok == report.ok
+        assert quick.failures == report.failures[:1]
 
 
 def test_verification_is_serial_only(golden_spec, steiner9):
