@@ -1,5 +1,6 @@
 """Block-design generation, verification, and serialization."""
 
+import hashlib
 import itertools
 import math
 
@@ -20,6 +21,17 @@ def test_steiner_triples_verify(n):
     assert design.replication == (n - 1) // 2
     report = verify_design(design)
     assert report.ok, report.first_violation()
+
+
+def test_steiner_triple_bytes_pinned():
+    """The canonical JSON of every triple system on 7..99 points, Bose
+    (n = 3 mod 6) and Skolem (n = 1 mod 6) alike, hashed in order."""
+    h = hashlib.sha256()
+    for n in range(7, 100):
+        if n % 6 in (1, 3):
+            h.update(gen_steiner_triple(n).to_json().encode())
+    assert h.hexdigest() == ("3435ab4a10a15025006cbf88a1e9d6e4"
+                             "77f58942f2d7b89b0dc5ea1ab30c575c")
 
 
 @pytest.mark.parametrize("n", [2, 5, 6, 8, 11, 12, 17])
