@@ -158,39 +158,36 @@ def _check_block_count(count: int) -> None:
 
 
 def _bose_triples(n: int) -> list[tuple[int, int, int]]:
-    # n = 6t+3; ground set Z_v x {1,2,3} with v = 2t+1, via the idempotent
-    # quasigroup x*y = (t+1)(x+y) mod v; point (x, j) is labeled 3x + j
+    # n = 6t+3; v = 2t+1, idempotent quasigroup x*y = (t+1)(x+y) mod v
     t = (n - 3) // 6
     v = 2 * t + 1
-    lab = lambda x, j: 3 * x + j
-    blocks = [(lab(x, 1), lab(x, 2), lab(x, 3)) for x in range(v)]
-    for x, y in itertools.combinations(range(v), 2):
-        z = (t + 1) * (x + y) % v
-        for j in (1, 2, 3):
-            blocks.append((lab(x, j), lab(y, j), lab(z, j % 3 + 1)))
-    return blocks
+    return _quasigroup_triples(v, v, lambda x, y: (t + 1) * (x + y) % v)
 
 
 def _skolem_triples(n: int) -> list[tuple[int, int, int]]:
-    # n = 6t+1; ground set (Z_v x {1,2,3}) + {inf} with v = 2t, via the
-    # half-idempotent quasigroup x*y = f((x+y) mod v), f(2i)=i, f(2i+1)=t+i
+    # n = 6t+1; v = 2t, half-idempotent quasigroup x*y = f((x+y) mod v),
+    # f(2i) = i, f(2i+1) = t+i, plus the point inf = n; as v is even,
+    # (x+y) mod v has the parity of x+y
     t = (n - 1) // 6
     v = 2 * t
-    lab = lambda x, j: 3 * x + j
-    inf = n
-
-    def f(s: int) -> int:
-        return s // 2 if s % 2 == 0 else t + (s - 1) // 2
-
-    blocks = [(lab(x, 1), lab(x, 2), lab(x, 3)) for x in range(t)]
+    blocks = _quasigroup_triples(
+        v, t, lambda x, y: (x + y) % v // 2 + t * ((x + y) % 2))
     for x in range(t):
-        blocks.append((inf, lab(t + x, 1), lab(x, 2)))
-        blocks.append((inf, lab(t + x, 2), lab(x, 3)))
-        blocks.append((inf, lab(t + x, 3), lab(x, 1)))
+        blocks.extend((n, 3 * (t + x) + j, 3 * x + j % 3 + 1)
+                      for j in (1, 2, 3))
+    return blocks
+
+
+def _quasigroup_triples(v: int, heads: int,
+                        op) -> list[tuple[int, int, int]]:
+    """The triples on Z_v x {1,2,3}, point (x, j) labeled 3x + j, that a
+    quasigroup op on Z_v gives: {(x,1), (x,2), (x,3)} for x < heads, and
+    {(x,j), (y,j), (op(x,y), j+1 mod 3)} for x < y and each j."""
+    blocks = [(3 * x + 1, 3 * x + 2, 3 * x + 3) for x in range(heads)]
     for x, y in itertools.combinations(range(v), 2):
-        z = f((x + y) % v)
-        for j in (1, 2, 3):
-            blocks.append((lab(x, j), lab(y, j), lab(z, j % 3 + 1)))
+        z = op(x, y)
+        blocks.extend((3 * x + j, 3 * y + j, 3 * z + j % 3 + 1)
+                      for j in (1, 2, 3))
     return blocks
 
 
