@@ -26,7 +26,7 @@ from rgc.construction import (BudgetExceededError, CodeSpec, SynthesisError,
                               synthesize_S, verify_S)
 from rgc.designs import (CATALOG, S_2_4_13, BlockDesign, gen_complete_design,
                          gen_steiner_triple)
-from rgc.ffield import PrimeField
+from rgc.ffield import PrimeField, next_prime
 from rgc._kernel import mat_mul, mat_rank
 
 SPECS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "specs"
@@ -165,14 +165,24 @@ def test_layout_slots(steiner9):
 
 
 def test_short_generator_systematic_and_mds():
-    field = PrimeField(11)
-    g = short_mds_generator(5, 3, field)   # m = 3, r = 5
-    assert len(g) == 5 and all(len(row) == 3 for row in g)
-    assert g[:3] == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    # MDS: every 3x3 minor of the 5x3 stack is invertible
-    for sel in itertools.combinations(range(5), 3):
-        flat = [x for i in sel for x in g[i]]
-        assert mat_rank(flat, 3, 3, 11) == 3
+    """The library never ranks the short generator, so this is its proof
+    of record: for every 2 <= t <= r <= 12, over the smallest prime
+    q >= r and over GF(31), the generator is systematic and every
+    m x m minor of it is invertible (16,332 minors)."""
+    minors = 0
+    for r in range(2, 13):
+        for q in (next_prime(r - 1), 31):
+            for t in range(2, r + 1):
+                m = r - t + 1
+                g = short_mds_generator(r, t, PrimeField(q))
+                assert len(g) == r and all(len(row) == m for row in g)
+                assert g[:m] == tuple(tuple(int(c == i) for c in range(m))
+                                      for i in range(m))
+                for sel in itertools.combinations(range(r), m):
+                    flat = [x for i in sel for x in g[i]]
+                    assert mat_rank(flat, m, m, q) == m, (r, t, q, sel)
+                    minors += 1
+    assert minors == 16332
 
 
 def test_short_generator_all_ones_parity_when_t2():
