@@ -11,7 +11,9 @@ sets A, of the symbol deficit beyond what the short layer absorbs;
 compute_T walks the sets until one reaches a double-count bound that no
 set exceeds.
 
-Every block shares one short generator: short_layer is the one product
+Every block shares one short generator, made from (r, t, q) and never
+read from a file; it is MDS by construction (short_mds_generator), which
+tier-1 checks, so no spec re-checks it.  short_layer is the one product
 of it with group columns, and group_decoder inverts, once per spec and
 held-row tuple, a group's held rows plus its free systematic rows.
 A group whose block meets an erasure set A in e >= t disks keeps r - e
@@ -176,13 +178,15 @@ def erasure_deficits(design: BlockDesign, k: int):
         raise BudgetExceededError(
             f"C({n},{miss}) = {total} erasure sets exceed the cap "
             f"{MAX_SUBSETS}")
-    sets = itertools.combinations(range(1, n + 1), miss)
-    return (width for _, width, _ in _walk(design, sets))
+    return (width for _, width, _ in _walk(design, miss))
 
 
-def _walk(design: BlockDesign, sets, grow=None):
-    """Yield (a, width, fail) for each erasure set a of `sets` (ascending
-    tuples in lexicographic order), walked as paths of the prefix tree.
+def _walk(design: BlockDesign, miss: int, sets=None, grow=None):
+    """Yield (a, width, fail) for each erasure set a of `sets`, by default
+    every miss-subset of the disks, walked as paths of the prefix tree.
+    The sharing below needs ascending tuples in lexicographic order, so
+    the default walk makes that enumeration itself and a caller passes
+    only a sorted sample.
 
     The path erases every disk of a set but the last, which is only
     tried, keeping what it shares with the previous set.  Erasing disk x
@@ -195,6 +199,8 @@ def _walk(design: BlockDesign, sets, grow=None):
     prefix fails with no more work.
     """
     t = design.t
+    if sets is None:
+        sets = itertools.combinations(range(1, design.n + 1), miss)
     blocks_of = [[] for _ in range(design.n + 1)]
     for j, block in enumerate(design.blocks):
         for i, x in enumerate(block):
@@ -311,8 +317,16 @@ def short_mds_generator(r: int, t: int,
 
     The top m rows are the identity.  For t = 2 the single parity row is
     all ones; for m = 1 the code is repetition; otherwise the parity
-    rows form a Cauchy block, which needs q >= r.  The MDS property is
-    verified exhaustively for r <= 12.
+    rows form the Cauchy block 1 / (x_i - y_c) on nodes x_i = m..r-1
+    against y_c = 0..m-1, which needs q >= r.  Each is MDS: any m rows
+    are invertible.  If s of them are identity rows, their determinant
+    is, up to sign, that of the other m - s rows on the m - s columns
+    the identity rows miss.  For t = 2 or m = 1 that block is empty or
+    a single 1; otherwise it is a square submatrix of a Cauchy matrix
+    whose nodes, all below q, are distinct, so it is nonsingular
+    (MacWilliams and Sloane, The Theory of Error-Correcting Codes,
+    ch. 11).  So nothing is ranked here; a tier-1 test ranks every
+    m-row choice for 2 <= t <= r <= 12 over two fields.
     """
     if not 2 <= t <= r:
         raise ValueError(f"need 2 <= t <= r, got t={t} r={r}")
@@ -328,17 +342,8 @@ def short_mds_generator(r: int, t: int,
             raise ValueError(
                 f"field GF({q}) too small for a Cauchy parity block; "
                 f"need q >= r = {r}")
-        # nodes m..r-1 vs 0..m-1 are distinct mod q, so every minor of
-        # the Cauchy block is invertible
         for i in range(t - 1):
             rows.append(tuple(pow(m + i - c, -1, q) for c in range(m)))
-    if r <= 12:
-        for sub in itertools.combinations(range(r), m):
-            picked = [rows[i] for i in sub]
-            flat = [v for row in picked for v in row]
-            if _krank(flat, m, m, q) != m:
-                raise ValueError(f"short generator is not MDS over GF({q}); "
-                                 f"rows {sub} are singular")
     return tuple(rows)
 
 
@@ -573,11 +578,8 @@ def group_decoder(spec: CodeSpec, rows):
         m, s, q, sg = spec.params.m, len(rows), spec.field.q, spec.short_gen
         free = [i for i in range(m) if i not in rows][:m - s]
         eye = [int(a == b) for a in range(m) for b in range(m)]
-        rank, inv = _ksolve([v for i in (*rows, *free) for v in sg[i]],
-                            m, m, eye, m, q)
-        if rank < m:
-            raise RuntimeError("short-layer generator rows are singular; "
-                               "the stored spec is corrupt")
+        _, inv = _ksolve([v for i in (*rows, *free) for v in sg[i]],
+                         m, m, eye, m, q)
         entry = spec.group_decoders[rows] = (
             tuple(v for c in range(m) for v in inv[c * m:c * m + s]),
             tuple(v for c in range(m) for v in inv[c * m + s:(c + 1) * m]))
@@ -703,16 +705,13 @@ def _verify(spec: CodeSpec, sample: int | None, seed: int,
             f"C({p.n},{miss}) = {total} erasure sets exceed the cap "
             f"{MAX_SUBSETS}; pass sample= to acknowledge incomplete "
             f"verification")
+    sets, checked, sampled = None, total, False
     if sample is not None and sample < total:
         rng = random.Random(seed)
         chosen: set[tuple[int, ...]] = set()
         while len(chosen) < sample:
             chosen.add(tuple(sorted(rng.sample(range(1, p.n + 1), miss))))
-        sets = sorted(chosen)
-        checked, sampled = len(sets), True
-    else:
-        sets = itertools.combinations(range(1, p.n + 1), miss)
-        checked, sampled = total, False
+        sets, checked, sampled = sorted(chosen), sample, True
     # images[h][j]: [S | -I] on group j's kernel vector at hit mask h, the
     # solve column of the row lost last (zero on held rows, one on it)
     masks = [h for h in range(1 << p.r) if p.t <= h.bit_count() <= miss]
@@ -733,7 +732,7 @@ def _verify(spec: CodeSpec, sample: int | None, seed: int,
         return _kadd(basis, images[hits][j], q)
 
     failures, pruned = [], 0
-    for a, _, fail in _walk(spec.design, sets, grow):
+    for a, _, fail in _walk(spec.design, miss, sets, grow):
         if fail:
             failures.append(a)
             pruned += fail < miss

@@ -564,7 +564,7 @@ def test_verify_walk_reduces_once_per_heavy_block(t3_spec, monkeypatch):
     assert specs[0].params.T == 0      # n - k = 2 < t: every T(A) is 0
     for spec in specs:
         fewest, most, pruned, failures = _walk_bounds(spec)
-        spec.short_gen                 # its MDS check ranks minors
+        spec.short_gen                 # cached before the patch
         with monkeypatch.context() as patch:
             patch.setattr(construction, "_krank", no_rank)
             report = verify_S(spec)
