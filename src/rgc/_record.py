@@ -12,6 +12,9 @@ field with ``object.__setattr__`` and ``functools.cached_property``
 works; equality and hash read the fields only, so cached values never
 enter them.  Assignment and deletion raise ``AttributeError``.  Records
 do not inherit from each other.
+
+``require_int`` is the one check, for record fields and library
+arguments alike, that a value is exactly an int.
 """
 
 from operator import attrgetter
@@ -91,3 +94,11 @@ def record(cls):
         method.__qualname__ = f"{name}.{method.__name__}"
         setattr(cls, method.__name__, method)
     return cls
+
+
+def require_int(what: str, v) -> None:
+    """ValueError unless v's type is exactly int: a bool, float, str or
+    None is refused, not rounded, converted or defaulted."""
+    if type(v) is not int:
+        raise ValueError(f"{what} {v!r} is a {type(v).__name__}, not an "
+                         f"int")

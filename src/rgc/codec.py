@@ -28,21 +28,13 @@ from operator import mul
 
 from ._kernel import mat_mul as _kmul
 from ._kernel import mat_solve as _ksolve
-from ._record import record
+from ._record import record, require_int
 from .construction import (CodeSpec, group_decoder, parity_block, plan,
                            short_layer)
 
 _MAGIC = b"RGC1"
 # magic, spec digest, disk id, symbol count
 _HEADER = struct.Struct("<4s32sII")
-
-
-def _require_int(what: str, v) -> None:
-    """ValueError unless v's type is exactly int: a bool, float or str
-    symbol is refused, not rounded or converted."""
-    if type(v) is not int:
-        raise ValueError(f"{what} {v!r} is a {type(v).__name__}, not an "
-                         f"int")
 
 
 class ShareFormatError(ValueError):
@@ -67,7 +59,7 @@ class MessageVector:
         if values and (set(map(type, values)) != {int}
                        or min(values) < 0 or max(values) >= self.q):
             for v in values:
-                _require_int("message symbol", v)
+                require_int("message symbol", v)
                 if not 0 <= v < self.q:
                     raise ValueError(f"message symbol outside "
                                      f"GF({self.q})")
@@ -87,6 +79,8 @@ class MessageVector:
 
     @classmethod
     def random(cls, q: int, length: int, seed: int = 0) -> MessageVector:
+        require_int("length", length)
+        require_int("seed", seed)
         rng = random.Random(seed)
         return cls(q=q, values=tuple(rng.randrange(q)
                                      for _ in range(length)))
@@ -101,7 +95,7 @@ class DiskShare:
     symbols: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self):
-        _require_int("disk id", self.disk)
+        require_int("disk id", self.disk)
         if self.disk < 1:
             raise ValueError("disk ids are 1-based")
         syms = self.symbols
@@ -119,7 +113,7 @@ class DiskShare:
                 if len(sym) != 3:
                     raise ValueError(f"malformed share symbol {sym!r}")
                 for x in sym:
-                    _require_int(f"share symbol {sym!r}: entry", x)
+                    require_int(f"share symbol {sym!r}: entry", x)
                     if x < 0:
                         raise ValueError(f"malformed share symbol {sym!r}")
         if list(syms) != sorted(syms):

@@ -46,7 +46,7 @@ from ._kernel import echelon_add as _kadd
 from ._kernel import mat_mul as _kmul
 from ._kernel import mat_rank as _krank
 from ._kernel import mat_solve as _ksolve
-from ._record import record
+from ._record import record, require_int
 from .designs import (BlockDesign, closed_form_Tc, is_complete_design,
                       json_field, json_int, json_int_rows, load_json_file,
                       t_subset_counts)
@@ -522,7 +522,7 @@ def build_explicit_steiner_code(design: BlockDesign,
                          "S(2, r, n) with lambda = 1")
     params = derive_params(design, design.n - 2)
     if params.T != 1:
-        raise WitnessError("Steiner system with n-k = 2 must have T = 1")
+        raise ValueError("Steiner system with n-k = 2 must have T = 1")
     phi = choose_phi(design.r, field)
     return CodeSpec(params=params, field=field, design=design,
                     layout=build_layout(design), phi=phi)
@@ -677,14 +677,17 @@ def verify_S(spec: CodeSpec, jobs: int = 1, sample: int | None = None,
     not exceed MAX_SUBSETS either.
     """
     _serial_only(jobs)
+    require_int("seed", seed)
     return _verify(spec, sample, seed, False)
 
 
 def _check_sample(sample: int | None, n: int, miss: int) -> int:
     """C(n, miss), the erasure sets, after refusing a sample below 1 or
     one that would check more than MAX_SUBSETS sets."""
-    if sample is not None and sample < 1:
-        raise ValueError("sample must be positive")
+    if sample is not None:
+        require_int("sample", sample)
+        if sample < 1:
+            raise ValueError("sample must be positive")
     total = comb(n, miss) if miss >= 0 else 0
     if sample is not None and min(sample, total) > MAX_SUBSETS:
         raise BudgetExceededError(
@@ -750,8 +753,10 @@ class BuildResult:
     structured: bool
 
 
-def _check_search(budget: int, sample: int | None, n: int,
+def _check_search(budget: int, sample: int | None, seed: int, n: int,
                   miss: int) -> None:
+    require_int("budget", budget)
+    require_int("seed", seed)
     if budget < 1:
         raise ValueError("budget must be at least 1")
     _check_sample(sample, n, miss)
@@ -800,7 +805,7 @@ def synthesize_S(params: CodeParams, design: BlockDesign, field: PrimeField,
     SynthesisError when the budget is exhausted, quoting the field-size
     existence threshold.
     """
-    _check_search(budget, sample, params.n, params.n - params.k)
+    _check_search(budget, sample, seed, params.n, params.n - params.k)
     M, T = params.M, params.T
     q = field.q
     layout = build_layout(design)
@@ -898,7 +903,8 @@ def build_code(design: BlockDesign, k: int, q: int | str = "auto",
     an int: a bool, float or str is refused, not converted.
     """
     _serial_only(jobs)
-    _check_search(budget, sample, design.n, design.n - k)
+    require_int("k", k)
+    _check_search(budget, sample, seed, design.n, design.n - k)
     params = derive_params(design, k)
     if q == "auto":
         threshold = comb(params.n, k) * params.T * params.M

@@ -14,7 +14,7 @@ import itertools
 import json
 from math import comb
 
-from ._record import record
+from ._record import record, require_int
 
 # Cap on the blocks that a generator lists.
 MAX_BLOCKS = 10 ** 6
@@ -31,12 +31,17 @@ class BlockDesign:
     blocks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        for name in ("n", "t", "r", "lam"):
+            require_int(f"design {name}", getattr(self, name))
         if not 1 <= self.t <= self.r <= self.n:
             raise ValueError(
                 f"need 1 <= t <= r <= n, got t={self.t} r={self.r} n={self.n}")
         if self.lam < 1:
             raise ValueError("lambda must be positive")
         canon = tuple(sorted(tuple(sorted(b)) for b in self.blocks))
+        if set(map(type, itertools.chain.from_iterable(canon))) - {int}:
+            for x in itertools.chain.from_iterable(canon):
+                require_int("block point", x)
         for b in canon:
             if len(b) != self.r or len(set(b)) != self.r:
                 raise ValueError(f"block {b} is not an {self.r}-subset")

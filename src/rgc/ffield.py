@@ -7,7 +7,7 @@ and elimination lives in ``_kernel``.  The modulus is capped at 2^61.
 
 from __future__ import annotations
 
-from ._record import record
+from ._record import record, require_int
 
 MAX_MODULUS = 1 << 61
 
@@ -59,6 +59,7 @@ class PrimeField:
     q: int
 
     def __post_init__(self):
+        require_int("modulus", self.q)
         if not 2 <= self.q < MAX_MODULUS:
             raise ValueError(f"modulus {self.q} outside [2, 2^61)")
         if not is_prime(self.q):

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import random
 
-from ._record import record
+from ._record import record, require_int
 from .codec import (CorruptionError, MessageVector, ShareFormatError,
                     ShareSet, encode, reconstruct, repair)
 from .construction import CodeSpec
@@ -284,6 +284,8 @@ def random_failure_soak(spec: CodeSpec, msg: MessageVector, steps: int,
                         seed: int = 0) -> SimulationReport:
     """Seeded fail-one/repair-one cycles with a bit-exact state audit
     after every cycle."""
+    require_int("steps", steps)
+    require_int("seed", seed)
     if steps < 0:
         raise ValueError("steps must be nonnegative")
     cluster = Cluster.provision(spec, msg)

@@ -207,6 +207,15 @@ def test_explicit_code_equals_generic_build(steiner9):
     built = build_code(steiner9, 7, q=3).spec
     assert explicit == built
     assert explicit.phi == (1, 2)
+    # a repeated block that still claims lam = 1 is malformed input, not
+    # a failure of the construction
+    blocks = list(steiner9.blocks)
+    blocks[1] = blocks[0]
+    bad = BlockDesign(n=9, t=2, r=3, lam=1, blocks=tuple(blocks))
+    with pytest.raises(ValueError) as err:
+        build_code(bad, 7, q=3)
+    assert type(err.value) is ValueError
+    assert str(err.value) == "Steiner system with n-k = 2 must have T = 1"
 
 
 def test_spec_json_round_trip(golden_spec, tmp_path):

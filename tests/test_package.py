@@ -14,8 +14,11 @@ import pytest
 
 import rgc
 from rgc.codec import MessageVector, encode, write_share
-from rgc.construction import build_code
-from rgc.designs import gen_complete_design, gen_steiner_triple
+from rgc.construction import (build_code, derive_params, synthesize_S,
+                              verify_S)
+from rgc.designs import BlockDesign, gen_complete_design, gen_steiner_triple
+from rgc.ffield import PrimeField
+from rgc.storesim import random_failure_soak
 
 SRC = pathlib.Path(rgc.__file__).parent
 SPANS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -246,6 +249,57 @@ def test_no_source_line_exceeds_79_characters():
                       path.read_text(encoding="utf-8").splitlines(), 1)
                   if len(line) > 79]
     assert long_lines == []
+
+
+def test_sources_parse_at_the_declared_python_floor():
+    """pyproject.toml declares requires-python >= 3.10, so every module
+    under src/rgc/ must parse with the 3.10 grammar."""
+    for path in sorted(SRC.glob("*.py")):
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path),
+                  feature_version=(3, 10))
+
+
+def test_integer_arguments_refuse_other_types(golden_spec):
+    """A count, size, seed or modulus that the library writes out or
+    seeds a generator with is exactly an int: a bool, float or None is
+    refused with a ValueError naming the argument and its type, not
+    written as 9.0 or true, turned into 1, or left to OS entropy."""
+    sts9 = gen_steiner_triple(9)
+    c6 = gen_complete_design(2, 3, 6)
+    msg = MessageVector.random(3, golden_spec.params.M, seed=1)
+    floated = ((1.0, 2, 3),) + sts9.blocks[1:]
+    cases = [
+        ("design n 9.0 is a float", lambda: BlockDesign(
+            n=9.0, t=2, r=3, lam=1, blocks=sts9.blocks)),
+        ("design lam True is a bool", lambda: BlockDesign(
+            n=9, t=2, r=3, lam=True, blocks=sts9.blocks)),
+        ("block point 1.0 is a float", lambda: BlockDesign(
+            n=9, t=2, r=3, lam=1, blocks=floated)),
+        ("modulus 7.0 is a float", lambda: PrimeField(7.0)),
+        ("k True is a bool", lambda: build_code(c6, True)),
+        ("k 4.0 is a float", lambda: build_code(c6, 4.0)),
+        ("budget 2.5 is a float", lambda: build_code(c6, 4, budget=2.5)),
+        ("seed None is a NoneType", lambda: build_code(c6, 4, seed=None)),
+        ("seed None is a NoneType", lambda: synthesize_S(
+            derive_params(c6, 4), c6, PrimeField(31), seed=None)),
+        ("sample 2.5 is a float", lambda: verify_S(golden_spec,
+                                                   sample=2.5)),
+        ("seed None is a NoneType", lambda: verify_S(
+            golden_spec, sample=2, seed=None)),
+        ("steps True is a bool", lambda: random_failure_soak(
+            golden_spec, msg, True)),
+        ("steps 2.0 is a float", lambda: random_failure_soak(
+            golden_spec, msg, 2.0)),
+        ("seed None is a NoneType", lambda: random_failure_soak(
+            golden_spec, msg, 2, seed=None)),
+        ("length 2.0 is a float", lambda: MessageVector.random(3, 2.0)),
+        ("seed None is a NoneType", lambda: MessageVector.random(
+            3, 2, seed=None)),
+    ]
+    for want, call in cases:
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == f"{want}, not an int"
 
 
 def test_no_module_imports_dataclasses():
