@@ -184,8 +184,8 @@ def erasure_deficits(design: BlockDesign, k: int):
 def _walk(design: BlockDesign, miss: int, sets=None, grow=None):
     """Yield (a, width, fail) for each erasure set a of `sets`, by default
     every miss-subset of the disks, walked as paths of the prefix tree.
-    The sharing below needs ascending tuples in lexicographic order, so
-    the default walk makes that enumeration itself and a caller passes
+    Sharing prefixes needs the sets as ascending tuples in lexicographic
+    order, so the walk makes that enumeration itself; a caller passes
     only a sorted sample.
 
     The path erases every disk of a set but the last, which is only
@@ -264,6 +264,7 @@ def compute_T(design: BlockDesign, k: int) -> int:
     a mismatch raises.
     """
     n = design.n
+    require_int("k", k)
     if not 1 <= k <= n - 1:
         raise ValueError(f"k={k} must be in 1..{n - 1}")
     deficits = erasure_deficits(design, k)

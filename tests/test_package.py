@@ -278,6 +278,7 @@ def test_integer_arguments_refuse_other_types(golden_spec):
         ("modulus 7.0 is a float", lambda: PrimeField(7.0)),
         ("k True is a bool", lambda: build_code(c6, True)),
         ("k 4.0 is a float", lambda: build_code(c6, 4.0)),
+        ("k True is a bool", lambda: derive_params(c6, True)),
         ("budget 2.5 is a float", lambda: build_code(c6, 4, budget=2.5)),
         ("seed None is a NoneType", lambda: build_code(c6, 4, seed=None)),
         ("seed None is a NoneType", lambda: synthesize_S(
