@@ -39,9 +39,6 @@ class BlockDesign:
         if self.lam < 1:
             raise ValueError("lambda must be positive")
         canon = tuple(sorted(tuple(sorted(b)) for b in self.blocks))
-        if set(map(type, itertools.chain.from_iterable(canon))) - {int}:
-            for x in itertools.chain.from_iterable(canon):
-                require_int("block point", x)
         for b in canon:
             if len(b) != self.r or len(set(b)) != self.r:
                 raise ValueError(f"block {b} is not an {self.r}-subset")

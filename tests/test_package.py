@@ -267,14 +267,11 @@ def test_integer_arguments_refuse_other_types(golden_spec):
     sts9 = gen_steiner_triple(9)
     c6 = gen_complete_design(2, 3, 6)
     msg = MessageVector.random(3, golden_spec.params.M, seed=1)
-    floated = ((1.0, 2, 3),) + sts9.blocks[1:]
     cases = [
         ("design n 9.0 is a float", lambda: BlockDesign(
             n=9.0, t=2, r=3, lam=1, blocks=sts9.blocks)),
         ("design lam True is a bool", lambda: BlockDesign(
             n=9, t=2, r=3, lam=True, blocks=sts9.blocks)),
-        ("block point 1.0 is a float", lambda: BlockDesign(
-            n=9, t=2, r=3, lam=1, blocks=floated)),
         ("modulus 7.0 is a float", lambda: PrimeField(7.0)),
         ("k True is a bool", lambda: build_code(c6, True)),
         ("k 4.0 is a float", lambda: build_code(c6, 4.0)),
