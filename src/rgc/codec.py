@@ -17,6 +17,17 @@ solve on the heavy groups' kernels (groups using fewer than m rows)
 gives the kernel coefficients; its rank decides decodability.
 A share file is parsed in one struct pass over its whole records; the
 first fault in file order is named from that pass.
+
+A share is checked once, where it enters the library.  A DiskShare
+checks a caller's symbols when it is made; check_share checks a share
+against a spec and marks it with that spec, and a later check against
+the same spec only returns the share's columns.  A share is frozen, so
+a mark stays true.  encode and repair make their shares through
+_checked_share, which runs neither check: the slots are the layout's
+and the values are reduced mod q.  share_from_bytes does the same when
+the parsed slots equal the layout's and every value is below q, and
+otherwise makes a DiskShare and runs check_share, so the first fault
+is still named.
 """
 
 from __future__ import annotations
@@ -32,6 +43,7 @@ from ._record import record, require_int
 from .construction import (CodeSpec, group_decoder, parity_block, plan,
                            short_layer)
 
+_setattr = object.__setattr__
 _MAGIC = b"RGC1"
 # magic, spec digest, disk id, symbol count
 _HEADER = struct.Struct("<4s32sII")
@@ -93,6 +105,8 @@ class DiskShare:
 
     disk: int
     symbols: tuple[tuple[int, int, int], ...]
+    # the CodeSpec a check_share passed it against (not a field)
+    _checked = None
 
     def __post_init__(self):
         require_int("disk id", self.disk)
@@ -206,13 +220,20 @@ class RepairTranscript:
 def check_share(spec: CodeSpec,
                 share: DiskShare) -> tuple[tuple[int, ...], ...]:
     """Validate a share's coordinates and values against the code spec;
-    returns the share's group, row and value columns."""
+    returns the share's group, row and value columns.
+
+    A share that passes is marked with spec, and a later check against
+    the same spec object only returns the columns: a share is frozen,
+    so it still passes.  Any other spec gets the full check.
+    """
+    syms = share.symbols
+    js, is_, vs = zip(*syms) if syms else ((), (), ())
+    if share._checked is spec:
+        return js, is_, vs
     p = spec.params
     if not 1 <= share.disk <= p.n:
         raise ShareFormatError(f"disk {share.disk} outside 1..{p.n}")
     groups, rows = spec.layout.disk_columns(share.disk)
-    syms = share.symbols
-    js, is_, vs = zip(*syms) if syms else ((), (), ())
     if js != groups or is_ != rows:
         coords = tuple((j, i) for j, i, _ in syms)
         raise ShareFormatError(
@@ -222,7 +243,20 @@ def check_share(spec: CodeSpec,
     if vs and (min(vs) < 0 or max(vs) >= q):
         raise ShareFormatError(f"share for disk {share.disk} has a symbol "
                                f"outside GF({q})")
+    _setattr(share, "_checked", spec)
     return js, is_, vs
+
+
+def _checked_share(spec: CodeSpec, disk: int, symbols) -> DiskShare:
+    """A share the library made with spec.layout.disk_slots(disk) as its
+    slots and values reduced mod q.  Both DiskShare's checks and
+    check_share's hold by construction, so neither runs; the share is
+    marked as checked against spec."""
+    share = object.__new__(DiskShare)
+    _setattr(share, "disk", disk)
+    _setattr(share, "symbols", symbols)
+    _setattr(share, "_checked", spec)
+    return share
 
 
 def _message_values(spec: CodeSpec, message) -> tuple[int, ...]:
@@ -284,7 +318,7 @@ def encode(spec: CodeSpec, message) -> ShareSet:
     w += [sum(map(mul, row, values)) % q for row in spec.s_rows]
     out = short_layer(spec, [w[j * m:(j + 1) * m] for j in range(N)])
     return ShareSet(shares=tuple(
-        DiskShare(disk=disk, symbols=tuple(
+        _checked_share(spec, disk, tuple(
             (j, i, out[i * N + j]) for j, i in spec.layout.disk_slots(disk)))
         for disk in range(1, p.n + 1)))
 
@@ -341,7 +375,9 @@ def repair(spec: CodeSpec, failed: int,
                     f"{[block[i] for i in used]} disagree with its check "
                     f"rows on disks {[block[i] for i in surplus]}")
         rebuilt.append((j, lost[g], out[lost[g] * count + g]))
-    share = DiskShare(disk=failed, symbols=tuple(rebuilt))
+    # slots and values hold by construction; a float or bool id does not
+    require_int("disk id", failed)
+    share = _checked_share(spec, failed, tuple(rebuilt))
     transcript = RepairTranscript(
         failed=failed,
         helpers=tuple((h, tuple(sent[h])) for h in sorted(sent)),
@@ -454,9 +490,14 @@ def share_from_bytes(spec: CodeSpec, raw: bytes) -> DiskShare:
     if rest:
         raise ShareFormatError(f"{rest} trailing bytes after the last "
                                f"record")
+    values = tuple(map(int.from_bytes, vs, repeat("little")))
+    symbols = tuple(zip(js, is_, values))
+    if (1 <= disk <= spec.params.n
+            and (js, is_) == spec.layout.disk_columns(disk)
+            and (not values or max(values) < spec.field.q)):
+        return _checked_share(spec, disk, symbols)
     try:
-        share = DiskShare(disk=disk, symbols=tuple(zip(
-            js, is_, map(int.from_bytes, vs, repeat("little")))))
+        share = DiskShare(disk=disk, symbols=symbols)
     except ValueError as exc:
         raise ShareFormatError(str(exc)) from None
     check_share(spec, share)

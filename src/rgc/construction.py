@@ -186,7 +186,7 @@ def _walk(design: BlockDesign, miss: int, sets=None, grow=None):
     every miss-subset of the disks, walked as paths of the prefix tree.
     Sharing prefixes needs the sets as ascending tuples in lexicographic
     order, so the walk makes that enumeration itself; a caller passes
-    only a sorted sample.
+    only the sets of a sample, in that order.
 
     The path erases every disk of a set but the last, which is only
     tried, keeping what it shares with the previous set.  Erasing disk x
@@ -669,13 +669,14 @@ def verify_S(spec: CodeSpec, jobs: int = 1, sample: int | None = None,
     echelon images.  An image that reduces to zero fails the prefix and,
     as kernels only grow, every completion of it, which is then listed
     with no more rank work.  A vector's image depends only on its group
-    and hit mask, so every image of the call is made up front, one
-    parity block per group.
+    and hit mask, so every image of the call is made up front, in one
+    product of the kernel vectors with every group's parity columns.
 
     When C(n, n-k) exceeds MAX_SUBSETS, a seeded random sample must be
     requested explicitly via `sample`; the report then marks itself as
-    incomplete verification.  A sample, or the sets it stands for, may
-    not exceed MAX_SUBSETS either.
+    incomplete verification.  A sample of more than half the sets is
+    drawn as the sets it leaves out.  A sample, or the sets it stands
+    for, may not exceed MAX_SUBSETS either.
     """
     _serial_only(jobs)
     require_int("seed", seed)
@@ -711,11 +712,19 @@ def _verify(spec: CodeSpec, sample: int | None, seed: int,
             f"verification")
     sets, checked, sampled = None, total, False
     if sample is not None and sample < total:
+        # rejection draws slow to coupon-collector speed near the total,
+        # so draw the smaller side: the sets checked or the sets left out
         rng = random.Random(seed)
-        chosen: set[tuple[int, ...]] = set()
-        while len(chosen) < sample:
-            chosen.add(tuple(sorted(rng.sample(range(1, p.n + 1), miss))))
-        sets, checked, sampled = sorted(chosen), sample, True
+        want = min(sample, total - sample)
+        drawn: set[tuple[int, ...]] = set()
+        while len(drawn) < want:
+            drawn.add(tuple(sorted(rng.sample(range(1, p.n + 1), miss))))
+        if want < sample:
+            every = itertools.combinations(range(1, p.n + 1), miss)
+            sets = (a for a in every if a not in drawn)
+        else:
+            sets = sorted(drawn)
+        checked, sampled = sample, True
     # images[h][j]: [S | -I] on group j's kernel vector at hit mask h, the
     # solve column of the row lost last (zero on held rows, one on it)
     masks = [h for h in range(1 << p.r) if p.t <= h.bit_count() <= miss]
@@ -725,9 +734,15 @@ def _verify(spec: CodeSpec, sample: int | None, seed: int,
         rows = tuple(i for i in range(p.r) if i == lost or not h >> i & 1)
         solve, _ = group_decoder(spec, rows)
         cols.append(solve[rows.index(lost)::len(rows)])
-    kernel = [v for row in zip(*cols) for v in row]    # flat m x #masks
-    blocks = [parity_block(spec, j, kernel) for j in range(p.nstar)]
-    images = {h: [blk[i] for blk in blocks] for i, h in enumerate(masks)}
+    # one product: the kernel columns (#masks x m) times the groups'
+    # parity columns side by side (m x N*T); row i holds mask i's images
+    m, T, N = p.m, p.T, p.nstar
+    pcols = spec.parity_columns
+    flat = _kmul([v for col in cols for v in col], len(masks), m,
+                 [v for c in range(m) for j in range(N)
+                  for v in pcols[j * m + c]], m, N * T, q)
+    images = {h: [flat[(i * N + j) * T:(i * N + j + 1) * T]
+                  for j in range(N)] for i, h in enumerate(masks)}
     reductions = 0
 
     def grow(basis, j, hits):

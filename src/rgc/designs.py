@@ -39,6 +39,11 @@ class BlockDesign:
         if self.lam < 1:
             raise ValueError("lambda must be positive")
         canon = tuple(sorted(tuple(sorted(b)) for b in self.blocks))
+        # one pass in C builtins; the loop only names the first bad point
+        if set(map(type, itertools.chain.from_iterable(canon))) - {int}:
+            for b in canon:
+                for x in b:
+                    require_int(f"block {b} point", x)
         for b in canon:
             if len(b) != self.r or len(set(b)) != self.r:
                 raise ValueError(f"block {b} is not an {self.r}-subset")

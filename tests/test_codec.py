@@ -17,6 +17,7 @@ from rgc.codec import (CorruptionError, DiskShare, MessageVector,
                        share_to_bytes, symbol_width, write_share)
 from rgc.construction import (CodeSpec, compute_TA, group_decoder,
                               parity_block, plan, verify_S)
+from rgc.ffield import PrimeField
 
 
 def _msg(spec, seed):
@@ -251,6 +252,59 @@ def test_share_bytes_pinned(golden_spec, complete9_spec, t3_spec, s15_spec):
         blob = b"".join(share_to_bytes(spec, s)
                         for s in encode(spec, _msg(spec, 5)))
         assert hashlib.sha256(blob).hexdigest() == pin
+
+
+def _library_shares(spec):
+    """The shares encode makes for one message, the share repair makes
+    for each disk from the n - 1 others, and each of these read back
+    from its bytes."""
+    shares = encode(spec, _msg(spec, 9))
+    made = list(shares)
+    made += [repair(spec, disk, shares.without(disk))[0]
+             for disk in shares.disks()]
+    return made + [share_from_bytes(spec, share_to_bytes(spec, share))
+                   for share in made]
+
+
+def test_library_shares_equal_checked_rebuilds(golden_spec, complete9_spec,
+                                               t3_spec, s15_spec):
+    """encode, repair and share_from_bytes make their shares without
+    DiskShare's checks or check_share's.  On every reference code, each
+    such share equals its rebuild through DiskShare, which passes a
+    fresh check_share with the same columns."""
+    for spec in (golden_spec, complete9_spec, t3_spec, s15_spec):
+        made = _library_shares(spec)
+        assert len(made) == 4 * spec.params.n
+        for share in made:
+            again = DiskShare(disk=share.disk, symbols=share.symbols)
+            assert again == share and hash(again) == hash(share)
+            assert again._checked is None
+            assert check_share(spec, again) == check_share(spec, share)
+            assert again._checked is spec
+
+
+def test_a_share_checked_for_one_spec_is_refused_by_another(
+        golden_spec, complete9_spec):
+    """A share checked against one spec is checked in full against any
+    other: a spec with another layout or another q refuses it with the
+    text an unchecked rebuild of it gets, and an equal spec loaded again
+    accepts it."""
+    c9 = complete9_spec
+    small = CodeSpec(params=c9.params, field=PrimeField(3), design=c9.design,
+                     layout=c9.layout,
+                     s_entries=tuple(v % 3 for v in c9.s_entries))
+    for spec, other, text in ((golden_spec, c9, "carries slots"),
+                              (c9, golden_spec, "carries slots"),
+                              (c9, small, "has a symbol outside GF(3)")):
+        for share in _library_shares(spec):
+            with pytest.raises(ShareFormatError) as err:
+                check_share(other, DiskShare(disk=share.disk,
+                                             symbols=share.symbols))
+            assert text in str(err.value)
+            for fn in (check_share, share_to_bytes):
+                _raises_exactly(str(err.value), fn, other, share)
+        again = CodeSpec.from_json(spec.to_json())
+        assert check_share(again, share) == check_share(spec, share)
 
 
 def _count_solves(monkeypatch):
@@ -555,6 +609,11 @@ def test_non_int_symbols_are_rejected(golden_spec, complete9_spec):
                     "int", DiskShare, 1, ((0, "0", 1),), exc=ValueError)
     _raises_exactly("disk id 1.0 is a float, not an int", DiskShare, 1.0,
                     syms, exc=ValueError)
+    shares = encode(golden_spec, _msg(golden_spec, 7))
+    for failed, kind in ((2.0, "float"), (True, "bool")):
+        _raises_exactly(f"disk id {failed} is a {kind}, not an int", repair,
+                        golden_spec, failed, shares.without(failed),
+                        exc=ValueError)
 
 
 def _byte_sweep(spec, blob, positions):

@@ -597,13 +597,17 @@ def _zero_s(spec, group=None):
 
 
 def _sampled_sets(spec, sample, seed):
-    """The erasure sets verify_S(spec, sample=, seed=) draws."""
+    """The erasure sets verify_S(spec, sample=, seed=) checks: the sets
+    it draws by rejection or, for a sample of more than half the sets,
+    every set but the ones it draws."""
     p = spec.params
+    every = set(_erasure_sets(spec))
+    want = min(sample, len(every) - sample)
     rng = random.Random(seed)
-    chosen = set()
-    while len(chosen) < sample:
-        chosen.add(tuple(sorted(rng.sample(range(1, p.n + 1), p.n - p.k))))
-    return chosen
+    drawn = set()
+    while len(drawn) < want:
+        drawn.add(tuple(sorted(rng.sample(range(1, p.n + 1), p.n - p.k))))
+    return drawn if want == sample else every - drawn
 
 
 def test_verify_prunes_failed_prefixes():
@@ -635,6 +639,30 @@ def test_verify_prunes_failed_prefixes():
         drawn = _sampled_sets(spec, sample, seed)
         assert sampled.checked == sample and sampled.sampled
         assert sampled.failures == tuple(a for a in want if a in drawn)
+
+
+def test_sample_near_the_total_draws_the_sets_left_out(monkeypatch):
+    """A sample of 1,364 of the 1,365 erasure sets of a failing S(2,3,15)
+    k=11 candidate draws the one set it leaves out, with at most one
+    rejected draw, where rejection sampling of the sample itself took
+    thousands; it fails on exactly the exhaustive failures it checks."""
+    spec = _random_candidate(gen_steiner_triple(15), 11, 7, 0)
+    want = verify_S(spec).failures
+    draws = []
+
+    class Counting(random.Random):
+        def sample(self, *args, **kwargs):
+            draws.append(args)
+            return super().sample(*args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(construction.random, "Random", Counting)
+        report = verify_S(spec, sample=1364, seed=5)
+    assert len(draws) - (1365 - 1364) <= 1
+    checked = _sampled_sets(spec, 1364, 5)
+    assert len(checked) == report.checked == 1364 and report.sampled
+    assert report.failures == tuple(a for a in want if a in checked)
+    assert report.failures
 
 
 def test_plan_splits_the_held_rows(golden_spec, t3_spec, s15_spec,

@@ -240,6 +240,24 @@ def test_no_unused_private_helpers():
                   if name not in loaded) == []
 
 
+def test_unchecked_share_constructor_stays_in_three_callers():
+    """codec._checked_share makes a share without DiskShare's checks or
+    check_share's, which hold only where the slots come from the layout
+    and the values are reduced mod q: in encode, repair and the layout
+    match of share_from_bytes.  No other code under src/rgc/ names it."""
+    users = set()
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = (path.name, getattr(top, "name", None))
+            users.update(owner for node in ast.walk(top)
+                         if (isinstance(node, ast.Name)
+                             and node.id == "_checked_share")
+                         or (isinstance(node, ast.Attribute)
+                             and node.attr == "_checked_share"))
+    assert users == {("codec.py", "encode"), ("codec.py", "repair"),
+                     ("codec.py", "share_from_bytes")}
+
+
 def test_no_source_line_exceeds_79_characters():
     """Every line under src/rgc/ fits in 79 characters, so a line count
     cannot shrink by packing code onto fewer lines."""
@@ -272,6 +290,11 @@ def test_integer_arguments_refuse_other_types(golden_spec):
             n=9.0, t=2, r=3, lam=1, blocks=sts9.blocks)),
         ("design lam True is a bool", lambda: BlockDesign(
             n=9, t=2, r=3, lam=True, blocks=sts9.blocks)),
+        ("block (1.0, 2, 3) point 1.0 is a float", lambda: BlockDesign(
+            n=9, t=2, r=3, lam=1, blocks=((1.0, 2, 3),) + sts9.blocks[1:])),
+        ("block (True, 4, 7) point True is a bool", lambda: BlockDesign(
+            n=9, t=2, r=3, lam=1,
+            blocks=sts9.blocks[:1] + ((True, 4, 7),) + sts9.blocks[2:])),
         ("modulus 7.0 is a float", lambda: PrimeField(7.0)),
         ("k True is a bool", lambda: build_code(c6, True)),
         ("k 4.0 is a float", lambda: build_code(c6, 4.0)),
