@@ -6,7 +6,8 @@ at least t disks, plus the T long-layer checks), so exact Python ints are
 fast enough.  mat_rank and mat_solve share one Gauss-Jordan elimination:
 the rank stops at row echelon form, the solve reduces fully.  echelon_add
 grows a fraction-free row echelon basis one row at a time, for rank
-checks that add rows incrementally.
+checks that add rows incrementally, and annihilator turns such a basis
+into the rows that vanish on its span.
 """
 
 BACKEND = "py"
@@ -45,6 +46,41 @@ def echelon_add(basis, row, q):
             basis.append((piv, row))
             return True
     return False
+
+
+def annihilator(basis, cols, q):
+    """The rows y, one per non-pivot column c of an echelon_add basis of
+    cols-wide rows, with y . b = 0 mod q for every basis row b; a row v
+    lies in the basis's span exactly when every y . v is 0 mod q.
+
+    A basis row is zero at the pivots of the rows before it, so its
+    pivot entries form an upper triangular matrix, and the reduced
+    echelon rows R_i, known on the non-pivot columns, follow last to
+    first: R_i is row i less b[P_k] R_k for each later pivot P_k, over
+    b[P_i].  Then y is e_c minus R_i[c] at each pivot P_i.  The cols - s
+    rows are independent, as each has its only non-pivot entry at its
+    own c, so their common kernel has dimension s and is the span."""
+    pivots = [piv for piv, _ in basis]
+    free = [c for c in range(cols) if c not in pivots]
+    s = len(basis)
+    neg = [None] * s        # -R_i on the free columns
+    for i in range(s - 1, -1, -1):
+        b = basis[i][1]
+        acc = [b[c] for c in free]
+        for k in range(i + 1, s):
+            f = b[pivots[k]]
+            if f:
+                acc = [u + f * w for u, w in zip(acc, neg[k])]
+        inv = -pow(b[pivots[i]], -1, q)
+        neg[i] = [u * inv % q for u in acc]
+    out = []
+    for at, c in enumerate(free):
+        y = [0] * cols
+        y[c] = 1
+        for piv, row in zip(pivots, neg):
+            y[piv] = row[at]
+        out.append(y)
+    return out
 
 
 def _eliminate(m, cols, q, reduce):

@@ -273,9 +273,12 @@ def _message_values(spec: CodeSpec, message) -> tuple[int, ...]:
 
 
 def _share_map(spec: CodeSpec, shares) -> dict[int, DiskShare]:
+    """The shares by disk, each checked once against spec: a share
+    already marked with spec is not checked again."""
     out: dict[int, DiskShare] = {}
     for share in shares:
-        check_share(spec, share)
+        if share._checked is not spec:
+            check_share(spec, share)
         if share.disk in out:
             raise ValueError(f"duplicate share for disk {share.disk}")
         out[share.disk] = share
@@ -339,6 +342,7 @@ def repair(spec: CodeSpec, failed: int,
     raises ValueError naming the group.
     """
     p = spec.params
+    require_int("disk id", failed)
     if not 1 <= failed <= p.n:
         raise ValueError(f"disk {failed} outside 1..{p.n}")
     pool = _share_map(spec, shares)
@@ -375,8 +379,6 @@ def repair(spec: CodeSpec, failed: int,
                     f"{[block[i] for i in used]} disagree with its check "
                     f"rows on disks {[block[i] for i in surplus]}")
         rebuilt.append((j, lost[g], out[lost[g] * count + g]))
-    # slots and values hold by construction; a float or bool id does not
-    require_int("disk id", failed)
     share = _checked_share(spec, failed, tuple(rebuilt))
     transcript = RepairTranscript(
         failed=failed,

@@ -25,13 +25,17 @@ and A is decodable exactly when it has rank T(A).  verify_S walks the
 erasure sets as paths of their prefix tree (_walk): one more erased disk
 only grows the kernels of the blocks that contain it, so span(K_A) is
 built one vector at a time, and an image under [S | -I] that depends on
-the earlier ones fails every completion of the prefix.  plan gives each
-group's lowest m held rows (used) and the rest (surplus); codec's reads
-and repairs follow it, and rank_witness takes its heavy groups' kernels
-from it to build, for one erasure set, a 0/1 matrix S that satisfies
-the condition, so the generic determinant argument for random S is
-checkable per set.  erasure_system is the independent dense reference:
-every symbol stored on a surviving disk as a linear form in the message.
+the earlier ones fails every completion of the prefix.  A set's last
+disk is a leaf of its head, the path without it: one annihilator of the
+head's path images maps each leaf's images to T - s coordinates, where
+a closed-form determinant or a small elimination decides them.  plan
+gives each group's lowest m held rows (used) and the rest (surplus);
+codec's reads and repairs follow it, and rank_witness takes its heavy
+groups' kernels from it to build, for one erasure set, a 0/1 matrix S
+that satisfies the condition, so the generic determinant argument for
+random S is checkable per set.  erasure_system is the independent dense
+reference: every symbol stored on a surviving disk as a linear form in
+the message.
 """
 
 from __future__ import annotations
@@ -41,7 +45,9 @@ import json
 import random
 from functools import cached_property
 from math import comb
+from operator import mul
 
+from ._kernel import annihilator as _annihilator
 from ._kernel import echelon_add as _kadd
 from ._kernel import mat_mul as _kmul
 from ._kernel import mat_rank as _krank
@@ -181,7 +187,7 @@ def erasure_deficits(design: BlockDesign, k: int):
     return (width for _, width, _ in _walk(design, miss))
 
 
-def _walk(design: BlockDesign, miss: int, sets=None, grow=None):
+def _walk(design: BlockDesign, miss: int, sets=None, grow=None, leaf=None):
     """Yield (a, width, fail) for each erasure set a of `sets`, by default
     every miss-subset of the disks, walked as paths of the prefix tree.
     Sharing prefixes needs the sets as ascending tuples in lexicographic
@@ -197,6 +203,12 @@ def _walk(design: BlockDesign, miss: int, sets=None, grow=None):
     counted).  width counts the vectors, T(A) unless a failed; fail is 0
     or the length of the failed prefix, and every completion of a failed
     prefix fails with no more work.
+
+    With leaf, a set's last disk grows nothing.  At the first leaf of a
+    head (the path) that has vectors to add, leaf(vectors) returns
+    decide, which the head's leaves share: decide(pairs) takes a leaf's
+    (j, hits) pairs and says whether their vectors are independent of
+    each other and of the path's.
     """
     t = design.t
     if sets is None:
@@ -224,7 +236,7 @@ def _walk(design: BlockDesign, miss: int, sets=None, grow=None):
 
     for a in sets:
         if a[:-1] != head:
-            head, same = a[:-1], 0
+            head, same, decide = a[:-1], 0, None
             while same < len(path) and path[same][0] == head[same]:
                 same += 1
             if not fail or same < fail:
@@ -241,6 +253,14 @@ def _walk(design: BlockDesign, miss: int, sets=None, grow=None):
                         break
         if fail:
             yield a, len(vectors), fail
+            continue
+        if leaf is not None:
+            pairs = [(j, h) for j, bit in blocks_of[a[-1]]
+                     if (h := hits[j] | bit).bit_count() >= t]
+            if pairs and decide is None:
+                decide = leaf(vectors)
+            ok = not pairs or decide(pairs)
+            yield a, len(vectors) + len(pairs), 0 if ok else len(a)
             continue
         mark = len(vectors)
         ok = erase(a[-1], False)
@@ -640,8 +660,9 @@ def plan(spec: CodeSpec, disks, groups=None) -> list[tuple]:
 
 @record
 class VerifyReport:
-    """Outcome of verify_S.  reductions counts the kernel vectors reduced,
-    pruned the failing sets decided by a failed shorter prefix."""
+    """Outcome of verify_S.  reductions counts kernel vectors tried, up
+    to and including the first dependent one of a path or a leaf; pruned
+    counts the failing sets decided by a failed shorter prefix."""
 
     ok: bool
     failures: tuple[tuple[int, ...], ...]
@@ -671,6 +692,18 @@ def verify_S(spec: CodeSpec, jobs: int = 1, sample: int | None = None,
     with no more rank work.  A vector's image depends only on its group
     and hit mask, so every image of the call is made up front, in one
     product of the kernel vectors with every group's parity columns.
+
+    The last disk of a set is decided in its head's quotient space.  At
+    the first leaf of a head whose path images span s > 0 dimensions,
+    one annihilator N of them (T - s rows, from one reduced echelon
+    form) is made and shared by the head's leaves.  A leaf's L images v
+    are independent of the path and of each other exactly when the N v
+    are independent: when L = T - s <= 3 a nonzero determinant of the
+    N v says so, and otherwise, or when it is zero, a fraction-free
+    elimination of the N v finds the first dependent one.  With s = 0, N
+    is the identity.  reductions counts kernel vectors tried, one for
+    each up to the first dependent one, so it reads as if each leaf
+    image were reduced against the path.
 
     When C(n, n-k) exceeds MAX_SUBSETS, a seeded random sample must be
     requested explicitly via `sample`; the report then marks itself as
@@ -750,8 +783,30 @@ def _verify(spec: CodeSpec, sample: int | None, seed: int,
         reductions += 1
         return _kadd(basis, images[hits][j], q)
 
+    def leaf(basis):
+        quotient = _annihilator(basis, T, q) if basis else None
+        dim = T - len(basis)
+
+        def decide(pairs):
+            nonlocal reductions
+            if quotient is None:
+                vs = [images[h][j] for j, h in pairs]
+            else:
+                vs = [[sum(map(mul, y, images[h][j])) % q for y in quotient]
+                      for j, h in pairs]
+            if len(vs) == dim <= 3 and _det(vs, q):
+                reductions += dim
+                return True
+            tried = []
+            for v in vs:
+                reductions += 1
+                if not _kadd(tried, v, q):
+                    return False
+            return True
+        return decide
+
     failures, pruned = [], 0
-    for a, _, fail in _walk(spec.design, miss, sets, grow):
+    for a, _, fail in _walk(spec.design, miss, sets, grow, leaf):
         if fail:
             failures.append(a)
             pruned += fail < miss
@@ -760,6 +815,18 @@ def _verify(spec: CodeSpec, sample: int | None, seed: int,
     return VerifyReport(ok=not failures, failures=tuple(failures),
                         checked=checked, total=total, sampled=sampled,
                         reductions=reductions, pruned=pruned)
+
+
+def _det(rows, q) -> int:
+    """Determinant mod q of a square matrix of at most 3 row lists."""
+    if len(rows) == 1:
+        return rows[0][0] % q
+    if len(rows) == 2:
+        (a, b), (c, d) = rows
+        return (a * d - b * c) % q
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    return (a * (e * i - f * h) - b * (d * i - f * g)
+            + c * (d * h - e * g)) % q
 
 
 @record

@@ -307,6 +307,56 @@ def test_a_share_checked_for_one_spec_is_refused_by_another(
         assert check_share(again, share) == check_share(spec, share)
 
 
+def test_share_map_checks_each_share_once(complete9_spec, monkeypatch):
+    """repair and reconstruct run no check_share on shares already
+    marked with the spec, and one on each share a caller made; a share
+    given twice is refused, marked or not."""
+    from rgc import codec
+    spec = complete9_spec
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1].disk)
+        return check_share(*args)
+
+    monkeypatch.setattr(codec, "check_share", counted)
+    shares = encode(spec, _msg(spec, 4))
+    held = shares.without(1, 2)
+    msg = reconstruct(spec, held)
+    repair(spec, 1, shares.without(1))
+    assert calls == []
+    made = [DiskShare(disk=s.disk, symbols=s.symbols) for s in held.shares]
+    assert reconstruct(spec, made) == msg
+    assert sorted(calls) == list(range(3, 10))
+    assert reconstruct(spec, made) == msg       # now marked
+    assert sorted(calls) == list(range(3, 10))
+    for twice in (held.shares, made):
+        _raises_exactly("duplicate share for disk 3", reconstruct, spec,
+                        [twice[0], *twice], exc=ValueError)
+
+
+def test_repair_refuses_a_non_int_disk_id_before_any_work(golden_spec,
+                                                          monkeypatch):
+    """repair(spec, 2.0, ...) is refused by its disk id before the
+    shares are read, so a call that is also short of helpers names the
+    float id, not the short group."""
+    from rgc import codec
+    spec = golden_spec
+    shares = encode(spec, _msg(spec, 2))
+    short = shares.without(1, 2)
+    _raises_exactly("repair of disk 2: group 0 on disks (1, 2, 3) holds 1 "
+                    "of the m = 2 rows it needs; missing helpers [1]",
+                    repair, spec, 2, short, exc=ValueError)
+
+    def no_work(*args):
+        raise AssertionError("repair read the shares")
+
+    monkeypatch.setattr(codec, "_share_map", no_work)
+    for failed, kind in ((2.0, "float"), (True, "bool")):
+        _raises_exactly(f"disk id {failed} is a {kind}, not an int", repair,
+                        spec, failed, short, exc=ValueError)
+
+
 def _count_solves(monkeypatch):
     """Route every binding of mat_solve in the rgc modules through a
     spy; returns the list of (rows, cols, bcols) it records."""

@@ -27,7 +27,7 @@ from rgc.construction import (BudgetExceededError, CodeSpec, SynthesisError,
 from rgc.designs import (CATALOG, S_2_4_13, BlockDesign, gen_complete_design,
                          gen_steiner_triple)
 from rgc.ffield import PrimeField, next_prime
-from rgc._kernel import mat_mul, mat_rank
+from rgc._kernel import annihilator, echelon_add, mat_mul, mat_rank
 
 SPECS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "specs"
 
@@ -513,6 +513,63 @@ def test_reconstruct_fails_exactly_where_verify_fails():
                 assert not isinstance(err.value, CorruptionError)
             else:
                 assert reconstruct(spec, held) == msg
+
+
+def test_leaf_decisions_match_a_per_set_rank_oracle():
+    """On two STS(19) k=15 candidates, over GF(31) and GF(101), verify_S
+    fails on exactly the erasure sets where the T x T(A) images of the
+    set's heavy groups (plan, group_decoder, parity_block), ranked from
+    scratch, lose rank: 102 and 35 sets, every one decided at a leaf,
+    where the quotient map and the determinant do the work.  The
+    first-failure check agrees."""
+    design = gen_steiner_triple(19)
+    specs = [_random_candidate(design, 15, q, 0) for q in (31, 101)]
+    p, layout = specs[0].params, specs[0].layout
+    disks = set(range(1, p.n + 1))
+    blocks = [{} for _ in specs]      # (group, used rows) -> image columns
+    want = [[] for _ in specs]
+    for a in _erasure_sets(specs[0]):
+        # the heavy groups lie on the erased disks; the plan is q-free
+        near = sorted({j for x in a for j in layout.disk_columns(x)[0]})
+        heavy = [(j, used) for j, used, _ in plan(specs[0], disks - set(a),
+                                                   near) if len(used) < p.m]
+        for spec, made, fails in zip(specs, blocks, want):
+            cols = []
+            for key in heavy:
+                if key not in made:
+                    made[key] = parity_block(spec, key[0], group_decoder(
+                        spec, key[1])[1])
+                cols += made[key]
+            if mat_rank([col[u] for u in range(p.T) for col in cols], p.T,
+                        len(cols), spec.field.q) < len(cols):
+                fails.append(a)
+    assert [len(fails) for fails in want] == [102, 35]
+    for spec, fails in zip(specs, want):
+        report = verify_S(spec)
+        assert report.failures == tuple(fails) and report.pruned == 0
+        assert not construction._verify(spec, None, 0, True).ok
+
+
+@settings(max_examples=60, deadline=None)
+@given(q=st.sampled_from([2, 3, 5, 7, 31]), cols=st.integers(1, 7),
+       data=st.data())
+def test_annihilator_cuts_out_the_span(q, cols, data):
+    """For an echelon_add basis of s rows over small q, annihilator gives
+    cols - s rows, each orthogonal to every basis row, and a row v lies
+    in the basis's span exactly when every one of them gives y . v = 0."""
+    row = st.lists(st.integers(0, 3 * q), min_size=cols, max_size=cols)
+    basis = []
+    for r in data.draw(st.lists(row, max_size=cols + 2)):
+        echelon_add(basis, r, q)
+    rows = annihilator(basis, cols, q)
+    assert len(rows) == cols - len(basis)
+    assert all(len(y) == cols and all(0 <= x < q for x in y) for y in rows)
+    assert all(sum(a * b for a, b in zip(y, r)) % q == 0
+               for y in rows for _, r in basis)
+    for v in data.draw(st.lists(row, min_size=1, max_size=4)):
+        in_span = not echelon_add(list(basis), v, q)
+        assert in_span == all(sum(a * b for a, b in zip(y, v)) % q == 0
+                              for y in rows)
 
 
 def _prefix_fails(spec, prefix):
