@@ -4,19 +4,25 @@ Shares are per-disk symbol lists addressed by (group, row): group j is
 the parity group hosted by design block j, row i its position inside
 the block.  Encoding expands the message through the long layer
 (appending T parity symbols) and then all group columns through the
-short layer (construction.short_layer).  Reads and repairs follow the
+short layer.  The short code is systematic, so a group's rows 0..m-1
+are its long-layer column, copied, and only its parity rows m..r-1 take
+a product (construction.short_layer).  Reads and repairs follow the
 plan of the held disks (construction.plan): each group uses its lowest
-m = r-t+1 held rows and keeps the rest as surplus.  The group decoder
+m = r-t+1 held rows and keeps the rest as surplus.  A group using rows
+0..m-1 copies them as its column; the group decoder
 (construction.group_decoder, an inverse kept per spec and row tuple)
-solves a group's long-layer column from its used rows, up to a kernel
-basis when it uses fewer than m.  Repair copies the used rows of each
-affected group from any d = n-t+1 other disks, or any helpers holding
-m rows of each, and reads the surplus only to cross-check.
+solves any other group's long-layer column from its used rows, up to a
+kernel basis when it uses fewer than m.  Repair copies the used rows of
+each affected group from any d = n-t+1 other disks, or any helpers
+holding m rows of each, and reads the surplus only to cross-check.
 Reconstruction runs the group decoder on every group, then one T x T(A)
 solve on the heavy groups' kernels (groups using fewer than m rows)
 gives the kernel coefficients; its rank decides decodability.
-A share file is parsed in one struct pass over its whole records; the
-first fault in file order is named from that pass.
+A share file is written and read through its disk's template: the
+header, the record prefixes and one struct of all the records, made
+once per spec and disk.  A file that does not fit its template exactly
+goes to one iter_unpack pass over its whole records, the only code that
+names a fault: the first in file order.
 
 A share is checked once, where it enters the library.  A DiskShare
 checks a caller's symbols when it is made; check_share checks a share
@@ -25,9 +31,9 @@ the same spec only returns the share's columns.  A share is frozen, so
 a mark stays true.  encode and repair make their shares through
 _checked_share, which runs neither check: the slots are the layout's
 and the values are reduced mod q.  share_from_bytes does the same when
-the parsed slots equal the layout's and every value is below q, and
-otherwise makes a DiskShare and runs check_share, so the first fault
-is still named.
+the file fits its template, so its slots are the layout's, and every
+value is below q; otherwise it makes a DiskShare and runs check_share,
+so the first fault is still named.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from __future__ import annotations
 import random
 import struct
 from itertools import repeat
-from operator import mul
+from operator import add, itemgetter, mul
 
 from ._kernel import mat_mul as _kmul
 from ._kernel import mat_solve as _ksolve
@@ -289,22 +295,27 @@ def _group_columns(spec: CodeSpec, steps, held):
     """(columns, kernels) of the long-layer columns of the groups of a
     plan.
 
-    held maps (group, row) to a stored symbol.  Each group is solved from
-    the rows its plan uses; groups using the same rows share one product
-    with their group_decoder solve matrix.  Surplus rows are not read.
-    A heavy group gets its column with the free symbols 0 and, in
-    kernels, its kernel basis.
+    held maps (group, row) to a stored symbol.  Groups using rows
+    0..m-1, the identity rows of the short generator, copy them as
+    their columns.  Every other group is solved from the rows its plan
+    uses; groups using the same rows share one product with their
+    group_decoder solve matrix.  Surplus rows are not read.  A heavy
+    group gets its column with the free symbols 0 and, in kernels, its
+    kernel basis.
     """
     m = spec.params.m
+    systematic = tuple(range(m))
     by_sel: dict[tuple[int, ...], list[int]] = {}
     for j, used, _ in steps:
         by_sel.setdefault(used, []).append(j)
     cols, kernels = {}, {}
     for sel, js in by_sel.items():
-        solve, kernel = group_decoder(spec, sel)
         s, count = len(sel), len(js)
-        x = _kmul(solve, m, s, [held[(j, i)] for i in sel for j in js],
-                  s, count, spec.field.q)
+        x = [held[(j, i)] for i in sel for j in js]
+        kernel = ()
+        if sel != systematic:
+            solve, kernel = group_decoder(spec, sel)
+            x = _kmul(solve, m, s, x, s, count, spec.field.q)
         for g, j in enumerate(js):
             cols[j] = x[g::count]
             if kernel:
@@ -319,7 +330,9 @@ def encode(spec: CodeSpec, message) -> ShareSet:
     m, N = p.m, p.nstar
     w = list(values)
     w += [sum(map(mul, row, values)) % q for row in spec.s_rows]
-    out = short_layer(spec, [w[j * m:(j + 1) * m] for j in range(N)])
+    # rows 0..m-1 of every group are its long-layer column, copied
+    out = [v for i in range(m) for v in w[i::m]]
+    out += short_layer(spec, out, N)
     return ShareSet(shares=tuple(
         _checked_share(spec, disk, tuple(
             (j, i, out[i * N + j]) for j, i in spec.layout.disk_slots(disk)))
@@ -361,8 +374,10 @@ def repair(spec: CodeSpec, failed: int,
                 f"holds {len(used)} of the m = {p.m} rows it needs; "
                 f"missing helpers {absent}")
     cols, _ = _group_columns(spec, steps, held)
-    out = short_layer(spec, [cols[j] for j in affected])
     count = len(affected)
+    # rows 0..m-1 of the affected groups are their columns, copied
+    out = [cols[j][c] for c in range(p.m) for j in affected]
+    out += short_layer(spec, out, count)
     sent: dict[int, list[tuple[int, int, int]]] = {h: [] for h in pool}
     checked: dict[int, list[tuple[int, int, int]]] = {h: [] for h in pool}
     rebuilt: list[tuple[int, int, int]] = []
@@ -446,23 +461,49 @@ def _record_struct(width: int) -> struct.Struct:
     return struct.Struct(f"<IBB{width}s")
 
 
+def _template(spec: CodeSpec, disk: int) -> tuple:
+    """(header, prefixes, body) of disk's share file under spec: the
+    whole header, each record's 6-byte group, row and width prefix in
+    slot order, and one struct of all the records, each read as its
+    prefix and its value bytes.  Made once per spec and disk
+    (spec.share_templates)."""
+    tpl = spec.share_templates.get(disk)
+    if tpl is None:
+        width = symbol_width(spec.field.q)
+        slots = spec.layout.disk_slots(disk)
+        tpl = spec.share_templates[disk] = (
+            _HEADER.pack(_MAGIC, spec.spec_hash, disk, len(slots)),
+            tuple(struct.pack("<IBB", j, i, width) for j, i in slots),
+            struct.Struct("<" + f"6s{width}s" * len(slots)))
+    return tpl
+
+
 def share_to_bytes(spec: CodeSpec, share: DiskShare) -> bytes:
     """Serialize one share: magic, spec digest, disk id, symbol count,
-    then one record per symbol."""
-    js, is_, vs = check_share(spec, share)
+    then one record per symbol.
+
+    Once check_share has passed, the share's slots are the layout's,
+    so the header and the record prefixes are the disk's template, and
+    only the values are converted."""
+    if share._checked is not spec:
+        check_share(spec, share)
+    header, prefixes, _ = _template(spec, share.disk)
     width = symbol_width(spec.field.q)
-    header = _HEADER.pack(_MAGIC, spec.spec_hash, share.disk, len(vs))
-    return header + b"".join(map(
-        _record_struct(width).pack, js, is_, repeat(width),
-        map(int.to_bytes, vs, repeat(width), repeat("little"))))
+    return header + b"".join(map(add, prefixes, map(
+        int.to_bytes, map(itemgetter(2), share.symbols), repeat(width),
+        repeat("little"))))
 
 
 def share_from_bytes(spec: CodeSpec, raw: bytes) -> DiskShare:
     """Parse and validate one share.
 
-    The whole records, up to the header's count, are unpacked in one
-    pass; ShareFormatError names the first fault: a record of the wrong
-    width, a record cut off at the end of the file, or trailing bytes.
+    A file is accepted at once when its disk's template (_template)
+    fits: the size is the template's, one unpack of the records gives
+    the template's prefixes, and every value is below q.  Any other
+    file takes the naming pass: the whole records, up to the header's
+    count, are unpacked in one iter_unpack pass, and ShareFormatError
+    names the first fault: a record of the wrong width, a record cut
+    off at the end of the file, or trailing bytes.
     """
     if raw[:4] != _MAGIC:
         raise ShareFormatError("bad magic; not a share file")
@@ -472,7 +513,18 @@ def share_from_bytes(spec: CodeSpec, raw: bytes) -> DiskShare:
     if digest != spec.spec_hash:
         raise ShareFormatError("share was written for a different code "
                                "spec (digest mismatch)")
-    width = symbol_width(spec.field.q)
+    q = spec.field.q
+    if 1 <= disk <= spec.params.n:
+        header, prefixes, body = _template(spec, disk)
+        if count == len(prefixes) and len(raw) == len(header) + body.size:
+            fields = body.unpack_from(raw, len(header))
+            if fields[::2] == prefixes:
+                values = tuple(map(int.from_bytes, fields[1::2],
+                                   repeat("little")))
+                if not values or max(values) < q:
+                    return _checked_share(spec, disk, tuple(
+                        zip(*spec.layout.disk_columns(disk), values)))
+    width = symbol_width(q)
     rec = _record_struct(width)
     off = _HEADER.size
     whole = min(count, (len(raw) - off) // rec.size)
@@ -492,12 +544,7 @@ def share_from_bytes(spec: CodeSpec, raw: bytes) -> DiskShare:
     if rest:
         raise ShareFormatError(f"{rest} trailing bytes after the last "
                                f"record")
-    values = tuple(map(int.from_bytes, vs, repeat("little")))
-    symbols = tuple(zip(js, is_, values))
-    if (1 <= disk <= spec.params.n
-            and (js, is_) == spec.layout.disk_columns(disk)
-            and (not values or max(values) < spec.field.q)):
-        return _checked_share(spec, disk, symbols)
+    symbols = tuple(zip(js, is_, map(int.from_bytes, vs, repeat("little"))))
     try:
         share = DiskShare(disk=disk, symbols=symbols)
     except ValueError as exc:

@@ -13,9 +13,10 @@ set exceeds.
 
 Every block shares one short generator, made from (r, t, q) and never
 read from a file; it is MDS by construction (short_mds_generator), which
-tier-1 checks, so no spec re-checks it.  short_layer is the one product
-of it with group columns, and group_decoder inverts, once per spec and
-held-row tuple, a group's held rows plus its free systematic rows.
+tier-1 checks, so no spec re-checks it.  Its top m rows are the
+identity, so short_layer, the one product of it with group columns,
+takes only its parity rows, and group_decoder inverts, once per spec
+and held-row tuple, a group's held rows plus its free systematic rows.
 A group whose block meets an erasure set A in e >= t disks keeps r - e
 independent short-generator rows, so its long-layer column is known up
 to a kernel of dimension e - t + 1 (group_decoder); every other group
@@ -432,6 +433,12 @@ class CodeSpec:
         return {}
 
     @cached_property
+    def share_templates(self) -> dict[int, tuple]:
+        """codec._template's table: disk id to the disk's share-file
+        template; at most n entries."""
+        return {}
+
+    @cached_property
     def s_rows(self) -> tuple[tuple[int, ...], ...]:
         """Long-layer parity matrix S: T row tuples of M coefficients."""
         p = self.params
@@ -607,14 +614,16 @@ def group_decoder(spec: CodeSpec, rows):
     return entry
 
 
-def short_layer(spec: CodeSpec, columns) -> list[int]:
-    """The short layer applied to groups' long-layer columns (m-tuples):
-    the flat r x len(columns) matrix whose entry (i, g) is the symbol of
-    row i of group columns[g]."""
+def short_layer(spec: CodeSpec, top, count: int) -> list[int]:
+    """The parity rows m..r-1 of the short layer for `count` groups:
+    top is the flat m x count matrix of their long-layer columns, and
+    entry (i - m, g) of the flat (r - m) x count result is the symbol of
+    row i of group g.  Rows 0..m-1 of the generator are the identity, so
+    a group's row i < m is entry i of its column, copied, not computed.
+    """
     p = spec.params
-    return _kmul([v for row in spec.short_gen for v in row], p.r, p.m,
-                 [col[c] for c in range(p.m) for col in columns], p.m,
-                 len(columns), spec.field.q)
+    return _kmul([v for row in spec.short_gen[p.m:] for v in row],
+                 p.r - p.m, p.m, top, p.m, count, spec.field.q)
 
 
 def parity_block(spec: CodeSpec, j: int, kernel) -> list[tuple[int, ...]]:

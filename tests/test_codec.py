@@ -267,11 +267,20 @@ def _library_shares(spec):
 
 
 def test_library_shares_equal_checked_rebuilds(golden_spec, complete9_spec,
-                                               t3_spec, s15_spec):
+                                               t3_spec, s15_spec,
+                                               monkeypatch):
     """encode, repair and share_from_bytes make their shares without
     DiskShare's checks or check_share's.  On every reference code, each
     such share equals its rebuild through DiskShare, which passes a
-    fresh check_share with the same columns."""
+    fresh check_share with the same columns.  The files the library
+    writes are read back through the share template alone: the naming
+    pass, which alone builds a record struct, is never reached."""
+    from rgc import codec
+
+    def no_naming_pass(width):
+        raise AssertionError("a library share file missed its template")
+
+    monkeypatch.setattr(codec, "_record_struct", no_naming_pass)
     for spec in (golden_spec, complete9_spec, t3_spec, s15_spec):
         made = _library_shares(spec)
         assert len(made) == 4 * spec.params.n
@@ -281,6 +290,56 @@ def test_library_shares_equal_checked_rebuilds(golden_spec, complete9_spec,
             assert again._checked is None
             assert check_share(spec, again) == check_share(spec, share)
             assert again._checked is spec
+
+
+def _spy_on(monkeypatch, real, note):
+    """Route every binding of the kernel function real in the rgc
+    modules through a spy; returns the list of note(*args) of its
+    calls."""
+    calls = []
+
+    def spy(*args):
+        calls.append(note(*args))
+        return real(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name == "rgc" or name.startswith("rgc."):
+            for attr, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, attr, spy)
+    return calls
+
+
+def _is_identity(a, rows, cols):
+    return rows == cols and a == tuple(int(r == c) for r in range(rows)
+                                       for c in range(cols))
+
+
+def test_store_path_multiplies_by_no_identity(golden_spec, complete9_spec,
+                                              t3_spec, s15_spec,
+                                              monkeypatch):
+    """The short generator's rows 0..m-1 are the identity, so they are
+    copied, never multiplied.  On every reference code, encode makes
+    one product, by the parity rows m..r-1 alone, and no repair of any
+    disk or read of a k-set (every one, or s15's first 200) multiplies
+    by an identity."""
+    calls = _spy_on(monkeypatch, _kernel.mat_mul,
+                    lambda a, ar, ac, *_: (tuple(a), ar, ac))
+    for spec in (golden_spec, complete9_spec, t3_spec, s15_spec):
+        p = spec.params
+        msg = _msg(spec, 8)
+        calls.clear()
+        shares = encode(spec, msg)
+        parity = tuple(v for row in spec.short_gen[p.m:] for v in row)
+        assert calls == [(parity, p.r - p.m, p.m)]
+        for failed in shares.disks():
+            rebuilt, _ = repair(spec, failed, shares.without(failed))
+            assert rebuilt == shares.get(failed)
+        reads = itertools.islice(
+            itertools.combinations(shares.disks(), p.k), 200)
+        for keep in reads:
+            assert reconstruct(spec, shares.subset(keep)) == msg
+        assert calls and not any(_is_identity(*c) for c in calls)
 
 
 def test_a_share_checked_for_one_spec_is_refused_by_another(
@@ -358,21 +417,9 @@ def test_repair_refuses_a_non_int_disk_id_before_any_work(golden_spec,
 
 
 def _count_solves(monkeypatch):
-    """Route every binding of mat_solve in the rgc modules through a
-    spy; returns the list of (rows, cols, bcols) it records."""
-    calls = []
-    real = _kernel.mat_solve
-
-    def spy(a, rows, cols, b, bcols, q):
-        calls.append((rows, cols, bcols))
-        return real(a, rows, cols, b, bcols, q)
-
-    for name, module in list(sys.modules.items()):
-        if name == "rgc" or name.startswith("rgc."):
-            for attr, value in list(vars(module).items()):
-                if value is real:
-                    monkeypatch.setattr(module, attr, spy)
-    return calls
+    """The (rows, cols, bcols) of every mat_solve call in rgc."""
+    return _spy_on(monkeypatch, _kernel.mat_solve,
+                   lambda a, rows, cols, b, bcols, q: (rows, cols, bcols))
 
 
 def test_group_decoder_inverts_each_row_tuple_once(complete9_spec,
@@ -742,3 +789,88 @@ def test_share_parse_outcomes_pinned(golden_spec, complete9_spec):
     assert (len(outcomes), hashlib.sha256(blob).hexdigest()) == (
         58320, "3cd82293d66038de6bfce48b7bc45c60"
                "f586449ac902f1cca3fe98c2c8813c88")
+
+
+def test_share_template_agrees_with_the_naming_pass(t3_spec, s15_spec,
+                                                   monkeypatch):
+    """On c347 (2-byte values) and s15 (3-byte values), every
+    truncation of one share file per disk and every byte of it XORed
+    with 0x01, 0x80 or 0xff parses to the same share, marked alike, or
+    raises the same ShareFormatError text with the template on and with
+    every template forced to miss."""
+    from rgc import codec
+    real = codec._template
+
+    def missed(spec, disk):     # one slot too many: no file fits
+        header, prefixes, body = real(spec, disk)
+        return header, prefixes + (b"",), body
+
+    def outcomes(spec, blobs):
+        out = []
+        for raw in blobs:
+            try:
+                share = share_from_bytes(spec, raw)
+            except ShareFormatError as exc:
+                assert type(exc) is ShareFormatError
+                out.append(str(exc))
+            else:
+                out.append((share, share._checked is spec))
+        return out
+
+    for spec in (t3_spec, s15_spec):
+        blobs = []
+        for share in encode(spec, _msg(spec, 12)):
+            blob = share_to_bytes(spec, share)
+            blobs += [blob[:cut] for cut in range(len(blob))]
+            blobs += [blob[:pos] + bytes((blob[pos] ^ mask,))
+                      + blob[pos + 1:]
+                      for pos in range(len(blob)) for mask in (1, 128, 255)]
+        fast = outcomes(spec, blobs)
+        monkeypatch.setattr(codec, "_template", missed)
+        assert outcomes(spec, blobs) == fast
+        monkeypatch.setattr(codec, "_template", real)
+        parsed = [out for out in fast if isinstance(out, tuple)]
+        assert parsed and all(marked for _, marked in parsed)
+
+
+def test_share_templates_are_lazy_and_outside_identity(
+        golden_spec, complete9_spec, t3_spec, s15_spec):
+    """A spec fills its share templates on first use, one per disk and
+    never more than n, however many files, malformed ones included, it
+    reads.  They are not part of the spec: equality, hash, JSON and the
+    reference spec pins do not see them.  codec keeps no module-level
+    table of its own."""
+    from rgc import codec
+    pins = (
+        (golden_spec, "4d5332ecb962e816dee1d328544b0f58"
+                      "b7d9021f2efc5c9b45265233141f252e"),
+        (complete9_spec, "c76e8bbb1e2f6143099c21573fff1d78"
+                         "a97f6178ab247c4ad7a291cf98f52fdb"),
+        (t3_spec, "91e3860b47e368997b60e15b16f51f1f"
+                  "99ad78250b7d47cebc82c0f7ff4bf915"),
+        (s15_spec, "7cbb176ce4cba73ac89e09ce7214e127"
+                   "ec6fb0d1f63f0e2e221cfd6c201e2753"),
+    )
+    for reference, pin in pins:
+        spec = CodeSpec.from_json(reference.to_json())
+        n = spec.params.n
+        assert spec.share_templates == {}
+        shares = encode(spec, _msg(spec, 1))
+        assert spec.share_templates == {}
+        blob = share_to_bytes(spec, shares.get(2))
+        assert sorted(spec.share_templates) == [2]
+        for share in shares:
+            assert share_from_bytes(spec, share_to_bytes(spec, share)) == share
+        for disk in (0, n + 1, 2 ** 32 - 1):
+            raw = blob[:36] + disk.to_bytes(4, "little") + blob[40:]
+            with pytest.raises(ShareFormatError):
+                share_from_bytes(spec, raw)
+        assert sorted(spec.share_templates) == list(range(1, n + 1))
+        assert spec == reference and hash(spec) == hash(reference)
+        assert spec.to_json() == reference.to_json()
+        assert hashlib.sha256(spec.to_json().encode()).hexdigest() == pin
+    tables = [name for name, value in vars(codec).items()
+              if not name.startswith("__")
+              and (isinstance(value, (dict, list, set, bytearray))
+                   or hasattr(value, "cache_clear"))]
+    assert tables == []
