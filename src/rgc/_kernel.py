@@ -6,8 +6,10 @@ at least t disks, plus the T long-layer checks), so exact Python ints are
 fast enough.  mat_rank and mat_solve share one Gauss-Jordan elimination:
 the rank stops at row echelon form, the solve reduces fully.  echelon_add
 grows a fraction-free row echelon basis one row at a time, for rank
-checks that add rows incrementally, and annihilator turns such a basis
-into the rows that vanish on its span.
+checks that add rows incrementally, and annihilator gives the quotient
+by such a basis's span in gathered form: its free columns and their
+coefficients on the pivots, so a row maps to it at the cost of the span's
+dimension, not of its width.
 """
 
 BACKEND = "py"
@@ -49,38 +51,38 @@ def echelon_add(basis, row, q):
 
 
 def annihilator(basis, cols, q):
-    """The rows y, one per non-pivot column c of an echelon_add basis of
-    cols-wide rows, with y . b = 0 mod q for every basis row b; a row v
-    lies in the basis's span exactly when every y . v is 0 mod q.
+    """The quotient by the span of an echelon_add basis of cols-wide
+    rows, gathered: (pivots, free, coef), where free lists the non-pivot
+    columns and coef[a] holds the s coefficients of free[a] on the
+    pivots.  Coordinate a of a row v is v[free[a]] + sum over i of
+    coef[a][i] * v[pivots[i]], and v lies in the span exactly when every
+    coordinate is 0 mod q.
 
     A basis row is zero at the pivots of the rows before it, so its
     pivot entries form an upper triangular matrix, and the reduced
-    echelon rows R_i, known on the non-pivot columns, follow last to
-    first: R_i is row i less b[P_k] R_k for each later pivot P_k, over
-    b[P_i].  Then y is e_c minus R_i[c] at each pivot P_i.  The cols - s
-    rows are independent, as each has its only non-pivot entry at its
-    own c, so their common kernel has dimension s and is the span."""
+    echelon rows R_i follow last to first: R_i is row i less b[P_k] R_k
+    for each later pivot P_k, over b[P_i].  Coordinate a is y . v for
+    y = e_c minus R_i[c] at each pivot P_i, c = free[a], so coef[a][i]
+    is -R_i[c], found column by column.  Each y vanishes on the basis,
+    and the cols - s of them are independent, as each has its only free
+    entry at its own c, so their common kernel has dimension s and is
+    the span.  No cols-wide row is built: a caller maps a row with
+    s + 1 terms per coordinate."""
     pivots = [piv for piv, _ in basis]
     free = [c for c in range(cols) if c not in pivots]
     s = len(basis)
-    neg = [None] * s        # -R_i on the free columns
-    for i in range(s - 1, -1, -1):
-        b = basis[i][1]
-        acc = [b[c] for c in free]
-        for k in range(i + 1, s):
-            f = b[pivots[k]]
-            if f:
-                acc = [u + f * w for u, w in zip(acc, neg[k])]
-        inv = -pow(b[pivots[i]], -1, q)
-        neg[i] = [u * inv % q for u in acc]
-    out = []
-    for at, c in enumerate(free):
-        y = [0] * cols
-        y[c] = 1
-        for piv, row in zip(pivots, neg):
-            y[piv] = row[at]
-        out.append(y)
-    return out
+    invs = [-pow(b[piv], -1, q) for piv, b in basis]
+    coef = []
+    for c in free:
+        neg = [0] * s       # -R_i[c], last to first
+        for i in range(s - 1, -1, -1):
+            b = basis[i][1]
+            acc = b[c]
+            for k in range(i + 1, s):
+                acc += b[pivots[k]] * neg[k]
+            neg[i] = acc * invs[i] % q
+        coef.append(neg)
+    return pivots, free, coef
 
 
 def _eliminate(m, cols, q, reduce):

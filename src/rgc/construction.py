@@ -28,8 +28,10 @@ only grows the kernels of the blocks that contain it, so span(K_A) is
 built one vector at a time, and an image under [S | -I] that depends on
 the earlier ones fails every completion of the prefix.  A set's last
 disk is a leaf of its head, the path without it: one annihilator of the
-head's path images maps each leaf's images to T - s coordinates, where
-a closed-form determinant or a small elimination decides them.  plan
+head's s path images gives the quotient gathered (free columns and
+their coefficients on the pivots), each leaf image maps to its T - s
+coordinates with s + 1 terms each, unrolled for three on three, and a
+determinant, a cross product or a small elimination decides them.  plan
 gives each group's lowest m held rows (used) and the rest (surplus);
 codec's reads and repairs follow it, and rank_witness takes its heavy
 groups' kernels from it to build, for one erasure set, a 0/1 matrix S
@@ -46,7 +48,7 @@ import json
 import random
 from functools import cached_property
 from math import comb
-from operator import mul
+from operator import itemgetter, mul
 
 from ._kernel import annihilator as _annihilator
 from ._kernel import echelon_add as _kadd
@@ -704,14 +706,17 @@ def verify_S(spec: CodeSpec, jobs: int = 1, sample: int | None = None,
 
     The last disk of a set is decided in its head's quotient space.  At
     the first leaf of a head whose path images span s > 0 dimensions,
-    one annihilator N of them (T - s rows, from one reduced echelon
-    form) is made and shared by the head's leaves.  A leaf's L images v
-    are independent of the path and of each other exactly when the N v
-    are independent: when L = T - s <= 3 a nonzero determinant of the
-    N v says so, and otherwise, or when it is zero, a fraction-free
-    elimination of the N v finds the first dependent one.  With s = 0, N
-    is the identity.  reductions counts kernel vectors tried, one for
-    each up to the first dependent one, so it reads as if each leaf
+    annihilator gives the quotient by them gathered: the pivot columns,
+    the D = T - s free columns and each free column's s coefficients on
+    the pivots, from one reduced echelon form.  The head's leaves share
+    it (_leaf_decider).  A leaf's L images are independent of the path
+    and of each other exactly when their D coordinates are, each made
+    from s + 1 entries of the image, unrolled when s = D = 3.  A nonzero
+    determinant (L = D <= 3) or cross product (L = 2, D = 3) says so;
+    otherwise, or on a zero, a fraction-free elimination of the mapped
+    images finds the first dependent one.  With s = 0 the images are
+    their own coordinates.  reductions counts kernel vectors tried, one
+    for each up to the first dependent one, so it reads as if each leaf
     image were reduced against the path.
 
     When C(n, n-k) exceeds MAX_SUBSETS, a seeded random sample must be
@@ -793,25 +798,15 @@ def _verify(spec: CodeSpec, sample: int | None, seed: int,
         return _kadd(basis, images[hits][j], q)
 
     def leaf(basis):
-        quotient = _annihilator(basis, T, q) if basis else None
-        dim = T - len(basis)
+        # with no path images the images are their own coordinates
+        first = (_leaf_decider(_annihilator(basis, T, q), q) if basis
+                 else lambda vs: _first_dependent(vs, T, q))
 
         def decide(pairs):
             nonlocal reductions
-            if quotient is None:
-                vs = [images[h][j] for j, h in pairs]
-            else:
-                vs = [[sum(map(mul, y, images[h][j])) % q for y in quotient]
-                      for j, h in pairs]
-            if len(vs) == dim <= 3 and _det(vs, q):
-                reductions += dim
-                return True
-            tried = []
-            for v in vs:
-                reductions += 1
-                if not _kadd(tried, v, q):
-                    return False
-            return True
+            bad = first([images[h][j] for j, h in pairs])
+            reductions += len(pairs) if bad is None else bad + 1
+            return bad is None
         return decide
 
     failures, pruned = [], 0
@@ -824,6 +819,71 @@ def _verify(spec: CodeSpec, sample: int | None, seed: int,
     return VerifyReport(ok=not failures, failures=tuple(failures),
                         checked=checked, total=total, sampled=sampled,
                         reductions=reductions, pruned=pruned)
+
+
+def _leaf_decider(quotient, q):
+    """first(vs): the place of the first of a leaf's images vs, T-wide
+    and read mod q, that depends on the span cut out by quotient (the
+    gathered form from annihilator) and on the images before it, or None
+    when they are all independent.
+
+    The images are mapped to the D quotient coordinates: three on three
+    pivots (every non-block head of a T = 6 triple system) by an
+    unrolled, unreduced expression, any other shape reduced mod q, as an
+    elimination of unreduced coordinates would multiply large integers.
+    L = D <= 3 images are independent when their determinant is nonzero
+    mod q, and L = 2 in D = 3 when their cross product is.  Any other
+    shape, and a zero, goes to a fraction-free elimination of the mapped
+    images, which alone finds the first dependent one.
+    """
+    pivots, free, coef = quotient
+    if len(pivots) == len(free) == 3:
+        (p0, p1, p2), (f0, f1, f2) = pivots, free
+        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = coef
+
+        def first(vs):
+            mapped = []
+            for v in vs:
+                x, y, z = v[p0], v[p1], v[p2]
+                mapped.append((v[f0] + a0 * x + a1 * y + a2 * z,
+                               v[f1] + b0 * x + b1 * y + b2 * z,
+                               v[f2] + c0 * x + c1 * y + c2 * z))
+            return _first_dependent(mapped, 3, q)
+        return first
+
+    # itemgetter of one index gives a bare value, not a tuple
+    at = (itemgetter(*pivots) if len(pivots) > 1
+          else lambda v: [v[i] for i in pivots])
+    rows = list(zip(free, coef))
+
+    def first(vs):
+        mapped = []
+        for v in vs:
+            x = at(v)
+            mapped.append([(v[c] + sum(map(mul, row, x))) % q
+                           for c, row in rows])
+        return _first_dependent(mapped, len(free), q)
+    return first
+
+
+def _first_dependent(vs, dim, q):
+    """The place of the first of the images vs, in dim coordinates read
+    mod q, that depends on those before it, or None.  A nonzero
+    determinant (L = dim <= 3) or cross product (L = 2, dim = 3) says
+    None at once; otherwise a fraction-free elimination of vs in turn
+    finds it."""
+    if len(vs) == dim <= 3:
+        if _det(vs, q):
+            return None
+    elif len(vs) == 2 and dim == 3:
+        (a, b, c), (d, e, f) = vs
+        if (b * f - c * e) % q or (c * d - a * f) % q or (a * e - b * d) % q:
+            return None
+    tried = []
+    for at, v in enumerate(vs):
+        if not _kadd(tried, v, q):
+            return at
+    return None
 
 
 def _det(rows, q) -> int:

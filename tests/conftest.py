@@ -38,6 +38,8 @@ _CRITERIA = {
 
 _results: dict[int, tuple[str, float]] = {}
 
+pytest_plugins = ("pytester",)
+
 
 def _criterion_number(nodeid: str) -> int | None:
     name = nodeid.rsplit("::", 1)[-1]

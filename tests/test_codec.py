@@ -322,7 +322,9 @@ def test_store_path_multiplies_by_no_identity(golden_spec, complete9_spec,
     copied, never multiplied.  On every reference code, encode makes
     one product, by the parity rows m..r-1 alone, and no repair of any
     disk or read of a k-set (every one, or s15's first 200) multiplies
-    by an identity."""
+    by an identity.  A repair makes at most one product by the parity
+    rows, and none when every affected group lost a systematic row and
+    holds no surplus: on c9, disk 1 is row 0 of each of its groups."""
     calls = _spy_on(monkeypatch, _kernel.mat_mul,
                     lambda a, ar, ac, *_: (tuple(a), ar, ac))
     for spec in (golden_spec, complete9_spec, t3_spec, s15_spec):
@@ -333,8 +335,14 @@ def test_store_path_multiplies_by_no_identity(golden_spec, complete9_spec,
         parity = tuple(v for row in spec.short_gen[p.m:] for v in row)
         assert calls == [(parity, p.r - p.m, p.m)]
         for failed in shares.disks():
+            before = len(calls)
             rebuilt, _ = repair(spec, failed, shares.without(failed))
             assert rebuilt == shares.get(failed)
+            made = calls[before:]
+            products = [c for c in made if c == (parity, p.r - p.m, p.m)]
+            assert len(products) <= 1
+            if spec is complete9_spec and failed == 1:
+                assert made and not products
         reads = itertools.islice(
             itertools.combinations(shares.disks(), p.k), 200)
         for keep in reads:

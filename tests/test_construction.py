@@ -515,15 +515,10 @@ def test_reconstruct_fails_exactly_where_verify_fails():
                 assert reconstruct(spec, held) == msg
 
 
-def test_leaf_decisions_match_a_per_set_rank_oracle():
-    """On two STS(19) k=15 candidates, over GF(31) and GF(101), verify_S
-    fails on exactly the erasure sets where the T x T(A) images of the
-    set's heavy groups (plan, group_decoder, parity_block), ranked from
-    scratch, lose rank: 102 and 35 sets, every one decided at a leaf,
-    where the quotient map and the determinant do the work.  The
-    first-failure check agrees."""
-    design = gen_steiner_triple(19)
-    specs = [_random_candidate(design, 15, q, 0) for q in (31, 101)]
+def _rank_oracle_failures(specs):
+    """The erasure sets of specs on one design where the T x T(A) images
+    of a set's heavy groups (plan, group_decoder, parity_block), ranked
+    from scratch, lose rank; one list per spec."""
     p, layout = specs[0].params, specs[0].layout
     disks = set(range(1, p.n + 1))
     blocks = [{} for _ in specs]      # (group, used rows) -> image columns
@@ -543,11 +538,58 @@ def test_leaf_decisions_match_a_per_set_rank_oracle():
             if mat_rank([col[u] for u in range(p.T) for col in cols], p.T,
                         len(cols), spec.field.q) < len(cols):
                 fails.append(a)
-    assert [len(fails) for fails in want] == [102, 35]
-    for spec, fails in zip(specs, want):
+    return want
+
+
+def test_leaf_decisions_match_a_per_set_rank_oracle(monkeypatch):
+    """On STS(19) k=15 candidates over GF(31) and GF(101), and an STS(15)
+    k=11 one over GF(13), verify_S fails on exactly the erasure sets
+    where a per-set rank oracle does: 102, 35 and 93 sets, every one
+    decided at a leaf.  A spy on the leaf decisions, written (s, L, D)
+    for path images, leaf images and quotient coordinates, shows each
+    branch deciding passing and failing leaves, each as the oracle does:
+    the unrolled map and determinant (3, 3, 3), the cross product
+    (3, 2, 3) and the elimination at a block head (2, 3, 4).  The
+    first-failure check agrees."""
+    specs = [_random_candidate(gen_steiner_triple(19), 15, q, 0)
+             for q in (31, 101)]
+    small = [_random_candidate(gen_steiner_triple(15), 11, 13, 0)]
+    want = _rank_oracle_failures(specs) + _rank_oracle_failures(small)
+    assert [len(fails) for fails in want] == [102, 35, 93]
+    decided, owners = [], []          # ((s, L, D), passed); their sets
+    real_decider, real_walk = construction._leaf_decider, construction._walk
+
+    def decider(quotient, q):
+        first = real_decider(quotient, q)
+        s, dim = len(quotient[0]), len(quotient[1])
+
+        def spy(vs):
+            bad = first(vs)
+            decided.append(((s, len(vs), dim), bad is None))
+            return bad
+        return spy
+
+    def walk(*args):
+        for item in real_walk(*args):
+            owners.extend([item[0]] * (len(decided) - len(owners)))
+            yield item
+
+    monkeypatch.setattr(construction, "_leaf_decider", decider)
+    monkeypatch.setattr(construction, "_walk", walk)
+    seen = {}
+    for spec, fails in zip(specs + small, want):
+        decided.clear()
+        owners.clear()
         report = verify_S(spec)
         assert report.failures == tuple(fails) and report.pruned == 0
+        failing = set(fails)
+        assert len(owners) == len(decided)
+        for a, (shape, passed) in zip(owners, decided):
+            assert passed == (a not in failing)
+            seen.setdefault(shape, set()).add(passed)
         assert not construction._verify(spec, None, 0, True).ok
+    for shape in ((3, 3, 3), (3, 2, 3), (2, 3, 4)):
+        assert seen[shape] == {True, False}
 
 
 @settings(max_examples=60, deadline=None)
@@ -555,21 +597,69 @@ def test_leaf_decisions_match_a_per_set_rank_oracle():
        data=st.data())
 def test_annihilator_cuts_out_the_span(q, cols, data):
     """For an echelon_add basis of s rows over small q, annihilator gives
-    cols - s rows, each orthogonal to every basis row, and a row v lies
-    in the basis's span exactly when every one of them gives y . v = 0."""
+    the quotient gathered: the s pivots, the cols - s other columns in
+    order and, for each, s coefficients on the pivots.  Every quotient
+    coordinate of a basis row, or of a combination of them, is 0 mod q,
+    and a row v lies in the span exactly when all of v's are."""
     row = st.lists(st.integers(0, 3 * q), min_size=cols, max_size=cols)
     basis = []
     for r in data.draw(st.lists(row, max_size=cols + 2)):
         echelon_add(basis, r, q)
-    rows = annihilator(basis, cols, q)
-    assert len(rows) == cols - len(basis)
-    assert all(len(y) == cols and all(0 <= x < q for x in y) for y in rows)
-    assert all(sum(a * b for a, b in zip(y, r)) % q == 0
-               for y in rows for _, r in basis)
+    pivots, free, coef = annihilator(basis, cols, q)
+    assert pivots == [piv for piv, _ in basis]
+    assert free == [c for c in range(cols) if c not in pivots]
+    assert len(coef) == len(free)
+    assert all(len(c) == len(basis) and all(0 <= x < q for x in c)
+               for c in coef)
+
+    def coords(v):
+        return [(v[c] + sum(a * v[i] for a, i in zip(co, pivots))) % q
+                for c, co in zip(free, coef)]
+
+    mix = data.draw(st.lists(st.integers(0, q - 1), min_size=len(basis),
+                             max_size=len(basis)))
+    combo = [sum(a * b[u] for a, (_, b) in zip(mix, basis))
+             for u in range(cols)]
+    assert not any(coords(combo))
+    assert all(not any(coords(b)) for _, b in basis)
     for v in data.draw(st.lists(row, min_size=1, max_size=4)):
         in_span = not echelon_add(list(basis), v, q)
-        assert in_span == all(sum(a * b for a, b in zip(y, v)) % q == 0
-                              for y in rows)
+        assert in_span == (not any(coords(v)))
+
+
+@pytest.mark.parametrize("T,s,L", [(6, 3, 3), (6, 3, 2), (6, 3, 1),
+                                   (6, 2, 3), (4, 1, 3), (4, 1, 2),
+                                   (3, 0, 3), (3, 0, 2), (2, 0, 2),
+                                   (1, 0, 1), (7, 0, 7)])
+@settings(max_examples=40, deadline=None)
+@given(q=st.sampled_from([2, 3, 5, 7, 31]), data=st.data())
+def test_leaf_decider_matches_echelon_add(T, s, L, q, data):
+    """On random small-field path bases of up to s rows and L leaf
+    images, each drawn at random or as a combination of the basis and
+    the images before it, _leaf_decider names the same first dependent
+    image as plain echelon_add, through each of its closed forms (the
+    unrolled 3-on-3 map and its determinant, the determinant for
+    L = D <= 3, the cross product for L = 2 in D = 3) and the
+    elimination."""
+    row = st.lists(st.integers(0, 3 * q), min_size=T, max_size=T)
+    basis = []
+    for r in data.draw(st.lists(row, min_size=s, max_size=s)):
+        echelon_add(basis, r, q)
+    vs = []
+    for _ in range(L):
+        if data.draw(st.booleans()):
+            mix = [b for _, b in basis] + vs
+            co = data.draw(st.lists(st.integers(0, q - 1),
+                                    min_size=len(mix), max_size=len(mix)))
+            vs.append([sum(a * b[u] for a, b in zip(co, mix))
+                       for u in range(T)])
+        else:
+            vs.append(data.draw(row))
+    tried = list(basis)
+    want = next((at for at, v in enumerate(vs)
+                 if not echelon_add(tried, v, q)), None)
+    first = construction._leaf_decider(annihilator(basis, T, q), q)
+    assert first(vs) == want
 
 
 def _prefix_fails(spec, prefix):

@@ -21,7 +21,8 @@ from rgc.ffield import PrimeField
 from rgc.storesim import random_failure_soak
 
 SRC = pathlib.Path(rgc.__file__).parent
-SPANS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
 SUBMODULES = ("_kernel", "ffield", "designs", "construction", "codec",
               "analysis", "storesim")
 
@@ -256,6 +257,30 @@ def test_unchecked_share_constructor_stays_in_three_callers():
                              and node.attr == "_checked_share"))
     assert users == {("codec.py", "encode"), ("codec.py", "repair"),
                      ("codec.py", "share_from_bytes")}
+
+
+def test_a_failing_hypothesis_test_does_not_abort_the_run(pytester):
+    """Under the project's pytest settings, where a warning is an error,
+    a failing @given test is reported as one failure with its falsifying
+    example, and the test after it still runs: a warning raised while
+    hypothesis reports the failure must not end the session."""
+    pytester.makefile(".toml", pyproject=(ROOT / "pyproject.toml")
+                      .read_text(encoding="utf-8"))
+    pytester.makepyfile(test_probe="""
+        from hypothesis import given, strategies as st
+
+        @given(st.integers())
+        def test_fails(x):
+            assert x < 0
+
+        def test_after():
+            pass
+    """)
+    result = pytester.runpytest_subprocess("-p", "no:cacheprovider",
+                                           "test_probe.py")
+    result.assert_outcomes(failed=1, passed=1)
+    result.stdout.fnmatch_lines(["*Falsifying example: test_fails(*"])
+    assert "INTERNALERROR" not in result.stdout.str()
 
 
 def test_no_source_line_exceeds_79_characters():
