@@ -14,9 +14,7 @@ m = r-t+1 held rows and keeps the rest as surplus.  A group using rows
 solves any other group's long-layer column from its used rows, up to a
 kernel basis when it uses fewer than m.  Repair copies the used rows of
 each affected group from any d = n-t+1 other disks, or any helpers
-holding m rows of each, and reads the surplus only to cross-check;
-only the groups that lost a parity row or hold surplus rows need rows
-m..r-1, so only their columns go through the short layer's product.
+holding m rows of each, and reads the surplus only to cross-check.
 Reconstruction runs the group decoder on every group, then one T x T(A)
 solve on the heavy groups' kernels (groups using fewer than m rows)
 gives the kernel coefficients; its rank decides decodability.
@@ -350,13 +348,12 @@ def repair(spec: CodeSpec, failed: int,
     other disks does, as it misses at most t-2 disks of any block.  Per
     affected group the lowest-indexed m held rows transmit one stored
     symbol each (copy only); the group column is solved and the lost row
-    recomputed: a lost row i < m is entry i of the column, and only the
-    groups that lost a parity row or hold surplus rows share one
-    short_layer product.  Held rows beyond the m used are also read,
-    listed in the transcript's checks, and cross-checked against the
-    recomputation; a mismatch raises CorruptionError naming the group
-    and the disks of its copied and checked rows.  A helper set that
-    leaves a group short raises ValueError naming the group.
+    recomputed, by one short_layer product over the groups that lost a
+    parity row or hold surplus rows.  Held rows beyond the m used are
+    also read, listed in the transcript's checks, and cross-checked
+    against the recomputation; a mismatch raises CorruptionError naming
+    the group and the disks of its copied and checked rows.  A helper
+    set that leaves a group short raises ValueError naming the group.
     """
     p = spec.params
     require_int("disk id", failed)
@@ -378,18 +375,15 @@ def repair(spec: CodeSpec, failed: int,
                 f"holds {len(used)} of the m = {p.m} rows it needs; "
                 f"missing helpers {absent}")
     cols, _ = _group_columns(spec, steps, held)
-    # rows 0..m-1 of a group are its column, copied; only a group that
-    # lost a parity row or holds surplus rows reads rows m..r-1, and
-    # those groups share one product
-    m = p.m
+    # rows 0..m-1 of a group are its column, copied; rows m..r-1 are
+    # made only for the groups that read them, in one product
     rows = [cols[j] for (j, _, surplus), i in zip(steps, lost)
-            if surplus or i >= m]
+            if surplus or i >= p.m]
     if rows:
-        count = len(rows)
-        parity = short_layer(spec, [col[c] for c in range(m) for col in rows],
-                             count)
+        top = [col[c] for c in range(p.m) for col in rows]
+        parity = short_layer(spec, top, len(rows))
         for g, col in enumerate(rows):
-            col += parity[g::count]
+            col += parity[g::len(rows)]
     sent: dict[int, list[tuple[int, int, int]]] = {h: [] for h in pool}
     checked: dict[int, list[tuple[int, int, int]]] = {h: [] for h in pool}
     rebuilt: list[tuple[int, int, int]] = []

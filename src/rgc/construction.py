@@ -48,7 +48,7 @@ import json
 import random
 from functools import cached_property
 from math import comb
-from operator import itemgetter, mul
+from operator import mul
 
 from ._kernel import annihilator as _annihilator
 from ._kernel import echelon_add as _kadd
@@ -851,15 +851,12 @@ def _leaf_decider(quotient, q):
             return _first_dependent(mapped, 3, q)
         return first
 
-    # itemgetter of one index gives a bare value, not a tuple
-    at = (itemgetter(*pivots) if len(pivots) > 1
-          else lambda v: [v[i] for i in pivots])
     rows = list(zip(free, coef))
 
     def first(vs):
         mapped = []
         for v in vs:
-            x = at(v)
+            x = [v[i] for i in pivots]
             mapped.append([(v[c] + sum(map(mul, row, x))) % q
                            for c, row in rows])
         return _first_dependent(mapped, len(free), q)
