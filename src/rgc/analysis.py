@@ -1,14 +1,15 @@
 """Storage-bandwidth tradeoff bounds and asymptotic exponent analysis.
 
 All tradeoff quantities are exact rationals: per-disk storage and data
-size are normalized by the per-helper repair transfer, giving points
-(alpha_bar, M_bar) comparable across codes.  One helper, _point, makes
-that normalization from (d, alpha, gamma, M) for built codes, complete
-designs and design comparisons alike.  Bounds at a nominal exponent
-involve c = n^epsilon, usually irrational; they are settled exactly by
-integer roots, and the repair bound, monotone in c, by decimal brackets
-around c.  Floating point appears only when converting exact rationals
-to log-scale exponents for output.
+size are normalized by the per-helper repair transfer gamma/d =
+m alpha/d, giving points (alpha_bar, M_bar) comparable across codes.
+alpha cancels, so one helper, _point, makes that normalization from
+(d, m, M/alpha) for built codes, complete designs and design
+comparisons alike.  Bounds at a nominal exponent involve c = n^epsilon,
+usually irrational; they are settled exactly by integer roots, and the
+repair bound, monotone in c, by decimal brackets around c.  Floating
+point appears only when converting exact rationals to log-scale
+exponents for output.
 """
 
 from __future__ import annotations
@@ -37,11 +38,12 @@ class TradeoffPoint:
     provenance: str  # constructed | bound | timesharing
 
 
-def _point(d: int, alpha: int, gamma: int, M: int) -> TradeoffPoint:
+def _point(d: int, m: int, per_alpha: Fraction) -> TradeoffPoint:
     """Storage alpha and data size M divided by the per-helper transfer
-    gamma/d."""
-    return TradeoffPoint(alpha_bar=Fraction(alpha * d, gamma),
-                         M_bar=Fraction(M * d, gamma),
+    gamma/d = m alpha/d, given per_alpha = M/alpha: alpha_bar = d/m and
+    M_bar = (d/m) (M/alpha)."""
+    scale = Fraction(d, m)
+    return TradeoffPoint(alpha_bar=scale, M_bar=scale * per_alpha,
                          provenance="constructed")
 
 
@@ -112,11 +114,14 @@ def complete_tradeoff_point(n: int, k: int, d: int,
             f"minimum-storage regime", ParameterRegimeWarning,
             stacklevel=2)
     m = r - t + 1
-    # C(n-1, r-1) blocks through each disk, C(n, r) = C(n-1, r-1) n / r
-    # in all, each of m long-layer slots
-    alpha = comb(n - 1, r - 1)
-    point = _point(d, alpha, m * alpha,
-                   m * (alpha * n // r) - closed_form_Tc(n, k, r, t))
+    # alpha = C(n-1, r-1) blocks through each disk and C(n, r) = alpha n/r
+    # in all, each of m long-layer slots, so M/alpha = m n/r - T_c/alpha;
+    # alpha has about 203,000 digits at n = 10^6, so only T_c > 0 forms it
+    T_c = closed_form_Tc(n, k, r, t)
+    per_alpha = Fraction(m * n, r)
+    if T_c:
+        per_alpha -= Fraction(T_c, comb(n - 1, r - 1))
+    point = _point(d, m, per_alpha)
     if point.M_bar <= 0:
         raise ValueError(f"(n,k,d,r)=({n},{k},{d},{r}) gives a "
                          f"nonpositive data size {point.M_bar}")
@@ -174,7 +179,8 @@ def sweep_tradeoff(n: int, k: int, d: int) -> tuple[TradeoffRow, ...]:
 def realized_point(params) -> TradeoffPoint:
     """Normalized point actually achieved by a built code: storage and
     data divided by the per-helper transfer gamma/d."""
-    return _point(params.d, params.alpha, params.gamma, params.M)
+    return _point(params.d, params.r - params.t + 1,
+                  Fraction(params.M, params.alpha))
 
 
 @record
@@ -212,12 +218,12 @@ def compare_designs(d1: BlockDesign, d2: BlockDesign,
     d = n - t + 1
     _validate_nkd(n, k, d)
     m = r - t + 1
-    # one walk gives the worst case and uniformity; a complete d1 is d2,
-    # whose compute_T checks the closed form
+    # one walk gives d1's worst case and uniformity; d2's compute_T is
+    # the closed form, with no walk
     deficits = set(construction.erasure_deficits(d1, k))
     t1, t2 = max(deficits), construction.compute_T(d2, k)
-    p1, p2 = (_point(d, x.replication, m * x.replication,
-                     m * x.num_blocks - tval)
+    p1, p2 = (_point(d, m, Fraction(m * x.num_blocks - tval,
+                                    x.replication))
               for x, tval in ((d1, t1), (d2, t2)))
     if p1.M_bar > p2.M_bar:
         raise RuntimeError(

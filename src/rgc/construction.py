@@ -274,23 +274,26 @@ def _walk(design: BlockDesign, miss: int, sets=None, grow=None, leaf=None):
 def compute_T(design: BlockDesign, k: int) -> int:
     """Worst-case deficit max_A T(A) over all (n-k)-subsets A.
 
-    Every A obeys T(A) <= U = lam_max * C(n-k, t), where lam_max is the
-    most blocks on any one t-subset, counted from the blocks
-    (t_subset_counts), not taken from design.lam.  A block meeting A in
-    e >= t disks adds e - t + 1 <= C(e, t), and summed over the blocks
-    C(|B & A|, t) counts (block, t-subset of A) pairs, at most lam_max
-    for each of the C(n-k, t) t-subsets of A.  So the erasure_deficits
-    walk stops at the first set that reaches U, and U = 0 (n-k < t)
-    returns 0 with no walk; T stays exact.  More than MAX_SUBSETS
-    erasure sets are refused up front either way.  For complete designs
-    the result is cross-checked against the closed form closed_form_Tc;
-    a mismatch raises.
+    More than MAX_SUBSETS erasure sets are refused up front.  Every
+    relabeling of the disks maps a complete design to itself, so all its
+    erasure sets have the same deficit, and it returns closed_form_Tc
+    with no walk.  Otherwise every A obeys T(A) <= U = lam_max *
+    C(n-k, t), where lam_max is the most blocks on any one t-subset,
+    counted from the blocks (t_subset_counts), not taken from
+    design.lam.  A block meeting A in e >= t disks adds e - t + 1 <=
+    C(e, t), and summed over the blocks C(|B & A|, t) counts (block,
+    t-subset of A) pairs, at most lam_max for each of the C(n-k, t)
+    t-subsets of A.  So the erasure_deficits walk stops at the first set
+    that reaches U, and U = 0 (n-k < t) returns 0 with no walk; T stays
+    exact.
     """
     n = design.n
     require_int("k", k)
     if not 1 <= k <= n - 1:
         raise ValueError(f"k={k} must be in 1..{n - 1}")
     deficits = erasure_deficits(design, k)
+    if is_complete_design(design):
+        return closed_form_Tc(n, k, design.r, design.t)
     lam_max = max(t_subset_counts(design).values(), default=0)
     bound = lam_max * comb(n - k, design.t)
     best = 0
@@ -300,12 +303,6 @@ def compute_T(design: BlockDesign, k: int) -> int:
                 best = width
                 if best >= bound:
                     break
-    if is_complete_design(design):
-        formula = closed_form_Tc(n, k, design.r, design.t)
-        if best != formula:
-            raise ValueError(
-                f"computed T = {best} disagrees with the complete-design "
-                f"closed form {formula}")
     return best
 
 
@@ -831,7 +828,7 @@ def _leaf_decider(quotient, q):
     pivots (every non-block head of a T = 6 triple system) by an
     unrolled, unreduced expression, any other shape reduced mod q, as an
     elimination of unreduced coordinates would multiply large integers.
-    L = D <= 3 images are independent when their determinant is nonzero
+    L = D = 3 images are independent when their determinant is nonzero
     mod q, and L = 2 in D = 3 when their cross product is.  Any other
     shape, and a zero, goes to a fraction-free elimination of the mapped
     images, which alone finds the first dependent one.
@@ -865,14 +862,16 @@ def _leaf_decider(quotient, q):
 
 def _first_dependent(vs, dim, q):
     """The place of the first of the images vs, in dim coordinates read
-    mod q, that depends on those before it, or None.  A nonzero
-    determinant (L = dim <= 3) or cross product (L = 2, dim = 3) says
-    None at once; otherwise a fraction-free elimination of vs in turn
-    finds it."""
-    if len(vs) == dim <= 3:
-        if _det(vs, q):
+    mod q, that depends on those before it, or None.  In dim = 3 a
+    nonzero determinant (L = 3) or cross product (L = 2) says None at
+    once; otherwise a fraction-free elimination of vs in turn finds
+    it."""
+    if dim == 3 and len(vs) == 3:
+        (a, b, c), (d, e, f), (g, h, i) = vs
+        if (a * (e * i - f * h) - b * (d * i - f * g)
+                + c * (d * h - e * g)) % q:
             return None
-    elif len(vs) == 2 and dim == 3:
+    elif dim == 3 and len(vs) == 2:
         (a, b, c), (d, e, f) = vs
         if (b * f - c * e) % q or (c * d - a * f) % q or (a * e - b * d) % q:
             return None
@@ -881,18 +880,6 @@ def _first_dependent(vs, dim, q):
         if not _kadd(tried, v, q):
             return at
     return None
-
-
-def _det(rows, q) -> int:
-    """Determinant mod q of a square matrix of at most 3 row lists."""
-    if len(rows) == 1:
-        return rows[0][0] % q
-    if len(rows) == 2:
-        (a, b), (c, d) = rows
-        return (a * d - b * c) % q
-    (a, b, c), (d, e, f), (g, h, i) = rows
-    return (a * (e * i - f * h) - b * (d * i - f * g)
-            + c * (d * h - e * g)) % q
 
 
 @record

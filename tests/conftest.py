@@ -25,8 +25,8 @@ _CRITERIA = {
         "within 3x the union bound", 600.0),
     5: ("rank witness achieves a full-rank long parity for every "
         "2-erasure set on both reference codes", 30.0),
-    6: ("exhaustive worst-case deficit equals the closed form on every "
-        "complete design with n <= 10", 60.0),
+    6: ("every erasure set's deficit equals the closed form on every "
+        "complete design with t = 2, n <= 10 and t = 3, n <= 8", 60.0),
     7: ("every swept point (n <= 12) and every built code satisfies the "
         "cut-set bound; r=2 collapses to the bandwidth-optimal point",
         30.0),

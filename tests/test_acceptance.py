@@ -15,8 +15,8 @@ from rgc.analysis import (check_nominal_bounds, check_realized_bounds,
                           realized_point, sweep_tradeoff)
 from rgc.codec import MessageVector, encode, reconstruct, repair
 from rgc.construction import (CodeSpec, build_layout, closed_form_Tc,
-                              compute_T, erasure_system, rank_witness,
-                              synthesize_S, verify_S)
+                              erasure_deficits, erasure_system,
+                              rank_witness, synthesize_S, verify_S)
 from rgc.designs import gen_complete_design, gen_steiner_triple
 from rgc.ffield import PrimeField, next_prime
 from rgc.storesim import random_failure_soak
@@ -139,12 +139,16 @@ def test_criterion_5(golden_spec, complete9_spec):
 
 
 def test_criterion_6():
-    """Exhaustive deficit maximization matches the closed form."""
-    for n in range(2, 11):
-        for r in range(2, n + 1):
-            design = gen_complete_design(2, r, n)
-            for k in range(1, n):
-                assert compute_T(design, k) == closed_form_Tc(n, k, r, 2)
+    """Every erasure set of a complete design has the closed-form
+    deficit, which compute_T returns without a walk: t = 2 with
+    n <= 10 and t = 3 with n <= 8, 397 (design, k) cases."""
+    for t, top in ((2, 10), (3, 8)):
+        for n in range(t, top + 1):
+            for r in range(t, n + 1):
+                design = gen_complete_design(t, r, n)
+                for k in range(1, n):
+                    assert (set(erasure_deficits(design, k))
+                            == {closed_form_Tc(n, k, r, t)}), (t, r, n, k)
 
 
 def test_criterion_7(golden_spec, complete9_spec, t3_spec):

@@ -154,6 +154,22 @@ def test_exponent_point_sample_values():
     assert member.achievable == "inside"
 
 
+def test_no_large_binomial_at_tau1_one(monkeypatch):
+    """With k = n - 1 the complete design has T_c = 0, so alpha cancels
+    and C(n-1, r-1), about 203,000 digits at n = 10^6, is never formed."""
+    comb = analysis.comb
+
+    def small_comb(a, b):
+        assert a < 10 ** 5, f"comb({a}, {b})"
+        return comb(a, b)
+
+    monkeypatch.setattr(analysis, "comb", small_comb)
+    point = exponent_point(10 ** 6, 1, 1, F(7, 8))
+    assert point.M_bar == F(11904750000, 2117)
+    assert point.alpha_bar == F(76923, 13679)
+    check_nominal_bounds(10 ** 6, 1, 1, F(7, 8))
+
+
 def test_exponent_point_validation():
     with pytest.raises(ValueError):
         exponent_point(100, 1, 2, F(1, 2))    # tau1 < tau2

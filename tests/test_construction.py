@@ -20,6 +20,7 @@ from rgc.construction import (BudgetExceededError, CodeSpec, SynthesisError,
                               build_explicit_steiner_code,
                               build_layout, choose_phi, closed_form_Tc,
                               compute_T, compute_TA, derive_params,
+                              erasure_deficits,
                               _vandermonde_parity, erasure_system,
                               group_decoder, parity_block, plan,
                               rank_witness, short_mds_generator,
@@ -147,11 +148,34 @@ def test_compute_T_stops_at_the_bound(monkeypatch):
 
 
 def test_closed_form_matches_exhaustive_small():
+    """Every erasure set of a small complete design has the closed-form
+    deficit, the symmetry that lets compute_T skip the walk."""
     for n in (5, 7):
-        for r in range(2, n + 1):
-            design = gen_complete_design(2, r, n)
-            for k in range(1, n):
-                assert compute_T(design, k) == closed_form_Tc(n, k, r)
+        for t in (2, 3):
+            for r in range(t, n + 1):
+                design = gen_complete_design(t, r, n)
+                for k in range(1, n):
+                    assert (set(erasure_deficits(design, k))
+                            == {closed_form_Tc(n, k, r, t)})
+
+
+def test_compute_T_takes_complete_designs_from_the_closed_form(monkeypatch):
+    """On a complete design compute_T never enters the walk: it checks
+    the cap, then returns closed_form_Tc."""
+    walk, entered = construction._walk, []
+
+    def spy(*args, **kwargs):
+        entered.append(args)
+        yield from walk(*args, **kwargs)
+
+    monkeypatch.setattr(construction, "_walk", spy)
+    for t, r, n in ((2, 3, 12), (2, 4, 12), (3, 4, 10), (2, 3, 9)):
+        design = gen_complete_design(t, r, n)
+        for k in range(1, n):
+            assert compute_T(design, k) == closed_form_Tc(n, k, r, t)
+    assert entered == []
+    assert compute_T(gen_steiner_triple(9), 7) == 1
+    assert entered
 
 
 def test_layout_slots(steiner9):
@@ -639,8 +663,8 @@ def test_leaf_decider_matches_echelon_add(T, s, L, q, data):
     the images before it, _leaf_decider names the same first dependent
     image as plain echelon_add, through each of its closed forms (the
     unrolled 3-on-3 map and its determinant, the determinant for
-    L = D <= 3, the cross product for L = 2 in D = 3) and the
-    elimination."""
+    L = D = 3, the cross product for L = 2 in D = 3) and the
+    elimination, which alone decides the smaller shapes."""
     row = st.lists(st.integers(0, 3 * q), min_size=T, max_size=T)
     basis = []
     for r in data.draw(st.lists(row, min_size=s, max_size=s)):

@@ -241,6 +241,40 @@ def test_no_unused_private_helpers():
                   if name not in loaded) == []
 
 
+def test_no_unread_parameters():
+    """Every parameter of every function under src/rgc/ is read in its
+    body, so a simplification leaves no parameter that nothing reads.
+    Dunder protocol methods, whose signatures are fixed, and a method's
+    self or cls are exempt."""
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        methods = {id(node) for cls in ast.walk(tree)
+                   if isinstance(cls, ast.ClassDef) for node in cls.body}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.Lambda)):
+                continue
+            name = getattr(node, "name", "<lambda>")
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            args = node.args
+            params = [a.arg for a in (args.posonlyargs + args.args
+                                      + args.kwonlyargs)]
+            if id(node) in methods and not any(
+                    getattr(dec, "id", None) == "staticmethod"
+                    for dec in node.decorator_list):
+                params = params[1:]
+            params += [a.arg for a in (args.vararg, args.kwarg) if a]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {sub.id for stmt in body for sub in ast.walk(stmt)
+                    if isinstance(sub, ast.Name)
+                    and isinstance(sub.ctx, ast.Load)}
+            unread += [f"{path.name}:{node.lineno} {name}({param})"
+                       for param in params if param not in read]
+    assert unread == []
+
+
 def test_unchecked_share_constructor_stays_in_three_callers():
     """codec._checked_share makes a share without DiskShare's checks or
     check_share's, which hold only where the slots come from the layout
