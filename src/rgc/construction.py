@@ -22,23 +22,24 @@ independent short-generator rows, so its long-layer column is known up
 to a kernel of dimension e - t + 1 (group_decoder); every other group
 is decodable from its own rows.  Stacking the heavy groups' kernels
 K_A, the T long-layer parity checks give the T x T(A) matrix [S | -I] K_A,
-and A is decodable exactly when it has rank T(A).  verify_S walks the
-erasure sets as paths of their prefix tree (_walk): one more erased disk
-only grows the kernels of the blocks that contain it, so span(K_A) is
-built one vector at a time, and an image under [S | -I] that depends on
-the earlier ones fails every completion of the prefix.  A set's last
-disk is a leaf of its head, the path without it: one annihilator of the
-head's s path images gives the quotient gathered (free columns and
-their coefficients on the pivots), each leaf image maps to its T - s
-coordinates with s + 1 terms each, unrolled for three on three, and a
-determinant, a cross product or a small elimination decides them.  plan
-gives each group's lowest m held rows (used) and the rest (surplus);
-codec's reads and repairs follow it, and rank_witness takes its heavy
-groups' kernels from it to build, for one erasure set, a 0/1 matrix S
-that satisfies the condition, so the generic determinant argument for
-random S is checkable per set.  erasure_system is the independent dense
-reference: every symbol stored on a surviving disk as a linear form in
-the message.
+and A is decodable exactly when it has rank T(A).  verify_S and
+compute_T read one walk of the erasure sets as paths of their prefix
+tree (_walk), which only enumerates: one more erased disk only grows
+the kernels of the blocks that contain it, so span(K_A) is built one
+vector at a time, and an image under [S | -I] that depends on the
+earlier ones fails every completion of the prefix.  A set's last disk
+is a leaf of its head, the path without it, and verify_S decides it in
+its own loop: one annihilator of the head's s path images gives the
+quotient gathered (free columns and their coefficients on the pivots),
+each leaf image maps to its T - s coordinates with s + 1 terms each,
+unrolled for three on three, and a determinant, a cross product or a
+small elimination decides them.  plan gives each group's lowest m held
+rows (used) and the rest (surplus); codec's reads and repairs follow
+it, and rank_witness takes its heavy groups' kernels from it to build,
+for one erasure set, a 0/1 matrix S that satisfies the condition, so
+the generic determinant argument for random S is checkable per set.
+erasure_system is the independent dense reference: every symbol stored
+on a surviving disk as a linear form in the message.
 """
 
 from __future__ import annotations
@@ -175,7 +176,8 @@ def compute_TA(design: BlockDesign, a) -> int:
 
 
 def erasure_deficits(design: BlockDesign, k: int):
-    """Iterator over T(A) for every (n-k)-subset A, in lexicographic order.
+    """Iterator over T(A) for every (n-k)-subset A, in lexicographic order:
+    each read off _walk as the path's vectors plus the last disk's pairs.
 
     Raises BudgetExceededError up front when there are more than
     MAX_SUBSETS erasure sets.
@@ -187,31 +189,29 @@ def erasure_deficits(design: BlockDesign, k: int):
         raise BudgetExceededError(
             f"C({n},{miss}) = {total} erasure sets exceed the cap "
             f"{MAX_SUBSETS}")
-    return (width for _, width, _ in _walk(design, miss))
+    return (len(vectors) + len(pairs)
+            for _, vectors, pairs, _ in _walk(design, miss))
 
 
-def _walk(design: BlockDesign, miss: int, sets=None, grow=None, leaf=None):
-    """Yield (a, width, fail) for each erasure set a of `sets`, by default
-    every miss-subset of the disks, walked as paths of the prefix tree.
-    Sharing prefixes needs the sets as ascending tuples in lexicographic
-    order, so the walk makes that enumeration itself; a caller passes
-    only the sets of a sample, in that order.
+def _walk(design: BlockDesign, miss: int, sets=None, grow=None):
+    """Yield (a, vectors, pairs, fail) for each erasure set a of `sets`,
+    by default every miss-subset of the disks, walked as paths of the
+    prefix tree.  Sharing prefixes needs the sets as ascending tuples in
+    lexicographic order, so the walk makes that enumeration itself; a
+    caller passes only the sets of a sample, in that order.
 
-    The path erases every disk of a set but the last, which is only
-    tried, keeping what it shares with the previous set.  Erasing disk x
-    sets bit i in the hit mask of each block holding x as row i.  A block
-    with e >= t erased rows gains one kernel vector, for its highest
-    erased row; grow(vectors, j, hits) appends it, or returns False when
-    it depends on the path's vectors (without grow, vectors are only
-    counted).  width counts the vectors, T(A) unless a failed; fail is 0
-    or the length of the failed prefix, and every completion of a failed
-    prefix fails with no more work.
-
-    With leaf, a set's last disk grows nothing.  At the first leaf of a
-    head (the path) that has vectors to add, leaf(vectors) returns
-    decide, which the head's leaves share: decide(pairs) takes a leaf's
-    (j, hits) pairs and says whether their vectors are independent of
-    each other and of the path's.
+    The path erases the set's head, every disk but the last, keeping
+    what it shares with the previous set.  Erasing disk x sets bit i in
+    the hit mask of each block holding x as row i.  A block with e >= t
+    erased rows gains one kernel vector, for its highest erased row;
+    grow(vectors, j, hits) appends it, or returns False when it depends
+    on the path's vectors (without grow, vectors are only counted).
+    vectors is the path's list, shared and valid until the next item.
+    The last disk is only tried: pairs are the (j, hits) of each block
+    through it that reaches t hits, so T(A) = len(vectors) + len(pairs)
+    unless a failed.  fail is 0 or the length of the failed prefix, and
+    every completion of a failed prefix fails, with empty pairs and no
+    more work.
     """
     t = design.t
     if sets is None:
@@ -224,11 +224,9 @@ def _walk(design: BlockDesign, miss: int, sets=None, grow=None, leaf=None):
     path, vectors = [], []      # path: (disk, len(vectors) before it)
     head, fail = None, 0
 
-    def erase(x, keep):
+    def erase(x):
         for j, bit in blocks_of[x]:
-            h = hits[j] | bit
-            if keep:
-                hits[j] = h
+            h = hits[j] = hits[j] | bit
             if h.bit_count() < t:
                 continue
             if grow is None:
@@ -239,7 +237,7 @@ def _walk(design: BlockDesign, miss: int, sets=None, grow=None, leaf=None):
 
     for a in sets:
         if a[:-1] != head:
-            head, same, decide = a[:-1], 0, None
+            head, same = a[:-1], 0
             while same < len(path) and path[same][0] == head[same]:
                 same += 1
             if not fail or same < fail:
@@ -251,24 +249,14 @@ def _walk(design: BlockDesign, miss: int, sets=None, grow=None, leaf=None):
                     del vectors[mark:]
                 for x in head[same:]:
                     path.append((x, len(vectors)))
-                    if not erase(x, True):
+                    if not erase(x):
                         fail = len(path)
                         break
         if fail:
-            yield a, len(vectors), fail
-            continue
-        if leaf is not None:
-            pairs = [(j, h) for j, bit in blocks_of[a[-1]]
-                     if (h := hits[j] | bit).bit_count() >= t]
-            if pairs and decide is None:
-                decide = leaf(vectors)
-            ok = not pairs or decide(pairs)
-            yield a, len(vectors) + len(pairs), 0 if ok else len(a)
-            continue
-        mark = len(vectors)
-        ok = erase(a[-1], False)
-        yield a, len(vectors), 0 if ok else len(a)
-        del vectors[mark:]
+            yield a, vectors, (), fail
+        else:
+            yield a, vectors, [(j, h) for j, bit in blocks_of[a[-1]]
+                               if (h := hits[j] | bit).bit_count() >= t], 0
 
 
 def compute_T(design: BlockDesign, k: int) -> int:
@@ -306,6 +294,13 @@ def compute_T(design: BlockDesign, k: int) -> int:
     return best
 
 
+def _require_strength(design: BlockDesign) -> None:
+    """Refuse t = 1, for derive_params and a loaded CodeSpec alike."""
+    if design.t < 2:
+        raise ValueError("design strength t must be at least 2; t=1 would "
+                         "require all n disks as repair helpers")
+
+
 def _params(design: BlockDesign, k: int, T: int) -> CodeParams:
     """CodeParams of a design, threshold k and long-layer deficit T."""
     n, t, r, lam = design.n, design.t, design.r, design.lam
@@ -317,9 +312,7 @@ def _params(design: BlockDesign, k: int, T: int) -> CodeParams:
 
 def derive_params(design: BlockDesign, k: int) -> CodeParams:
     """Fill CodeParams for a design and reconstruction threshold k."""
-    if design.t < 2:
-        raise ValueError("design strength t must be at least 2; t=1 would "
-                         "require all n disks as repair helpers")
+    _require_strength(design)
     d = design.n - design.t + 1
     if not 1 <= k <= d:
         raise ValueError(f"k={k} must satisfy 1 <= k <= d = n-t+1 = {d}")
@@ -387,6 +380,7 @@ class CodeSpec:
 
     def __post_init__(self):
         p, q = self.params, self.field.q
+        _require_strength(self.design)
         want = _params(self.design, p.k, p.T)
         if not 1 <= p.k <= want.d:
             raise ValueError("params.k out of range")
@@ -701,20 +695,21 @@ def verify_S(spec: CodeSpec, jobs: int = 1, sample: int | None = None,
     and hit mask, so every image of the call is made up front, in one
     product of the kernel vectors with every group's parity columns.
 
-    The last disk of a set is decided in its head's quotient space.  At
-    the first leaf of a head whose path images span s > 0 dimensions,
-    annihilator gives the quotient by them gathered: the pivot columns,
-    the D = T - s free columns and each free column's s coefficients on
-    the pivots, from one reduced echelon form.  The head's leaves share
-    it (_leaf_decider).  A leaf's L images are independent of the path
-    and of each other exactly when their D coordinates are, each made
-    from s + 1 entries of the image, unrolled when s = D = 3.  A nonzero
-    determinant (L = D <= 3) or cross product (L = 2, D = 3) says so;
-    otherwise, or on a zero, a fraction-free elimination of the mapped
-    images finds the first dependent one.  With s = 0 the images are
-    their own coordinates.  reductions counts kernel vectors tried, one
-    for each up to the first dependent one, so it reads as if each leaf
-    image were reduced against the path.
+    The walk yields each set's last disk as (j, hits) pairs, and the
+    loop here decides it in its head's quotient space.  At the first
+    leaf of a head that has pairs, when the path images span s > 0
+    dimensions, annihilator gives the quotient by them gathered: the
+    pivot columns, the D = T - s free columns and each free column's s
+    coefficients on the pivots, from one reduced echelon form.  The
+    head's leaves share it (_leaf_decider).  A leaf's L images are
+    independent of the path and of each other exactly when their D
+    coordinates are, each made from s + 1 entries of the image, unrolled
+    when s = D = 3.  A nonzero determinant (L = D <= 3) or cross product
+    (L = 2, D = 3) says so; otherwise, or on a zero, a fraction-free
+    elimination of the mapped images finds the first dependent one.
+    With s = 0 the images are their own coordinates.  reductions counts
+    kernel vectors tried, one for each up to the first dependent one, so
+    it reads as if each leaf image were reduced against the path.
 
     When C(n, n-k) exceeds MAX_SUBSETS, a seeded random sample must be
     requested explicitly via `sample`; the report then marks itself as
@@ -794,20 +789,19 @@ def _verify(spec: CodeSpec, sample: int | None, seed: int,
         reductions += 1
         return _kadd(basis, images[hits][j], q)
 
-    def leaf(basis):
-        # with no path images the images are their own coordinates
-        first = (_leaf_decider(_annihilator(basis, T, q), q) if basis
-                 else lambda vs: _first_dependent(vs, T, q))
-
-        def decide(pairs):
-            nonlocal reductions
+    failures, pruned, head = [], 0, None
+    for a, basis, pairs, fail in _walk(spec.design, miss, sets, grow):
+        if pairs:
+            if a[:-1] != head:
+                # the head's leaves share its decider; with no path
+                # images the images are their own coordinates
+                head = a[:-1]
+                first = (_leaf_decider(_annihilator(basis, T, q), q)
+                         if basis else lambda vs: _first_dependent(vs, T, q))
             bad = first([images[h][j] for j, h in pairs])
             reductions += len(pairs) if bad is None else bad + 1
-            return bad is None
-        return decide
-
-    failures, pruned = [], 0
-    for a, _, fail in _walk(spec.design, miss, sets, grow, leaf):
+            if bad is not None:
+                fail = miss
         if fail:
             failures.append(a)
             pruned += fail < miss

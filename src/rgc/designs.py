@@ -216,7 +216,7 @@ def is_complete_design(design: BlockDesign) -> bool:
     return design.blocks == expected
 
 
-def closed_form_Tc(n: int, k: int, r: int, t: int = 2) -> int:
+def closed_form_Tc(n: int, k: int, r: int, t: int) -> int:
     """Worst-case deficit of the complete design, in closed form."""
     return sum((i - t + 1) * comb(n - k, i) * comb(k, r - i)
                for i in range(t, min(n - k, r) + 1))

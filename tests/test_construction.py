@@ -20,7 +20,6 @@ from rgc.construction import (BudgetExceededError, CodeSpec, SynthesisError,
                               build_explicit_steiner_code,
                               build_layout, choose_phi, closed_form_Tc,
                               compute_T, compute_TA, derive_params,
-                              erasure_deficits,
                               _vandermonde_parity, erasure_system,
                               group_decoder, parity_block, plan,
                               rank_witness, short_mds_generator,
@@ -147,18 +146,6 @@ def test_compute_T_stops_at_the_bound(monkeypatch):
         assert drain() == (sets, T)
 
 
-def test_closed_form_matches_exhaustive_small():
-    """Every erasure set of a small complete design has the closed-form
-    deficit, the symmetry that lets compute_T skip the walk."""
-    for n in (5, 7):
-        for t in (2, 3):
-            for r in range(t, n + 1):
-                design = gen_complete_design(t, r, n)
-                for k in range(1, n):
-                    assert (set(erasure_deficits(design, k))
-                            == {closed_form_Tc(n, k, r, t)})
-
-
 def test_compute_T_takes_complete_designs_from_the_closed_form(monkeypatch):
     """On a complete design compute_T never enters the walk: it checks
     the cap, then returns closed_form_Tc."""
@@ -277,6 +264,58 @@ def test_spec_json_rejects_a_changed_param_by_name(golden_spec, key):
     field = "lam" if key == "lambda" else key
     with pytest.raises(ValueError, match=rf"\bparams\.{field}\b"):
         CodeSpec.from_json(json.dumps(doc))
+
+
+def test_spec_json_refuses_a_t1_design(complete9_spec):
+    """A spec file on a t = 1 design, whose params match it, is refused
+    with derive_params's text, before any command can use it."""
+    doc = json.loads(complete9_spec.to_json())
+    doc["design"] = {"n": 6, "t": 1, "r": 3, "lambda": 1,
+                     "blocks": [[1, 2, 3], [4, 5, 6]]}
+    doc["layout"] = doc["design"]["blocks"]
+    doc["params"] = {"n": 6, "k": 4, "d": 6, "t": 1, "r": 3, "lambda": 1,
+                     "alpha": 1, "beta": None, "gamma": 3, "M": 6, "T": 0,
+                     "nstar": 2}
+    doc["s"] = []
+    with pytest.raises(ValueError) as err:
+        CodeSpec.from_json(json.dumps(doc))
+    assert str(err.value) == ("design strength t must be at least 2; t=1 "
+                              "would require all n disks as repair helpers")
+    with pytest.raises(ValueError) as again:
+        derive_params(BlockDesign.from_doc(doc["design"]), 4)
+    assert str(again.value) == str(err.value)
+
+
+@pytest.mark.parametrize("base,tamper,want", [
+    ("golden_spec", lambda doc: doc["params"].update(k=9),
+     "params.k out of range"),
+    ("golden_spec", lambda doc: doc["params"].update(T=-1),
+     "params.T out of range"),
+    ("golden_spec", lambda doc: doc["layout"].reverse(),
+     "layout does not match the design placement"),
+    ("complete9_spec", lambda doc: doc.update(phi=doc.pop("s")[:2]),
+     "phi form requires a Steiner design with T = 1"),
+    ("golden_spec", lambda doc: doc.update(phi=["1", "2", "3"]),
+     "phi needs 2 coefficients"),
+    ("golden_spec", lambda doc: doc.update(phi=["1", "3"]),
+     "phi coefficients must be nonzero field elements"),
+    ("golden_spec", lambda doc: doc.update(phi=["2", "1"]),
+     "phi coefficients before the last must not equal -1"),
+    ("complete9_spec", lambda doc: doc["s"].pop(),
+     "s_entries needs {} values"),
+    ("complete9_spec", lambda doc: doc["s"].__setitem__(0, str(doc["q"])),
+     "s_entries must be reduced field elements"),
+])
+def test_spec_json_refusals_pinned(request, base, tamper, want):
+    """Each refusal of a tampered spec file, through CodeSpec.from_json,
+    names what is wrong: golden (GF(3), phi) or c9 (s entries) with one
+    field changed."""
+    spec = request.getfixturevalue(base)
+    doc = json.loads(spec.to_json())
+    tamper(doc)
+    with pytest.raises(ValueError) as err:
+        CodeSpec.from_json(json.dumps(doc))
+    assert str(err.value) == want.format(spec.params.T * spec.params.M)
 
 
 def test_verify_full_and_sampled(golden_spec):
@@ -594,9 +633,10 @@ def test_leaf_decisions_match_a_per_set_rank_oracle(monkeypatch):
         return spy
 
     def walk(*args):
+        # verify_S decides a leaf after the walk yields it
         for item in real_walk(*args):
-            owners.extend([item[0]] * (len(decided) - len(owners)))
             yield item
+            owners.extend([item[0]] * (len(decided) - len(owners)))
 
     monkeypatch.setattr(construction, "_leaf_decider", decider)
     monkeypatch.setattr(construction, "_walk", walk)

@@ -23,6 +23,7 @@ from rgc.storesim import random_failure_soak
 SRC = pathlib.Path(rgc.__file__).parent
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SPANS = ROOT / "perfbench" / "spans.py"
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
 SUBMODULES = ("_kernel", "ffield", "designs", "construction", "codec",
               "analysis", "storesim")
 
@@ -430,3 +431,60 @@ def test_benchmark_tracer_targets_resolve():
     names = {target[2] for target in spans.TARGETS}
     assert {"codec.encode", "codec.share_io"} <= names
     spans.Tracer()   # binds every hooked signature
+
+
+def _accepted(target) -> inspect.Signature:
+    """The signature a call on target binds to; a record's own one is
+    (*args, **kw), so its annotated fields stand in for it."""
+    init = getattr(target, "__init__", None)
+    if getattr(init, "__module__", None) != "rgc._record":
+        return inspect.signature(target)
+    own = target.__dict__
+    return inspect.Signature([
+        inspect.Parameter(f, inspect.Parameter.POSITIONAL_OR_KEYWORD,
+                          **({"default": own[f]} if f in own else {}))
+        for f in own["__annotations__"]])
+
+
+def test_benchmark_calls_bind_to_their_targets():
+    """Every call perfbench/workloads.py makes on rgc or on its cli,
+    codec, construction or designs module binds to its target: each
+    keyword is a parameter or a record field, and no argument is missing
+    or left over, so a renamed or dropped name fails here, not first as
+    a failed benchmark run."""
+    roots = {"rgc": rgc, **{name: importlib.import_module(f"rgc.{name}")
+                            for name in ("cli", "codec", "construction",
+                                         "designs")}}
+    tree = ast.parse(WORKLOADS.read_text(encoding="utf-8"))
+    bound = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        chain, func = [], node.func
+        while isinstance(func, ast.Attribute):
+            chain.insert(0, func.attr)
+            func = func.value
+        if not (chain and isinstance(func, ast.Name) and func.id in roots):
+            continue
+        target = roots[func.id]
+        for attr in chain:
+            target = getattr(target, attr)
+        sig = _accepted(target)
+        args = [None] * len(node.args)
+        kw = {k.arg: None for k in node.keywords if k.arg is not None}
+        starred = (any(isinstance(a, ast.Starred) for a in node.args)
+                   or len(kw) < len(node.keywords))
+        where = f"line {node.lineno}: {'.'.join([func.id, *chain])}"
+        try:
+            if starred:
+                sig.bind_partial(**kw)
+            else:
+                sig.bind(*args, **kw)
+        except TypeError as exc:
+            raise AssertionError(f"{where}: {exc}") from None
+        bound.append((".".join(chain), frozenset(kw)))
+    assert ("build_code", frozenset({"q", "seed", "jobs"})) in bound
+    assert ("verify_S", frozenset({"jobs"})) in bound
+    assert ("CodeSpec", frozenset({"params", "field", "design", "layout",
+                                   "s_entries"})) in bound
+    assert ("DiskShare", frozenset({"disk", "symbols"})) in bound
