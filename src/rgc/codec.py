@@ -15,6 +15,12 @@ solves any other group's long-layer column from its used rows, up to a
 kernel basis when it uses fewer than m.  Repair copies the used rows of
 each affected group from any d = n-t+1 other disks, or any helpers
 holding m rows of each, and reads the surplus only to cross-check.
+Each lost or checked symbol is one fixed combination of its group's m
+used rows: a short generator row times the group decoder.  A repair
+plan (_repair_plan) holds these rows, the gathers of the sent symbols
+from the helpers' shares and the error texts; it is made once per
+(failed disk, helper set) and kept in spec.repair_plans, so a repair
+with a known plan is gathers and one m-term sum per symbol.
 Reconstruction runs the group decoder on every group, then one T x T(A)
 solve on the heavy groups' kernels (groups using fewer than m rows)
 gives the kernel coefficients; its rank decides decodability.
@@ -339,6 +345,84 @@ def encode(spec: CodeSpec, message) -> ShareSet:
         for disk in range(1, p.n + 1)))
 
 
+def _gather(at):
+    """A function taking a sequence to the tuple of its items at the
+    positions at, or None when at is empty."""
+    if len(at) > 1:
+        return itemgetter(*at)
+    if at:
+        x, = at
+        return lambda items: (items[x],)
+    return None
+
+
+def _repair_plan(spec: CodeSpec, failed: int, pool) -> tuple:
+    """(error, helpers, checks, lost): what repairing disk failed from
+    the disks of pool takes, worked out once per (failed, helper set)
+    from plan, the short generator and group_decoder
+    (spec.repair_plans).
+
+    error is the ValueError text of the first affected group left with
+    fewer than m held rows, or None.  helpers lists each disk of pool in
+    disk order with two gathers from its share's symbols, each None when
+    it gathers nothing: the stored symbols the disk sends to be copied,
+    and those it sends to check.  checks has one (position among the
+    checked values, gather of the group's m used values from the copied
+    values, the row taking them to the checked symbol, the group's
+    CorruptionError text) per surplus row, in plan order.  lost has one
+    (gather of the used values, the row taking them to the lost symbol)
+    per affected group, in the failed disk's slot order.  The row of row
+    i is row i of the short generator times the group's solve matrix, or
+    row i itself when the group uses rows 0..m-1.
+    """
+    p, q, gen = spec.params, spec.field.q, spec.short_gen
+    m, blocks = p.m, spec.layout.groups
+    affected, rows = spec.layout.disk_columns(failed)  # its groups, rows
+    steps = plan(spec, pool, affected)
+    for j, used, _ in steps:
+        if len(used) < m:
+            absent = [disk for disk in blocks[j]
+                      if disk != failed and disk not in pool]
+            return (f"repair of disk {failed}: group {j} on disks "
+                    f"{blocks[j]} holds {len(used)} of the m = {m} rows it "
+                    f"needs; missing helpers {absent}", (), (), ())
+    sent = {h: [] for h in sorted(pool)}
+    read = {h: [] for h in sorted(pool)}
+    for j, used, surplus in steps:
+        for i in used:
+            sent[blocks[j][i]].append((j, i))
+        for i in surplus:
+            read[blocks[j][i]].append((j, i))
+
+    def places(slots):
+        return {slot: x for x, slot in enumerate(slots)}
+
+    helpers = []
+    for h in sent:
+        at = places(spec.layout.disk_slots(h))
+        helpers.append((h, _gather([at[s] for s in sent[h]]),
+                        _gather([at[s] for s in read[h]])))
+    sent_at = places(s for slots in sent.values() for s in slots)
+    read_at = places(s for slots in read.values() for s in slots)
+    systematic = tuple(range(m))
+    checks, lost = [], []
+    for (j, used, surplus), i in zip(steps, rows):
+        coefs = gen
+        if used != systematic:
+            solve, _ = group_decoder(spec, used)
+            coefs = [tuple(sum(g[c] * solve[c * m + u] for c in range(m))
+                           % q for u in range(m)) for g in gen]
+        gather = _gather([sent_at[(j, u)] for u in used])
+        block = blocks[j]
+        checks += [(read_at[(j, x)], gather, coefs[x],
+                    f"repair of disk {failed}: group {j} is inconsistent; "
+                    f"its rows copied from disks {[block[u] for u in used]} "
+                    f"disagree with its check rows on disks "
+                    f"{[block[x] for x in surplus]}") for x in surplus]
+        lost.append((gather, coefs[i]))
+    return None, tuple(helpers), tuple(checks), tuple(lost)
+
+
 def repair(spec: CodeSpec, failed: int,
            shares) -> tuple[DiskShare, RepairTranscript]:
     """Rebuild a disk exactly from helper shares.
@@ -347,65 +431,44 @@ def repair(spec: CodeSpec, failed: int,
     least m = r-t+1 held rows will do; every set of d = n-t+1 or more
     other disks does, as it misses at most t-2 disks of any block.  Per
     affected group the lowest-indexed m held rows transmit one stored
-    symbol each (copy only); the group column is solved and the lost row
-    recomputed, by one short_layer product over the groups that lost a
-    parity row or hold surplus rows.  Held rows beyond the m used are
-    also read, listed in the transcript's checks, and cross-checked
-    against the recomputation; a mismatch raises CorruptionError naming
-    the group and the disks of its copied and checked rows.  A helper
-    set that leaves a group short raises ValueError naming the group.
+    symbol each (copy only), and the lost symbol is one m-term
+    combination of them.  Held rows beyond the m used are also read,
+    listed in the transcript's checks, and each is compared with its own
+    m-term combination of the copied rows; a mismatch raises
+    CorruptionError naming the first such group and the disks of its
+    copied and checked rows.  A helper set that leaves a group short
+    raises ValueError naming the group.  The gathers, combinations and
+    error texts are worked out on the first repair of each (failed disk,
+    helper set) and kept in spec.repair_plans (_repair_plan), so a later
+    repair with the same helpers only gathers and combines.
     """
-    p = spec.params
+    p, q = spec.params, spec.field.q
     require_int("disk id", failed)
     if not 1 <= failed <= p.n:
         raise ValueError(f"disk {failed} outside 1..{p.n}")
     pool = _share_map(spec, shares)
     if failed in pool:
         raise ValueError(f"disk {failed} cannot help repair itself")
-    held = {(j, i): v for share in pool.values() for j, i, v in share.symbols}
-    groups = spec.layout.groups
-    affected, lost = spec.layout.disk_columns(failed)  # its groups, rows
-    steps = plan(spec, pool, affected)
-    for j, used, _ in steps:
-        if len(used) < p.m:
-            absent = [disk for disk in groups[j]
-                      if disk != failed and disk not in pool]
-            raise ValueError(
-                f"repair of disk {failed}: group {j} on disks {groups[j]} "
-                f"holds {len(used)} of the m = {p.m} rows it needs; "
-                f"missing helpers {absent}")
-    cols, _ = _group_columns(spec, steps, held)
-    # rows 0..m-1 of a group are its column, copied; rows m..r-1 are
-    # made only for the groups that read them, in one product
-    rows = [cols[j] for (j, _, surplus), i in zip(steps, lost)
-            if surplus or i >= p.m]
-    if rows:
-        top = [col[c] for c in range(p.m) for col in rows]
-        parity = short_layer(spec, top, len(rows))
-        for g, col in enumerate(rows):
-            col += parity[g::len(rows)]
-    sent: dict[int, list[tuple[int, int, int]]] = {h: [] for h in pool}
-    checked: dict[int, list[tuple[int, int, int]]] = {h: [] for h in pool}
-    rebuilt: list[tuple[int, int, int]] = []
-    for g, (j, used, surplus) in enumerate(steps):
-        block, col = groups[j], cols[j]
-        for i in used:
-            sent[block[i]].append((j, i, held[(j, i)]))
-        for i in surplus:
-            checked[block[i]].append((j, i, held[(j, i)]))
-            if held[(j, i)] != col[i]:
-                raise CorruptionError(
-                    f"repair of disk {failed}: group {j} is inconsistent; "
-                    f"its rows copied from disks "
-                    f"{[block[i] for i in used]} disagree with its check "
-                    f"rows on disks {[block[i] for i in surplus]}")
-        rebuilt.append((j, lost[g], col[lost[g]]))
-    share = _checked_share(spec, failed, tuple(rebuilt))
-    transcript = RepairTranscript(
-        failed=failed,
-        helpers=tuple((h, tuple(sent[h])) for h in sorted(sent)),
-        checks=tuple((h, tuple(checked[h])) for h in sorted(checked)))
-    return share, transcript
+    key = (failed, tuple(sorted(pool)))
+    found = spec.repair_plans.get(key)
+    if found is None:
+        found = spec.repair_plans[key] = _repair_plan(spec, failed, pool)
+    error, helpers, checks, lost = found
+    if error:
+        raise ValueError(error)
+    sent = tuple([(h, copy(pool[h].symbols) if copy else ())
+                  for h, copy, _ in helpers])
+    read = tuple([(h, check(pool[h].symbols) if check else ())
+                  for h, _, check in helpers])
+    copied = [v for _, syms in sent for _, _, v in syms]
+    checked = [v for _, syms in read for _, _, v in syms]
+    for at, used, coef, text in checks:
+        if checked[at] != sum(map(mul, coef, used(copied))) % q:
+            raise CorruptionError(text)
+    values = [sum(map(mul, row, used(copied))) % q for used, row in lost]
+    share = _checked_share(spec, failed, tuple(
+        zip(*spec.layout.disk_columns(failed), values)))
+    return share, RepairTranscript(failed=failed, helpers=sent, checks=read)
 
 
 def reconstruct(spec: CodeSpec, shares) -> MessageVector:

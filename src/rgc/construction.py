@@ -432,6 +432,13 @@ class CodeSpec:
         return {}
 
     @cached_property
+    def repair_plans(self) -> dict[tuple, tuple]:
+        """codec._repair_plan's table: (failed disk, sorted helper disks)
+        to the repair's plan; at most one entry per (failed disk, helper
+        set) repaired."""
+        return {}
+
+    @cached_property
     def s_rows(self) -> tuple[tuple[int, ...], ...]:
         """Long-layer parity matrix S: T row tuples of M coefficients."""
         p = self.params

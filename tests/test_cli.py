@@ -373,13 +373,19 @@ def test_malformed_json_exits_1_with_one_error_line(capsys, tmp_path,
     assert str(bad) in err
 
 
-def test_benchmark_cli_pins(tmp_path):
-    """The benchmark's walkthrough commands whose outputs do not depend
-    on its seed reproduce every output the benchmark pins."""
+def _bench_workloads():
+    """perfbench/workloads.py, loaded as a module."""
     loader = importlib.util.spec_from_file_location("_bench_workloads",
                                                     WORKLOADS)
     workloads = importlib.util.module_from_spec(loader)
     loader.loader.exec_module(workloads)
+    return workloads
+
+
+def test_benchmark_cli_pins(tmp_path):
+    """The benchmark's walkthrough commands whose outputs do not depend
+    on its seed reproduce every output the benchmark pins."""
+    workloads = _bench_workloads()
     seeded = {"encode", "repair", "reconstruct", "sim-soak"}
     walk = {"failed": 1, "read": [], "soak_seed": 0}
     outputs = {}
@@ -392,6 +398,24 @@ def test_benchmark_cli_pins(tmp_path):
         data = ((tmp_path / name).read_bytes() if name.endswith(".json")
                 else outputs[name])
         assert workloads.sha256(data) == pin, name
+
+
+def test_benchmark_store_ops_pass_their_checks():
+    """The first 40 scheduled operations of each store workload (seed
+    1) on its saved spec pass the benchmark's own checks: the shares,
+    the share bytes, the repaired disk, gamma, the copied symbols and
+    the read."""
+    workloads = _bench_workloads()
+    for workload, name in workloads.STORE_CODES.items():
+        sched = workloads.schedule(workload, 1, 1)
+        spec = CodeSpec.load(workloads.SPECS / f"{name}.json")
+        run = workloads.Run()
+        assert workloads.check_reference(name, spec) == []
+        q = workloads.CODES[name][4]
+        for m, failed, read in sched["ops"][:40]:
+            msg = MessageVector(q, sched["messages"][m])
+            workloads.store_op(run, spec, msg, failed, read)()
+        assert (run.attempted, run.failed, run.problems) == (40, 0, [])
 
 
 def _cli_outcome(capsys, tmp_path, argv):

@@ -5,6 +5,7 @@ import itertools
 import random
 import re
 import sys
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -315,34 +316,67 @@ def _is_identity(a, rows, cols):
                                        for c in range(cols))
 
 
+def _repair_rows(spec, failed):
+    """The coefficient rows of repairing failed from the n - 1 others,
+    built from the short generator and group_decoder: per affected group
+    one row taking its used symbols to its lost symbol and one to each
+    surplus symbol."""
+    m, q, gen = spec.params.m, spec.field.q, spec.short_gen
+    others = [x for x in range(1, spec.params.n + 1) if x != failed]
+    affected, lost = spec.layout.disk_columns(failed)
+    rows = []
+    for (_, used, surplus), i in zip(plan(spec, others, affected), lost):
+        solve, _ = group_decoder(spec, used)
+        rows += [[sum(gen[x][c] * solve[c * m + u] for c in range(m)) % q
+                  for u in range(len(used))] for x in (i, *surplus)]
+    return rows
+
+
 def test_store_path_multiplies_by_no_identity(golden_spec, complete9_spec,
                                               t3_spec, s15_spec,
                                               monkeypatch):
     """The short generator's rows 0..m-1 are the identity, so they are
     copied, never multiplied.  On every reference code, encode makes
-    one product, by the parity rows m..r-1 alone, and no repair of any
-    disk or read of a k-set (every one, or s15's first 200) multiplies
-    by an identity.  A repair makes at most one product by the parity
-    rows, and none when every affected group lost a systematic row and
-    holds no surplus: on c9, disk 1 is row 0 of each of its groups."""
+    one product, by the parity rows m..r-1 alone, and no read of a k-set
+    (every one, or s15's first 200) multiplies by an identity.  A repair
+    with a known plan calls neither mat_mul nor mat_solve; repairing
+    every disk from the n - 1 others multiplies once per nonzero
+    coefficient of the rows the short generator and group_decoder give,
+    72, 504, 560 and 210 times."""
+    from rgc import codec
     calls = _spy_on(monkeypatch, _kernel.mat_mul,
                     lambda a, ar, ac, *_: (tuple(a), ar, ac))
-    for spec in (golden_spec, complete9_spec, t3_spec, s15_spec):
+    solves = _count_solves(monkeypatch)
+    products = [0]
+    real_mul = codec.mul
+
+    def counted(a, b):
+        products[0] += 1
+        return real_mul(a, b)
+
+    for spec, pin in ((golden_spec, 72), (complete9_spec, 504),
+                      (t3_spec, 560), (s15_spec, 210)):
         p = spec.params
         msg = _msg(spec, 8)
         calls.clear()
         shares = encode(spec, msg)
         parity = tuple(v for row in spec.short_gen[p.m:] for v in row)
         assert calls == [(parity, p.r - p.m, p.m)]
-        for failed in shares.disks():
-            before = len(calls)
-            rebuilt, _ = repair(spec, failed, shares.without(failed))
-            assert rebuilt == shares.get(failed)
-            made = calls[before:]
-            products = [c for c in made if c == (parity, p.r - p.m, p.m)]
-            assert len(products) <= 1
-            if spec is complete9_spec and failed == 1:
-                assert made and not products
+        pools = [(failed, shares.without(failed))
+                 for failed in shares.disks()]
+        for failed, pool in pools:
+            assert repair(spec, failed, pool)[0] == shares.get(failed)
+        coefficients = sum(map(bool, (v for failed, _ in pools
+                                      for row in _repair_rows(spec, failed)
+                                      for v in row)))
+        assert coefficients == pin
+        made, solved = len(calls), len(solves)
+        products[0] = 0
+        monkeypatch.setattr(codec, "mul", counted)
+        for failed, pool in pools:
+            assert repair(spec, failed, pool)[0] == shares.get(failed)
+        monkeypatch.setattr(codec, "mul", real_mul)
+        assert (len(calls), len(solves), products) == (made, solved, [pin])
         reads = itertools.islice(
             itertools.combinations(shares.disks(), p.k), 200)
         for keep in reads:
@@ -530,7 +564,9 @@ def test_read_and_repair_outcomes_pinned(golden_spec, t3_spec,
     and repair of the reference codes, flipped symbols included: golden
     and c347 flip every held symbol, c9 the first and last symbol of
     each held disk, s15 those on its first 50 k-sets and its repairs,
-    and the failing GF(31) c9 candidate none."""
+    and the failing GF(31) c9 candidate none.  Each code is digested
+    twice on one spec, first with no repair plans and then with the
+    plans the first pass made, and both digests equal the pin."""
     cases = (
         (golden_spec, _every_symbol, 1413,
          "c5f30ffb5fc983637f0903dc056fbaef"
@@ -548,8 +584,17 @@ def test_read_and_repair_outcomes_pinned(golden_spec, t3_spec,
          "060cac23160f77974d795ef5cdd5f150"
          "b9d0a212b0f07403139172a45359e4a9"),
     )
-    for spec, flips, count, pin in cases:
+    for reference, flips, count, pin in cases:
+        spec = CodeSpec.from_json(reference.to_json())
+        assert spec.repair_plans == {}
         assert _outcome_digest(spec, flips) == (count, pin)
+        # one plan per (failed disk, helper set) repaired
+        n, d = spec.params.n, spec.params.d
+        plans = dict(spec.repair_plans)
+        assert len(plans) == n * sum(comb(n - 1, size)
+                                     for size in range(d - 1, n))
+        assert _outcome_digest(spec, flips) == (count, pin)
+        assert spec.repair_plans == plans
 
 
 def test_deep_overlap_round_trip(t3_spec):
@@ -841,6 +886,15 @@ def test_share_template_agrees_with_the_naming_pass(t3_spec, s15_spec,
         assert parsed and all(marked for _, marked in parsed)
 
 
+# sha256 of the golden, c9, c347 and s15 spec JSON
+_SPEC_PINS = (
+    "4d5332ecb962e816dee1d328544b0f58b7d9021f2efc5c9b45265233141f252e",
+    "c76e8bbb1e2f6143099c21573fff1d78a97f6178ab247c4ad7a291cf98f52fdb",
+    "91e3860b47e368997b60e15b16f51f1f99ad78250b7d47cebc82c0f7ff4bf915",
+    "7cbb176ce4cba73ac89e09ce7214e127ec6fb0d1f63f0e2e221cfd6c201e2753",
+)
+
+
 def test_share_templates_are_lazy_and_outside_identity(
         golden_spec, complete9_spec, t3_spec, s15_spec):
     """A spec fills its share templates on first use, one per disk and
@@ -849,17 +903,8 @@ def test_share_templates_are_lazy_and_outside_identity(
     reference spec pins do not see them.  codec keeps no module-level
     table of its own."""
     from rgc import codec
-    pins = (
-        (golden_spec, "4d5332ecb962e816dee1d328544b0f58"
-                      "b7d9021f2efc5c9b45265233141f252e"),
-        (complete9_spec, "c76e8bbb1e2f6143099c21573fff1d78"
-                         "a97f6178ab247c4ad7a291cf98f52fdb"),
-        (t3_spec, "91e3860b47e368997b60e15b16f51f1f"
-                  "99ad78250b7d47cebc82c0f7ff4bf915"),
-        (s15_spec, "7cbb176ce4cba73ac89e09ce7214e127"
-                   "ec6fb0d1f63f0e2e221cfd6c201e2753"),
-    )
-    for reference, pin in pins:
+    for reference, pin in zip((golden_spec, complete9_spec, t3_spec,
+                               s15_spec), _SPEC_PINS):
         spec = CodeSpec.from_json(reference.to_json())
         n = spec.params.n
         assert spec.share_templates == {}
@@ -882,3 +927,60 @@ def test_share_templates_are_lazy_and_outside_identity(
               and (isinstance(value, (dict, list, set, bytearray))
                    or hasattr(value, "cache_clear"))]
     assert tables == []
+
+
+def test_repair_plans_are_per_helper_set_and_outside_identity(
+        golden_spec, complete9_spec, t3_spec, s15_spec):
+    """A spec makes one repair plan per (failed disk, helper set): a
+    ShareSet, a list and a reversed list of the same helpers find one
+    plan, and repeated repairs of every disk from the n - 1 others leave
+    n and reuse them.  The plans are not part of the spec: a spec loaded
+    from its JSON has none, and equality, hash, JSON and the reference
+    spec pins do not see them.  A short helper set raises the same
+    ValueError on its first and second repair, and a flipped check
+    symbol (c347, the code whose repairs from n - 1 helpers read surplus
+    rows) the same CorruptionError from a new plan and from a known
+    one."""
+    flipped = 0
+    for reference, pin in zip((golden_spec, complete9_spec, t3_spec,
+                               s15_spec), _SPEC_PINS):
+        spec = CodeSpec.from_json(reference.to_json())
+        p, q = spec.params, spec.field.q
+        assert spec.repair_plans == {}
+        shares = encode(spec, _msg(spec, 1))
+        helpers = shares.without(1)
+        for given in (helpers, list(helpers), list(helpers)[::-1]):
+            assert repair(spec, 1, given)[0] == shares.get(1)
+        key = (1, tuple(range(2, p.n + 1)))
+        assert list(spec.repair_plans) == [key]
+        known = spec.repair_plans[key]
+        for _ in range(3):
+            for failed in shares.disks():
+                rebuilt, _ = repair(spec, failed, shares.without(failed))
+                assert rebuilt == shares.get(failed)
+        assert len(spec.repair_plans) == p.n
+        assert spec.repair_plans[key] is known
+        assert spec == reference and hash(spec) == hash(reference)
+        assert spec.to_json() == reference.to_json()
+        assert hashlib.sha256(spec.to_json().encode()).hexdigest() == pin
+        assert CodeSpec.from_json(spec.to_json()).repair_plans == {}
+
+        short = shares.without(*range(1, p.t + 1))
+        with pytest.raises(ValueError) as err:
+            repair(spec, 1, short)
+        assert "holds 1 of the m = " in str(err.value)
+        _raises_exactly(str(err.value), repair, spec, 1, short,
+                        exc=ValueError)
+        _, transcript = repair(spec, 1, helpers)
+        for disk, syms in transcript.checks:
+            if syms:
+                pos = shares.get(disk).symbols.index(syms[0])
+                bad = _flip(helpers, disk, pos, q)
+                cold = CodeSpec.from_json(spec.to_json())
+                with pytest.raises(CorruptionError) as err:
+                    repair(cold, 1, bad)
+                assert "is inconsistent" in str(err.value)
+                _raises_exactly(str(err.value), repair, spec, 1, bad,
+                                exc=CorruptionError)
+                flipped += 1
+    assert flipped == 4        # c347: disk 1's helpers 4..7 send checks

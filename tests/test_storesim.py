@@ -5,6 +5,7 @@ import json
 import pytest
 
 from rgc.codec import DiskShare, MessageVector
+from rgc.construction import CodeSpec
 from rgc.storesim import (Cluster, Scenario, ScenarioEvent,
                           random_failure_soak, run_scenario)
 
@@ -236,6 +237,21 @@ def test_soak_on_deeper_code(t3_spec):
     assert per_repair == 60
     assert sum(report.received.values()) == 30 * per_repair
     assert sum(report.sent.values()) == 30 * per_repair
+
+
+def test_soak_report_is_the_same_with_cold_and_warm_repair_plans(
+        complete9_spec, t3_spec):
+    """A 1000-step soak on a spec with no repair plans leaves one plan
+    per disk, and a second soak on the same spec, which finds them all,
+    gives the same report."""
+    for reference in (complete9_spec, t3_spec):
+        spec = CodeSpec.from_json(reference.to_json())
+        msg = _msg(spec, 3)
+        cold = random_failure_soak(spec, msg, 1000, seed=5)
+        assert cold.all_ok and cold.repairs == 1000
+        assert len(spec.repair_plans) == spec.params.n
+        warm = random_failure_soak(spec, msg, 1000, seed=5)
+        assert warm == cold and warm.to_json() == cold.to_json()
 
 
 def test_soak_rejects_negative_steps(golden_spec):
