@@ -6,21 +6,21 @@ the block.  Encoding expands the message through the long layer
 (appending T parity symbols) and then all group columns through the
 short layer.  The short code is systematic, so a group's rows 0..m-1
 are its long-layer column, copied, and only its parity rows m..r-1 take
-a product (construction.short_layer).  Reads and repairs follow the
-plan of the held disks (construction.plan): each group uses its lowest
-m = r-t+1 held rows and keeps the rest as surplus.  A group using rows
-0..m-1 copies them as its column; the group decoder
-(construction.group_decoder, an inverse kept per spec and row tuple)
-solves any other group's long-layer column from its used rows, up to a
-kernel basis when it uses fewer than m.  Repair copies the used rows of
-each affected group from any d = n-t+1 other disks, or any helpers
-holding m rows of each, and reads the surplus only to cross-check.
-Each lost or checked symbol is one fixed combination of its group's m
-used rows: a short generator row times the group decoder.  A repair
-plan (_repair_plan) holds these rows, the gathers of the sent symbols
-from the helpers' shares and the error texts; it is made once per
-(failed disk, helper set) and kept in spec.repair_plans, so a repair
-with a known plan is gathers and one m-term sum per symbol.
+a product, one for all groups.  Reads and repairs follow the plan of
+the held disks (construction.plan): each group uses its lowest
+m = r-t+1 held rows and keeps the rest as surplus.  The group's row
+map (construction.group_decoder, kept per spec and row tuple) gives
+every row of the group as one fixed combination of the used rows, the
+free symbols 0 when it uses fewer than m, and their kernel basis.  A
+group using rows 0..m-1 copies them as its column; any other group
+applies the map's rows 0..m-1.  Repair copies the used rows of each
+affected group from any d = n-t+1 other disks, or any helpers holding
+m rows of each, and reads the surplus only to cross-check: each lost or
+checked symbol is its row of the map applied to the used rows.  A
+repair plan (_repair_plan) holds these rows, the gathers of the sent
+symbols from the helpers' shares and the error texts; it is made once
+per (failed disk, helper set) and kept in spec.repair_plans, so a
+repair with a known plan is gathers and one m-term sum per symbol.
 Reconstruction runs the group decoder on every group, then one T x T(A)
 solve on the heavy groups' kernels (groups using fewer than m rows)
 gives the kernel coefficients; its rank decides decodability.
@@ -52,8 +52,7 @@ from operator import add, itemgetter, mul
 from ._kernel import mat_mul as _kmul
 from ._kernel import mat_solve as _ksolve
 from ._record import record, require_int
-from .construction import (CodeSpec, group_decoder, parity_block, plan,
-                           short_layer)
+from .construction import CodeSpec, group_decoder, parity_block, plan
 
 _setattr = object.__setattr__
 _MAGIC = b"RGC1"
@@ -113,7 +112,7 @@ class MessageVector:
 @record
 class DiskShare:
     """All symbols stored on one disk, as (group, row, value) triples in
-    slot order."""
+    slot order; lists, of the triples or of their entries, become tuples."""
 
     disk: int
     symbols: tuple[tuple[int, int, int], ...]
@@ -125,6 +124,10 @@ class DiskShare:
         if self.disk < 1:
             raise ValueError("disk ids are 1-based")
         syms = self.symbols
+        if type(syms) is list or (type(syms) is tuple
+                                  and list in map(type, syms)):
+            syms = tuple(tuple(x) if type(x) is list else x for x in syms)
+            _setattr(self, "symbols", syms)
         if not syms:
             return
         # every check runs in C builtins; the loop only names a failure
@@ -303,11 +306,11 @@ def _group_columns(spec: CodeSpec, steps, held):
 
     held maps (group, row) to a stored symbol.  Groups using rows
     0..m-1, the identity rows of the short generator, copy them as
-    their columns.  Every other group is solved from the rows its plan
-    uses; groups using the same rows share one product with their
-    group_decoder solve matrix.  Surplus rows are not read.  A heavy
-    group gets its column with the free symbols 0 and, in kernels, its
-    kernel basis.
+    their columns.  Every other group takes its column from the rows
+    its plan uses; groups using the same rows share one product with
+    rows 0..m-1 of their row map (group_decoder).  Surplus rows are not
+    read.  A heavy group gets its column with the free symbols 0 and,
+    in kernels, its kernel basis.
     """
     m = spec.params.m
     systematic = tuple(range(m))
@@ -320,8 +323,9 @@ def _group_columns(spec: CodeSpec, steps, held):
         x = [held[(j, i)] for i in sel for j in js]
         kernel = ()
         if sel != systematic:
-            solve, kernel = group_decoder(spec, sel)
-            x = _kmul(solve, m, s, x, s, count, spec.field.q)
+            rowmap, kernel = group_decoder(spec, sel)
+            x = _kmul([v for row in rowmap[:m] for v in row], m, s, x,
+                      s, count, spec.field.q)
         for g, j in enumerate(js):
             cols[j] = x[g::count]
             if kernel:
@@ -330,15 +334,18 @@ def _group_columns(spec: CodeSpec, steps, held):
 
 
 def encode(spec: CodeSpec, message) -> ShareSet:
-    """Produce the n disk shares for a message."""
+    """Produce the n disk shares for a message: each group's rows 0..m-1
+    copy its long-layer column, and one product of the short generator's
+    parity rows with all the columns gives the rows m..r-1."""
     values = _message_values(spec, message)
     p, q = spec.params, spec.field.q
     m, N = p.m, p.nstar
     w = list(values)
     w += [sum(map(mul, row, values)) % q for row in spec.s_rows]
-    # rows 0..m-1 of every group are its long-layer column, copied
+    # flat m x N: entry (i, j) is row i of group j
     out = [v for i in range(m) for v in w[i::m]]
-    out += short_layer(spec, out, N)
+    out += _kmul([v for row in spec.short_gen[m:] for v in row], p.r - m, m,
+                 out, m, N, q)
     return ShareSet(shares=tuple(
         _checked_share(spec, disk, tuple(
             (j, i, out[i * N + j]) for j, i in spec.layout.disk_slots(disk)))
@@ -359,8 +366,7 @@ def _gather(at):
 def _repair_plan(spec: CodeSpec, failed: int, pool) -> tuple:
     """(error, helpers, checks, lost): what repairing disk failed from
     the disks of pool takes, worked out once per (failed, helper set)
-    from plan, the short generator and group_decoder
-    (spec.repair_plans).
+    from plan and the row maps of group_decoder (spec.repair_plans).
 
     error is the ValueError text of the first affected group left with
     fewer than m held rows, or None.  helpers lists each disk of pool in
@@ -372,11 +378,10 @@ def _repair_plan(spec: CodeSpec, failed: int, pool) -> tuple:
     CorruptionError text) per surplus row, in plan order.  lost has one
     (gather of the used values, the row taking them to the lost symbol)
     per affected group, in the failed disk's slot order.  The row of row
-    i is row i of the short generator times the group's solve matrix, or
-    row i itself when the group uses rows 0..m-1.
+    i is row i of the group's row map for its used rows, so a plan does
+    no arithmetic of its own.
     """
-    p, q, gen = spec.params, spec.field.q, spec.short_gen
-    m, blocks = p.m, spec.layout.groups
+    m, blocks = spec.params.m, spec.layout.groups
     affected, rows = spec.layout.disk_columns(failed)  # its groups, rows
     steps = plan(spec, pool, affected)
     for j, used, _ in steps:
@@ -404,14 +409,9 @@ def _repair_plan(spec: CodeSpec, failed: int, pool) -> tuple:
                         _gather([at[s] for s in read[h]])))
     sent_at = places(s for slots in sent.values() for s in slots)
     read_at = places(s for slots in read.values() for s in slots)
-    systematic = tuple(range(m))
     checks, lost = [], []
     for (j, used, surplus), i in zip(steps, rows):
-        coefs = gen
-        if used != systematic:
-            solve, _ = group_decoder(spec, used)
-            coefs = [tuple(sum(g[c] * solve[c * m + u] for c in range(m))
-                           % q for u in range(m)) for g in gen]
+        coefs, _ = group_decoder(spec, used)
         gather = _gather([sent_at[(j, u)] for u in used])
         block = blocks[j]
         checks += [(read_at[(j, x)], gather, coefs[x],

@@ -14,9 +14,10 @@ set exceeds.
 Every block shares one short generator, made from (r, t, q) and never
 read from a file; it is MDS by construction (short_mds_generator), which
 tier-1 checks, so no spec re-checks it.  Its top m rows are the
-identity, so short_layer, the one product of it with group columns,
-takes only its parity rows, and group_decoder inverts, once per spec
-and held-row tuple, a group's held rows plus its free systematic rows.
+identity, so a group's rows 0..m-1 are its long-layer column.  For any
+other held-row tuple, group_decoder inverts, once per spec, a group's
+held rows plus its free systematic rows, and returns the group's row
+map: per row, the fixed combination of the held symbols that gives it.
 A group whose block meets an erasure set A in e >= t disks keeps r - e
 independent short-generator rows, so its long-layer column is known up
 to a kernel of dimension e - t + 1 (group_decoder); every other group
@@ -422,7 +423,7 @@ class CodeSpec:
 
     @cached_property
     def group_decoders(self) -> dict[tuple[int, ...], tuple]:
-        """group_decoder's table: held-row tuple to (solve, kernel)."""
+        """group_decoder's table: held-row tuple to (row map, kernel)."""
         return {}
 
     @cached_property
@@ -590,40 +591,36 @@ def erasure_system(spec: CodeSpec, a):
 
 
 def group_decoder(spec: CodeSpec, rows):
-    """(solve, kernel) of a parity group holding the short-layer rows
+    """(map, kernel) of a parity group holding the short-layer rows
     `rows` (ascending, at most m of them).
 
     With s held rows, the first f = m - s systematic rows not held are
     the free positions.  Held and free generator rows are m distinct rows
-    of the MDS generator, so they invert; the inverse splits into solve,
-    the flat m x s matrix taking the held symbols to the group column
-    with the free symbols 0, and kernel, the flat m x f kernel basis of
-    the held rows, column b having free symbol b equal to 1.  Each row
-    tuple is inverted once per spec (spec.group_decoders).
+    of the MDS generator, so they invert.  map, the group's row map, has
+    per row i of the group the s coefficients taking the held symbols to
+    row i with the free symbols 0: generator row i times the inverse's
+    held columns.  kernel, the rest of the inverse, is the flat m x f
+    kernel basis of the held rows, column b having free symbol b equal
+    to 1.  Rows 0..m-1 map to the short generator itself, with no
+    inversion and no kernel; any other tuple is inverted once per spec
+    (spec.group_decoders).
     """
     entry = spec.group_decoders.get(rows)
     if entry is None:
         m, s, q, sg = spec.params.m, len(rows), spec.field.q, spec.short_gen
-        free = [i for i in range(m) if i not in rows][:m - s]
-        eye = [int(a == b) for a in range(m) for b in range(m)]
-        _, inv = _ksolve([v for i in (*rows, *free) for v in sg[i]],
-                         m, m, eye, m, q)
-        entry = spec.group_decoders[rows] = (
-            tuple(v for c in range(m) for v in inv[c * m:c * m + s]),
-            tuple(v for c in range(m) for v in inv[c * m + s:(c + 1) * m]))
+        entry = sg, ()
+        if rows != tuple(range(m)):
+            free = [i for i in range(m) if i not in rows][:m - s]
+            eye = [int(a == b) for a in range(m) for b in range(m)]
+            _, inv = _ksolve([v for i in (*rows, *free) for v in sg[i]],
+                             m, m, eye, m, q)
+            held = [inv[u::m] for u in range(s)]
+            entry = (tuple(tuple(sum(map(mul, g, col)) % q for col in held)
+                           for g in sg),
+                     tuple(v for c in range(m)
+                           for v in inv[c * m + s:(c + 1) * m]))
+        spec.group_decoders[rows] = entry
     return entry
-
-
-def short_layer(spec: CodeSpec, top, count: int) -> list[int]:
-    """The parity rows m..r-1 of the short layer for `count` groups:
-    top is the flat m x count matrix of their long-layer columns, and
-    entry (i - m, g) of the flat (r - m) x count result is the symbol of
-    row i of group g.  Rows 0..m-1 of the generator are the identity, so
-    a group's row i < m is entry i of its column, copied, not computed.
-    """
-    p = spec.params
-    return _kmul([v for row in spec.short_gen[p.m:] for v in row],
-                 p.r - p.m, p.m, top, p.m, count, spec.field.q)
 
 
 def parity_block(spec: CodeSpec, j: int, kernel) -> list[tuple[int, ...]]:
@@ -771,15 +768,15 @@ def _verify(spec: CodeSpec, sample: int | None, seed: int,
         else:
             sets = sorted(drawn)
         checked, sampled = sample, True
-    # images[h][j]: [S | -I] on group j's kernel vector at hit mask h, the
-    # solve column of the row lost last (zero on held rows, one on it)
+    # images[h][j]: [S | -I] on group j's kernel vector at hit mask h: the
+    # row lost last's entry in the row map's rows 0..m-1
     masks = [h for h in range(1 << p.r) if p.t <= h.bit_count() <= miss]
     cols = []
     for h in masks:
         lost = h.bit_length() - 1
         rows = tuple(i for i in range(p.r) if i == lost or not h >> i & 1)
-        solve, _ = group_decoder(spec, rows)
-        cols.append(solve[rows.index(lost)::len(rows)])
+        at = rows.index(lost)
+        cols.append([row[at] for row in group_decoder(spec, rows)[0][:p.m]])
     # one product: the kernel columns (#masks x m) times the groups'
     # parity columns side by side (m x N*T); row i holds mask i's images
     m, T, N = p.m, p.T, p.nstar

@@ -318,17 +318,21 @@ def _is_identity(a, rows, cols):
 
 def _repair_rows(spec, failed):
     """The coefficient rows of repairing failed from the n - 1 others,
-    built from the short generator and group_decoder: per affected group
-    one row taking its used symbols to its lost symbol and one to each
-    surplus symbol."""
+    built from the short generator and a direct inversion of each
+    affected group's m used generator rows, not from group_decoder: per
+    affected group one row taking its used symbols to its lost symbol
+    and one to each surplus symbol."""
     m, q, gen = spec.params.m, spec.field.q, spec.short_gen
+    eye = [int(a == b) for a in range(m) for b in range(m)]
     others = [x for x in range(1, spec.params.n + 1) if x != failed]
     affected, lost = spec.layout.disk_columns(failed)
     rows = []
     for (_, used, surplus), i in zip(plan(spec, others, affected), lost):
-        solve, _ = group_decoder(spec, used)
-        rows += [[sum(gen[x][c] * solve[c * m + u] for c in range(m)) % q
-                  for u in range(len(used))] for x in (i, *surplus)]
+        rank, inv = _kernel.mat_solve([v for u in used for v in gen[u]],
+                                      m, m, eye, m, q)
+        assert rank == m
+        rows += [[sum(gen[x][c] * inv[c * m + u] for c in range(m)) % q
+                  for u in range(m)] for x in (i, *surplus)]
     return rows
 
 
@@ -341,8 +345,8 @@ def test_store_path_multiplies_by_no_identity(golden_spec, complete9_spec,
     (every one, or s15's first 200) multiplies by an identity.  A repair
     with a known plan calls neither mat_mul nor mat_solve; repairing
     every disk from the n - 1 others multiplies once per nonzero
-    coefficient of the rows the short generator and group_decoder give,
-    72, 504, 560 and 210 times."""
+    coefficient of the rows the short generator and a direct inversion
+    of the used rows give, 72, 504, 560 and 210 times."""
     from rgc import codec
     calls = _spy_on(monkeypatch, _kernel.mat_mul,
                     lambda a, ar, ac, *_: (tuple(a), ar, ac))
@@ -491,6 +495,79 @@ def test_group_decoder_inverts_each_row_tuple_once(complete9_spec,
         rebuilt, _ = repair(spec, failed, shares.without(failed))
         assert rebuilt == shares.get(failed)
     assert calls == []
+
+
+def test_group_decoder_row_map_matches_the_short_generator(
+        golden_spec, complete9_spec, t3_spec, s15_spec):
+    """On every reference code and every held-row tuple U of at most m
+    rows, the row map agrees with plain arithmetic on the short
+    generator: map[u] is the unit vector of u's place in U; with m held
+    rows, map[i] applied to the held symbols of any column x is row i of
+    the generator applied to x; with fewer, the map's rows 0..m-1 give a
+    column whose free symbols are 0, and every map[i] is generator row i
+    applied to that column.  Rows 0..m-1 map to the generator itself,
+    with no kernel."""
+    rng = random.Random(5)
+    for fixture in (golden_spec, complete9_spec, t3_spec, s15_spec):
+        spec = CodeSpec.from_json(fixture.to_json())     # empty table
+        p, q, gen = spec.params, spec.field.q, spec.short_gen
+        m, r = p.m, p.r
+
+        def dot(a, b):
+            return sum(x * y for x, y in zip(a, b, strict=True)) % q
+
+        for s in range(m + 1):
+            for rows in itertools.combinations(range(r), s):
+                rowmap, kernel = group_decoder(spec, rows)
+                assert len(rowmap) == r
+                assert all(len(row) == s for row in rowmap)
+                for place, u in enumerate(rows):
+                    assert rowmap[u] == tuple(int(b == place)
+                                              for b in range(s))
+                free = [i for i in range(m) if i not in rows][:m - s]
+                for _ in range(3):
+                    if s == m:
+                        x = [rng.randrange(q) for _ in range(m)]
+                        y = [dot(gen[u], x) for u in rows]
+                    else:
+                        y = [rng.randrange(q) for _ in range(s)]
+                        x = [dot(rowmap[c], y) for c in range(m)]
+                        assert [x[c] for c in free] == [0] * len(free)
+                    assert [dot(row, y) for row in rowmap] == [
+                        dot(g, x) for g in gen]
+        rowmap, kernel = group_decoder(spec, tuple(range(m)))
+        assert rowmap is gen and kernel == ()
+
+
+def test_cold_repair_inverts_each_tuple_once_and_multiplies_nothing(
+        golden_spec, complete9_spec, t3_spec, s15_spec, monkeypatch):
+    """On an empty decoder table, repairing every disk from the n - 1
+    others inverts each non-identity used-row tuple at most once and
+    rows 0..m-1 never, and calls no mat_mul; its shares and transcripts
+    equal the warm repairs' and those of the fixture's spec."""
+    for fixture in (golden_spec, complete9_spec, t3_spec, s15_spec):
+        spec = CodeSpec.from_json(fixture.to_json())     # empty tables
+        m = spec.params.m
+        shares = encode(spec, _msg(spec, 6))
+        pools = [(failed, shares.without(failed))
+                 for failed in shares.disks()]
+        muls = _spy_on(monkeypatch, _kernel.mat_mul, lambda *args: args)
+        solves = _spy_on(monkeypatch, _kernel.mat_solve, lambda *args: args)
+        cold = [repair(spec, failed, pool) for failed, pool in pools]
+        assert muls == []
+        identity = tuple(v for row in spec.short_gen[:m] for v in row)
+        inverted = [tuple(a) for a, *_ in solves]
+        assert identity not in inverted
+        assert len(set(inverted)) == len(inverted)
+        table = spec.group_decoders
+        assert len(inverted) == len(table) - (tuple(range(m)) in table)
+        solves.clear()
+        warm = [repair(spec, failed, pool) for failed, pool in pools]
+        assert (muls, solves) == ([], [])
+        assert cold == warm == [repair(fixture, failed, pool)
+                                for failed, pool in pools]
+        assert [share for share, _ in cold] == list(shares)
+        monkeypatch.undo()
 
 
 def _flip(held, disk, pos, q):
@@ -725,6 +802,35 @@ def test_share_validation_messages(golden_spec):
     for bad in (big, off):
         with pytest.raises(ShareFormatError):
             share_to_bytes(spec, bad)
+
+
+def test_a_share_built_from_lists_is_the_tuple_share(golden_spec):
+    """A share made from a list of symbols, or from list triples, equals
+    and hashes as the tuple-built share, and a repair from such shares
+    returns a hashable transcript equal to the tuple one.  A malformed
+    list triple is named as its tuple."""
+    spec = golden_spec
+    shares = encode(spec, _msg(spec, 9))
+    listed = [DiskShare(s.disk, [list(t) for t in s.symbols])
+              for s in shares]
+    for made in (listed, [DiskShare(s.disk, list(s.symbols)) for s in shares],
+                 [DiskShare(s.disk, tuple(map(list, s.symbols)))
+                  for s in shares]):
+        assert made == list(shares)
+        assert list(map(hash, made)) == list(map(hash, shares))
+        assert all(type(t) is tuple for s in made for t in s.symbols)
+    held = ShareSet(shares=tuple(listed)).without(4)
+    share, transcript = repair(spec, 4, held)
+    want_share, want = repair(spec, 4, shares.without(4))
+    assert (share, transcript) == (want_share, want)
+    assert hash(transcript) == hash(want)
+    syms = [list(t) for t in shares.get(1).symbols]
+    _raises_exactly("malformed share symbol (0, 1)", DiskShare, 1,
+                    [[0, 1]] + syms[1:], exc=ValueError)
+    _raises_exactly("malformed share symbol (0, 0, -1)", DiskShare, 1,
+                    [[0, 0, -1]] + syms[1:], exc=ValueError)
+    _raises_exactly("share symbols must be in slot order", DiskShare, 1,
+                    syms[::-1], exc=ValueError)
 
 
 def test_message_range_error_is_one_text(golden_spec):

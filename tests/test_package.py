@@ -7,6 +7,7 @@ import importlib.util
 import inspect
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -238,6 +239,37 @@ def test_no_unused_private_helpers():
                   and isinstance(node.ctx, ast.Load)):
                 loaded.add(node.attr)
     assert ("construction.py", "_walk") in defined
+    assert sorted(f"{module}: {name}" for module, name in defined
+                  if name not in loaded) == []
+
+
+def test_no_unused_public_names():
+    """Every module-level public function or class under src/rgc/ is
+    loaded somewhere under src/, tests/ or perfbench/, or is exported
+    by name (rgc._EXPORTS, a pyproject.toml script), so a public helper
+    that loses its last caller is not left behind."""
+    defined, loaded = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined.update(
+            (path.name, node.name) for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_"))
+    for top in ("src", "tests", "perfbench"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for node in ast.walk(tree):
+                if (isinstance(node, ast.Name)
+                        and isinstance(node.ctx, ast.Load)):
+                    loaded.add(node.id)
+                elif (isinstance(node, ast.Attribute)
+                      and isinstance(node.ctx, ast.Load)):
+                    loaded.add(node.attr)
+    loaded.update(name for names in rgc._EXPORTS.values() for name in names)
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    scripts = pyproject.split("[project.scripts]")[1].split("\n[")[0]
+    loaded.update(re.findall(r':(\w+)"', scripts))
+    assert ("construction.py", "group_decoder") in defined
     assert sorted(f"{module}: {name}" for module, name in defined
                   if name not in loaded) == []
 
