@@ -21,7 +21,7 @@ from math import comb
 
 from . import construction
 from ._record import record
-from .designs import BlockDesign, closed_form_Tc, is_complete_design
+from .designs import BlockDesign, is_complete_design
 
 
 class ParameterRegimeWarning(UserWarning):
@@ -98,6 +98,31 @@ def regime_threshold(n: int, k: int, d: int) -> Fraction:
     return Fraction(n - d) + Fraction(d, d - k + 1)
 
 
+def _falling(x: int, j: int) -> int:
+    """The falling factorial x (x-1) ... (x-j+1); 1 when j = 0."""
+    return math.prod(range(x - j + 1, x + 1))
+
+
+def _deficit_per_alpha(n: int, k: int, r: int, t: int) -> Fraction:
+    """closed_form_Tc(n, k, r, t) / C(n-1, r-1), formed from small
+    numbers: C(n-1, r-1) has about 203,000 digits at n = 10^6 and
+    r = ceil(n^(7/8)), and C(k, r-i) as many.
+
+    Term i of T_c is (i-t+1) C(n-k, i) C(k, r-i).  As C(n, r) = C(n-1,
+    r-1) n/r, term i over C(n-1, r-1) is (i-t+1) n/r times the
+    hypergeometric probability C(n-k, i) C(k, r-i) / C(n, r) of i
+    erased disks among r, which is symmetric in n-k and r.  With s the
+    smaller of the two and b the larger, it is
+    C(s, i) b^(i) (n-b)^(s-i) / n^(s), x^(j) the falling factorial:
+    s factors, each at most n, above and below, so at tau1 = n-k = 2
+    every term is one product of two small fractions.  A term whose
+    C(k, r-i) is 0 gets a factor 0 in (n-b)^(s-i)."""
+    s, big = sorted((n - k, r))
+    total = sum((i - t + 1) * comb(s, i) * _falling(big, i)
+                * _falling(n - big, s - i) for i in range(t, s + 1))
+    return Fraction(total * n, r * _falling(n, s))
+
+
 def complete_tradeoff_point(n: int, k: int, d: int,
                             r: int) -> TradeoffPoint:
     """Exact (alpha_bar, M_bar) of the complete-design code with block
@@ -115,13 +140,8 @@ def complete_tradeoff_point(n: int, k: int, d: int,
             stacklevel=2)
     m = r - t + 1
     # alpha = C(n-1, r-1) blocks through each disk and C(n, r) = alpha n/r
-    # in all, each of m long-layer slots, so M/alpha = m n/r - T_c/alpha;
-    # alpha has about 203,000 digits at n = 10^6, so only T_c > 0 forms it
-    T_c = closed_form_Tc(n, k, r, t)
-    per_alpha = Fraction(m * n, r)
-    if T_c:
-        per_alpha -= Fraction(T_c, comb(n - 1, r - 1))
-    point = _point(d, m, per_alpha)
+    # in all, each of m long-layer slots, so M/alpha = m n/r - T_c/alpha
+    point = _point(d, m, Fraction(m * n, r) - _deficit_per_alpha(n, k, r, t))
     if point.M_bar <= 0:
         raise ValueError(f"(n,k,d,r)=({n},{k},{d},{r}) gives a "
                          f"nonpositive data size {point.M_bar}")

@@ -4,7 +4,10 @@ Shares are per-disk symbol lists addressed by (group, row): group j is
 the parity group hosted by design block j, row i its position inside
 the block.  Encoding expands the message through the long layer
 (appending T parity symbols) and then all group columns through the
-short layer.  The short code is systematic, so a group's rows 0..m-1
+short layer.  The T long-layer checks are packed into lanes of one int
+per position (CodeSpec.packed_checks), so encode's T parity symbols and
+reconstruct's T right-hand sides are each one sum of products, read
+lane by lane.  The short code is systematic, so a group's rows 0..m-1
 are its long-layer column, copied, and only its parity rows m..r-1 take
 a product, one for all groups.  Reads and repairs follow the plan of
 the held disks (construction.plan): each group uses its lowest
@@ -26,9 +29,10 @@ solve on the heavy groups' kernels (groups using fewer than m rows)
 gives the kernel coefficients; its rank decides decodability.
 A share file is written and read through its disk's template: the
 header, the record prefixes and one struct of all the records, made
-once per spec and disk.  A file that does not fit its template exactly
-goes to one iter_unpack pass over its whole records, the only code that
-names a fault: the first in file order.
+once per spec and disk; the template also holds encode's gather of the
+disk's values.  A file that does not fit its template exactly goes to
+one iter_unpack pass over its whole records, the only code that names a
+fault: the first in file order.
 
 A share is checked once, where it enters the library.  A DiskShare
 checks a caller's symbols when it is made; check_share checks a share
@@ -47,7 +51,7 @@ from __future__ import annotations
 import random
 import struct
 from itertools import repeat
-from operator import add, itemgetter, mul
+from operator import itemgetter, mul
 
 from ._kernel import mat_mul as _kmul
 from ._kernel import mat_solve as _ksolve
@@ -70,7 +74,7 @@ class CorruptionError(ValueError):
 
 @record
 class MessageVector:
-    """A length-M message over GF(q)."""
+    """A length-M message over GF(q); a list of values becomes a tuple."""
 
     q: int
     values: tuple[int, ...]
@@ -79,6 +83,9 @@ class MessageVector:
         if self.q < 2:
             raise ValueError("modulus must be at least 2")
         values = self.values
+        if type(values) is list:
+            values = tuple(values)
+            _setattr(self, "values", values)
         if values and (set(map(type, values)) != {int}
                        or min(values) < 0 or max(values) >= self.q):
             for v in values:
@@ -334,21 +341,29 @@ def _group_columns(spec: CodeSpec, steps, held):
 
 
 def encode(spec: CodeSpec, message) -> ShareSet:
-    """Produce the n disk shares for a message: each group's rows 0..m-1
-    copy its long-layer column, and one product of the short generator's
-    parity rows with all the columns gives the rows m..r-1."""
+    """Produce the n disk shares for a message.
+
+    One sum of the message times the packed check columns
+    (spec.packed_checks) gives all T long-layer parity symbols, one per
+    lane.  Each group's rows 0..m-1 copy its long-layer column, and one
+    product of the short generator's parity rows with all the columns
+    gives the rows m..r-1.  Each disk's values are one gather from the
+    flat result, kept in its share template (_template), zipped with
+    its slots."""
     values = _message_values(spec, message)
     p, q = spec.params, spec.field.q
     m, N = p.m, p.nstar
-    w = list(values)
-    w += [sum(map(mul, row, values)) % q for row in spec.s_rows]
+    mask, shifts, packed = spec.packed_checks
+    total = sum(map(mul, values, packed))
+    w = [*values, *[(total >> s & mask) % q for s in shifts]]
     # flat m x N: entry (i, j) is row i of group j
     out = [v for i in range(m) for v in w[i::m]]
     out += _kmul([v for row in spec.short_gen[m:] for v in row], p.r - m, m,
                  out, m, N, q)
+    columns = spec.layout.disk_columns
     return ShareSet(shares=tuple(
         _checked_share(spec, disk, tuple(
-            (j, i, out[i * N + j]) for j, i in spec.layout.disk_slots(disk)))
+            zip(*columns(disk), _template(spec, disk)[3](out))))
         for disk in range(1, p.n + 1)))
 
 
@@ -496,9 +511,11 @@ def reconstruct(spec: CodeSpec, shares) -> MessageVector:
     # the T x T(A) matrix [S | -I] K_A, one image per kernel vector
     images = [col for j in heavy for col in parity_block(spec, j, kernels[j])]
     width = len(images)
-    # [S | -I] w = 0 with the known part moved to the right-hand side
-    rhs = [(w[M + t] - sum(map(mul, srow, w))) % q
-           for t, srow in enumerate(spec.s_rows)]
+    # [S | -I] w = 0 with the known part moved to the right-hand side:
+    # lane t of the packed sum is check t of w
+    mask, shifts, packed = spec.packed_checks
+    total = sum(map(mul, w, packed))
+    rhs = [-(total >> s & mask) % q for s in shifts]
     rank, z = _ksolve([col[t] for t in range(T) for col in images], T,
                       width, rhs, 1, q)
     if rank < width:
@@ -531,19 +548,22 @@ def _record_struct(width: int) -> struct.Struct:
 
 
 def _template(spec: CodeSpec, disk: int) -> tuple:
-    """(header, prefixes, body) of disk's share file under spec: the
-    whole header, each record's 6-byte group, row and width prefix in
-    slot order, and one struct of all the records, each read as its
-    prefix and its value bytes.  Made once per spec and disk
-    (spec.share_templates)."""
+    """(header, prefixes, body, gather) of disk's share file under spec:
+    the whole header, each record's 6-byte group, row and width prefix
+    in slot order, one struct of all the records, each a prefix and its
+    value bytes, and the gather that takes encode's flat m x N result
+    (entry (i, j) at i * N + j) to the disk's values in slot order.
+    Made once per spec and disk (spec.share_templates)."""
     tpl = spec.share_templates.get(disk)
     if tpl is None:
         width = symbol_width(spec.field.q)
         slots = spec.layout.disk_slots(disk)
+        N = spec.params.nstar
         tpl = spec.share_templates[disk] = (
             _HEADER.pack(_MAGIC, spec.spec_hash, disk, len(slots)),
             tuple(struct.pack("<IBB", j, i, width) for j, i in slots),
-            struct.Struct("<" + f"6s{width}s" * len(slots)))
+            struct.Struct("<" + f"6s{width}s" * len(slots)),
+            _gather([i * N + j for j, i in slots]))
     return tpl
 
 
@@ -553,14 +573,16 @@ def share_to_bytes(spec: CodeSpec, share: DiskShare) -> bytes:
 
     Once check_share has passed, the share's slots are the layout's,
     so the header and the record prefixes are the disk's template, and
-    only the values are converted."""
+    one pack of its body struct writes the prefixes interleaved with
+    the value bytes."""
     if share._checked is not spec:
         check_share(spec, share)
-    header, prefixes, _ = _template(spec, share.disk)
-    width = symbol_width(spec.field.q)
-    return header + b"".join(map(add, prefixes, map(
-        int.to_bytes, map(itemgetter(2), share.symbols), repeat(width),
-        repeat("little"))))
+    header, prefixes, body, _ = _template(spec, share.disk)
+    fields = [None] * (2 * len(prefixes))
+    fields[::2] = prefixes
+    fields[1::2] = map(int.to_bytes, map(itemgetter(2), share.symbols),
+                       repeat(symbol_width(spec.field.q)), repeat("little"))
+    return header + body.pack(*fields)
 
 
 def share_from_bytes(spec: CodeSpec, raw: bytes) -> DiskShare:
@@ -584,7 +606,7 @@ def share_from_bytes(spec: CodeSpec, raw: bytes) -> DiskShare:
                                "spec (digest mismatch)")
     q = spec.field.q
     if 1 <= disk <= spec.params.n:
-        header, prefixes, body = _template(spec, disk)
+        header, prefixes, body, _ = _template(spec, disk)
         if count == len(prefixes) and len(raw) == len(header) + body.size:
             fields = body.unpack_from(raw, len(header))
             if fields[::2] == prefixes:

@@ -369,7 +369,8 @@ class CodeSpec:
     The long-layer parity matrix S is stored either as an explicit
     coefficient vector phi (Steiner systems with k = n-2, where S is the
     single row that cycles phi across message positions) or as raw
-    entries.  T = 0 codes carry an empty entry tuple.
+    entries.  T = 0 codes carry an empty entry tuple.  A list of either
+    becomes a tuple.
     """
 
     params: CodeParams
@@ -380,6 +381,9 @@ class CodeSpec:
     s_entries: tuple[int, ...] | None = None
 
     def __post_init__(self):
+        for name in ("phi", "s_entries"):
+            if type(getattr(self, name)) is list:
+                object.__setattr__(self, name, tuple(getattr(self, name)))
         p, q = self.params, self.field.q
         _require_strength(self.design)
         want = _params(self.design, p.k, p.T)
@@ -460,6 +464,13 @@ class CodeSpec:
                 + tuple(tuple(q - 1 if t == u else 0 for t in range(p.T))
                         for u in range(p.T)))
 
+    @cached_property
+    def packed_checks(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+        """parity_columns packed into lanes: _pack_lanes's (mask, shifts,
+        columns) for the T checks, check t in lane t; codec's encode and
+        reconstruct evaluate all T checks with one sum of products."""
+        return _pack_lanes(self.parity_columns, self.field.q)
+
     def to_json(self) -> str:
         """Canonical JSON; round-trips bit-exactly through from_json."""
         p = self.params
@@ -514,6 +525,28 @@ class CodeSpec:
     @classmethod
     def load(cls, path) -> CodeSpec:
         return load_json_file(path, "code spec", cls.from_json)
+
+
+def _pack_lanes(columns, q: int) -> tuple[int, tuple[int, ...],
+                                          tuple[int, ...]]:
+    """(mask, shifts, packed): each of the N columns of a T x N matrix
+    over GF(q), entry t in lane t of one int, lanes L bits apart.
+
+    With L = 2 bits(q-1) + bits(N), the lanes of sum(map(mul, x,
+    packed)), (total >> shifts[t]) & mask, are the exact row sums
+    sum_x a[t][x] x_x for any x of at most N entries in 0..q-1.  Proof:
+    every product a[t][x] x_x is nonnegative and at most (q-1)^2 <
+    2^(2 bits(q-1)), and there are at most N < 2^bits(N) of them, so a
+    lane's sum is below 2^L.  Shifting and adding nonnegative lanes that
+    each stay below 2^L never carries into the next lane, so the total
+    is sum_t row_sum_t * 2^(t L), and each lane reads back exactly.
+    T = 0 gives no shifts."""
+    T = len(columns[0])
+    width = 2 * (q - 1).bit_length() + len(columns).bit_length()
+    shifts = tuple(range(0, T * width, width))
+    return ((1 << width) - 1, shifts,
+            tuple(sum(c << s for c, s in zip(col, shifts))
+                  for col in columns))
 
 
 def _decimals(doc, key: str) -> tuple[int, ...]:

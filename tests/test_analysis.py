@@ -22,8 +22,8 @@ from rgc.analysis import (EXPONENT_CSV_HEADER, TRADEOFF_CSV_HEADER,
                           realized_point, regime_threshold, sweep_tradeoff,
                           timesharing_M, tradeoff_csv, tradeoff_json)
 from rgc.construction import derive_params
-from rgc.designs import (S_2_3_7, S_2_3_9, S_2_4_13, gen_complete_design,
-                         gen_steiner_triple)
+from rgc.designs import (S_2_3_7, S_2_3_9, S_2_4_13, closed_form_Tc,
+                         gen_complete_design, gen_steiner_triple)
 
 F = Fraction
 
@@ -154,20 +154,38 @@ def test_exponent_point_sample_values():
     assert member.achievable == "inside"
 
 
-def test_no_large_binomial_at_tau1_one(monkeypatch):
-    """With k = n - 1 the complete design has T_c = 0, so alpha cancels
-    and C(n-1, r-1), about 203,000 digits at n = 10^6, is never formed."""
-    comb = analysis.comb
+def test_no_large_binomial_at_small_tau1(monkeypatch):
+    """At n = 10^6 and r = ceil(n^(7/8)), C(n-1, r-1) and C(k, r-i) have
+    about 203,000 digits.  With k = n - 1 the complete design has
+    T_c = 0, and with k = n - 2 its deficit per alpha is one term of
+    small factors, so neither binomial is formed, here or through
+    designs.closed_form_Tc.  The points are the ones the binomials give
+    (taken from the exact formula before it was rewritten)."""
+    from rgc import designs
 
-    def small_comb(a, b):
-        assert a < 10 ** 5, f"comb({a}, {b})"
-        return comb(a, b)
+    def small_comb(real):
+        def comb(a, b):
+            assert a < 10 ** 5, f"comb({a}, {b})"
+            return real(a, b)
+        return comb
 
-    monkeypatch.setattr(analysis, "comb", small_comb)
+    monkeypatch.setattr(analysis, "comb", small_comb(analysis.comb))
+    monkeypatch.setattr(designs, "comb", small_comb(designs.comb))
     point = exponent_point(10 ** 6, 1, 1, F(7, 8))
     assert point.M_bar == F(11904750000, 2117)
     assert point.alpha_bar == F(76923, 13679)
     check_nominal_bounds(10 ** 6, 1, 1, F(7, 8))
+    point = exponent_point(10 ** 6, 2, 1, F(7, 8))
+    assert point.M_bar == F(11904747883, 2117)
+    assert point.alpha_bar == F(76923, 13679)
+    check_nominal_bounds(10 ** 6, 2, 1, F(7, 8))
+    monkeypatch.undo()
+    for n in range(2, 16):
+        for k in range(1, n):
+            for r in range(2, n + 1):
+                for t in range(2, r + 1):
+                    assert analysis._deficit_per_alpha(n, k, r, t) == F(
+                        closed_form_Tc(n, k, r, t), math.comb(n - 1, r - 1))
 
 
 def test_exponent_point_validation():

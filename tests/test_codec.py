@@ -4,8 +4,10 @@ import hashlib
 import itertools
 import random
 import re
+import struct
 import sys
 from math import comb
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -16,9 +18,11 @@ from rgc.codec import (CorruptionError, DiskShare, MessageVector,
                        ShareFormatError, ShareSet, check_share, encode,
                        read_share, reconstruct, repair, share_from_bytes,
                        share_to_bytes, symbol_width, write_share)
-from rgc.construction import (CodeSpec, compute_TA, group_decoder,
-                              parity_block, plan, verify_S)
-from rgc.ffield import PrimeField
+from rgc.construction import (CodeSpec, _pack_lanes, build_code,
+                              compute_TA, group_decoder, parity_block, plan,
+                              verify_S)
+from rgc.designs import gen_complete_design, gen_steiner_triple
+from rgc.ffield import PrimeField, next_prime
 
 
 def _msg(spec, seed):
@@ -961,8 +965,8 @@ def test_share_template_agrees_with_the_naming_pass(t3_spec, s15_spec,
     real = codec._template
 
     def missed(spec, disk):     # one slot too many: no file fits
-        header, prefixes, body = real(spec, disk)
-        return header, prefixes + (b"",), body
+        header, prefixes, *rest = real(spec, disk)
+        return header, prefixes + (b"",), *rest
 
     def outcomes(spec, blobs):
         out = []
@@ -1005,26 +1009,32 @@ def test_share_templates_are_lazy_and_outside_identity(
         golden_spec, complete9_spec, t3_spec, s15_spec):
     """A spec fills its share templates on first use, one per disk and
     never more than n, however many files, malformed ones included, it
-    reads.  They are not part of the spec: equality, hash, JSON and the
-    reference spec pins do not see them.  codec keeps no module-level
-    table of its own."""
+    reads: writing one disk's file makes that disk's template, and
+    encode, which gathers every disk's values through its template,
+    makes all n.  They are not part of the spec: equality, hash, JSON
+    and the reference spec pins do not see them.  codec keeps no
+    module-level table of its own."""
     from rgc import codec
     for reference, pin in zip((golden_spec, complete9_spec, t3_spec,
                                s15_spec), _SPEC_PINS):
         spec = CodeSpec.from_json(reference.to_json())
         n = spec.params.n
         assert spec.share_templates == {}
-        shares = encode(spec, _msg(spec, 1))
-        assert spec.share_templates == {}
+        shares = encode(reference, _msg(spec, 1))
         blob = share_to_bytes(spec, shares.get(2))
         assert sorted(spec.share_templates) == [2]
+        assert encode(spec, _msg(spec, 1)) == shares
+        assert sorted(spec.share_templates) == list(range(1, n + 1))
+        made = dict(spec.share_templates)
         for share in shares:
             assert share_from_bytes(spec, share_to_bytes(spec, share)) == share
         for disk in (0, n + 1, 2 ** 32 - 1):
             raw = blob[:36] + disk.to_bytes(4, "little") + blob[40:]
             with pytest.raises(ShareFormatError):
                 share_from_bytes(spec, raw)
+        encode(spec, _msg(spec, 2))
         assert sorted(spec.share_templates) == list(range(1, n + 1))
+        assert all(spec.share_templates[d] is made[d] for d in made)
         assert spec == reference and hash(spec) == hash(reference)
         assert spec.to_json() == reference.to_json()
         assert hashlib.sha256(spec.to_json().encode()).hexdigest() == pin
@@ -1090,3 +1100,197 @@ def test_repair_plans_are_per_helper_set_and_outside_identity(
                                 exc=CorruptionError)
                 flipped += 1
     assert flipped == 4        # c347: disk 1's helpers 4..7 send checks
+
+
+def _check_lanes(q, M, rows, x):
+    """Pack [S | -I] for the T rows of S, each M long, and check each
+    lane of the packed sum of x against its row's exact sum, over the
+    first M and over all M + T positions."""
+    T = len(rows)
+    cols = [tuple(row[c] for row in rows) for c in range(M)]
+    cols += [tuple(q - 1 if t == u else 0 for t in range(T))
+             for u in range(T)]
+    full = [tuple(row) + tuple(q - 1 if t == u else 0 for u in range(T))
+            for t, row in enumerate(rows)]
+    mask, shifts, packed = _pack_lanes(cols, q)
+    assert len(packed) == M + T and len(shifts) == T
+    for width in (M, M + T):
+        total = sum(map(mul, x[:width], packed))
+        assert [total >> s & mask for s in shifts] == [
+            sum(map(mul, row[:width], x)) for row in full]
+        assert [(total >> s & mask) % q for s in shifts] == [
+            sum(map(mul, row[:width], x)) % q for row in full]
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_packed_lanes_are_the_exact_row_sums(data):
+    """Each lane of the packed sum is its row's exact sum of products,
+    with no carry between lanes, over q from 2 to 2^61, for the M
+    message positions (encode) and for all M + T positions
+    (reconstruct), also when every entry is q - 1.  T = 0 gives no
+    lanes."""
+    q = data.draw(st.one_of(st.integers(2, 2 ** 61),
+                            st.sampled_from([2, 3, 40577, 2 ** 61 - 1])))
+    M, T = data.draw(st.integers(1, 40)), data.draw(st.integers(0, 8))
+    top = data.draw(st.booleans())
+    entry = st.just(q - 1) if top else st.integers(0, q - 1)
+    rows = [data.draw(st.lists(entry, min_size=M, max_size=M))
+            for _ in range(T)]
+    _check_lanes(q, M, rows,
+                 data.draw(st.lists(entry, min_size=M + T, max_size=M + T)))
+
+
+def test_packed_lanes_hold_at_their_bound():
+    """Every entry at q - 1 with N = M + T = 2^c - 1 positions fills a
+    lane to just below 2^L for q - 1 just below a power of two, so a
+    lane one bit narrower would carry."""
+    for q in (2, 3, 257, 2 ** 31 - 1, 2 ** 61 - 1):
+        for M, T in ((1, 0), (3, 4), (55, 8)):
+            _check_lanes(q, M, [[q - 1] * M] * T, [q - 1] * (M + T))
+
+
+def _phi_and_zero_T_specs():
+    """A phi-form spec on the Fano plane (k = 5, GF(5)) and a T = 0 spec
+    on complete(2, 3, 7) with k = 6 (one erasure never meets a block in
+    t = 2 disks)."""
+    fano = build_code(gen_steiner_triple(7), 5, q=5).spec
+    zero = build_code(gen_complete_design(2, 3, 7), 6, q=7).spec
+    assert fano.phi is not None and zero.params.T == 0
+    return fano, zero
+
+
+def test_encode_parity_is_plain_row_arithmetic(golden_spec, complete9_spec,
+                                               t3_spec, s15_spec):
+    """On every reference code, a phi-form and a T = 0 code, the shares
+    encode makes hold the message and, in the long layer's last T
+    positions, each row of S times the message mod q, with row 0..m-1
+    of group j at position j m + i.  golden is a phi-form spec too."""
+    for spec in (golden_spec, complete9_spec, t3_spec, s15_spec,
+                 *_phi_and_zero_T_specs()):
+        p, q = spec.params, spec.field.q
+        for seed in (3, 4):
+            msg = _msg(spec, seed)
+            held = {(j, i): v for share in encode(spec, msg)
+                    for j, i, v in share.symbols}
+            w = [held[(j, i)] for j in range(p.nstar) for i in range(p.m)]
+            assert tuple(w[:p.M]) == msg.values
+            assert w[p.M:] == [sum(c * v for c, v in zip(row, msg.values))
+                               % q for row in spec.s_rows]
+        assert len(spec.packed_checks[1]) == p.T
+
+
+def test_packed_checks_are_lazy_and_outside_identity(
+        golden_spec, complete9_spec, t3_spec, s15_spec, monkeypatch):
+    """A spec packs its checks once, on first use by encode or
+    reconstruct, from parity_columns; the table is not part of the
+    spec: equality, hash, JSON and the reference spec pins do not see
+    it."""
+    from rgc import construction
+    made = []
+    real = construction._pack_lanes
+    monkeypatch.setattr(construction, "_pack_lanes",
+                        lambda *args: made.append(args) or real(*args))
+    for reference, pin in zip((golden_spec, complete9_spec, t3_spec,
+                               s15_spec), _SPEC_PINS):
+        spec = CodeSpec.from_json(reference.to_json())
+        assert "packed_checks" not in vars(spec)
+        shares = encode(spec, _msg(spec, 2))
+        table = spec.packed_checks
+        assert made[-1] == (spec.parity_columns, spec.field.q)
+        k = spec.params.k
+        for keep in itertools.islice(
+                itertools.combinations(shares.disks(), k), 5):
+            assert reconstruct(spec, shares.subset(keep)) == _msg(spec, 2)
+        encode(spec, _msg(spec, 3))
+        assert spec.packed_checks is table
+        assert spec == reference and hash(spec) == hash(reference)
+        assert spec.to_json() == reference.to_json()
+        assert hashlib.sha256(spec.to_json().encode()).hexdigest() == pin
+    assert len(made) == 4
+
+
+def _plain_record_bytes(share, width):
+    return b"".join(struct.pack("<IBB", j, i, width)
+                    + v.to_bytes(width, "little") for j, i, v in share.symbols)
+
+
+def test_share_bytes_by_width_class(golden_spec, complete9_spec, s15_spec):
+    """At every value width, 1, 2 and 3 bytes on the reference codes and
+    4, 5 and 8 on golden-design codes over wider fields, each file is
+    its header and the records written one by one, little-endian, and
+    reads back as its share, values at q - 1 included."""
+    design = golden_spec.design
+    wide = [build_code(design, 7, q=next_prime(2 ** bits)).spec
+            for bits in (24, 32, 56)]
+    for spec, width in ((golden_spec, 1), (complete9_spec, 2),
+                        (s15_spec, 3), (wide[0], 4), (wide[1], 5),
+                        (wide[2], 8)):
+        q = spec.field.q
+        assert symbol_width(q) == width
+        shares = list(encode(spec, _msg(spec, 8)))
+        shares += [DiskShare(s.disk, tuple((j, i, q - 1)
+                                           for j, i, _ in s.symbols))
+                   for s in shares]
+        for share in shares:
+            blob = share_to_bytes(spec, share)
+            assert blob[44:] == _plain_record_bytes(share, width)
+            assert blob[:44] == struct.pack(
+                "<4s32sII", b"RGC1", spec.spec_hash, share.disk,
+                len(share.symbols))
+            back = share_from_bytes(spec, blob)
+            assert back == share and back._checked is spec
+
+
+def test_c9_share_faults_keep_their_texts(complete9_spec):
+    """A c9 file (2-byte values) with a value of 0xFFFF >= q, a wrong
+    width byte, a record cut off in its prefix or its value, or
+    trailing bytes raises the naming pass's text."""
+    spec, q = complete9_spec, complete9_spec.field.q
+    share = encode(spec, _msg(spec, 7)).get(1)
+    blob = share_to_bytes(spec, share)
+    last = len(blob) - 8
+
+    def patched(pos, value):
+        return blob[:pos] + bytes((value,)) + blob[pos + 1:]
+
+    for pos in (44, last):
+        raw = blob[:pos + 6] + b"\xff\xff" + blob[pos + 8:]
+        _raises_exactly(f"share for disk 1 has a symbol outside GF({q})",
+                        share_from_bytes, spec, raw)
+        for width in (1, 3, 0):
+            _raises_exactly(f"record width {width} does not match the field "
+                            f"width 2", share_from_bytes, spec,
+                            patched(pos + 5, width))
+    _raises_exactly("truncated share record", share_from_bytes, spec,
+                    blob[:last + 5])
+    _raises_exactly("truncated share value", share_from_bytes, spec,
+                    blob[:last + 7])
+    _raises_exactly("1 trailing bytes after the last record",
+                    share_from_bytes, spec, blob + b"\x00")
+    _raises_exactly("8 trailing bytes after the last record",
+                    share_from_bytes, spec, blob + blob[44:52])
+
+
+def test_list_built_records_are_the_tuple_records(complete9_spec,
+                                                  golden_spec):
+    """A message, or a spec's s_entries or phi, given as a list equals
+    and hashes as the tuple-built record, so a correct read of a
+    list-built message compares equal to it, and the spec's JSON and
+    shares do not change."""
+    assert MessageVector(5, [1, 2]) == MessageVector(5, (1, 2))
+    assert hash(MessageVector(5, [1, 2])) == hash(MessageVector(5, (1, 2)))
+    assert type(MessageVector(5, [1, 2]).values) is tuple
+    spec = complete9_spec
+    msg = MessageVector(spec.field.q, list(_msg(spec, 4).values))
+    shares = encode(spec, msg)
+    got = reconstruct(spec, shares.subset(range(1, spec.params.k + 1)))
+    assert got == msg and hash(got) == hash(msg)
+    for ref, field in ((complete9_spec, "s_entries"), (golden_spec, "phi")):
+        listed = CodeSpec(params=ref.params, field=ref.field,
+                          design=ref.design, layout=ref.layout,
+                          **{field: list(getattr(ref, field))})
+        assert type(getattr(listed, field)) is tuple
+        assert listed == ref and hash(listed) == hash(ref)
+        assert listed.to_json() == ref.to_json()
+        assert encode(listed, _msg(ref, 4)) == encode(ref, _msg(ref, 4))
