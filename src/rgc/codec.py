@@ -9,28 +9,30 @@ per position (CodeSpec.packed_checks), so encode's T parity symbols and
 reconstruct's T right-hand sides are each one sum of products, read
 lane by lane.  The short code is systematic, so a group's rows 0..m-1
 are its long-layer column, copied, and only its parity rows m..r-1 take
-a product, one for all groups.  Reads and repairs follow the plan of
-the held disks (construction.plan): each group uses its lowest
-m = r-t+1 held rows and keeps the rest as surplus.  The group's row
-map (construction.group_decoder, kept per spec and row tuple) gives
+a product, one for all groups.  Reads and repairs use each group's
+lowest m = r-t+1 held rows and keep the rest as surplus.  The group's
+row map (construction.group_decoder, kept per spec and row tuple) gives
 every row of the group as one fixed combination of the used rows, the
-free symbols 0 when it uses fewer than m, and their kernel basis.  A
-group using rows 0..m-1 copies them as its column; any other group
-applies the map's rows 0..m-1.  Repair copies the used rows of each
-affected group from any d = n-t+1 other disks, or any helpers holding
-m rows of each, and reads the surplus only to cross-check: each lost or
-checked symbol is its row of the map applied to the used rows.  A
-repair plan (_repair_plan) holds these rows, the gathers of the sent
-symbols from the helpers' shares and the error texts; it is made once
-per (failed disk, helper set) and kept in spec.repair_plans, so a
-repair with a known plan is gathers and one m-term sum per symbol.
-Reconstruction runs the group decoder on every group, then one T x T(A)
+free symbols 0 when it uses fewer than m, and their kernel basis.
+Repair follows the plan of its helpers (construction.plan): it copies
+the used rows of each affected group from any d = n-t+1 other disks, or
+any helpers holding m rows of each, and reads the surplus only to
+cross-check: each lost or checked symbol is its row of the map applied
+to the used rows.  A repair plan (_repair_plan) holds these rows, the
+gathers of the sent symbols from the helpers' shares and the error
+texts; it is made once per (failed disk, helper set) and kept in
+spec.repair_plans, so a repair with a known plan is gathers and one
+m-term sum per symbol.  A read works by position: each held share is
+scattered into encode's flat r x N array, rows 0..m-1 of every group
+are copied as its column, and only a group on a missing disk that lost
+one of those rows computes them, each from its map.  One T x T(A)
 solve on the heavy groups' kernels (groups using fewer than m rows)
-gives the kernel coefficients; its rank decides decodability.
+then gives the kernel coefficients; its rank decides decodability.
 A share file is written and read through its disk's template: the
 header, the record prefixes and one struct of all the records, made
-once per spec and disk; the template also holds encode's gather of the
-disk's values.  A file that does not fit its template exactly goes to
+once per spec and disk; the template also holds the positions of the
+disk's slots in the flat array, which encode gathers from and a read
+scatters to.  A file that does not fit its template exactly goes to
 one iter_unpack pass over its whole records, the only code that names a
 fault: the first in file order.
 
@@ -74,7 +76,8 @@ class CorruptionError(ValueError):
 
 @record
 class MessageVector:
-    """A length-M message over GF(q); a list of values becomes a tuple."""
+    """A length-M message over GF(q); any other iterable of values (a
+    list, a range, a generator) is read once, into a tuple."""
 
     q: int
     values: tuple[int, ...]
@@ -83,7 +86,7 @@ class MessageVector:
         if self.q < 2:
             raise ValueError("modulus must be at least 2")
         values = self.values
-        if type(values) is list:
+        if type(values) is not tuple:
             values = tuple(values)
             _setattr(self, "values", values)
         if values and (set(map(type, values)) != {int}
@@ -284,7 +287,7 @@ def _checked_share(spec: CodeSpec, disk: int, symbols) -> DiskShare:
 def _message_values(spec: CodeSpec, message) -> tuple[int, ...]:
     q, M = spec.field.q, spec.params.M
     if not isinstance(message, MessageVector):
-        message = MessageVector(q, tuple(message))
+        message = MessageVector(q, message)
     elif message.q != q:
         raise ValueError(f"message modulus {message.q} does not match "
                          f"the code field GF({q})")
@@ -305,39 +308,6 @@ def _share_map(spec: CodeSpec, shares) -> dict[int, DiskShare]:
             raise ValueError(f"duplicate share for disk {share.disk}")
         out[share.disk] = share
     return out
-
-
-def _group_columns(spec: CodeSpec, steps, held):
-    """(columns, kernels) of the long-layer columns of the groups of a
-    plan.
-
-    held maps (group, row) to a stored symbol.  Groups using rows
-    0..m-1, the identity rows of the short generator, copy them as
-    their columns.  Every other group takes its column from the rows
-    its plan uses; groups using the same rows share one product with
-    rows 0..m-1 of their row map (group_decoder).  Surplus rows are not
-    read.  A heavy group gets its column with the free symbols 0 and,
-    in kernels, its kernel basis.
-    """
-    m = spec.params.m
-    systematic = tuple(range(m))
-    by_sel: dict[tuple[int, ...], list[int]] = {}
-    for j, used, _ in steps:
-        by_sel.setdefault(used, []).append(j)
-    cols, kernels = {}, {}
-    for sel, js in by_sel.items():
-        s, count = len(sel), len(js)
-        x = [held[(j, i)] for i in sel for j in js]
-        kernel = ()
-        if sel != systematic:
-            rowmap, kernel = group_decoder(spec, sel)
-            x = _kmul([v for row in rowmap[:m] for v in row], m, s, x,
-                      s, count, spec.field.q)
-        for g, j in enumerate(js):
-            cols[j] = x[g::count]
-            if kernel:
-                kernels[j] = kernel
-    return cols, kernels
 
 
 def encode(spec: CodeSpec, message) -> ShareSet:
@@ -363,7 +333,7 @@ def encode(spec: CodeSpec, message) -> ShareSet:
     columns = spec.layout.disk_columns
     return ShareSet(shares=tuple(
         _checked_share(spec, disk, tuple(
-            zip(*columns(disk), _template(spec, disk)[3](out))))
+            zip(*columns(disk), _template(spec, disk)[4](out))))
         for disk in range(1, p.n + 1)))
 
 
@@ -489,24 +459,47 @@ def repair(spec: CodeSpec, failed: int,
 def reconstruct(spec: CodeSpec, shares) -> MessageVector:
     """Decode the message from exactly k disk shares.
 
-    Every group is decoded from its own held rows, a group hit in t or
-    more erased disks up to its kernel basis; one solve of the T x T(A)
-    reduced system then gives the kernel coefficients.  Raises
-    ValueError when the spec fails its rank condition on the erasure
-    pattern, and CorruptionError when T > T(A) and the shares contradict
-    the long-layer parity checks.
+    The held shares are scattered into encode's flat r x N array at
+    their templates' positions (_template).  Only a group on a missing
+    disk that lost one of its rows 0..m-1 computes them, from its lowest
+    m held rows and its row map (group_decoder), up to its kernel basis
+    when it holds fewer.  One solve of the T x T(A) reduced system then
+    gives the kernel coefficients.  Raises ValueError when the spec fails
+    its rank condition on the erasure pattern, and CorruptionError when
+    T > T(A) and the shares contradict the long-layer parity checks.
     """
     p, q = spec.params, spec.field.q
-    m, M, T = p.m, p.M, p.T
+    m, M, N, T = p.m, p.M, p.nstar, p.T
     pool = _share_map(spec, shares)
     if len(pool) != p.k:
         raise ValueError(f"reconstruction needs exactly k = {p.k} shares, "
                          f"got {len(pool)}")
-    missing = tuple(sorted(set(range(1, p.n + 1)) - set(pool)))
-    held = {(j, i): v for share in pool.values() for j, i, v in share.symbols}
-    cols, kernels = _group_columns(spec, plan(spec, pool), held)
+    missing = tuple(x for x in range(1, p.n + 1) if x not in pool)
+    flat = [0] * (p.r * N)          # entry (i, j) is row i of group j
+    for disk, share in pool.items():
+        for x, (_, _, v) in zip(_template(spec, disk)[3], share.symbols):
+            flat[x] = v
     # long-layer symbols; heavy groups' free symbols stay 0 for now
-    w = [v for j in range(p.nstar) for v in cols[j]]
+    w = [0] * (m * N)
+    for c in range(m):
+        w[c::m] = flat[c * N:(c + 1) * N]
+    # per lost-row mask: the used rows' offsets in flat, the kernel and
+    # the map row of each lost row < m (a used row is its own copy)
+    steps, kernels = {}, {}
+    for j, h in spec.layout.lost_rows(missing).items():
+        if h & (1 << m) - 1:        # lost a row of its column
+            step = steps.get(h)
+            if step is None:
+                used = tuple(i for i in range(p.r) if not h >> i & 1)[:m]
+                rowmap, kernel = group_decoder(spec, used)
+                step = steps[h] = ([i * N for i in used], kernel, [
+                    (c, rowmap[c]) for c in range(m) if h >> c & 1])
+            offs, kernel, rows = step
+            vals = [flat[o + j] for o in offs]
+            for c, row in rows:
+                w[j * m + c] = sum(map(mul, row, vals)) % q
+            if kernel:
+                kernels[j] = kernel
     heavy = sorted(kernels)
     # the T x T(A) matrix [S | -I] K_A, one image per kernel vector
     images = [col for j in heavy for col in parity_block(spec, j, kernels[j])]
@@ -548,22 +541,24 @@ def _record_struct(width: int) -> struct.Struct:
 
 
 def _template(spec: CodeSpec, disk: int) -> tuple:
-    """(header, prefixes, body, gather) of disk's share file under spec:
-    the whole header, each record's 6-byte group, row and width prefix
-    in slot order, one struct of all the records, each a prefix and its
-    value bytes, and the gather that takes encode's flat m x N result
-    (entry (i, j) at i * N + j) to the disk's values in slot order.
-    Made once per spec and disk (spec.share_templates)."""
+    """(header, prefixes, body, at, gather) of disk's share file under
+    spec: the whole header, each record's 6-byte group, row and width
+    prefix in slot order, one struct of all the records, each a prefix
+    and its value bytes, the slots' positions at in encode's flat r x N
+    result (entry (i, j) at i * N + j), which reconstruct scatters to,
+    and the gather of the disk's values from it.  Made once per spec and
+    disk (spec.share_templates)."""
     tpl = spec.share_templates.get(disk)
     if tpl is None:
         width = symbol_width(spec.field.q)
         slots = spec.layout.disk_slots(disk)
         N = spec.params.nstar
+        at = tuple(i * N + j for j, i in slots)
         tpl = spec.share_templates[disk] = (
             _HEADER.pack(_MAGIC, spec.spec_hash, disk, len(slots)),
             tuple(struct.pack("<IBB", j, i, width) for j, i in slots),
             struct.Struct("<" + f"6s{width}s" * len(slots)),
-            _gather([i * N + j for j, i in slots]))
+            at, _gather(at))
     return tpl
 
 
@@ -577,7 +572,7 @@ def share_to_bytes(spec: CodeSpec, share: DiskShare) -> bytes:
     the value bytes."""
     if share._checked is not spec:
         check_share(spec, share)
-    header, prefixes, body, _ = _template(spec, share.disk)
+    header, prefixes, body, _, _ = _template(spec, share.disk)
     fields = [None] * (2 * len(prefixes))
     fields[::2] = prefixes
     fields[1::2] = map(int.to_bytes, map(itemgetter(2), share.symbols),
@@ -606,7 +601,7 @@ def share_from_bytes(spec: CodeSpec, raw: bytes) -> DiskShare:
                                "spec (digest mismatch)")
     q = spec.field.q
     if 1 <= disk <= spec.params.n:
-        header, prefixes, body, _ = _template(spec, disk)
+        header, prefixes, body, _, _ = _template(spec, disk)
         if count == len(prefixes) and len(raw) == len(header) + body.size:
             fields = body.unpack_from(raw, len(header))
             if fields[::2] == prefixes:

@@ -35,10 +35,11 @@ quotient gathered (free columns and their coefficients on the pivots),
 each leaf image maps to its T - s coordinates with s + 1 terms each,
 unrolled for three on three, and a determinant, a cross product or a
 small elimination decides them.  plan gives each group's lowest m held
-rows (used) and the rest (surplus); codec's reads and repairs follow
-it, and rank_witness takes its heavy groups' kernels from it to build,
-for one erasure set, a 0/1 matrix S that satisfies the condition, so
-the generic determinant argument for random S is checkable per set.
+rows (used) and the rest (surplus); codec's repairs follow it (a read
+works out the same split for its lost groups alone), and rank_witness
+takes its heavy groups' kernels from it to build, for one erasure set,
+a 0/1 matrix S that satisfies the condition, so the generic
+determinant argument for random S is checkable per set.
 erasure_system is the independent dense reference: every symbol stored
 on a surviving disk as a linear form in the message.
 """
@@ -140,6 +141,15 @@ class Layout:
     def disk_columns(self, disk: int) -> tuple[tuple[int, ...], ...]:
         """disk_slots as two columns: the groups, then the rows."""
         return self._columns_by_disk.get(disk, ((), ()))
+
+    def lost_rows(self, disks) -> dict[int, int]:
+        """Each group with a row on one of disks, to the bit mask of its
+        rows there."""
+        lost: dict[int, int] = {}
+        for x in disks:
+            for j, i in self.disk_slots(x):
+                lost[j] = lost.get(j, 0) | 1 << i
+        return lost
 
 
 def build_layout(design: BlockDesign) -> Layout:
@@ -408,7 +418,8 @@ class CodeSpec:
             if len(set(self.phi)) != len(self.phi):
                 raise ValueError("phi coefficients must be distinct")
             for i, c in enumerate(self.phi):
-                if not 1 <= c < q:
+                if type(c) is not int or not 1 <= c < q:
+                    require_int("phi coefficient", c)
                     raise ValueError("phi coefficients must be nonzero "
                                      "field elements")
                 if i < p.r - 2 and (c + 1) % q == 0:
@@ -417,7 +428,11 @@ class CodeSpec:
         else:
             if len(self.s_entries) != p.T * p.M:
                 raise ValueError(f"s_entries needs {p.T * p.M} values")
-            if any(not 0 <= v < q for v in self.s_entries):
+            s = self.s_entries
+            if s and (set(map(type, s)) != {int} or min(s) < 0
+                      or max(s) >= q):
+                for v in s:
+                    require_int("s_entries entry", v)
                 raise ValueError("s_entries must be reduced field elements")
 
     @cached_property
@@ -680,15 +695,13 @@ def plan(spec: CodeSpec, disks, groups=None) -> list[tuple]:
     using fewer than m rows is heavy; group_decoder gives its kernel.
 
     Only the groups on disks not held are worked out, from their lost-row
-    masks; every other group shares the one split (rows 0..m-1, rows
-    m..r-1).
+    masks (Layout.lost_rows); every other group shares the one split
+    (rows 0..m-1, rows m..r-1).  codec's repair plans and rank_witness
+    use it; a read splits its lost groups from their masks without it.
     """
     p = spec.params
-    lost: dict[int, int] = {}
-    for x in range(1, p.n + 1):
-        if x not in disks:
-            for j, i in spec.layout.disk_slots(x):
-                lost[j] = lost.get(j, 0) | 1 << i
+    lost = spec.layout.lost_rows(x for x in range(1, p.n + 1)
+                                 if x not in disks)
     splits = {}     # lost-row mask -> (used, surplus)
     for h in {0, *lost.values()}:
         held = tuple(i for i in range(p.r) if not h >> i & 1)

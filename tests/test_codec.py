@@ -501,6 +501,54 @@ def test_group_decoder_inverts_each_row_tuple_once(complete9_spec,
     assert calls == []
 
 
+def test_a_read_of_caller_shares_in_reverse_is_the_library_read(
+        golden_spec, complete9_spec, t3_spec, s15_spec):
+    """A read scatters each share through its disk's positions, so the
+    order and the origin of the shares do not matter: every k-set read
+    of golden, c9 and c347, and all 1,365 of s15, from unmarked
+    DiskShares a caller made, given in reversed disk order, equals the
+    read of the library's marked shares and the message."""
+    for spec in (golden_spec, complete9_spec, t3_spec, s15_spec):
+        p = spec.params
+        msg = _msg(spec, 11)
+        shares = encode(spec, msg)
+        count = 0
+        for keep in itertools.combinations(shares.disks(), p.k):
+            held = shares.subset(keep)
+            made = [DiskShare(disk=s.disk, symbols=s.symbols)
+                    for s in reversed(held.shares)]
+            assert not any(s._checked for s in made)
+            assert reconstruct(spec, made) == reconstruct(spec, held) == msg
+            count += 1
+        assert count == comb(p.n, p.k)
+    assert count == 1365
+
+
+def test_a_warm_read_plans_nothing_multiplies_nothing_and_solves_once(
+        golden_spec, complete9_spec, t3_spec, s15_spec, monkeypatch):
+    """Once the held-row tuples of its lost groups are inverted, a read
+    of any k-set calls no plan and no mat_mul, and exactly one
+    mat_solve: the T x T(A) system."""
+    from rgc import construction
+    for spec in (golden_spec, complete9_spec, t3_spec, s15_spec):
+        p = spec.params
+        msg = _msg(spec, 12)
+        shares = encode(spec, msg)
+        reads = [shares.subset(keep) for keep in itertools.islice(
+            itertools.combinations(shares.disks(), p.k), 400)]
+        for held in reads:
+            reconstruct(spec, held)
+        plans = _spy_on(monkeypatch, construction.plan, lambda *a: a)
+        muls = _spy_on(monkeypatch, _kernel.mat_mul, lambda *a: a)
+        solves = _count_solves(monkeypatch)
+        for held in reads:
+            solves.clear()
+            assert reconstruct(spec, held) == msg
+            assert len(solves) == 1 and solves[0][2] == 1
+        assert (plans, muls) == ([], [])
+        monkeypatch.undo()
+
+
 def test_group_decoder_row_map_matches_the_short_generator(
         golden_spec, complete9_spec, t3_spec, s15_spec):
     """On every reference code and every held-row tuple U of at most m
@@ -845,6 +893,37 @@ def test_message_range_error_is_one_text(golden_spec):
                     list(values), exc=ValueError)
     _raises_exactly("message symbol outside GF(3)", MessageVector, 3,
                     values, exc=ValueError)
+
+
+def test_a_message_reads_any_iterable_once():
+    """A range, a generator or any other iterable of values is read once
+    into a tuple, so the message equals and hashes as the tuple-built
+    one; a tuple is kept as it is.  Bad values keep the texts they get
+    in a tuple, whatever iterable brings them."""
+    want = MessageVector(5, (0, 1, 2))
+    seen = []
+
+    def once():
+        for v in (0, 1, 2):
+            seen.append(v)
+            yield v
+
+    for values in (range(3), (v for v in (0, 1, 2)), iter([0, 1, 2]),
+                   [0, 1, 2], dict.fromkeys((0, 1, 2)), once()):
+        got = MessageVector(5, values)
+        assert type(got.values) is tuple
+        assert got == want and hash(got) == hash(want)
+    assert seen == [0, 1, 2]
+    assert MessageVector(5, iter(())) == MessageVector(5, ())
+    kept = (4, 3)
+    assert MessageVector(5, kept).values is kept
+    for bad, text in (((1, 7), "message symbol outside GF(5)"),
+                      ((-1,), "message symbol outside GF(5)"),
+                      ((1, 2.0), "message symbol 2.0 is a float, not an int"),
+                      ((True,), "message symbol True is a bool, not an int"),
+                      (("1",), "message symbol '1' is a str, not an int")):
+        for values in (bad, list(bad), (v for v in bad), iter(bad)):
+            _raises_exactly(text, MessageVector, 5, values, exc=ValueError)
 
 
 def test_non_int_symbols_are_rejected(golden_spec, complete9_spec):

@@ -318,6 +318,32 @@ def test_spec_json_refusals_pinned(request, base, tamper, want):
     assert str(err.value) == want.format(spec.params.T * spec.params.M)
 
 
+@pytest.mark.parametrize("base,field,first,want", [
+    ("golden_spec", "phi", 1.0, "phi coefficient 1.0 is a float, not an int"),
+    ("golden_spec", "phi", True, "phi coefficient True is a bool, not an int"),
+    ("golden_spec", "phi", "1", "phi coefficient '1' is a str, not an int"),
+    ("complete9_spec", "s_entries", float,
+     "s_entries entry {!r} is a float, not an int"),
+    ("complete9_spec", "s_entries", True,
+     "s_entries entry True is a bool, not an int"),
+    ("complete9_spec", "s_entries", str,
+     "s_entries entry {!r} is a str, not an int"),
+])
+def test_spec_refuses_non_int_entries(request, base, field, first, want):
+    """A float, bool or str first entry of phi or s_entries is refused
+    with a text naming the field, not built as a spec equal to the int
+    one whose JSON from_json would refuse.  A type as first makes the
+    entry from the spec's own first entry."""
+    spec = request.getfixturevalue(base)
+    entries = getattr(spec, field)
+    if isinstance(first, type):
+        first = first(entries[0])
+    with pytest.raises(ValueError) as err:
+        CodeSpec(params=spec.params, field=spec.field, design=spec.design,
+                 layout=spec.layout, **{field: (first, *entries[1:])})
+    assert str(err.value) == want.format(first)
+
+
 def test_verify_full_and_sampled(golden_spec):
     full = verify_S(golden_spec)
     assert full.ok and full.checked == full.total == 36
