@@ -3,14 +3,17 @@
 Matrices are flat row-major lists of residues in [0, q).  The systems the
 codec and the verifier build are small (the groups an erasure set hits in
 at least t disks, plus the T long-layer checks), so exact Python ints are
-fast enough.  mat_rank and mat_solve share one Gauss-Jordan elimination:
-the rank stops at row echelon form, the solve reduces fully.  echelon_add
-grows a fraction-free row echelon basis one row at a time, for rank
-checks that add rows incrementally, and annihilator gives the quotient
-by such a basis's span in gathered form: its free columns and their
-coefficients on the pivots, so a row maps to it at the cost of the span's
-dimension, not of its width.
+fast enough.  mat_rank and mat_solve share one forward elimination to
+row echelon form; the solve then back-substitutes, one sum of products
+per pivot and right-hand-side column.  echelon_add grows a fraction-free
+row echelon basis one row at a time, for rank checks that add rows
+incrementally, and annihilator gives the quotient by such a basis's span
+in gathered form: its free columns and their coefficients on the
+pivots, so a row maps to it at the cost of the span's dimension, not of
+its width.
 """
+
+from operator import mul
 
 BACKEND = "py"
 
@@ -85,10 +88,10 @@ def annihilator(basis, cols, q):
     return pivots, free, coef
 
 
-def _eliminate(m, cols, q, reduce):
+def _eliminate(m, cols, q):
     """Pivot the rows m in place on their first cols columns; return the
-    pivot columns.  Pivots are first-nonzero and scaled to 1; entries
-    below each are cleared, and with reduce those above it too."""
+    pivot columns.  Pivots are first-nonzero and scaled to 1, and the
+    entries below each are cleared."""
     rows = len(m)
     pivots = []
     for c in range(cols):
@@ -104,9 +107,9 @@ def _eliminate(m, cols, q, reduce):
         if inv != 1:
             prow = [(x * inv) % q for x in prow]
             m[rank] = prow
-        for i in range(0 if reduce else rank + 1, rows):
+        for i in range(rank + 1, rows):
             f = m[i][c]
-            if f and i != rank:
+            if f:
                 m[i] = [(x - f * y) % q for x, y in zip(m[i], prow)]
         pivots.append(c)
         if rank + 1 == rows:
@@ -117,23 +120,29 @@ def _eliminate(m, cols, q, reduce):
 def mat_rank(a, rows, cols, q):
     """Rank via Gaussian elimination with first-nonzero pivoting."""
     m = [list(a[i * cols:(i + 1) * cols]) for i in range(rows)]
-    return len(_eliminate(m, cols, q, reduce=False))
+    return len(_eliminate(m, cols, q))
 
 
 def mat_solve(a, rows, cols, b, bcols, q):
     """Solve a x = b; return (rank of a, flat x of cols x bcols).
 
     x is None when the system is inconsistent.  Free variables are set
-    to zero, so the solution is deterministic.
+    to zero, so the solution is deterministic.  After the forward pass
+    the rows below the rank are zero on a, so their b entries decide
+    consistency; each pivot variable, last to first, is its row's b
+    entry less the row's sum over the later variables.
     """
-    w = cols + bcols
     m = [list(a[i * cols:(i + 1) * cols]) + list(b[i * bcols:(i + 1) * bcols])
          for i in range(rows)]
-    pivots = _eliminate(m, cols, q, reduce=True)
+    pivots = _eliminate(m, cols, q)
     rank = len(pivots)
-    if any(any(row[cols:w]) for row in m[rank:]):
+    if any(any(row[cols:]) for row in m[rank:]):
         return rank, None
     x = [0] * (cols * bcols)
-    for row, c in zip(m, pivots):
-        x[c * bcols:(c + 1) * bcols] = row[cols:w]
+    for e in range(bcols):
+        z = [0] * cols
+        for row, c in zip(reversed(m[:rank]), reversed(pivots)):
+            z[c] = (row[cols + e]
+                    - sum(map(mul, row[c + 1:cols], z[c + 1:]))) % q
+        x[e::bcols] = z
     return rank, x

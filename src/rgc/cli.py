@@ -332,11 +332,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write per-helper transfer JSON here")
 
     p_rec = _command(sub, "reconstruct", _cmd_reconstruct,
-                     "decode the message from k share files")
+                     "decode the message from k or more share files")
     p_rec.add_argument("--spec", required=True)
     p_rec.add_argument("--shares", required=True)
     p_rec.add_argument("--disks", required=True,
-                       help="comma-separated disk ids, exactly k of them")
+                       help="comma-separated disk ids, k or more of them")
     p_rec.add_argument("--out", default=None)
 
     p_an = sub.add_parser("analyze", help="bounds, sweeps, comparisons")

@@ -28,6 +28,9 @@ are copied as its column, and only a group on a missing disk that lost
 one of those rows computes them, each from its map.  One T x T(A)
 solve on the heavy groups' kernels (groups using fewer than m rows)
 then gives the kernel coefficients; its rank decides decodability.
+Each of its columns is one lane sum of a kernel column with the
+group's packed checks.  A read takes k or more shares: every share
+beyond k shrinks the missing set, and with it the heavy groups.
 A share file is written and read through its disk's template: the
 header, the record prefixes and one struct of all the records, made
 once per spec and disk; the template also holds the positions of the
@@ -58,7 +61,7 @@ from operator import itemgetter, mul
 from ._kernel import mat_mul as _kmul
 from ._kernel import mat_solve as _ksolve
 from ._record import record, require_int
-from .construction import CodeSpec, group_decoder, parity_block, plan
+from .construction import CodeSpec, group_decoder, plan
 
 _setattr = object.__setattr__
 _MAGIC = b"RGC1"
@@ -457,22 +460,26 @@ def repair(spec: CodeSpec, failed: int,
 
 
 def reconstruct(spec: CodeSpec, shares) -> MessageVector:
-    """Decode the message from exactly k disk shares.
+    """Decode the message from k or more disk shares.
 
     The held shares are scattered into encode's flat r x N array at
     their templates' positions (_template).  Only a group on a missing
     disk that lost one of its rows 0..m-1 computes them, from its lowest
     m held rows and its row map (group_decoder), up to its kernel basis
-    when it holds fewer.  One solve of the T x T(A) reduced system then
-    gives the kernel coefficients.  Raises ValueError when the spec fails
-    its rank condition on the erasure pattern, and CorruptionError when
+    when it holds fewer.  Shares beyond k only shrink the missing set,
+    so fewer groups are heavy; with one disk missing none is.  One solve
+    of the T x T(A) reduced system then gives the kernel coefficients:
+    column b of heavy group j is kernel column b's lane sum with the
+    group's packed checks (spec.packed_checks), read lane by lane.
+    Raises ValueError for fewer than k shares or when the spec fails its
+    rank condition on the erasure pattern, and CorruptionError when
     T > T(A) and the shares contradict the long-layer parity checks.
     """
     p, q = spec.params, spec.field.q
     m, M, N, T = p.m, p.M, p.nstar, p.T
     pool = _share_map(spec, shares)
-    if len(pool) != p.k:
-        raise ValueError(f"reconstruction needs exactly k = {p.k} shares, "
+    if len(pool) < p.k:
+        raise ValueError(f"reconstruction needs at least k = {p.k} shares, "
                          f"got {len(pool)}")
     missing = tuple(x for x in range(1, p.n + 1) if x not in pool)
     flat = [0] * (p.r * N)          # entry (i, j) is row i of group j
@@ -483,9 +490,10 @@ def reconstruct(spec: CodeSpec, shares) -> MessageVector:
     w = [0] * (m * N)
     for c in range(m):
         w[c::m] = flat[c * N:(c + 1) * N]
+    mask, shifts, packed = spec.packed_checks
     # per lost-row mask: the used rows' offsets in flat, the kernel and
     # the map row of each lost row < m (a used row is its own copy)
-    steps, kernels = {}, {}
+    steps, heavy, images = {}, [], []
     for j, h in spec.layout.lost_rows(missing).items():
         if h & (1 << m) - 1:        # lost a row of its column
             step = steps.get(h)
@@ -499,18 +507,18 @@ def reconstruct(spec: CodeSpec, shares) -> MessageVector:
             for c, row in rows:
                 w[j * m + c] = sum(map(mul, row, vals)) % q
             if kernel:
-                kernels[j] = kernel
-    heavy = sorted(kernels)
-    # the T x T(A) matrix [S | -I] K_A, one image per kernel vector
-    images = [col for j in heavy for col in parity_block(spec, j, kernels[j])]
+                # [S | -I] on kernel column b, check t in lane t: m
+                # terms, inside _pack_lanes's bound of N
+                f = len(kernel) // m
+                heavy.append((j, kernel, f))
+                images += [sum(map(mul, kernel[b::f], packed[j * m:j * m + m]))
+                           for b in range(f)]
     width = len(images)
-    # [S | -I] w = 0 with the known part moved to the right-hand side:
-    # lane t of the packed sum is check t of w
-    mask, shifts, packed = spec.packed_checks
+    # [S | -I] w = 0 with the known part of w on the right-hand side
     total = sum(map(mul, w, packed))
-    rhs = [-(total >> s & mask) % q for s in shifts]
-    rank, z = _ksolve([col[t] for t in range(T) for col in images], T,
-                      width, rhs, 1, q)
+    rank, z = _ksolve([(img >> s & mask) % q for s in shifts
+                       for img in images], T, width,
+                      [-(total >> s & mask) % q for s in shifts], 1, q)
     if rank < width:
         raise ValueError(
             f"the stored parity matrix cannot decode erasure pattern "
@@ -520,9 +528,7 @@ def reconstruct(spec: CodeSpec, shares) -> MessageVector:
             f"the shares contradict each other under erasure pattern "
             f"{missing}")
     off = 0
-    for j in heavy:
-        kernel = kernels[j]
-        f = len(kernel) // m
+    for j, kernel, f in heavy:
         for c in range(m):
             w[j * m + c] = (w[j * m + c] + sum(map(
                 mul, kernel[c * f:(c + 1) * f], z[off:off + f]))) % q

@@ -671,23 +671,6 @@ def group_decoder(spec: CodeSpec, rows):
     return entry
 
 
-def parity_block(spec: CodeSpec, j: int, kernel) -> list[tuple[int, ...]]:
-    """Group j's T x f block of [S | -I] K_A: the long-layer parity checks
-    applied to the group's flat m x f kernel basis, as f column tuples."""
-    m, q, T = spec.params.m, spec.field.q, spec.params.T
-    pcols = spec.parity_columns[j * m:(j + 1) * m]
-    f = len(kernel) // m
-    out = []
-    for b in range(f):
-        acc = [0] * T
-        for c in range(m):
-            k = kernel[c * f + b]
-            if k:
-                acc = [x + k * y for x, y in zip(acc, pcols[c])]
-        out.append(tuple(x % q for x in acc))
-    return out
-
-
 def plan(spec: CodeSpec, disks, groups=None) -> list[tuple]:
     """(j, used, surplus) for each group j of `groups` (all, by default)
     when the disks `disks` are held: used is the group's lowest m held

@@ -227,8 +227,8 @@ class Cluster:
                 or not all(self._valid_node(i) for i in ids)):
             ev.update(ok=False, error="read subset has invalid or "
                                       "duplicate disk ids")
-        elif len(ids) != p.k:
-            ev.update(ok=False, error=f"read needs exactly k = {p.k} "
+        elif len(ids) < p.k:
+            ev.update(ok=False, error=f"read needs at least k = {p.k} "
                                       f"disks, got {len(ids)}")
         else:
             down = [i for i in ids if self.nodes[i] is None]

@@ -41,6 +41,25 @@ _results: dict[int, tuple[str, float]] = {}
 pytest_plugins = ("pytester",)
 
 
+def parity_block(spec, j, kernel):
+    """Group j's T x f block of [S | -I] K_A, as f column tuples: the
+    long-layer parity checks applied to the group's flat m x f kernel
+    basis by plain T-wide arithmetic on spec.parity_columns.  Tests use
+    it as the reference for the lane sums a read takes instead."""
+    m, q, T = spec.params.m, spec.field.q, spec.params.T
+    pcols = spec.parity_columns[j * m:(j + 1) * m]
+    f = len(kernel) // m
+    out = []
+    for b in range(f):
+        acc = [0] * T
+        for c in range(m):
+            k = kernel[c * f + b]
+            if k:
+                acc = [x + k * y for x, y in zip(acc, pcols[c])]
+        out.append(tuple(x % q for x in acc))
+    return out
+
+
 def _criterion_number(nodeid: str) -> int | None:
     name = nodeid.rsplit("::", 1)[-1]
     if not name.startswith("test_criterion_"):

@@ -212,15 +212,16 @@ def test_repair_transcript_counts_check_reads(capsys, t3_spec, tmp_path):
 
 
 def test_reconstruct_round_trip(capsys, workdir, tmp_path):
+    """k share files decode the message, and so do more of them."""
     root, _, msg = workdir
     out_path = tmp_path / "recovered.txt"
-    code, _, _ = run(capsys, "reconstruct", "--spec",
-                     str(root / "spec.json"),
-                     "--shares", str(root / "shares"),
-                     "--disks", "1,3,4,5,7,8,9",
-                     "--out", str(out_path))
-    assert code == 0
-    assert MessageVector.from_text(3, out_path.read_text()) == msg
+    for disks in ("1,3,4,5,7,8,9", "1,2,3,4,5,7,8,9", "1,2,3,4,5,6,7,8,9"):
+        code, _, _ = run(capsys, "reconstruct", "--spec",
+                         str(root / "spec.json"),
+                         "--shares", str(root / "shares"),
+                         "--disks", disks, "--out", str(out_path))
+        assert code == 0
+        assert MessageVector.from_text(3, out_path.read_text()) == msg
 
 
 def test_tradeoff_csv_matches_library(capsys):
@@ -615,5 +616,5 @@ def test_cli_and_simulator_outcomes_pinned(capsys, tmp_path, golden_spec,
         '{"events": [{"assert": "happy"}]}', '{"events": [{"assert": 3}]}')]
     blob = "\n\x00".join(outcomes).encode("utf-8")
     assert hashlib.sha256(blob).hexdigest() == (
-        "fac777a4022112cca42a1b9d995a5aec"
-        "6be3c794aeae8021e027ffe309b6754e")
+        "96a47a5b3c5ebb8f0216e2726203a8b3"
+        "85544d19c6d2777abb8a249a98bdbc09")

@@ -19,10 +19,11 @@ from rgc.codec import (CorruptionError, DiskShare, MessageVector,
                        read_share, reconstruct, repair, share_from_bytes,
                        share_to_bytes, symbol_width, write_share)
 from rgc.construction import (CodeSpec, _pack_lanes, build_code,
-                              compute_TA, group_decoder, parity_block, plan,
-                              verify_S)
+                              compute_TA, group_decoder, plan, verify_S)
 from rgc.designs import gen_complete_design, gen_steiner_triple
 from rgc.ffield import PrimeField, next_prime
+
+from conftest import parity_block
 
 
 def _msg(spec, seed):
@@ -98,11 +99,15 @@ def test_repair_requires_every_helper(golden_spec):
 
 
 def test_reconstruct_share_count_guard(golden_spec):
-    shares = encode(golden_spec, _msg(golden_spec, 4))
+    """Fewer than k shares are refused; all n of them decode."""
+    msg = _msg(golden_spec, 4)
+    shares = encode(golden_spec, msg)
     with pytest.raises(ValueError):
         reconstruct(golden_spec, shares.subset([1, 2, 3]))
-    with pytest.raises(ValueError):
-        reconstruct(golden_spec, shares)
+    _raises_exactly("reconstruction needs at least k = 7 shares, got 6",
+                    reconstruct, golden_spec, shares.without(1, 2, 3),
+                    exc=ValueError)
+    assert reconstruct(golden_spec, shares) == msg
 
 
 def test_reconstruct_names_undecodable_pattern(golden_spec):
@@ -522,6 +527,59 @@ def test_a_read_of_caller_shares_in_reverse_is_the_library_read(
             count += 1
         assert count == comb(p.n, p.k)
     assert count == 1365
+
+
+def test_a_read_of_k_or_more_shares_is_the_k_read(
+        golden_spec, complete9_spec, t3_spec, s15_spec, monkeypatch):
+    """Every share set of k or more disks, all 1,941 of s15's among
+    them, reads the message, as its first k disks do.  Its one solve is
+    T x T(A) for the disks it misses, so a read missing one disk solves
+    for nothing and only checks the T long-layer parities."""
+    for spec in (golden_spec, complete9_spec, t3_spec, s15_spec):
+        p = spec.params
+        msg = _msg(spec, 13)
+        shares = encode(spec, msg)
+        solves = _count_solves(monkeypatch)
+        count = 0
+        for size in range(p.k, p.n + 1):
+            for keep in itertools.combinations(shares.disks(), size):
+                assert reconstruct(spec, shares.subset(keep[:p.k])) == msg
+                solves.clear()
+                assert reconstruct(spec, shares.subset(keep)) == msg
+                missing = sorted(set(range(1, p.n + 1)) - set(keep))
+                assert solves == [(p.T, compute_TA(spec.design, missing), 1)]
+                count += 1
+        monkeypatch.undo()
+        assert count == sum(comb(p.n, size) for size in range(p.k, p.n + 1))
+    assert count == 1941
+
+
+def test_a_flip_in_a_used_row_of_an_n_minus_1_read_is_caught(
+        golden_spec, complete9_spec, t3_spec, s15_spec):
+    """With one disk missing no group is heavy, so all T long-layer
+    checks are spare: on every reference code, for every missing disk,
+    a symbol flipped in any used row of any group (plan's rows used)
+    raises CorruptionError."""
+    for spec in (golden_spec, complete9_spec, t3_spec, s15_spec):
+        p, q = spec.params, spec.field.q
+        full = encode(spec, _msg(spec, 14))
+        flips = 0
+        for gone in range(1, p.n + 1):
+            shares = full.without(gone)
+            used = {(j, i) for j, rows, _ in plan(spec, shares.disks())
+                    for i in rows}
+            for share in shares:
+                for pos, (j, i, v) in enumerate(share.symbols):
+                    if (j, i) not in used:
+                        continue
+                    flipped = DiskShare(disk=share.disk, symbols=(
+                        share.symbols[:pos] + ((j, i, (v + 1) % q),)
+                        + share.symbols[pos + 1:]))
+                    with pytest.raises(CorruptionError):
+                        reconstruct(spec, shares.replace(flipped))
+                    flips += 1
+        # each of the N groups uses m held rows
+        assert flips == p.n * p.nstar * p.m
 
 
 def test_a_warm_read_plans_nothing_multiplies_nothing_and_solves_once(

@@ -21,13 +21,15 @@ from rgc.construction import (BudgetExceededError, CodeSpec, SynthesisError,
                               build_layout, choose_phi, closed_form_Tc,
                               compute_T, compute_TA, derive_params,
                               _vandermonde_parity, erasure_system,
-                              group_decoder, parity_block, plan,
+                              group_decoder, plan,
                               rank_witness, short_mds_generator,
                               synthesize_S, verify_S)
 from rgc.designs import (CATALOG, S_2_4_13, BlockDesign, gen_complete_design,
                          gen_steiner_triple)
 from rgc.ffield import PrimeField, next_prime
 from rgc._kernel import annihilator, echelon_add, mat_mul, mat_rank
+
+from conftest import parity_block
 
 SPECS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "specs"
 

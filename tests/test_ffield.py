@@ -106,6 +106,77 @@ def test_solve_agrees_with_rank_on_rectangular_systems(q, rows, cols,
         assert mat_mul(a, rows, cols, x, cols, bcols, q) == b
 
 
+def _gauss_jordan_solve(a, rows, cols, b, bcols, q):
+    """mat_solve's reference: first-nonzero pivots scaled to 1, each
+    column cleared above and below its pivot, so the pivot rows' right
+    sides are x's pivot rows and the free variables are 0."""
+    m = [list(a[i * cols:(i + 1) * cols]) + list(b[i * bcols:(i + 1) * bcols])
+         for i in range(rows)]
+    pivots = []
+    for c in range(cols):
+        rank = len(pivots)
+        piv = next((i for i in range(rank, rows) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        inv = pow(m[rank][c], -1, q)
+        m[rank] = prow = [x * inv % q for x in m[rank]]
+        for i in range(rows):
+            f = m[i][c]
+            if f and i != rank:
+                m[i] = [(x - f * y) % q for x, y in zip(m[i], prow)]
+        pivots.append(c)
+    rank = len(pivots)
+    if any(any(row[cols:]) for row in m[rank:]):
+        return rank, None
+    x = [0] * (cols * bcols)
+    for row, c in zip(m, pivots):
+        x[c * bcols:(c + 1) * bcols] = row[cols:]
+    return rank, x
+
+
+def test_solve_matches_gauss_jordan_on_seeded_systems():
+    """On 20,000 seeded systems over GF(2), GF(3), GF(5), GF(31) and
+    GF(40577), with 0..7 rows and columns and 1..3 right-hand-side
+    columns, mat_solve's (rank, x) is the Gauss-Jordan reference's, None
+    included.  A quarter of the matrices repeat a row (scaled), a
+    quarter are thin products, so many are rank-deficient; a third of
+    the right-hand sides are consistent, a third are consistent but for
+    one entry, and the rest are random."""
+    rng = random.Random(20261020)
+    seen = {"deficient": 0, "inconsistent": 0, "solved": 0}
+    for q in (2, 3, 5, 31, 40577):
+        for _ in range(4000):
+            rows, cols, bcols = (rng.randint(0, 7), rng.randint(0, 7),
+                                 rng.randint(1, 3))
+            a = _random_flat(rng, rows, cols, q)
+            kind = rng.randrange(4)
+            if kind == 0 and rows > 1:      # a repeated, scaled row
+                src, dst = rng.sample(range(rows), 2)
+                f = rng.randrange(q)
+                a[dst * cols:(dst + 1) * cols] = [
+                    f * v % q for v in a[src * cols:(src + 1) * cols]]
+            elif kind == 1 and rows and cols:   # a thin product
+                inner = rng.randint(1, min(rows, cols))
+                a = mat_mul(_random_flat(rng, rows, inner, q), rows, inner,
+                            _random_flat(rng, inner, cols, q), inner, cols,
+                            q)
+            b = _random_flat(rng, rows, bcols, q)
+            if rng.randrange(3) and rows:
+                b = mat_mul(a, rows, cols, _random_flat(rng, cols, bcols, q),
+                            cols, bcols, q) if cols else [0] * len(b)
+                if rng.randrange(2):
+                    at = rng.randrange(len(b))
+                    b[at] = (b[at] + rng.randrange(1, q)) % q
+            want = _gauss_jordan_solve(a, rows, cols, b, bcols, q)
+            assert mat_solve(a, rows, cols, b, bcols, q) == want
+            rank, x = want
+            seen["deficient"] += rank < min(rows, cols)
+            seen["inconsistent" if x is None else "solved"] += 1
+    assert sum(seen.values()) - seen["deficient"] == 20000
+    assert min(seen.values()) > 3000, seen
+
+
 @given(st.sampled_from([2, 3, 13]), st.integers(1, 8), st.integers(1, 6),
        st.integers(0, 10 ** 6))
 @settings(max_examples=120, deadline=None)

@@ -60,8 +60,12 @@ def test_fail_repair_read_cycle(golden_spec):
     assert ev["ok"] and ev["durable"]
     ev = cluster.repair(4)
     assert ev["ok"] and ev["transferred"] == 8 and ev["exact"]
-    ev = cluster.read([1, 2, 3, 4, 5, 6, 7])
-    assert ev["ok"] and ev["message"] == list(_msg(golden_spec).values)
+    for disks in ([1, 2, 3, 4, 5, 6, 7], [1, 2, 3, 4, 6, 7, 8, 9],
+                  list(range(1, 10))):     # k or more disks
+        ev = cluster.read(disks)
+        assert ev["ok"] and ev["message"] == list(_msg(golden_spec).values)
+    ev = cluster.read([1, 2, 3, 4, 5, 6])
+    assert ev["error"] == "read needs at least k = 7 disks, got 6"
     assert cluster.intact() and cluster.ledger_balanced()
 
 
