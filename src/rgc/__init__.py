@@ -27,12 +27,12 @@ _EXPORTS = {
         "gen_complete_design", "is_complete_design", "closed_form_Tc",
         "verify_design", "load_design", "save_design"),
     "ffield": ("PrimeField", "next_prime"),
+    "codespec": ("CodeParams", "CodeSpec", "Layout"),
     "construction": (
-        "CodeParams", "CodeSpec", "Layout", "BuildResult", "VerifyReport",
-        "BudgetExceededError", "SynthesisError", "WitnessError",
-        "build_code", "build_explicit_steiner_code", "derive_params",
-        "compute_T", "compute_TA", "synthesize_S", "verify_S",
-        "rank_witness"),
+        "BuildResult", "VerifyReport", "BudgetExceededError",
+        "SynthesisError", "WitnessError", "build_code",
+        "build_explicit_steiner_code", "derive_params", "compute_T",
+        "compute_TA", "synthesize_S", "verify_S", "rank_witness"),
     "codec": (
         "MessageVector", "DiskShare", "ShareSet", "RepairTranscript",
         "ShareFormatError", "CorruptionError", "encode", "repair",
@@ -69,6 +69,7 @@ def _lazy(name):
 _kernel = _lazy("_kernel")
 ffield = _lazy("ffield")
 designs = _lazy("designs")
+codespec = _lazy("codespec")
 construction = _lazy("construction")
 codec = _lazy("codec")
 analysis = _lazy("analysis")

@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import comb
 
 from . import construction
-from ._record import record
+from ._record import record, require_int
 from .designs import BlockDesign, is_complete_design
 
 
@@ -306,12 +306,18 @@ def _log_ratio(x: Fraction, n: int) -> float:
             / math.log(n))
 
 
+def _validate_taus(n: int, tau1: int, tau2: int) -> None:
+    for what, v in (("n", n), ("tau1", tau1), ("tau2", tau2)):
+        require_int(what, v)
+    if not tau1 >= tau2 >= 1:
+        raise ValueError(f"need tau1 >= tau2 >= 1, got ({tau1},{tau2})")
+
+
 def exponent_point(n: int, tau1: int, tau2: int,
                    epsilon) -> ExponentPoint:
     """Complete-design point with r = ceil(n^epsilon), k = n - tau1,
     d = n - tau2, reported as log-scale exponents."""
-    if not tau1 >= tau2 >= 1:
-        raise ValueError(f"need tau1 >= tau2 >= 1, got ({tau1},{tau2})")
+    _validate_taus(n, tau1, tau2)
     eps = Fraction(epsilon)
     if not 0 < eps < 1:
         raise ValueError(f"epsilon = {eps} outside (0, 1)")
@@ -351,8 +357,7 @@ def check_realized_bounds(n: int, tau1: int, tau2: int,
     """Achievability inequalities evaluated at the realized operating
     point, i.e. with the exponent log_n(r) the built code actually has.
     Everything is rational, so the check is exact."""
-    if not tau1 >= tau2 >= 1:
-        raise ValueError(f"need tau1 >= tau2 >= 1, got ({tau1},{tau2})")
+    _validate_taus(n, tau1, tau2)
     k, d = n - tau1, n - tau2
     if r <= tau2:
         raise ValueError(f"r = {r} must exceed tau2 = {tau2}")
@@ -375,8 +380,7 @@ def check_nominal_bounds(n: int, tau1: int, tau2: int,
     first by comparing integer powers, the second by decimal brackets
     around n^eps, on which its left side is monotone.
     """
-    if not tau1 >= tau2 >= 1:
-        raise ValueError(f"need tau1 >= tau2 >= 1, got ({tau1},{tau2})")
+    _validate_taus(n, tau1, tau2)
     eps = Fraction(epsilon)
     if not 0 < eps < 1:
         raise ValueError(f"epsilon = {eps} outside (0, 1)")

@@ -16,7 +16,7 @@ import json
 import os
 import sys
 
-from . import analysis, codec, construction, designs, storesim
+from . import analysis, codec, codespec, construction, designs, storesim
 
 
 def _write_text(text: str, out: str | None) -> None:
@@ -27,7 +27,7 @@ def _write_text(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _load_message(spec: construction.CodeSpec,
+def _load_message(spec: codespec.CodeSpec,
                   path: str) -> codec.MessageVector:
     with open(path, "r", encoding="utf-8") as fh:
         return codec.MessageVector.from_text(spec.field.q, fh.read())
@@ -100,7 +100,7 @@ def _cmd_code_build(args) -> int:
 
 
 def _cmd_code_inspect(args) -> int:
-    spec = construction.CodeSpec.load(args.spec)
+    spec = codespec.CodeSpec.load(args.spec)
     p = spec.params
     point = analysis.realized_point(p)
     cut = analysis.cutset_max_M(p.n, p.k, p.d, point.alpha_bar)
@@ -123,7 +123,7 @@ def _cmd_code_inspect(args) -> int:
 
 
 def _cmd_code_verify(args) -> int:
-    spec = construction.CodeSpec.load(args.spec)
+    spec = codespec.CodeSpec.load(args.spec)
     report = construction.verify_S(spec, sample=args.sample, seed=args.seed)
     scope = "sampled" if report.sampled else "all"
     if not report.ok:
@@ -138,7 +138,7 @@ def _cmd_code_verify(args) -> int:
 
 
 def _cmd_encode(args) -> int:
-    spec = construction.CodeSpec.load(args.spec)
+    spec = codespec.CodeSpec.load(args.spec)
     msg = _load_message(spec, args.message)
     shares = codec.encode(spec, msg)
     os.makedirs(args.out_dir, exist_ok=True)
@@ -150,7 +150,7 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_repair(args) -> int:
-    spec = construction.CodeSpec.load(args.spec)
+    spec = codespec.CodeSpec.load(args.spec)
     # codec.repair decides which helper sets suffice
     paths = [_share_path(args.shares, disk)
              for disk in range(1, spec.params.n + 1) if disk != args.failed]
@@ -176,7 +176,7 @@ def _cmd_repair(args) -> int:
 
 
 def _cmd_reconstruct(args) -> int:
-    spec = construction.CodeSpec.load(args.spec)
+    spec = codespec.CodeSpec.load(args.spec)
     disks = _parse_int_list(args.disks)
     shares = [codec.read_share(spec, _share_path(args.shares, disk))
               for disk in disks]
@@ -239,7 +239,7 @@ def _cmd_analyze_compare(args) -> int:
 
 
 def _cmd_sim_run(args) -> int:
-    spec = construction.CodeSpec.load(args.spec)
+    spec = codespec.CodeSpec.load(args.spec)
     msg = _load_message(spec, args.message)
     scenario = designs.load_json_file(args.scenario, "scenario",
                                       storesim.Scenario.from_json)
@@ -249,7 +249,7 @@ def _cmd_sim_run(args) -> int:
 
 
 def _cmd_sim_soak(args) -> int:
-    spec = construction.CodeSpec.load(args.spec)
+    spec = codespec.CodeSpec.load(args.spec)
     msg = _load_message(spec, args.message)
     report = storesim.random_failure_soak(spec, msg, args.steps,
                                           seed=args.seed)

@@ -9,28 +9,28 @@ per position (CodeSpec.packed_checks), so encode's T parity symbols and
 reconstruct's T right-hand sides are each one sum of products, read
 lane by lane.  The short code is systematic, so a group's rows 0..m-1
 are its long-layer column, copied, and only its parity rows m..r-1 take
-a product, one for all groups.  Reads and repairs use each group's
-lowest m = r-t+1 held rows and keep the rest as surplus.  The group's
-row map (construction.group_decoder, kept per spec and row tuple) gives
-every row of the group as one fixed combination of the used rows, the
-free symbols 0 when it uses fewer than m, and their kernel basis.
-Repair follows the plan of its helpers (construction.plan): it copies
-the used rows of each affected group from any d = n-t+1 other disks, or
-any helpers holding m rows of each, and reads the surplus only to
-cross-check: each lost or checked symbol is its row of the map applied
-to the used rows.  A repair plan (_repair_plan) holds these rows, the
-gathers of the sent symbols from the helpers' shares and the error
-texts; it is made once per (failed disk, helper set) and kept in
-spec.repair_plans, so a repair with a known plan is gathers and one
-m-term sum per symbol.  A read works by position: each held share is
-scattered into encode's flat r x N array, rows 0..m-1 of every group
-are copied as its column, and only a group on a missing disk that lost
-one of those rows computes them, each from its map.  One T x T(A)
-solve on the heavy groups' kernels (groups using fewer than m rows)
-then gives the kernel coefficients; its rank decides decodability.
-Each of its columns is one lane sum of a kernel column with the
-group's packed checks.  A read takes k or more shares: every share
-beyond k shrinks the missing set, and with it the heavy groups.
+a product, one for all groups.  Only the spec is needed (codespec), not
+construction's verifier.  Reads and repairs use each group's lowest
+m = r-t+1 held rows and keep the rest as surplus (codespec.split_rows).
+The group's row map (codespec.group_decoder, kept per spec and row
+tuple) gives every row of the group as one fixed combination of the
+used rows, the free symbols 0 when it uses fewer than m, and their
+kernel basis.  Repair copies the used rows of each affected group from
+any d = n-t+1 other disks, or any helpers holding m rows of each, and
+reads the surplus only to cross-check: each lost or checked symbol is
+its row of the map applied to the used rows.  A repair plan
+(_repair_plan) holds these rows, the gathers of the sent symbols from
+the helpers' shares and the error texts; it is made once per (failed
+disk, helper set) and kept in spec.repair_plans, so a repair with a
+known plan is gathers and one m-term sum per symbol.  A read works by
+position: each held share is scattered into encode's flat r x N array,
+rows 0..m-1 of every group are copied as its column, and only a group
+on a missing disk that lost one of those rows computes them, each from
+its map.  One T x T(A) solve on the heavy groups' kernels (groups using
+fewer than m rows) then gives the kernel coefficients; its rank decides
+decodability.  Each of its columns is one lane sum of a kernel column
+with the group's packed checks.  A read takes k or more shares: every
+share beyond k shrinks the missing set, and with it the heavy groups.
 A share file is written and read through its disk's template: the
 header, the record prefixes and one struct of all the records, made
 once per spec and disk; the template also holds the positions of the
@@ -61,7 +61,7 @@ from operator import itemgetter, mul
 from ._kernel import mat_mul as _kmul
 from ._kernel import mat_solve as _ksolve
 from ._record import record, require_int
-from .construction import CodeSpec, group_decoder, plan
+from .codespec import CodeSpec, group_decoder, split_rows
 
 _setattr = object.__setattr__
 _MAGIC = b"RGC1"
@@ -86,6 +86,7 @@ class MessageVector:
     values: tuple[int, ...]
 
     def __post_init__(self):
+        require_int("modulus", self.q)
         if self.q < 2:
             raise ValueError("modulus must be at least 2")
         values = self.values
@@ -354,7 +355,7 @@ def _gather(at):
 def _repair_plan(spec: CodeSpec, failed: int, pool) -> tuple:
     """(error, helpers, checks, lost): what repairing disk failed from
     the disks of pool takes, worked out once per (failed, helper set)
-    from plan and the row maps of group_decoder (spec.repair_plans).
+    from split_rows and the row maps of group_decoder (spec.repair_plans).
 
     error is the ValueError text of the first affected group left with
     fewer than m held rows, or None.  helpers lists each disk of pool in
@@ -363,7 +364,7 @@ def _repair_plan(spec: CodeSpec, failed: int, pool) -> tuple:
     and those it sends to check.  checks has one (position among the
     checked values, gather of the group's m used values from the copied
     values, the row taking them to the checked symbol, the group's
-    CorruptionError text) per surplus row, in plan order.  lost has one
+    CorruptionError text) per surplus row, in group order.  lost has one
     (gather of the used values, the row taking them to the lost symbol)
     per affected group, in the failed disk's slot order.  The row of row
     i is row i of the group's row map for its used rows, so a plan does
@@ -371,7 +372,9 @@ def _repair_plan(spec: CodeSpec, failed: int, pool) -> tuple:
     """
     m, blocks = spec.params.m, spec.layout.groups
     affected, rows = spec.layout.disk_columns(failed)  # its groups, rows
-    steps = plan(spec, pool, affected)
+    masks = spec.layout.lost_rows(
+        x for x in range(1, spec.params.n + 1) if x not in pool)
+    steps = [(j, *split_rows(spec, masks[j])) for j in affected]
     for j, used, _ in steps:
         if len(used) < m:
             absent = [disk for disk in blocks[j]
@@ -498,7 +501,7 @@ def reconstruct(spec: CodeSpec, shares) -> MessageVector:
         if h & (1 << m) - 1:        # lost a row of its column
             step = steps.get(h)
             if step is None:
-                used = tuple(i for i in range(p.r) if not h >> i & 1)[:m]
+                used, _ = split_rows(spec, h)
                 rowmap, kernel = group_decoder(spec, used)
                 step = steps[h] = ([i * N for i in used], kernel, [
                     (c, rowmap[c]) for c in range(m) if h >> c & 1])

@@ -19,7 +19,7 @@ import random
 from ._record import record, require_int
 from .codec import (CorruptionError, MessageVector, ShareFormatError,
                     ShareSet, encode, reconstruct, repair)
-from .construction import CodeSpec
+from .codespec import CodeSpec
 
 PREDICATES = ("durable", "intact", "ledger_balanced")
 

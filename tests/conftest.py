@@ -5,8 +5,8 @@ import random
 
 import pytest
 
-from rgc.construction import (CodeSpec, build_code, build_layout,
-                              derive_params, verify_S)
+from rgc.codespec import CodeSpec, build_layout
+from rgc.construction import build_code, derive_params, verify_S
 from rgc.designs import gen_complete_design, gen_steiner_triple
 from rgc.ffield import PrimeField
 
@@ -58,6 +58,28 @@ def parity_block(spec, j, kernel):
                 acc = [x + k * y for x, y in zip(acc, pcols[c])]
         out.append(tuple(x % q for x in acc))
     return out
+
+
+def plan(spec, disks, groups=None) -> list[tuple]:
+    """(j, used, surplus) for each group j of `groups` (all, by default)
+    when the disks `disks` are held: used is the group's lowest m held
+    rows and surplus the held rows beyond them, as row tuples.  A group
+    using fewer than m rows is heavy; group_decoder gives its kernel.
+
+    Only the groups on disks not held are worked out, from their lost-row
+    masks (Layout.lost_rows); every other group shares the one split
+    (rows 0..m-1, rows m..r-1).  Tests use it as the reference for
+    codespec.split_rows, which every caller in the library goes through.
+    """
+    p = spec.params
+    lost = spec.layout.lost_rows(x for x in range(1, p.n + 1)
+                                 if x not in disks)
+    splits = {}     # lost-row mask -> (used, surplus)
+    for h in {0, *lost.values()}:
+        held = tuple(i for i in range(p.r) if not h >> i & 1)
+        splits[h] = held[:p.m], held[p.m:]
+    return [(j, *splits[lost.get(j, 0)])
+            for j in (range(p.nstar) if groups is None else groups)]
 
 
 def _criterion_number(nodeid: str) -> int | None:

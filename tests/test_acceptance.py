@@ -14,9 +14,10 @@ from rgc.analysis import (check_nominal_bounds, check_realized_bounds,
                           cutset_max_M, exponent_point, msr_mbr_points,
                           realized_point, sweep_tradeoff)
 from rgc.codec import MessageVector, encode, reconstruct, repair
-from rgc.construction import (CodeSpec, build_layout, closed_form_Tc,
-                              erasure_deficits, erasure_system,
-                              rank_witness, synthesize_S, verify_S)
+from rgc.codespec import CodeSpec, build_layout
+from rgc.construction import (closed_form_Tc, erasure_deficits,
+                              erasure_system, rank_witness, synthesize_S,
+                              verify_S)
 from rgc.designs import gen_complete_design, gen_steiner_triple
 from rgc.ffield import PrimeField, next_prime
 from rgc.storesim import random_failure_soak

@@ -197,6 +197,27 @@ def test_exponent_point_validation():
         exponent_point(8, 7, 7, F(1, 2))      # k would vanish
 
 
+def test_exponent_arguments_are_ints():
+    """n, tau1 and tau2 are exactly ints at all three exponent entry
+    points: a bool or a float is refused by name, not written out as
+    true or met as an AttributeError."""
+    cases = (((64, True, True), "tau1 True is a bool"),
+             ((64.0, 2, 1), "n 64.0 is a float"),
+             ((64, 2, 1.0), "tau2 1.0 is a float"))
+    for fn, last in ((exponent_point, F(1, 2)),
+                     (check_nominal_bounds, F(1, 2)),
+                     (check_realized_bounds, 8)):
+        for args, want in cases:
+            with pytest.raises(ValueError) as err:
+                fn(*args, last)
+            assert str(err.value) == f"{want}, not an int"
+        with pytest.raises(ValueError, match="need tau1 >= tau2 >= 1"):
+            fn(64, 1, 2, last)
+    point = exponent_point(64, 1, 1, F(1, 2))
+    assert exponent_json([(point, exponent_region_membership(
+        point.Er, point.Ed))])[0]["tau1"] == 1
+
+
 def test_realized_bound_pair_meets_at_matched_taus():
     for n in (50, 100, 200):
         r = ceil_rational_power(n, F(1, 2))

@@ -12,7 +12,8 @@ from rgc.analysis import sweep_tradeoff, tradeoff_csv
 from rgc.cli import cli_dispatch
 from rgc.codec import (DiskShare, MessageVector, encode, read_share,
                        write_share)
-from rgc.construction import CodeSpec, build_code
+from rgc.codespec import CodeSpec
+from rgc.construction import build_code
 from rgc.designs import BlockDesign, gen_steiner_triple
 from rgc.storesim import (Cluster, Scenario, ScenarioEvent,
                           random_failure_soak, run_scenario)
@@ -443,6 +444,45 @@ def _scenario_error(text):
     raise AssertionError(f"scenario accepted: {text}")
 
 
+# The first 16 hex digits of the SHA-256 of each of the 92 outcomes of
+# test_cli_and_simulator_outcomes_pinned, in its order: the CLI runs,
+# the files they wrote, the scripted, direct and random simulations and
+# the malformed-scenario errors.
+_OUTCOME_DIGESTS = (
+    "5d432ac38fde6635", "1ae9146f0b79e0ff", "0f9bdbe0c58ef77d",
+    "1ae9146f0b79e0ff", "1ae9146f0b79e0ff", "bb409f7be29ddb39",
+    "caf36839a4dea5e1", "caf36839a4dea5e1", "caf36839a4dea5e1",
+    "caf36839a4dea5e1", "3d676dce83adba4e", "b337de98feab509e",
+    "0c30f3009fbd7f08", "31b424423ef1de3d", "caf36839a4dea5e1",
+    "634f6b08bbc70045", "b2db1d62160cd9e3", "634501c8611a7277",
+    "d4f77bf65d71a126", "caf36839a4dea5e1", "dbaafa303b6506ca",
+    "745dd3a59ace3144", "3616fd939a1705cc", "ac2e723a54d282ae",
+    "a89ccbdad82f4645", "79d7518fdd49d7a8", "caf36839a4dea5e1",
+    "bbaf757c98071655", "81579fa3f6719831", "3b6dbd7c3a0d5ad1",
+    "60d9ff73a242d7b1", "c2295659d2e5d4c6", "b1a607ec8fa9861a",
+    "655da789191aae61", "caf36839a4dea5e1", "05ae68447083005b",
+    "1ae9146f0b79e0ff", "7c0604d30b5497cd", "904c5b9022ea83b4",
+    "4e6bb8a93301ad66", "d70d0eb249702ce6", "e089b3f2c5f64515",
+    "caf36839a4dea5e1", "b265a431bcfc6dfa", "00bd8d3187bce904",
+    "f3ef672c3ef9a547", "f9a5aa590c40bab8", "caf36839a4dea5e1",
+    "34ad7ca261c99595", "8f3a864ada890c93", "e852ae858b214766",
+    "5e792c55ed4d9c46", "736d3fd3aad4ab61", "c5b5ed816fdc1feb",
+    "eea64aa8ee1d5ae0", "39f2f224df97e3bf", "caf36839a4dea5e1",
+    "caf36839a4dea5e1", "caf36839a4dea5e1", "1aa3547047d3008f",
+    "d40a0476233b2dd7", "6c327a8dfa3a3dc1", "3f916b94f3d6817d",
+    "29a5631638a84d72", "44d9d7eb06f7135d", "f34d3c0cafa962b1",
+    "67dcf84bf2b777a1", "933c2670cae673c4", "c8c1a5776f0bf9c1",
+    "c7050eca52ea5943", "bef5c04e4a7f9d1f", "da2de5310487904e",
+    "a7ec3245415f1a74", "bd4bc6b68bc15b2d", "253d40db6447678e",
+    "f1974384ebe4ead2", "5e05e698f86d95dd", "5e05e698f86d95dd",
+    "5e05e698f86d95dd", "b486e70562ed31e7", "12486440346e62c1",
+    "cfed36b1815da094", "a590d817be2909b2", "2e9c8cd6693b9e0f",
+    "2e9c8cd6693b9e0f", "f1e23ff383366f02", "d08d7edfdbfb6663",
+    "d08d7edfdbfb6663", "d08d7edfdbfb6663", "d08d7edfdbfb6663",
+    "cf3916d299a62196", "b0e3f7ca1851ea28",
+)
+
+
 def test_cli_and_simulator_outcomes_pinned(capsys, tmp_path, golden_spec,
                                            t3_spec, failing_c9_spec):
     """Every subcommand, its domain errors and usage errors; scripted
@@ -614,7 +654,6 @@ def test_cli_and_simulator_outcomes_pinned(capsys, tmp_path, golden_spec,
         '{"events": [{"read": 5}]}', '{"events": [{"read": [1, "2"]}]}',
         '{"events": [{"read": [true]}]}', '{"events": [{"read": null}]}',
         '{"events": [{"assert": "happy"}]}', '{"events": [{"assert": 3}]}')]
-    blob = "\n\x00".join(outcomes).encode("utf-8")
-    assert hashlib.sha256(blob).hexdigest() == (
-        "96a47a5b3c5ebb8f0216e2726203a8b3"
-        "85544d19c6d2777abb8a249a98bdbc09")
+    # one digest per outcome, so a failure names the index that moved
+    assert tuple(hashlib.sha256(outcome.encode("utf-8")).hexdigest()[:16]
+                 for outcome in outcomes) == _OUTCOME_DIGESTS

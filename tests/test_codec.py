@@ -18,12 +18,12 @@ from rgc.codec import (CorruptionError, DiskShare, MessageVector,
                        ShareFormatError, ShareSet, check_share, encode,
                        read_share, reconstruct, repair, share_from_bytes,
                        share_to_bytes, symbol_width, write_share)
-from rgc.construction import (CodeSpec, _pack_lanes, build_code,
-                              compute_TA, group_decoder, plan, verify_S)
+from rgc.codespec import CodeSpec, _pack_lanes, group_decoder, split_rows
+from rgc.construction import build_code, compute_TA, verify_S
 from rgc.designs import gen_complete_design, gen_steiner_triple
 from rgc.ffield import PrimeField, next_prime
 
-from conftest import parity_block
+from conftest import parity_block, plan
 
 
 def _msg(spec, seed):
@@ -38,6 +38,18 @@ def test_message_text_round_trip():
         MessageVector.from_text(7, "1 2 x")
     with pytest.raises(ValueError):
         MessageVector(7, (7,))
+
+
+def test_message_modulus_is_an_int():
+    """A message's modulus is exactly an int: a float, str, bool or None
+    is refused with a ValueError naming it, not kept as a modulus or
+    left to a bare TypeError."""
+    for q in (7.5, "7", True, None):
+        for values in ((1, 2), ()):
+            with pytest.raises(ValueError) as err:
+                MessageVector(q, values)
+            assert str(err.value) == (f"modulus {q!r} is a "
+                                      f"{type(q).__name__}, not an int")
 
 
 def test_share_set_semantics(golden_spec):
@@ -477,6 +489,22 @@ def _count_solves(monkeypatch):
                    lambda a, rows, cols, b, bcols, q: (rows, cols, bcols))
 
 
+def test_split_rows_is_the_reference_split(golden_spec, complete9_spec,
+                                           t3_spec, s15_spec):
+    """split_rows(spec, h) is the reference plan's (used, surplus) of a
+    group whose disks at the rows set in h are not held, for every
+    group and every lost-row mask 0..2^r-1 of the four codes."""
+    for spec in (golden_spec, complete9_spec, t3_spec, s15_spec):
+        p = spec.params
+        every = set(range(1, p.n + 1))
+        for j, block in enumerate(spec.layout.groups):
+            for h in range(1 << p.r):
+                held = every - {block[i] for i in range(p.r) if h >> i & 1}
+                assert plan(spec, held, [j]) == [(j, *split_rows(spec, h))]
+        assert split_rows(spec, 0) == (tuple(range(p.m)),
+                                       tuple(range(p.m, p.r)))
+
+
 def test_group_decoder_inverts_each_row_tuple_once(complete9_spec,
                                                    monkeypatch):
     """Once each held-row tuple is inverted, a read makes one solve (the
@@ -585,9 +613,8 @@ def test_a_flip_in_a_used_row_of_an_n_minus_1_read_is_caught(
 def test_a_warm_read_plans_nothing_multiplies_nothing_and_solves_once(
         golden_spec, complete9_spec, t3_spec, s15_spec, monkeypatch):
     """Once the held-row tuples of its lost groups are inverted, a read
-    of any k-set calls no plan and no mat_mul, and exactly one
-    mat_solve: the T x T(A) system."""
-    from rgc import construction
+    of any k-set calls no mat_mul and exactly one mat_solve: the
+    T x T(A) system."""
     for spec in (golden_spec, complete9_spec, t3_spec, s15_spec):
         p = spec.params
         msg = _msg(spec, 12)
@@ -596,14 +623,13 @@ def test_a_warm_read_plans_nothing_multiplies_nothing_and_solves_once(
             itertools.combinations(shares.disks(), p.k), 400)]
         for held in reads:
             reconstruct(spec, held)
-        plans = _spy_on(monkeypatch, construction.plan, lambda *a: a)
         muls = _spy_on(monkeypatch, _kernel.mat_mul, lambda *a: a)
         solves = _count_solves(monkeypatch)
         for held in reads:
             solves.clear()
             assert reconstruct(spec, held) == msg
             assert len(solves) == 1 and solves[0][2] == 1
-        assert (plans, muls) == ([], [])
+        assert muls == []
         monkeypatch.undo()
 
 
@@ -1323,10 +1349,10 @@ def test_packed_checks_are_lazy_and_outside_identity(
     reconstruct, from parity_columns; the table is not part of the
     spec: equality, hash, JSON and the reference spec pins do not see
     it."""
-    from rgc import construction
+    from rgc import codespec
     made = []
-    real = construction._pack_lanes
-    monkeypatch.setattr(construction, "_pack_lanes",
+    real = codespec._pack_lanes
+    monkeypatch.setattr(codespec, "_pack_lanes",
                         lambda *args: made.append(args) or real(*args))
     for reference, pin in zip((golden_spec, complete9_spec, t3_spec,
                                s15_spec), _SPEC_PINS):

@@ -15,21 +15,21 @@ from hypothesis import strategies as st
 from rgc import construction, designs
 from rgc.codec import (CorruptionError, MessageVector, encode, reconstruct,
                        repair)
-from rgc.construction import (BudgetExceededError, CodeSpec, SynthesisError,
+from rgc.codespec import (CodeSpec, build_layout, group_decoder,
+                          short_mds_generator)
+from rgc.construction import (BudgetExceededError, SynthesisError,
                               WitnessError, build_code,
-                              build_explicit_steiner_code,
-                              build_layout, choose_phi, closed_form_Tc,
-                              compute_T, compute_TA, derive_params,
-                              _vandermonde_parity, erasure_system,
-                              group_decoder, plan,
-                              rank_witness, short_mds_generator,
-                              synthesize_S, verify_S)
+                              build_explicit_steiner_code, choose_phi,
+                              closed_form_Tc, compute_T, compute_TA,
+                              derive_params, _vandermonde_parity,
+                              erasure_system, rank_witness, synthesize_S,
+                              verify_S)
 from rgc.designs import (CATALOG, S_2_4_13, BlockDesign, gen_complete_design,
                          gen_steiner_triple)
 from rgc.ffield import PrimeField, next_prime
 from rgc._kernel import annihilator, echelon_add, mat_mul, mat_rank
 
-from conftest import parity_block
+from conftest import parity_block, plan
 
 SPECS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "specs"
 
@@ -986,6 +986,18 @@ def test_witness_generalizes_to_deeper_overlap(t3_spec):
         assert _dense_decodable(_with_s(t3_spec, witness), a)
 
 
+def test_witness_stacks_heavy_groups_in_ascending_order(s15_spec):
+    """The witness greedy stacks the heavy groups' kernels in ascending
+    group order, whichever erased disk each group is found through.  On
+    S(2,3,15) with four disks erased, heavy groups sit on different
+    disks, and a digest pins all 1,365 witnesses."""
+    witnesses = [rank_witness(s15_spec, a)
+                 for a in itertools.combinations(range(1, 16), 4)]
+    assert hashlib.sha256(repr(witnesses).encode()).hexdigest() == (
+        "3e4b39d2434d8c7a5cb2fd6003f6a9ad"
+        "3c552e2456914231c01145d341e9edce")
+
+
 def test_witness_is_zero_one_and_decodes_on_small_fields():
     """Witness rows are zero or unit vectors and reach full dense rank on
     every erasure set, also over fields where random S often fails."""
@@ -1008,9 +1020,8 @@ def test_witness_self_check_rejects_a_wrong_structure(golden_spec,
     # of the golden code survives; the dense self-check must say so
     p = golden_spec.params
     whole = tuple(range(p.m)), tuple(range(p.m, p.r))
-    monkeypatch.setattr(construction, "plan",
-                        lambda spec, disks, groups=None:
-                        [(j, *whole) for j in range(p.nstar)])
+    monkeypatch.setattr(construction, "split_rows",
+                        lambda spec, lost_mask: whole)
     with pytest.raises(WitnessError):
         rank_witness(golden_spec, (1, 2))
 

@@ -25,8 +25,8 @@ SRC = pathlib.Path(rgc.__file__).parent
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SPANS = ROOT / "perfbench" / "spans.py"
 WORKLOADS = ROOT / "perfbench" / "workloads.py"
-SUBMODULES = ("_kernel", "ffield", "designs", "construction", "codec",
-              "analysis", "storesim")
+SUBMODULES = ("_kernel", "ffield", "designs", "codespec", "construction",
+              "codec", "analysis", "storesim")
 
 
 def test_every_exported_name_resolves():
@@ -155,18 +155,22 @@ def walk_dir(tmp_path_factory):
                  None, {"codec", "storesim", "analysis"}, set(),
                  id="code-build"),
     pytest.param(["code", "inspect", "--spec", "{w}/code.json"],
-                 None, {"codec", "storesim"}, _FRACTIONS, id="code-inspect"),
+                 None, {"construction", "codec", "storesim"}, _FRACTIONS,
+                 id="code-inspect"),
     pytest.param(["encode", "--spec", "{w}/code.json", "--message",
                   "{w}/msg.txt", "--out-dir", "{w}/encoded"],
-                 None, {"analysis", "storesim"}, set(), id="encode"),
+                 None, {"construction", "analysis", "storesim"}, set(),
+                 id="encode"),
     pytest.param(["repair", "--spec", "{w}/code.json", "--failed", "4",
                   "--shares", "{w}/shares", "--out", "{w}/rebuilt.share",
                   "--transcript", "{w}/t.json"],
-                 None, {"analysis", "storesim"}, set(), id="repair"),
+                 None, {"construction", "analysis", "storesim"}, set(),
+                 id="repair"),
     pytest.param(["reconstruct", "--spec", "{w}/code.json", "--shares",
                   "{w}/shares", "--disks", "1,2,3,4,5,6,7", "--out",
                   os.devnull],
-                 None, {"analysis", "storesim"}, set(), id="reconstruct"),
+                 None, {"construction", "analysis", "storesim"}, set(),
+                 id="reconstruct"),
     pytest.param(["analyze", "tradeoff", "--n", "9", "--k", "7", "--d", "8"],
                  None, {"construction", "codec"}, _FRACTIONS,
                  id="analyze-tradeoff"),
@@ -184,7 +188,7 @@ def walk_dir(tmp_path_factory):
                  id="analyze-compare"),
     pytest.param(["sim", "soak", "--spec", "{w}/code.json", "--message",
                   "{w}/msg.txt", "--steps", "20", "--seed", "3"],
-                 None, {"analysis"}, set(), id="sim-soak"),
+                 None, {"construction", "analysis"}, set(), id="sim-soak"),
 ])
 def test_command_runs_only_the_modules_it_uses(walk_dir, argv, only, absent,
                                                stdlib):
@@ -200,6 +204,53 @@ def test_command_runs_only_the_modules_it_uses(walk_dir, argv, only, absent,
     if absent is not None:
         assert not ran & absent, ran
     assert set(second.split()) == stdlib
+
+
+# module -> the rgc modules it must not import: the spec depends on no
+# layer above it, and the store path needs only the spec, not the
+# verifier
+_FORBIDDEN_IMPORTS = {
+    "codespec.py": {"construction", "codec", "storesim", "analysis"},
+    "codec.py": {"construction"},
+    "storesim.py": {"construction"},
+}
+
+
+def _rgc_imports(tree):
+    """(line, module) for each rgc module that an import in tree names:
+    relative or absolute, as a module or as the source of names."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from ((node.lineno, a.name.split(".")[1])
+                        for a in node.names if a.name.startswith("rgc."))
+        elif isinstance(node, ast.ImportFrom):
+            path = ("rgc." if node.level else "") + (node.module or "")
+            top, _, module = path.partition(".")
+            if top != "rgc":
+                continue
+            if module:
+                yield node.lineno, module.split(".")[0]
+            else:
+                yield from ((node.lineno, a.name) for a in node.names)
+
+
+def test_imports_point_down_from_the_spec():
+    """codespec imports no layer above it, and codec and storesim import
+    nothing from construction; a failure names the module, the line and
+    the import."""
+    bad = [f"{name}:{line} imports {module}"
+           for name, forbidden in _FORBIDDEN_IMPORTS.items()
+           for line, module in _rgc_imports(ast.parse(
+               (SRC / name).read_text(encoding="utf-8")))
+           if module in forbidden]
+    assert bad == []
+    # the guard sees every import form
+    probe = ast.parse("from .construction import x\nfrom . import codec\n"
+                      "from rgc.storesim import y\nfrom rgc import analysis"
+                      "\nimport rgc.construction\nfrom ._kernel import z")
+    assert list(_rgc_imports(probe)) == [
+        (1, "construction"), (2, "codec"), (3, "storesim"), (4, "analysis"),
+        (5, "construction"), (6, "_kernel")]
 
 
 def test_no_unused_module_imports():
@@ -269,7 +320,7 @@ def test_no_unused_public_names():
     pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
     scripts = pyproject.split("[project.scripts]")[1].split("\n[")[0]
     loaded.update(re.findall(r':(\w+)"', scripts))
-    assert ("construction.py", "group_decoder") in defined
+    assert ("codespec.py", "group_decoder") in defined
     assert sorted(f"{module}: {name}" for module, name in defined
                   if name not in loaded) == []
 

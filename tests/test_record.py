@@ -10,7 +10,8 @@ from rgc.analysis import (compare_designs, exponent_point,
                           exponent_region_membership, realized_point,
                           sweep_tradeoff)
 from rgc.codec import DiskShare, MessageVector, ShareSet, encode, repair
-from rgc.construction import CodeSpec, verify_S
+from rgc.codespec import CodeSpec
+from rgc.construction import verify_S
 from rgc.designs import (S_2_3_7, gen_complete_design, gen_steiner_triple,
                          verify_design)
 from rgc.storesim import Scenario, ScenarioEvent, run_scenario

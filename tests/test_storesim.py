@@ -5,7 +5,7 @@ import json
 import pytest
 
 from rgc.codec import DiskShare, MessageVector
-from rgc.construction import CodeSpec
+from rgc.codespec import CodeSpec
 from rgc.storesim import (Cluster, Scenario, ScenarioEvent,
                           random_failure_soak, run_scenario)
 
