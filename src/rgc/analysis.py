@@ -48,6 +48,8 @@ def _point(d: int, m: int, per_alpha: Fraction) -> TradeoffPoint:
 
 
 def _validate_nkd(n: int, k: int, d: int) -> None:
+    for what, v in (("n", n), ("k", k), ("d", d)):
+        require_int(what, v)
     if not 1 <= k <= d <= n - 1:
         raise ValueError(f"need 1 <= k <= d <= n-1, got "
                          f"(n,k,d)=({n},{k},{d})")
@@ -128,6 +130,7 @@ def complete_tradeoff_point(n: int, k: int, d: int,
     """Exact (alpha_bar, M_bar) of the complete-design code with block
     size r; warns when r is too large to beat time-sharing."""
     _validate_nkd(n, k, d)
+    require_int("r", r)
     t = n - d + 1
     if not t <= r <= n:
         raise ValueError(f"block size r = {r} outside the admissible "
@@ -275,9 +278,18 @@ def integer_root(x: int, s: int) -> int:
     return y
 
 
+def _exponent(epsilon) -> Fraction:
+    """epsilon as a Fraction, refusing a float: 0.1 is exactly
+    3602879701896397 / 2^55, and n^epsilon would raise n to that top."""
+    if isinstance(epsilon, float):
+        raise ValueError(f"epsilon {epsilon!r} is a "
+                         f"{type(epsilon).__name__}, not an exact rational")
+    return Fraction(epsilon)
+
+
 def ceil_rational_power(n: int, epsilon) -> int:
     """ceil(n**epsilon) computed exactly from integer roots."""
-    eps = Fraction(epsilon)
+    eps = _exponent(epsilon)
     if n < 1 or eps < 0:
         raise ValueError("need n >= 1 and epsilon >= 0")
     p, s = eps.numerator, eps.denominator
@@ -318,7 +330,7 @@ def exponent_point(n: int, tau1: int, tau2: int,
     """Complete-design point with r = ceil(n^epsilon), k = n - tau1,
     d = n - tau2, reported as log-scale exponents."""
     _validate_taus(n, tau1, tau2)
-    eps = Fraction(epsilon)
+    eps = _exponent(epsilon)
     if not 0 < eps < 1:
         raise ValueError(f"epsilon = {eps} outside (0, 1)")
     k, d = n - tau1, n - tau2
@@ -358,6 +370,7 @@ def check_realized_bounds(n: int, tau1: int, tau2: int,
     point, i.e. with the exponent log_n(r) the built code actually has.
     Everything is rational, so the check is exact."""
     _validate_taus(n, tau1, tau2)
+    require_int("r", r)
     k, d = n - tau1, n - tau2
     if r <= tau2:
         raise ValueError(f"r = {r} must exceed tau2 = {tau2}")
@@ -381,7 +394,7 @@ def check_nominal_bounds(n: int, tau1: int, tau2: int,
     around n^eps, on which its left side is monotone.
     """
     _validate_taus(n, tau1, tau2)
-    eps = Fraction(epsilon)
+    eps = _exponent(epsilon)
     if not 0 < eps < 1:
         raise ValueError(f"epsilon = {eps} outside (0, 1)")
     p, s = eps.numerator, eps.denominator
@@ -451,10 +464,7 @@ def _classify(slacks) -> str:
 
 def format_fraction(x) -> str:
     """Exact decimal-free rendering: '35' or '49/3'."""
-    f = Fraction(x)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
+    return str(Fraction(x))
 
 
 def format_rational(x) -> str:

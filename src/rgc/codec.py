@@ -10,13 +10,12 @@ reconstruct's T right-hand sides are each one sum of products, read
 lane by lane.  The short code is systematic, so a group's rows 0..m-1
 are its long-layer column, copied, and only its parity rows m..r-1 take
 a product, one for all groups.  Only the spec is needed (codespec), not
-construction's verifier.  Reads and repairs use each group's lowest
-m = r-t+1 held rows and keep the rest as surplus (codespec.split_rows).
-The group's row map (codespec.group_decoder, kept per spec and row
-tuple) gives every row of the group as one fixed combination of the
-used rows, the free symbols 0 when it uses fewer than m, and their
-kernel basis.  Repair copies the used rows of each affected group from
-any d = n-t+1 other disks, or any helpers holding m rows of each, and
+construction's verifier.  Reads and repairs take each group's used rows
+(its lowest m = r-t+1 held rows), surplus, row map and kernel basis
+from one call on its lost-row mask (codespec.group_decoder).  The row
+map gives every row of the group as one fixed combination of the used
+rows.  Repair copies the used rows of each affected group from any
+d = n-t+1 other disks, or any helpers holding m rows of each, and
 reads the surplus only to cross-check: each lost or checked symbol is
 its row of the map applied to the used rows.  A repair plan
 (_repair_plan) holds these rows, the gathers of the sent symbols from
@@ -44,11 +43,11 @@ checks a caller's symbols when it is made; check_share checks a share
 against a spec and marks it with that spec, and a later check against
 the same spec only returns the share's columns.  A share is frozen, so
 a mark stays true.  encode and repair make their shares through
-_checked_share, which runs neither check: the slots are the layout's
-and the values are reduced mod q.  share_from_bytes does the same when
-the file fits its template, so its slots are the layout's, and every
-value is below q; otherwise it makes a DiskShare and runs check_share,
-so the first fault is still named.
+_checked_share, which zips their values with the layout's slots itself
+and runs neither check: the values are reduced mod q.  share_from_bytes
+does the same when the file fits its template, where every value is
+below q; otherwise it makes a DiskShare and runs check_share, so the
+first fault is still named.
 """
 
 from __future__ import annotations
@@ -61,7 +60,7 @@ from operator import itemgetter, mul
 from ._kernel import mat_mul as _kmul
 from ._kernel import mat_solve as _ksolve
 from ._record import record, require_int
-from .codespec import CodeSpec, group_decoder, split_rows
+from .codespec import CodeSpec, group_decoder
 
 _setattr = object.__setattr__
 _MAGIC = b"RGC1"
@@ -118,6 +117,8 @@ class MessageVector:
     def random(cls, q: int, length: int, seed: int = 0) -> MessageVector:
         require_int("length", length)
         require_int("seed", seed)
+        if length < 0:
+            raise ValueError(f"length {length} is negative")
         rng = random.Random(seed)
         return cls(q=q, values=tuple(rng.randrange(q)
                                      for _ in range(length)))
@@ -276,14 +277,15 @@ def check_share(spec: CodeSpec,
     return js, is_, vs
 
 
-def _checked_share(spec: CodeSpec, disk: int, symbols) -> DiskShare:
-    """A share the library made with spec.layout.disk_slots(disk) as its
-    slots and values reduced mod q.  Both DiskShare's checks and
+def _checked_share(spec: CodeSpec, disk: int, values) -> DiskShare:
+    """A share of disk: values, which the caller reduced mod q, zipped
+    here with the disk's slots in spec.layout.  DiskShare's checks and
     check_share's hold by construction, so neither runs; the share is
     marked as checked against spec."""
     share = object.__new__(DiskShare)
     _setattr(share, "disk", disk)
-    _setattr(share, "symbols", symbols)
+    _setattr(share, "symbols", tuple(
+        zip(*spec.layout.disk_columns(disk), values)))
     _setattr(share, "_checked", spec)
     return share
 
@@ -334,10 +336,8 @@ def encode(spec: CodeSpec, message) -> ShareSet:
     out = [v for i in range(m) for v in w[i::m]]
     out += _kmul([v for row in spec.short_gen[m:] for v in row], p.r - m, m,
                  out, m, N, q)
-    columns = spec.layout.disk_columns
     return ShareSet(shares=tuple(
-        _checked_share(spec, disk, tuple(
-            zip(*columns(disk), _template(spec, disk)[4](out))))
+        _checked_share(spec, disk, _template(spec, disk)[4](out))
         for disk in range(1, p.n + 1)))
 
 
@@ -355,7 +355,7 @@ def _gather(at):
 def _repair_plan(spec: CodeSpec, failed: int, pool) -> tuple:
     """(error, helpers, checks, lost): what repairing disk failed from
     the disks of pool takes, worked out once per (failed, helper set)
-    from split_rows and the row maps of group_decoder (spec.repair_plans).
+    from each affected group's group_decoder (spec.repair_plans).
 
     error is the ValueError text of the first affected group left with
     fewer than m held rows, or None.  helpers lists each disk of pool in
@@ -374,17 +374,16 @@ def _repair_plan(spec: CodeSpec, failed: int, pool) -> tuple:
     affected, rows = spec.layout.disk_columns(failed)  # its groups, rows
     masks = spec.layout.lost_rows(
         x for x in range(1, spec.params.n + 1) if x not in pool)
-    steps = [(j, *split_rows(spec, masks[j])) for j in affected]
-    for j, used, _ in steps:
+    steps = [(j, *group_decoder(spec, masks[j])) for j in affected]
+    sent = {h: [] for h in sorted(pool)}
+    read = {h: [] for h in sorted(pool)}
+    for j, used, surplus, *_ in steps:
         if len(used) < m:
             absent = [disk for disk in blocks[j]
                       if disk != failed and disk not in pool]
             return (f"repair of disk {failed}: group {j} on disks "
                     f"{blocks[j]} holds {len(used)} of the m = {m} rows it "
                     f"needs; missing helpers {absent}", (), (), ())
-    sent = {h: [] for h in sorted(pool)}
-    read = {h: [] for h in sorted(pool)}
-    for j, used, surplus in steps:
         for i in used:
             sent[blocks[j][i]].append((j, i))
         for i in surplus:
@@ -401,8 +400,7 @@ def _repair_plan(spec: CodeSpec, failed: int, pool) -> tuple:
     sent_at = places(s for slots in sent.values() for s in slots)
     read_at = places(s for slots in read.values() for s in slots)
     checks, lost = [], []
-    for (j, used, surplus), i in zip(steps, rows):
-        coefs, _ = group_decoder(spec, used)
+    for (j, used, surplus, coefs, _), i in zip(steps, rows):
         gather = _gather([sent_at[(j, u)] for u in used])
         block = blocks[j]
         checks += [(read_at[(j, x)], gather, coefs[x],
@@ -457,8 +455,7 @@ def repair(spec: CodeSpec, failed: int,
         if checked[at] != sum(map(mul, coef, used(copied))) % q:
             raise CorruptionError(text)
     values = [sum(map(mul, row, used(copied))) % q for used, row in lost]
-    share = _checked_share(spec, failed, tuple(
-        zip(*spec.layout.disk_columns(failed), values)))
+    share = _checked_share(spec, failed, values)
     return share, RepairTranscript(failed=failed, helpers=sent, checks=read)
 
 
@@ -501,8 +498,7 @@ def reconstruct(spec: CodeSpec, shares) -> MessageVector:
         if h & (1 << m) - 1:        # lost a row of its column
             step = steps.get(h)
             if step is None:
-                used, _ = split_rows(spec, h)
-                rowmap, kernel = group_decoder(spec, used)
+                used, _, rowmap, kernel = group_decoder(spec, h)
                 step = steps[h] = ([i * N for i in used], kernel, [
                     (c, rowmap[c]) for c in range(m) if h >> c & 1])
             offs, kernel, rows = step
@@ -617,8 +613,7 @@ def share_from_bytes(spec: CodeSpec, raw: bytes) -> DiskShare:
                 values = tuple(map(int.from_bytes, fields[1::2],
                                    repeat("little")))
                 if not values or max(values) < q:
-                    return _checked_share(spec, disk, tuple(
-                        zip(*spec.layout.disk_columns(disk), values)))
+                    return _checked_share(spec, disk, values)
     width = symbol_width(q)
     rec = _record_struct(width)
     off = _HEADER.size

@@ -6,11 +6,10 @@ S.  Each design block hosts one parity group: m = r - t + 1 long-layer
 symbols expanded by a short systematic (r, m) MDS code, one symbol per
 disk of the block.  The short generator is made from (r, t, q), never
 read from a file (short_mds_generator); its top m rows are the identity,
-so a group's rows 0..m-1 are its long-layer column.  A group uses its
-lowest m held rows and keeps the rest as surplus (split_rows, the one
-rule for reads, repairs and rank_witness).  group_decoder inverts, once
-per spec, any other held-row tuple into the group's row map and, when
-fewer than m rows are held, its kernel basis.  Finding S and proving
+so a group's rows 0..m-1 are its long-layer column.  group_decoder,
+the one rule for reads, repairs, rank_witness and verify_S, takes a
+group's lost-row mask to its used rows (the lowest m held), surplus,
+row map and kernel basis, once per spec and mask.  Finding S and proving
 that it decodes is construction's job; nothing here verifies, so codec
 and storesim import only this module.
 """
@@ -227,8 +226,8 @@ class CodeSpec:
         return short_mds_generator(self.params.r, self.params.t, self.field)
 
     @cached_property
-    def group_decoders(self) -> dict[tuple[int, ...], tuple]:
-        """group_decoder's table: held-row tuple to (row map, kernel)."""
+    def group_decoders(self) -> dict[int, tuple]:
+        """group_decoder's table: lost-row mask to its result."""
         return {}
 
     @cached_property
@@ -360,43 +359,38 @@ def _decimals(doc, key: str) -> tuple[int, ...]:
     return tuple(int(v) for v in value)
 
 
-def group_decoder(spec: CodeSpec, rows):
-    """(map, kernel) of a parity group holding the short-layer rows
-    `rows` (ascending, at most m of them).
+def group_decoder(spec: CodeSpec, lost_mask: int) -> tuple:
+    """(used, surplus, map, kernel) of a parity group that lost the
+    short-layer rows set in lost_mask, once per spec and mask (at most
+    2^r of them, in spec.group_decoders).
 
-    With s held rows, the first f = m - s systematic rows not held are
-    the free positions.  Held and free generator rows are m distinct rows
-    of the MDS generator, so they invert.  map, the group's row map, has
-    per row i of the group the s coefficients taking the held symbols to
-    row i with the free symbols 0: generator row i times the inverse's
-    held columns.  kernel, the rest of the inverse, is the flat m x f
-    kernel basis of the held rows, column b having free symbol b equal
-    to 1.  Rows 0..m-1 map to the short generator itself, with no
-    inversion and no kernel; any other tuple is inverted once per spec
-    (spec.group_decoders).
+    used, the group's lowest m held rows, and surplus, the rest, are row
+    tuples; with s < m used rows the group is heavy, and the first
+    f = m - s systematic rows not used are free.  Used and free rows of
+    the MDS generator are m distinct rows, so they invert.  map, the
+    group's row map, has per row i the s coefficients taking the used
+    symbols to row i with the free symbols 0: generator row i times the
+    inverse's used columns.  kernel, the rest of the inverse, is the
+    flat m x f kernel basis, column b having free symbol b equal to 1.
+    Rows 0..m-1 map to the short generator itself, with no inversion.
     """
-    entry = spec.group_decoders.get(rows)
+    entry = spec.group_decoders.get(lost_mask)
     if entry is None:
-        m, s, q, sg = spec.params.m, len(rows), spec.field.q, spec.short_gen
-        entry = sg, ()
-        if rows != tuple(range(m)):
-            free = [i for i in range(m) if i not in rows][:m - s]
+        m, q, sg = spec.params.m, spec.field.q, spec.short_gen
+        held = [i for i in range(spec.params.r) if not lost_mask >> i & 1]
+        used, surplus = tuple(held[:m]), tuple(held[m:])
+        entry = used, surplus, sg, ()
+        if lost_mask & (1 << m) - 1:
+            s = len(used)
+            free = [i for i in range(m) if i not in used][:m - s]
             eye = [int(a == b) for a in range(m) for b in range(m)]
-            _, inv = _ksolve([v for i in (*rows, *free) for v in sg[i]],
+            _, inv = _ksolve([v for i in (*used, *free) for v in sg[i]],
                              m, m, eye, m, q)
-            held = [inv[u::m] for u in range(s)]
-            entry = (tuple(tuple(sum(map(mul, g, col)) % q for col in held)
+            cols = [inv[u::m] for u in range(s)]
+            entry = (used, surplus,
+                     tuple(tuple(sum(map(mul, g, col)) % q for col in cols)
                            for g in sg),
                      tuple(v for c in range(m)
                            for v in inv[c * m + s:(c + 1) * m]))
-        spec.group_decoders[rows] = entry
+        spec.group_decoders[lost_mask] = entry
     return entry
-
-
-def split_rows(spec: CodeSpec, lost_mask: int) -> tuple[tuple, tuple]:
-    """(used, surplus) of a group that lost the rows set in lost_mask:
-    its lowest m held rows and the rest, as row tuples.  A group using
-    fewer than m rows is heavy; group_decoder gives its kernel."""
-    p = spec.params
-    m, held = p.m, tuple([i for i in range(p.r) if not lost_mask >> i & 1])
-    return held[:m], held[m:]

@@ -9,7 +9,8 @@ layer absorbs; compute_T walks the sets until one reaches a double-count
 bound that no set exceeds.
 
 A group whose block meets A in e >= t disks is heavy: its long-layer
-column is known up to a kernel of dimension e - t + 1 (group_decoder);
+column is known up to a kernel of dimension e - t + 1 (group_decoder,
+keyed by the group's lost-row mask, gives it and the rows it uses);
 every other group is decodable from its own rows.  Stacking the heavy
 groups' kernels K_A, the T long-layer parity checks give the T x T(A)
 matrix [S | -I] K_A, and A is decodable exactly when it has rank T(A).
@@ -24,11 +25,11 @@ the quotient gathered (free columns and their coefficients on the
 pivots), each leaf image maps to its T - s coordinates with s + 1 terms
 each, unrolled for three on three, and a determinant, a cross product
 or a small elimination decides them.  rank_witness takes its heavy
-groups from split_rows to build, for one erasure set, a 0/1 matrix S
-that satisfies the condition, so the generic determinant argument for
-random S is checkable per set.  erasure_system is the independent dense
-reference: every symbol stored on a surviving disk as a linear form in
-the message.
+groups' kernels from group_decoder to build, for one erasure set, a 0/1
+matrix S that satisfies the condition, so the generic determinant
+argument for random S is checkable per set.  erasure_system is the
+independent dense reference: every symbol stored on a surviving disk as
+a linear form in the message.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from ._kernel import mat_mul as _kmul
 from ._kernel import mat_rank as _krank
 from ._record import record, require_int
 from .codespec import (CodeParams, CodeSpec, _params, _require_strength,
-                       build_layout, group_decoder, split_rows)
+                       build_layout, group_decoder)
 from .designs import (BlockDesign, closed_form_Tc, is_complete_design,
                       t_subset_counts)
 from .ffield import PrimeField, next_prime
@@ -396,14 +397,14 @@ def _verify(spec: CodeSpec, sample: int | None, seed: int,
             sets = sorted(drawn)
         checked, sampled = sample, True
     # images[h][j]: [S | -I] on group j's kernel vector at hit mask h: the
-    # row lost last's entry in the row map's rows 0..m-1
+    # row lost last's entry in rows 0..m-1 of the map of h without it
     masks = [h for h in range(1 << p.r) if p.t <= h.bit_count() <= miss]
     cols = []
     for h in masks:
         lost = h.bit_length() - 1
-        rows = tuple(i for i in range(p.r) if i == lost or not h >> i & 1)
-        at = rows.index(lost)
-        cols.append([row[at] for row in group_decoder(spec, rows)[0][:p.m]])
+        used, _, rowmap, _ = group_decoder(spec, h ^ 1 << lost)
+        at = used.index(lost)
+        cols.append([row[at] for row in rowmap[:p.m]])
     # one product: the kernel columns (#masks x m) times the groups'
     # parity columns side by side (m x N*T); row i holds mask i's images
     m, T, N = p.m, p.T, p.nstar
@@ -601,10 +602,10 @@ def rank_witness(spec: CodeSpec, a) -> tuple[int, ...]:
 
     Existence of a witness for every A shows the determinant polynomial
     behind the random-S argument is not identically zero.  The greedy
-    runs in the reduced space of a's heavy groups (split_rows), in
-    ascending order: let u(x) be the row of the stacked kernel basis K_A
-    at long-layer position x of a heavy group.  Row t of S, a unit
-    vector e_x or zero, adds the row
+    runs in the reduced space of a's heavy groups, in ascending order,
+    each with its kernel from group_decoder: let u(x) be the row of the
+    stacked kernel basis K_A at long-layer position x of a heavy group.
+    Row t of S, a unit vector e_x or zero, adds the row
     u(x) - u(M+t) to [S | -I] K_A, with u(M+t) = 0 when slot M+t is not
     heavy.  Starting from an empty basis, row t is zero when slot M+t is
     heavy and -u(M+t) raises the rank, else the unit vector at the first
@@ -618,10 +619,9 @@ def rank_witness(spec: CodeSpec, a) -> tuple[int, ...]:
     p, q = spec.params, spec.field.q
     m, M, T = p.m, p.M, p.T
     aset = _erasure_set(p.n, a, p.n - p.k)
-    splits = [(j, split_rows(spec, h)[0])
-              for j, h in sorted(spec.layout.lost_rows(aset).items())]
-    kernels = [(j, group_decoder(spec, used)[1]) for j, used in splits
-               if len(used) < m]
+    kernels = [(j, kernel)
+               for j, h in sorted(spec.layout.lost_rows(aset).items())
+               if (kernel := group_decoder(spec, h)[3])]
     width = sum(len(kernel) for _, kernel in kernels) // m
     u: dict[int, list[int]] = {}
     off = 0

@@ -31,7 +31,7 @@ _EVENT_KINDS = {"fail": ("node", "fail"), "repair": ("node", "repair"),
 @record
 class ScenarioEvent:
     """One scripted step: fail(node), repair(node), read(disks), or
-    assert(predicate)."""
+    assert(predicate).  A list of disks becomes a tuple."""
 
     kind: str
     node: int | None = None
@@ -39,6 +39,8 @@ class ScenarioEvent:
     predicate: str | None = None
 
     def __post_init__(self):
+        if type(self.disks) is list:
+            object.__setattr__(self, "disks", tuple(self.disks))
         if self.kind not in _EVENT_KINDS:
             raise ValueError(f"unknown event kind {self.kind!r}")
         field = _EVENT_KINDS[self.kind][0]
@@ -48,7 +50,7 @@ class ScenarioEvent:
         arg = getattr(self, field)
         if field == "node" and type(arg) is not int:
             raise ValueError(f"{self.kind} event needs a node id")
-        if field == "disks" and (arg is None
+        if field == "disks" and (type(arg) is not tuple
                                  or not all(type(x) is int for x in arg)):
             raise ValueError("read event needs a list of disk ids")
         if field == "predicate" and arg not in PREDICATES:
@@ -77,8 +79,6 @@ class Scenario:
             if kind not in _EVENT_KINDS:
                 raise ValueError(f"unknown event kind {kind!r}")
             field = _EVENT_KINDS[kind][0]
-            if field == "disks":
-                arg = tuple(arg) if isinstance(arg, list) else None
             events.append(ScenarioEvent(kind=kind, **{field: arg}))
         return cls(events=tuple(events))
 

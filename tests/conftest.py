@@ -68,8 +68,9 @@ def plan(spec, disks, groups=None) -> list[tuple]:
 
     Only the groups on disks not held are worked out, from their lost-row
     masks (Layout.lost_rows); every other group shares the one split
-    (rows 0..m-1, rows m..r-1).  Tests use it as the reference for
-    codespec.split_rows, which every caller in the library goes through.
+    (rows 0..m-1, rows m..r-1).  Tests use it as the reference for the
+    (used, surplus) half of codespec.group_decoder, which every caller
+    in the library goes through.
     """
     p = spec.params
     lost = spec.layout.lost_rows(x for x in range(1, p.n + 1)
@@ -80,6 +81,12 @@ def plan(spec, disks, groups=None) -> list[tuple]:
         splits[h] = held[:p.m], held[p.m:]
     return [(j, *splits[lost.get(j, 0)])
             for j in (range(p.nstar) if groups is None else groups)]
+
+
+def lost_mask(spec, rows) -> int:
+    """The lost-row mask of a group that holds exactly the rows `rows`:
+    the key group_decoder takes."""
+    return (1 << spec.params.r) - 1 ^ sum(1 << i for i in rows)
 
 
 def _criterion_number(nodeid: str) -> int | None:

@@ -218,6 +218,58 @@ def test_exponent_arguments_are_ints():
         point.Er, point.Ed))])[0]["tau1"] == 1
 
 
+def test_a_float_epsilon_is_refused(monkeypatch):
+    """A float epsilon is refused by type at all three entry points that
+    take one, before any power is formed: Fraction(0.1) has denominator
+    2^55, and its numerator would become an exponent of n.  An exact
+    one tenth, a Fraction or its text, still works."""
+    with pytest.raises(ValueError) as err:
+        ceil_rational_power(1, 0.1)
+    assert str(err.value) == "epsilon 0.1 is a float, not an exact rational"
+
+    def no_power(n, epsilon):
+        raise AssertionError(f"formed {n}^{epsilon}")
+
+    monkeypatch.setattr(analysis, "ceil_rational_power", no_power)
+    for fn in (exponent_point, check_nominal_bounds):
+        with pytest.raises(ValueError) as err:
+            fn(1, 1, 1, 0.1)
+        assert str(err.value) == ("epsilon 0.1 is a float, not an exact "
+                                  "rational")
+    monkeypatch.undo()
+    want = exponent_point(64, 1, 1, F(1, 10))
+    assert want.r == ceil_rational_power(64, "1/10") == 2
+    for eps in ("1/10", "0.1"):
+        assert exponent_point(64, 1, 1, eps) == want
+        assert (check_nominal_bounds(64, 1, 1, eps)
+                == check_nominal_bounds(64, 1, 1, F(1, 10)))
+
+
+def test_tradeoff_arguments_are_ints():
+    """n, k, d and r are exactly ints wherever a tradeoff point is
+    formed: a bool or a float is refused by name, not written out as
+    true, rounded into a data size or met as a bare TypeError."""
+    cases = (((6, True, 3), "k True is a bool"),
+             ((10.0, 3, 5), "n 10.0 is a float"),
+             ((10, 3, 5.0), "d 5.0 is a float"))
+    for fn, rest in ((sweep_tradeoff, ()), (msr_mbr_points, ()),
+                     (cutset_max_M, (2,)), (complete_tradeoff_point, (6,))):
+        for args, want in cases:
+            with pytest.raises(ValueError) as err:
+                fn(*args, *rest)
+            assert str(err.value) == f"{want}, not an int"
+    for fn, args, want in (
+            (complete_tradeoff_point, (10, 3, 5, 6.0), "r 6.0 is a float"),
+            (complete_tradeoff_point, (10, 3, 5, True), "r True is a bool"),
+            (check_realized_bounds, (64, 2, 1, 8.0), "r 8.0 is a float")):
+        with pytest.raises(ValueError) as err:
+            fn(*args)
+        assert str(err.value) == f"{want}, not an int"
+    assert {(type(row.k), row.k) for row in sweep_tradeoff(6, 1, 3)} == {
+        (int, 1)}
+    assert cutset_max_M(10, 3, 5, 2) == 6
+
+
 def test_realized_bound_pair_meets_at_matched_taus():
     for n in (50, 100, 200):
         r = ceil_rational_power(n, F(1, 2))

@@ -18,12 +18,12 @@ from rgc.codec import (CorruptionError, DiskShare, MessageVector,
                        ShareFormatError, ShareSet, check_share, encode,
                        read_share, reconstruct, repair, share_from_bytes,
                        share_to_bytes, symbol_width, write_share)
-from rgc.codespec import CodeSpec, _pack_lanes, group_decoder, split_rows
+from rgc.codespec import CodeSpec, _pack_lanes, group_decoder
 from rgc.construction import build_code, compute_TA, verify_S
 from rgc.designs import gen_complete_design, gen_steiner_triple
 from rgc.ffield import PrimeField, next_prime
 
-from conftest import parity_block, plan
+from conftest import lost_mask, parity_block, plan
 
 
 def _msg(spec, seed):
@@ -50,6 +50,14 @@ def test_message_modulus_is_an_int():
                 MessageVector(q, values)
             assert str(err.value) == (f"modulus {q!r} is a "
                                       f"{type(q).__name__}, not an int")
+
+
+def test_random_message_length_is_not_negative():
+    """MessageVector.random refuses a negative length instead of
+    returning an empty message; length 0 is the empty message."""
+    with pytest.raises(ValueError, match="^length -3 is negative$"):
+        MessageVector.random(7, -3)
+    assert MessageVector.random(7, 0).values == ()
 
 
 def test_share_set_semantics(golden_spec):
@@ -154,7 +162,8 @@ def test_reconstruct_detects_flip_when_overdetermined(s15_spec):
     heavy = [(j, used, surplus) for j, used, surplus in
              plan(spec, set(range(1, 16)) - set(missing)) if len(used) < p.m]
     columns = [col for j, used, _ in heavy
-               for col in parity_block(spec, j, group_decoder(spec, used)[1])]
+               for col in parity_block(spec, j, group_decoder(
+                   spec, lost_mask(spec, used))[3])]
     width = len(columns)
     assert width == compute_TA(spec.design, missing)
     assert all(len(col) == p.T for col in columns)
@@ -491,8 +500,8 @@ def _count_solves(monkeypatch):
 
 def test_split_rows_is_the_reference_split(golden_spec, complete9_spec,
                                            t3_spec, s15_spec):
-    """split_rows(spec, h) is the reference plan's (used, surplus) of a
-    group whose disks at the rows set in h are not held, for every
+    """group_decoder(spec, h)'s (used, surplus) is the reference plan's
+    of a group whose disks at the rows set in h are not held, for every
     group and every lost-row mask 0..2^r-1 of the four codes."""
     for spec in (golden_spec, complete9_spec, t3_spec, s15_spec):
         p = spec.params
@@ -500,15 +509,17 @@ def test_split_rows_is_the_reference_split(golden_spec, complete9_spec,
         for j, block in enumerate(spec.layout.groups):
             for h in range(1 << p.r):
                 held = every - {block[i] for i in range(p.r) if h >> i & 1}
-                assert plan(spec, held, [j]) == [(j, *split_rows(spec, h))]
-        assert split_rows(spec, 0) == (tuple(range(p.m)),
-                                       tuple(range(p.m, p.r)))
+                assert plan(spec, held, [j]) == [
+                    (j, *group_decoder(spec, h)[:2])]
+        assert group_decoder(spec, 0)[:2] == (tuple(range(p.m)),
+                                              tuple(range(p.m, p.r)))
 
 
 def test_group_decoder_inverts_each_row_tuple_once(complete9_spec,
                                                    monkeypatch):
-    """Once each held-row tuple is inverted, a read makes one solve (the
-    T x T(A) system) and a repair none; no tuple is inverted twice."""
+    """Once each lost-row mask is worked out, a read makes one solve (the
+    T x T(A) system) and a repair none; no mask is inverted twice, and a
+    mask whose group uses rows 0..m-1 never."""
     spec = CodeSpec.from_json(complete9_spec.to_json())  # empty table
     p = spec.params
     msg = _msg(spec, 3)
@@ -522,7 +533,8 @@ def test_group_decoder_inverts_each_row_tuple_once(complete9_spec,
         assert reconstruct(spec, held) == msg
     # an inversion solves m generator rows against the m x m identity
     inversions = [c for c in calls if c == (p.m, p.m, p.m)]
-    assert inversions and len(inversions) == len(spec.group_decoders)
+    assert inversions and len(inversions) == sum(
+        1 for h in spec.group_decoders if h & (1 << p.m) - 1)
     calls.clear()
     for held in reads:
         reconstruct(spec, held)
@@ -532,6 +544,28 @@ def test_group_decoder_inverts_each_row_tuple_once(complete9_spec,
         rebuilt, _ = repair(spec, failed, shares.without(failed))
         assert rebuilt == shares.get(failed)
     assert calls == []
+
+
+def test_group_decoder_table_is_keyed_by_lost_row_mask(
+        golden_spec, complete9_spec, t3_spec, s15_spec):
+    """After verify_S, every k-read and every repair from the n - 1
+    others, each reference code's decoder table is keyed by lost-row
+    masks, ints in 0..2^r-1, so it has at most 2^r entries."""
+    for fixture in (golden_spec, complete9_spec, t3_spec, s15_spec):
+        spec = CodeSpec.from_json(fixture.to_json())     # empty table
+        p = spec.params
+        verify_S(spec)
+        msg = _msg(spec, 4)
+        shares = encode(spec, msg)
+        for keep in itertools.combinations(range(1, p.n + 1), p.k):
+            assert reconstruct(spec, shares.subset(keep)) == msg
+        for failed in range(1, p.n + 1):
+            assert repair(spec, failed, shares.without(failed))[0] == (
+                shares.get(failed))
+        table = spec.group_decoders
+        assert table and all(type(h) is int and 0 <= h < 1 << p.r
+                             for h in table)
+        assert len(table) <= 1 << p.r
 
 
 def test_a_read_of_caller_shares_in_reverse_is_the_library_read(
@@ -636,13 +670,13 @@ def test_a_warm_read_plans_nothing_multiplies_nothing_and_solves_once(
 def test_group_decoder_row_map_matches_the_short_generator(
         golden_spec, complete9_spec, t3_spec, s15_spec):
     """On every reference code and every held-row tuple U of at most m
-    rows, the row map agrees with plain arithmetic on the short
-    generator: map[u] is the unit vector of u's place in U; with m held
-    rows, map[i] applied to the held symbols of any column x is row i of
-    the generator applied to x; with fewer, the map's rows 0..m-1 give a
-    column whose free symbols are 0, and every map[i] is generator row i
-    applied to that column.  Rows 0..m-1 map to the generator itself,
-    with no kernel."""
+    rows, all used and none surplus, the row map agrees with plain
+    arithmetic on the short generator: map[u] is the unit vector of u's
+    place in U; with m held rows, map[i] applied to the held symbols of
+    any column x is row i of the generator applied to x; with fewer, the
+    map's rows 0..m-1 give a column whose free symbols are 0, and every
+    map[i] is generator row i applied to that column.  Rows 0..m-1 map to
+    the generator itself, with no kernel."""
     rng = random.Random(5)
     for fixture in (golden_spec, complete9_spec, t3_spec, s15_spec):
         spec = CodeSpec.from_json(fixture.to_json())     # empty table
@@ -654,7 +688,9 @@ def test_group_decoder_row_map_matches_the_short_generator(
 
         for s in range(m + 1):
             for rows in itertools.combinations(range(r), s):
-                rowmap, kernel = group_decoder(spec, rows)
+                used, surplus, rowmap, kernel = group_decoder(
+                    spec, lost_mask(spec, rows))
+                assert (used, surplus) == (rows, ())
                 assert len(rowmap) == r
                 assert all(len(row) == s for row in rowmap)
                 for place, u in enumerate(rows):
@@ -671,16 +707,17 @@ def test_group_decoder_row_map_matches_the_short_generator(
                         assert [x[c] for c in free] == [0] * len(free)
                     assert [dot(row, y) for row in rowmap] == [
                         dot(g, x) for g in gen]
-        rowmap, kernel = group_decoder(spec, tuple(range(m)))
+        *_, rowmap, kernel = group_decoder(spec, lost_mask(spec, range(m)))
         assert rowmap is gen and kernel == ()
 
 
 def test_cold_repair_inverts_each_tuple_once_and_multiplies_nothing(
         golden_spec, complete9_spec, t3_spec, s15_spec, monkeypatch):
     """On an empty decoder table, repairing every disk from the n - 1
-    others inverts each non-identity used-row tuple at most once and
-    rows 0..m-1 never, and calls no mat_mul; its shares and transcripts
-    equal the warm repairs' and those of the fixture's spec."""
+    others inverts each lost-row mask at most once and a mask whose group
+    uses rows 0..m-1 never, and calls no mat_mul; its shares and
+    transcripts equal the warm repairs' and those of the fixture's
+    spec."""
     for fixture in (golden_spec, complete9_spec, t3_spec, s15_spec):
         spec = CodeSpec.from_json(fixture.to_json())     # empty tables
         m = spec.params.m
@@ -694,9 +731,8 @@ def test_cold_repair_inverts_each_tuple_once_and_multiplies_nothing(
         identity = tuple(v for row in spec.short_gen[:m] for v in row)
         inverted = [tuple(a) for a, *_ in solves]
         assert identity not in inverted
-        assert len(set(inverted)) == len(inverted)
-        table = spec.group_decoders
-        assert len(inverted) == len(table) - (tuple(range(m)) in table)
+        assert len(inverted) == sum(1 for h in spec.group_decoders
+                                    if h & (1 << m) - 1)
         solves.clear()
         warm = [repair(spec, failed, pool) for failed, pool in pools]
         assert (muls, solves) == ([], [])

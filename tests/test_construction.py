@@ -29,7 +29,7 @@ from rgc.designs import (CATALOG, S_2_4_13, BlockDesign, gen_complete_design,
 from rgc.ffield import PrimeField, next_prime
 from rgc._kernel import annihilator, echelon_add, mat_mul, mat_rank
 
-from conftest import parity_block, plan
+from conftest import lost_mask, parity_block, plan
 
 SPECS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "specs"
 
@@ -624,7 +624,7 @@ def _rank_oracle_failures(specs):
             for key in heavy:
                 if key not in made:
                     made[key] = parity_block(spec, key[0], group_decoder(
-                        spec, key[1])[1])
+                        spec, lost_mask(spec, key[1]))[3])
                 cols += made[key]
             if mat_rank([col[u] for u in range(p.T) for col in cols], p.T,
                         len(cols), spec.field.q) < len(cols):
@@ -762,7 +762,7 @@ def _prefix_fails(spec, prefix):
     for j, group in enumerate(spec.layout.groups):
         rows = tuple(i for i, disk in enumerate(group) if disk not in prefix)
         if len(group) - len(rows) >= t:
-            _, kernel = group_decoder(spec, rows)
+            kernel = group_decoder(spec, lost_mask(spec, rows))[3]
             cols += parity_block(spec, j, kernel)
     width = len(cols)
     return width > 0 and mat_rank([col[u] for u in range(T) for col in cols],
@@ -867,7 +867,8 @@ def test_verify_prunes_failed_prefixes():
     for a in _erasure_sets(spec):
         held = set(range(1, p.n + 1)) - set(a)
         cols = [col for j, used, _ in plan(spec, held) if len(used) < p.m
-                for col in parity_block(spec, j, group_decoder(spec, used)[1])]
+                for col in parity_block(spec, j, group_decoder(
+                    spec, lost_mask(spec, used))[3])]
         matrix = [col[u] for u in range(p.T) for col in cols]
         if mat_rank(matrix, p.T, len(cols), spec.field.q) < len(cols):
             want.append(a)
@@ -1018,10 +1019,9 @@ def test_witness_self_check_rejects_a_wrong_structure(golden_spec,
                                                       monkeypatch):
     # with no heavy groups the greedy keeps S = 0, which no erasure set
     # of the golden code survives; the dense self-check must say so
-    p = golden_spec.params
-    whole = tuple(range(p.m)), tuple(range(p.m, p.r))
-    monkeypatch.setattr(construction, "split_rows",
-                        lambda spec, lost_mask: whole)
+    real = construction.group_decoder
+    monkeypatch.setattr(construction, "group_decoder",
+                        lambda spec, lost_mask: real(spec, 0))
     with pytest.raises(WitnessError):
         rank_witness(golden_spec, (1, 2))
 

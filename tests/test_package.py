@@ -377,6 +377,22 @@ def test_unchecked_share_constructor_stays_in_three_callers():
                      ("codec.py", "share_from_bytes")}
 
 
+def test_only_codespec_names_the_decoder_table():
+    """spec.group_decoders is group_decoder's own table, keyed by
+    lost-row mask: under src/rgc/ only codespec.py names it, as an
+    attribute, a name or a string, so every other module goes through
+    group_decoder."""
+    users = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        users.update(path.name for node in ast.walk(tree)
+                     if "group_decoders" in (getattr(node, "attr", None),
+                                             getattr(node, "id", None),
+                                             getattr(node, "name", None),
+                                             getattr(node, "value", None)))
+    assert users == {"codespec.py"}
+
+
 def test_a_failing_hypothesis_test_does_not_abort_the_run(pytester):
     """Under the project's pytest settings, where a warning is an error,
     a failing @given test is reported as one failure with its falsifying

@@ -26,6 +26,16 @@ def test_event_validation():
         ScenarioEvent(kind="reboot", node=1)             # unknown kind
 
 
+def test_a_read_event_takes_its_disks_as_a_tuple():
+    """A list of disks becomes a tuple, as a DiskShare's symbols and a
+    CodeSpec's coefficients do, so the event hashes and equals the one
+    made with a tuple."""
+    listed = ScenarioEvent(kind="read", disks=[1, 2])
+    made = ScenarioEvent(kind="read", disks=(1, 2))
+    assert listed.disks == (1, 2)
+    assert listed == made and hash(listed) == hash(made)
+
+
 def test_event_refuses_fields_of_other_kinds():
     """A field that is not the kind's own argument is refused by name,
     since the scenario JSON could not carry it."""
