@@ -24,6 +24,14 @@ from ._record import record, require_int
 from .designs import BlockDesign, is_complete_design
 
 
+# Cap on the bits of a power that analysis forms from an exact epsilon:
+# n^p, and in check_nominal_bounds each decimal bracket's s-th power.
+MAX_POWER_BITS = 2 ** 16
+
+# Decimal digits to which check_nominal_bounds refines n^epsilon.
+_BRACKET_DIGITS = 200
+
+
 class ParameterRegimeWarning(UserWarning):
     """The requested block size is outside the regime where the point
     can beat time-sharing."""
@@ -260,22 +268,24 @@ def compare_designs(d1: BlockDesign, d2: BlockDesign,
 
 
 def integer_root(x: int, s: int) -> int:
-    """Largest y with y**s <= x, exact for any size."""
+    """Largest y with y**s <= x, exact for any size.
+
+    With s >= bits(x), 1 <= x^(1/s) < 2, so the root is 1 with no power
+    formed.  Otherwise Newton starts at 2^ceil(bits(x)/s), above the
+    root, and integer Newton started above the root stops exactly at
+    its floor."""
     if x < 0 or s < 1:
         raise ValueError("need x >= 0 and s >= 1")
     if s == 1 or x < 2:
         return x
+    if s >= x.bit_length():
+        return 1
     y = 1 << ((x.bit_length() + s - 1) // s)
     while True:
         z = ((s - 1) * y + x // y ** (s - 1)) // s
         if z >= y:
-            break
+            return y
         y = z
-    while y ** s > x:
-        y -= 1
-    while (y + 1) ** s <= x:
-        y += 1
-    return y
 
 
 def _exponent(epsilon) -> Fraction:
@@ -287,12 +297,22 @@ def _exponent(epsilon) -> Fraction:
     return Fraction(epsilon)
 
 
+def _require_power_bits(n: int, eps: Fraction, bits: int) -> None:
+    """Refuse epsilon at n before any power is formed when the largest
+    power formed from them would have more than MAX_POWER_BITS bits."""
+    if bits > MAX_POWER_BITS:
+        raise ValueError(f"epsilon = {eps} at n = {n} needs {bits}-bit "
+                         f"powers, above the cap {MAX_POWER_BITS}")
+
+
 def ceil_rational_power(n: int, epsilon) -> int:
-    """ceil(n**epsilon) computed exactly from integer roots."""
+    """ceil(n**epsilon) computed exactly from integer roots; n^p, with
+    epsilon = p/s, may have at most MAX_POWER_BITS bits."""
     eps = _exponent(epsilon)
     if n < 1 or eps < 0:
         raise ValueError("need n >= 1 and epsilon >= 0")
     p, s = eps.numerator, eps.denominator
+    _require_power_bits(n, eps, p * n.bit_length())
     np_ = n ** p
     root = integer_root(np_, s)
     return root if root ** s == np_ else root + 1
@@ -389,42 +409,54 @@ def check_nominal_bounds(n: int, tau1: int, tau2: int,
 
     The bounds compare data size against n^(1-eps) (n - tau2), and
     redundancy against n^(1-eps) tau1 (n - tau2) / (n^eps - tau2).
-    n^eps is typically irrational, so both are settled exactly: the
-    first by comparing integer powers, the second by decimal brackets
-    around n^eps, on which its left side is monotone.
+    n^eps is typically irrational, so both are settled exactly by
+    decimal brackets around n^eps, on which each left side is monotone.
+    With epsilon = p/s, the brackets are integer s-th roots of numbers
+    of up to s (bits(n) + bits(10^199)) bits, and that may not exceed
+    MAX_POWER_BITS.
     """
     _validate_taus(n, tau1, tau2)
     eps = _exponent(epsilon)
     if not 0 < eps < 1:
         raise ValueError(f"epsilon = {eps} outside (0, 1)")
     p, s = eps.numerator, eps.denominator
-    if n ** p <= tau2 ** s:
+    top = 10 ** (_BRACKET_DIGITS - 1)     # the last bracket's scale
+    _require_power_bits(n, eps, s * (n.bit_length() + top.bit_length()))
+    # tau2 >= n > n^eps would form tau2^s past the cap
+    if tau2 >= n or n ** p <= tau2 ** s:
         raise ValueError(f"need n^epsilon > tau2; n = {n} is too small")
     k, d = n - tau1, n - tau2
     r = ceil_rational_power(n, eps)
     point = complete_tradeoff_point(n, k, d, r)
-    # ineq1: M_bar >= n^(1-eps) (n - tau2), both sides positive, so
-    # compare s-th powers of M_bar/(n - tau2) and n^(s-p)
-    ratio = point.M_bar / (n - tau2)
-    ok1 = ratio ** s >= n ** (s - p)
-    # ineq2 with c = n^eps: f(c) = g c (c - tau2) <= B, with g the
-    # redundancy and B = n tau1 (n - tau2).  Decimal brackets
-    # lo <= c <= hi settle it: lo >= tau2 (an integer below c), where f
-    # grows if g > 0, and f(hi) <= 0 < B if g <= 0.  The brackets shrink
-    # to c and end unless f(c) = B, which needs a rational, so integer,
-    # c, bracketed exactly at digits 0: if c^2 is rational, -g tau2 c is
-    # the one irrational term, and no quadratic vanishes at degree >= 3.
+    # with c = n^eps, ineq1 is M_bar c >= A = n (n - tau2), and ineq2 is
+    # f(c) = g c (c - tau2) <= B, with g the redundancy and B = n tau1
+    # (n - tau2).  Decimal brackets lo <= c <= hi settle each: M_bar > 0,
+    # so M_bar c grows; lo >= tau2 (an integer below c), where f grows
+    # if g > 0, and f(hi) <= 0 < B if g <= 0.  The brackets shrink to c
+    # and end unless a side equals its bound at c, which needs a
+    # rational, so integer, c, bracketed exactly at digits 0: if c^2 is
+    # rational, -g tau2 c is f's one irrational term, and no quadratic
+    # vanishes at degree >= 3.
     g = n * point.alpha_bar - point.M_bar
-    bound = n * tau1 * (n - tau2)
-    for digits in range(200):
+    storage, bound = n * (n - tau2), n * tau1 * (n - tau2)
+    ok1 = ok2 = None
+    for digits in range(_BRACKET_DIGITS):
         x = n ** p * 10 ** (s * digits)
         root = integer_root(x, s)
         lo = Fraction(root, 10 ** digits)
         hi = lo if root ** s == x else lo + Fraction(1, 10 ** digits)
-        if g * hi * (hi - tau2) <= bound:
-            return BoundCheck(ineq1=ok1, ineq2=True)
-        if g * lo * (lo - tau2) > bound:
-            return BoundCheck(ineq1=ok1, ineq2=False)
+        if ok1 is None:
+            if point.M_bar * lo >= storage:
+                ok1 = True
+            elif point.M_bar * hi < storage:
+                ok1 = False
+        if ok2 is None:
+            if g * hi * (hi - tau2) <= bound:
+                ok2 = True
+            elif g * lo * (lo - tau2) > bound:
+                ok2 = False
+        if ok1 is not None and ok2 is not None:
+            return BoundCheck(ineq1=ok1, ineq2=ok2)
     raise RuntimeError("interval refinement did not converge")
 
 

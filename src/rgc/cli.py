@@ -73,12 +73,7 @@ def _cmd_design_gen(args) -> int:
 
 def _cmd_design_verify(args) -> int:
     design = designs.load_design(args.design)
-    report = designs.verify_design(design)
-    if not report.ok:
-        print(f"error: design is not an S_{design.lam}({design.t},"
-              f"{design.r},{design.n}): {report.first_violation()}",
-              file=sys.stderr)
-        return 1
+    report = designs.require_design(design)
     print(f"ok: S_{design.lam}({design.t},{design.r},{design.n}) with "
           f"{design.num_blocks} blocks; verified {report.checked_subsets} "
           f"subsets")

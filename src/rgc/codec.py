@@ -41,13 +41,12 @@ fault: the first in file order.
 A share is checked once, where it enters the library.  A DiskShare
 checks a caller's symbols when it is made; check_share checks a share
 against a spec and marks it with that spec, and a later check against
-the same spec only returns the share's columns.  A share is frozen, so
-a mark stays true.  encode and repair make their shares through
-_checked_share, which zips their values with the layout's slots itself
-and runs neither check: the values are reduced mod q.  share_from_bytes
-does the same when the file fits its template, where every value is
-below q; otherwise it makes a DiskShare and runs check_share, so the
-first fault is still named.
+the same spec returns at once.  A share is frozen, so a mark stays true.
+encode and repair make their shares through _checked_share, which zips
+their values with the layout's slots itself and runs neither check: the
+values are reduced mod q.  share_from_bytes does the same when the file
+fits its template, where every value is below q; otherwise it makes a
+DiskShare and runs check_share, so the first fault is still named.
 """
 
 from __future__ import annotations
@@ -247,19 +246,17 @@ class RepairTranscript:
         return sum(len(syms) for _, syms in self.checks)
 
 
-def check_share(spec: CodeSpec,
-                share: DiskShare) -> tuple[tuple[int, ...], ...]:
-    """Validate a share's coordinates and values against the code spec;
-    returns the share's group, row and value columns.
+def check_share(spec: CodeSpec, share: DiskShare) -> None:
+    """Validate a share's coordinates and values against the code spec.
 
     A share that passes is marked with spec, and a later check against
-    the same spec object only returns the columns: a share is frozen,
-    so it still passes.  Any other spec gets the full check.
+    the same spec object returns at once: a share is frozen, so it still
+    passes.  Any other spec gets the full check.
     """
+    if share._checked is spec:
+        return
     syms = share.symbols
     js, is_, vs = zip(*syms) if syms else ((), (), ())
-    if share._checked is spec:
-        return js, is_, vs
     p = spec.params
     if not 1 <= share.disk <= p.n:
         raise ShareFormatError(f"disk {share.disk} outside 1..{p.n}")
@@ -274,7 +271,6 @@ def check_share(spec: CodeSpec,
         raise ShareFormatError(f"share for disk {share.disk} has a symbol "
                                f"outside GF({q})")
     _setattr(share, "_checked", spec)
-    return js, is_, vs
 
 
 def _checked_share(spec: CodeSpec, disk: int, values) -> DiskShare:

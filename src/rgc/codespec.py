@@ -23,7 +23,7 @@ from operator import mul
 from ._kernel import mat_solve as _ksolve
 from ._record import record, require_int
 from .designs import (BlockDesign, json_field, json_int, json_int_rows,
-                      load_json_file)
+                      load_json_file, require_design)
 from .ffield import PrimeField
 
 
@@ -104,11 +104,14 @@ def build_layout(design: BlockDesign) -> Layout:
     return Layout(groups=design.blocks)
 
 
-def _require_strength(design: BlockDesign) -> None:
-    """Refuse t = 1, for derive_params and a loaded CodeSpec alike."""
+def _require_code_design(design: BlockDesign) -> None:
+    """Refuse t = 1 and a block list that is not an S_lam(t, r, n), for
+    derive_params and a loaded CodeSpec alike: a code's parameters hold
+    only on a design."""
     if design.t < 2:
         raise ValueError("design strength t must be at least 2; t=1 would "
                          "require all n disks as repair helpers")
+    require_design(design)
 
 
 def _params(design: BlockDesign, k: int, T: int) -> CodeParams:
@@ -180,7 +183,7 @@ class CodeSpec:
             if type(getattr(self, name)) is list:
                 object.__setattr__(self, name, tuple(getattr(self, name)))
         p, q = self.params, self.field.q
-        _require_strength(self.design)
+        _require_code_design(self.design)
         want = _params(self.design, p.k, p.T)
         if not 1 <= p.k <= want.d:
             raise ValueError("params.k out of range")

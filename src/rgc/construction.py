@@ -1,9 +1,11 @@
 """Two-layer erasure code construction driven by a block design.
 
-This module derives a design's parameters, finds the long-parity matrix
-S of a code spec (codespec) and proves that it decodes.  The last T of
-the m * N long-layer slots hold the parity symbols S @ d, sized so that
-any n - k disk erasures still leave a rank-M system.  T is the worst
+This module derives a design's parameters once per code, for either
+constructor: the closed form on a Steiner system at k = n - 2, or
+synthesize_S, which finds the long-parity matrix S of a code spec
+(codespec) and proves that it decodes.  The last T of the m * N
+long-layer slots hold the parity symbols S @ d, sized so that any n - k
+disk erasures still leave a rank-M system.  T is the worst
 case, over erasure sets A, of the symbol deficit beyond what the short
 layer absorbs; compute_T walks the sets until one reaches a double-count
 bound that no set exceeds.
@@ -44,7 +46,7 @@ from ._kernel import echelon_add as _kadd
 from ._kernel import mat_mul as _kmul
 from ._kernel import mat_rank as _krank
 from ._record import record, require_int
-from .codespec import (CodeParams, CodeSpec, _params, _require_strength,
+from .codespec import (CodeParams, CodeSpec, _params, _require_code_design,
                        build_layout, group_decoder)
 from .designs import (BlockDesign, closed_form_Tc, is_complete_design,
                       t_subset_counts)
@@ -216,7 +218,7 @@ def compute_T(design: BlockDesign, k: int) -> int:
 
 def derive_params(design: BlockDesign, k: int) -> CodeParams:
     """Fill CodeParams for a design and reconstruction threshold k."""
-    _require_strength(design)
+    _require_code_design(design)
     d = design.n - design.t + 1
     if not 1 <= k <= d:
         raise ValueError(f"k={k} must satisfy 1 <= k <= d = n-t+1 = {d}")
@@ -240,23 +242,21 @@ def choose_phi(r: int, field: PrimeField) -> tuple[int, ...]:
     return tuple(range(1, r))
 
 
-def build_explicit_steiner_code(design: BlockDesign,
+def build_explicit_steiner_code(params: CodeParams, design: BlockDesign,
                                 field: PrimeField) -> CodeSpec:
-    """The closed-form code on a Steiner system S(2, r, n) with k = n-2.
+    """The closed-form code on a Steiner system S(2, r, n), from
+    derive_params(design, n-2).
 
     The single long parity symbol occupies the last slot of the last
     group and carries coefficient phi[x mod (r-1)] for message position
-    x; T = 1 and M = n(n-1)/r - 1.
+    x; T = 1 and M = n(n-1)/r - 1.  CodeSpec refuses phi on any other
+    design or T, but not at another k, where the form is unproved.
     """
-    if design.t != 2 or design.lam != 1:
-        raise ValueError("explicit construction requires a Steiner system "
-                         "S(2, r, n) with lambda = 1")
-    params = derive_params(design, design.n - 2)
-    if params.T != 1:
-        raise ValueError("Steiner system with n-k = 2 must have T = 1")
-    phi = choose_phi(design.r, field)
+    if params.k != design.n - 2:
+        raise ValueError(f"closed form needs k = n-2, got k={params.k}")
     return CodeSpec(params=params, field=field, design=design,
-                    layout=build_layout(design), phi=phi)
+                    layout=build_layout(design),
+                    phi=choose_phi(design.r, field))
 
 
 def erasure_system(spec: CodeSpec, a):
@@ -658,13 +658,14 @@ def rank_witness(spec: CodeSpec, a) -> tuple[int, ...]:
 def build_code(design: BlockDesign, k: int, q: int | str = "auto",
                seed: int = 0, budget: int = 8, jobs: int = 1,
                sample: int | None = None) -> BuildResult:
-    """Derive parameters, pick a field, and produce a verified CodeSpec.
+    """Derive parameters once, pick a field, build a verified CodeSpec.
 
     q="auto" selects the smallest prime exceeding C(n,k)*T*M, the
     threshold above which a valid S is guaranteed to exist.  Steiner
     designs with k = n-2 use the closed-form coefficient construction;
-    other codes synthesize and verify an S matrix.  Any other q must be
-    an int: a bool, float or str is refused, not converted.
+    other codes synthesize and verify an S matrix.  Both constructors
+    take the params.  Any other q must be an int: a bool, float or str
+    is refused, not converted.
     """
     _serial_only(jobs)
     require_int("k", k)
@@ -679,7 +680,7 @@ def build_code(design: BlockDesign, k: int, q: int | str = "auto",
                          f"'auto' or an int")
     field = PrimeField(q)
     if params.t == 2 and params.lam == 1 and k == params.n - 2:
-        return BuildResult(spec=build_explicit_steiner_code(design, field),
-                           attempts=0, structured=False)
+        spec = build_explicit_steiner_code(params, design, field)
+        return BuildResult(spec=spec, attempts=0, structured=False)
     return synthesize_S(params, design, field, seed=seed, budget=budget,
                         sample=sample)

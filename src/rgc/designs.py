@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from functools import cached_property
 from math import comb
 
 from ._record import record, require_int
@@ -55,6 +56,12 @@ class BlockDesign:
     @property
     def num_blocks(self) -> int:
         return len(self.blocks)
+
+    @cached_property
+    def _report(self) -> DesignReport:
+        """verify_design's report, worked out once per design object and
+        kept outside its equality, hash and JSON."""
+        return _check_axioms(self)
 
     @property
     def replication(self) -> int:
@@ -243,7 +250,23 @@ def t_subset_counts(design: BlockDesign) -> dict[tuple[int, ...], int]:
 
 
 def verify_design(design: BlockDesign) -> DesignReport:
-    """Exhaustively check the t-design axioms; report the violations."""
+    """Exhaustively check the t-design axioms; report the violations.
+    The check runs once per design object, which keeps the report."""
+    return design._report
+
+
+def require_design(design: BlockDesign) -> DesignReport:
+    """verify_design's report of a design; ValueError names the first
+    violation of a block list that is not an S_lam(t, r, n)."""
+    report = verify_design(design)
+    if not report.ok:
+        raise ValueError(f"design is not an S_{design.lam}({design.t},"
+                         f"{design.r},{design.n}): "
+                         f"{report.first_violation()}")
+    return report
+
+
+def _check_axioms(design: BlockDesign) -> DesignReport:
     violations = []
     expected = None
     try:

@@ -1,8 +1,10 @@
 """Tradeoff bounds, design benchmarking, and exponent-region math."""
 
+import contextlib
 import hashlib
 import json
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -129,11 +131,90 @@ def test_compare_validates_inputs():
                         gen_complete_design(2, 3, 9), 5)
 
 
-@given(st.integers(0, 10 ** 12), st.integers(1, 6))
-@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10 ** 12), st.integers(1, 6) | st.integers(7, 50))
+@settings(max_examples=120, deadline=None)
 def test_integer_root_bounds(x, s):
     root = integer_root(x, s)
     assert root ** s <= x < (root + 1) ** s
+
+
+@contextlib.contextmanager
+def _peak_bytes():
+    """A list that holds, once the block ends, the peak of the memory
+    allocated inside it, in bytes."""
+    peak = []
+    tracemalloc.start()
+    try:
+        yield peak
+    finally:
+        peak.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+
+
+def test_a_root_degree_past_the_bits_forms_no_power():
+    """With s >= bits(x), 1 <= x^(1/s) < 2, so the root is 1 at once:
+    a Newton step from 2^ceil(bits/s) would form 2^(s-1), 1.25 MB at
+    s = 10^7, and an exact epsilon of denominator 10^11 would need
+    about 45 GB."""
+    with _peak_bytes() as peak:
+        root = integer_root(2 ** 64, 10 ** 7)
+    assert root == 1 and peak[0] < 1 << 16
+    assert integer_root(2 ** 64, 65) == 1 and integer_root(2 ** 64, 64) == 2
+
+
+def test_powers_of_n_past_the_cap_are_refused(monkeypatch):
+    """Every power formed from epsilon = p/s is capped by
+    MAX_POWER_BITS: n^p, charged p bits(n) bits, and in the nominal
+    bounds each decimal bracket's s-th power, charged for all of its
+    digits up front, so no integer root is taken.  tau2 >= n fails
+    n^epsilon > tau2 without forming tau2^s."""
+    eps = F(99999, 100000)
+    text = ("epsilon = 99999/100000 at n = 64 needs 699993-bit powers, "
+            "above the cap 65536")
+    for fn, args in ((ceil_rational_power, (64, eps)),
+                     (exponent_point, (64, 1, 1, eps))):
+        with pytest.raises(ValueError) as err:
+            fn(*args)
+        assert str(err.value) == text
+
+    def no_root(x, s):
+        raise AssertionError(f"took a root of degree {s}")
+
+    monkeypatch.setattr(analysis, "integer_root", no_root)
+    with pytest.raises(ValueError) as err:
+        check_nominal_bounds(64, 1, 1, F(99, 100))
+    assert str(err.value) == ("epsilon = 99/100 at n = 64 needs 66900-bit "
+                              "powers, above the cap 65536")
+    monkeypatch.undo()
+    # the largest s inside the cap still settles both bounds
+    assert check_nominal_bounds(64, 1, 1, F(96, 97)).ineq2
+    huge = 1 << 10 ** 5
+    with _peak_bytes() as peak, pytest.raises(ValueError) as err:
+        check_nominal_bounds(64, huge, huge, F(1, 90))
+    assert str(err.value) == "need n^epsilon > tau2; n = 64 is too small"
+    assert peak[0] < 1 << 16
+    assert analysis.MAX_POWER_BITS == 2 ** 16
+
+
+@pytest.mark.parametrize("fn,args,text", [
+    (cutset_max_M, (9, 7, 8, F(-1)), "alpha_bar must be nonnegative"),
+    (complete_tradeoff_point, (10, 3, 5, 5),
+     "block size r = 5 outside the admissible range 6..10"),
+    (complete_tradeoff_point, (10, 3, 5, 11),
+     "block size r = 11 outside the admissible range 6..10"),
+    (ceil_rational_power, (0, F(1, 2)), "need n >= 1 and epsilon >= 0"),
+    (ceil_rational_power, (4, F(-1, 2)), "need n >= 1 and epsilon >= 0"),
+    (integer_root, (-1, 2), "need x >= 0 and s >= 1"),
+    (integer_root, (8, 0), "need x >= 0 and s >= 1"),
+    (check_nominal_bounds, (64, 1, 1, F(0)), "epsilon = 0 outside (0, 1)"),
+    (check_nominal_bounds, (64, 1, 1, F(1)), "epsilon = 1 outside (0, 1)"),
+    (check_nominal_bounds, (64, 1, 1, F(3, 2)),
+     "epsilon = 3/2 outside (0, 1)"),
+])
+def test_out_of_range_arguments_are_refused(fn, args, text):
+    with pytest.raises(ValueError) as err:
+        fn(*args)
+    assert str(err.value) == text
 
 
 @given(st.integers(2, 500), st.integers(1, 7), st.integers(2, 8))

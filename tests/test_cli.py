@@ -57,6 +57,19 @@ def test_design_verify_flags_bad_design(capsys, tmp_path):
     assert err.startswith("error:")
 
 
+def test_code_build_refuses_a_block_list_that_is_not_a_design(capsys,
+                                                              tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(BlockDesign(n=7, t=2, r=3, lam=1, blocks=(
+        (1, 2, 3), (1, 2, 4), (1, 2, 5), (1, 2, 6), (1, 2, 7), (3, 4, 5),
+        (5, 6, 7))).to_json())
+    code, out, err = run(capsys, "code", "build", "--design", str(path),
+                         "--k", "4")
+    assert (code, out) == (1, "")
+    assert err == ("error: design is not an S_1(2,3,7): 2-subset (1, 2) "
+                   "covered 5 times, expected 1\n")
+
+
 def test_usage_errors_exit_2(capsys):
     assert run(capsys, "design", "gen", "--n", "9")[0] == 2
     assert run(capsys, "design", "gen", "--steiner-triple", "--complete",

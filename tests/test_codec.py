@@ -43,13 +43,17 @@ def test_message_text_round_trip():
 def test_message_modulus_is_an_int():
     """A message's modulus is exactly an int: a float, str, bool or None
     is refused with a ValueError naming it, not kept as a modulus or
-    left to a bare TypeError."""
+    left to a bare TypeError.  An int below 2 is refused too."""
     for q in (7.5, "7", True, None):
         for values in ((1, 2), ()):
             with pytest.raises(ValueError) as err:
                 MessageVector(q, values)
             assert str(err.value) == (f"modulus {q!r} is a "
                                       f"{type(q).__name__}, not an int")
+    for q in (1, 0, -3):
+        with pytest.raises(ValueError) as err:
+            MessageVector(q, ())
+        assert str(err.value) == "modulus must be at least 2"
 
 
 def test_random_message_length_is_not_negative():
@@ -319,8 +323,10 @@ def test_library_shares_equal_checked_rebuilds(golden_spec, complete9_spec,
             again = DiskShare(disk=share.disk, symbols=share.symbols)
             assert again == share and hash(again) == hash(share)
             assert again._checked is None
-            assert check_share(spec, again) == check_share(spec, share)
+            assert check_share(spec, again) is None
             assert again._checked is spec
+            assert (tuple(zip(*again.symbols))[:2]
+                    == spec.layout.disk_columns(share.disk))
 
 
 def _spy_on(monkeypatch, real, note):
@@ -439,7 +445,9 @@ def test_a_share_checked_for_one_spec_is_refused_by_another(
             for fn in (check_share, share_to_bytes):
                 _raises_exactly(str(err.value), fn, other, share)
         again = CodeSpec.from_json(spec.to_json())
-        assert check_share(again, share) == check_share(spec, share)
+        assert again is not spec and share._checked is spec
+        check_share(again, share)
+        assert share._checked is again
 
 
 def test_share_map_checks_each_share_once(complete9_spec, monkeypatch):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from rgc import construction, designs
 from rgc.codec import (CorruptionError, MessageVector, encode, reconstruct,
                        repair)
-from rgc.codespec import (CodeSpec, build_layout, group_decoder,
+from rgc.codespec import (CodeSpec, _params, build_layout, group_decoder,
                           short_mds_generator)
 from rgc.construction import (BudgetExceededError, SynthesisError,
                               WitnessError, build_code,
@@ -25,7 +25,7 @@ from rgc.construction import (BudgetExceededError, SynthesisError,
                               erasure_system, rank_witness, synthesize_S,
                               verify_S)
 from rgc.designs import (CATALOG, S_2_4_13, BlockDesign, gen_complete_design,
-                         gen_steiner_triple)
+                         gen_steiner_triple, verify_design)
 from rgc.ffield import PrimeField, next_prime
 from rgc._kernel import annihilator, echelon_add, mat_mul, mat_rank
 
@@ -69,6 +69,13 @@ def test_deficit_rejects_repeated_disk(steiner9):
         compute_TA(steiner9, (1, 1, 2))
     with pytest.raises(ValueError, match="ground set"):
         compute_TA(steiner9, (0, 2))
+
+
+def test_compute_T_refuses_k_outside_1_to_n_minus_1(steiner9):
+    for k in (0, 9, -1):
+        with pytest.raises(ValueError) as err:
+            compute_T(steiner9, k)
+        assert str(err.value) == f"k={k} must be in 1..8"
 
 
 def test_deficit_budget_guard():
@@ -206,6 +213,10 @@ def test_short_generator_all_ones_parity_when_t2():
 def test_short_generator_needs_room():
     with pytest.raises(ValueError):
         short_mds_generator(5, 3, PrimeField(3))   # q < r
+    for r, t in ((3, 1), (3, 4)):
+        with pytest.raises(ValueError) as err:
+            short_mds_generator(r, t, PrimeField(7))
+        assert str(err.value) == f"need 2 <= t <= r, got t={t} r={r}"
 
 
 def test_choose_phi_greedy():
@@ -216,7 +227,8 @@ def test_choose_phi_greedy():
 
 
 def test_explicit_code_equals_generic_build(steiner9):
-    explicit = build_explicit_steiner_code(steiner9, PrimeField(3))
+    params = derive_params(steiner9, 7)
+    explicit = build_explicit_steiner_code(params, steiner9, PrimeField(3))
     built = build_code(steiner9, 7, q=3).spec
     assert explicit == built
     assert explicit.phi == (1, 2)
@@ -228,7 +240,73 @@ def test_explicit_code_equals_generic_build(steiner9):
     with pytest.raises(ValueError) as err:
         build_code(bad, 7, q=3)
     assert type(err.value) is ValueError
-    assert str(err.value) == "Steiner system with n-k = 2 must have T = 1"
+    assert str(err.value) == ("design is not an S_1(2,3,9): 2-subset "
+                              "(1, 2) covered 2 times, expected 1")
+
+
+# Seven triples on 7 points that claim S(2,3,7): five hold the pair
+# (1, 2), so disk 1 holds 5 slots where alpha says 3
+NOT_A_DESIGN = BlockDesign(n=7, t=2, r=3, lam=1, blocks=(
+    (1, 2, 3), (1, 2, 4), (1, 2, 5), (1, 2, 6), (1, 2, 7), (3, 4, 5),
+    (5, 6, 7)))
+NOT_A_DESIGN_TEXT = ("design is not an S_1(2,3,7): 2-subset (1, 2) "
+                     "covered 5 times, expected 1")
+
+
+def test_a_block_list_that_is_not_a_design_is_refused():
+    """build_code, derive_params and CodeSpec, made directly or from a
+    spec file, refuse a block list that is not an S_lam(t, r, n), with
+    the design verifier's first violation: the parameters derived from
+    it would be false."""
+    bad = NOT_A_DESIGN
+    T = compute_T(bad, 4)
+    p = _params(bad, 4, T)
+    doc = {"q": 31, "design": json.loads(bad.to_json()),
+           "params": {"n": p.n, "k": p.k, "d": p.d, "t": p.t, "r": p.r,
+                      "lambda": p.lam, "alpha": p.alpha, "beta": p.beta,
+                      "gamma": p.gamma, "M": p.M, "T": p.T,
+                      "nstar": p.nstar},
+           "layout": [list(b) for b in bad.blocks], "s": ["0"] * (T * p.M)}
+    calls = [lambda: build_code(bad, 4), lambda: derive_params(bad, 4),
+             lambda: CodeSpec(params=p, field=PrimeField(31), design=bad,
+                              layout=build_layout(bad),
+                              s_entries=(0,) * (T * p.M)),
+             lambda: CodeSpec.from_json(json.dumps(doc))]
+    for call in calls:
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == NOT_A_DESIGN_TEXT
+    # the report is worked out once per design object, and stays outside
+    # its equality, hash and JSON
+    assert verify_design(bad) is verify_design(bad)
+    again = BlockDesign.from_json(bad.to_json())
+    assert again == bad and hash(again) == hash(bad)
+    assert verify_design(again) is not verify_design(bad)
+    assert again.to_json() == bad.to_json()
+
+
+def test_explicit_code_refuses_params_at_another_k(steiner9):
+    """CodeSpec never derives T again, so params claiming T = 1 at
+    k = n-3 would pass it; the closed form is proved only at k = n-2."""
+    real = derive_params(steiner9, 6)
+    claimed = _params(steiner9, 6, 1)
+    assert real.T > 1 and claimed.T == 1
+    with pytest.raises(ValueError, match="closed form needs k = n-2"):
+        build_explicit_steiner_code(claimed, steiner9, PrimeField(3))
+
+
+def test_explicit_build_derives_params_once(monkeypatch):
+    """build_code walks compute_T once and hands the params to the
+    closed-form constructor, which derives nothing again."""
+    calls = []
+    walk = construction.compute_T
+
+    def counted(*args):
+        calls.append(args)
+        return walk(*args)
+    monkeypatch.setattr(construction, "compute_T", counted)
+    build_code(gen_steiner_triple(9), 7, q=3)
+    assert len(calls) == 1
 
 
 def test_spec_json_round_trip(golden_spec, tmp_path):
@@ -359,8 +437,14 @@ def test_verify_full_and_sampled(golden_spec):
 def test_sample_may_not_exceed_the_cap(s15_spec, monkeypatch):
     """A sample checks at most MAX_SUBSETS sets, whether it would draw
     them or stand for all C(15,4) = 1365 of s15's; build_code refuses
-    such a sample before it derives T."""
+    such a sample before it derives T.  Past the cap, verify_S walks
+    nothing unless a sample is asked for."""
     monkeypatch.setattr(construction, "MAX_SUBSETS", 1000)
+    with pytest.raises(BudgetExceededError) as err:
+        verify_S(s15_spec)
+    assert str(err.value) == ("C(15,4) = 1365 erasure sets exceed the cap "
+                              "1000; pass sample= to acknowledge "
+                              "incomplete verification")
     assert verify_S(s15_spec, sample=1000).checked == 1000
     for sample in (1300, 2000):
         with pytest.raises(BudgetExceededError) as err:

@@ -104,6 +104,31 @@ def test_blocks_are_canonicalized():
     assert a.blocks[0] == (1, 2, 3)
 
 
+def test_design_parameters_out_of_range_are_refused():
+    for n, t, r, lam, text in (
+            (7, 4, 3, 1, "need 1 <= t <= r <= n, got t=4 r=3 n=7"),
+            (7, 0, 3, 1, "need 1 <= t <= r <= n, got t=0 r=3 n=7"),
+            (7, 2, 8, 1, "need 1 <= t <= r <= n, got t=2 r=8 n=7"),
+            (7, 2, 3, 0, "lambda must be positive")):
+        with pytest.raises(ValueError) as err:
+            BlockDesign(n=n, t=t, r=r, lam=lam, blocks=())
+        assert str(err.value) == text
+
+
+def test_counts_that_are_not_integers_are_refused():
+    """No S(2,3,8) exists: 7/2 blocks would hold each point and 28/3
+    blocks in all."""
+    design = BlockDesign(n=8, t=2, r=3, lam=1, blocks=())
+    with pytest.raises(ValueError) as err:
+        design.replication
+    assert str(err.value) == "replication count is not an integer"
+    with pytest.raises(ValueError) as err:
+        design.expected_num_blocks()
+    assert str(err.value) == "block count formula is not an integer"
+    assert (verify_design(design).first_violation()
+            == "block count formula is not an integer")
+
+
 def test_duplicate_points_in_block_rejected():
     with pytest.raises(ValueError):
         BlockDesign(n=7, t=2, r=3, lam=1, blocks=((1, 1, 2),))

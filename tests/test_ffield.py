@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rgc._kernel import echelon_add, mat_mul, mat_rank, mat_solve
-from rgc.ffield import PrimeField, next_prime
+from rgc.ffield import PrimeField, is_prime, next_prime
 
 
 def test_next_prime_strictly_greater():
@@ -23,6 +23,14 @@ def test_prime_field_rejects_composites_and_small_moduli():
     for bad in (0, 1, 4, 9, 40572):
         with pytest.raises(ValueError):
             PrimeField(bad)
+    # below 2 nothing is prime; 1 would otherwise halve d = 0 forever
+    assert not any(is_prime(n) for n in (-7, -1, 0, 1))
+
+
+def test_mat_mul_refuses_mismatched_dimensions():
+    with pytest.raises(ValueError) as err:
+        mat_mul([1, 2], 1, 2, [1, 2, 3], 3, 1, 7)
+    assert str(err.value) == "dimension mismatch: 1x2 times 3x1"
 
 
 def _random_flat(rng, rows, cols, q):

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from rgc.codec import DiskShare, MessageVector
+from rgc import storesim
+from rgc.codec import DiskShare, MessageVector, encode
 from rgc.codespec import CodeSpec
 from rgc.storesim import (Cluster, Scenario, ScenarioEvent,
                           random_failure_soak, run_scenario)
@@ -271,3 +272,26 @@ def test_soak_report_is_the_same_with_cold_and_warm_repair_plans(
 def test_soak_rejects_negative_steps(golden_spec):
     with pytest.raises(ValueError):
         random_failure_soak(golden_spec, _msg(golden_spec), -1)
+
+
+def test_cluster_needs_a_share_for_every_disk(golden_spec):
+    shares = encode(golden_spec, _msg(golden_spec))
+    for partial in (shares.without(4), shares.without(*range(1, 10))):
+        with pytest.raises(ValueError) as err:
+            Cluster(golden_spec, partial)
+        assert str(err.value) == "cluster needs shares for disks 1..9"
+
+
+def test_soak_counts_a_wrong_repair_as_a_mismatch(golden_spec, monkeypatch):
+    """A repair that rebuilds the wrong share fails the cycle's audit."""
+    real = storesim.repair
+
+    def wrong(spec, node, shares):
+        _, transcript = real(spec, node, shares)
+        return shares[0], transcript
+
+    monkeypatch.setattr(storesim, "repair", wrong)
+    report = random_failure_soak(golden_spec, _msg(golden_spec), 3, seed=1)
+    assert report.mismatches == 3
+    assert [e["ok"] for e in report.events
+            if e["event"] == "soak_check"] == [False] * 3
