@@ -271,16 +271,42 @@ def integer_root(x: int, s: int) -> int:
     """Largest y with y**s <= x, exact for any size.
 
     With s >= bits(x), 1 <= x^(1/s) < 2, so the root is 1 with no power
-    formed.  Otherwise Newton starts at 2^ceil(bits(x)/s), above the
-    root, and integer Newton started above the root stops exactly at
-    its floor."""
+    formed.  Otherwise _root starts Newton from the root of x's top
+    bits, at or above the root, and integer Newton started at or above
+    the root stops exactly at its floor."""
     if x < 0 or s < 1:
         raise ValueError("need x >= 0 and s >= 1")
     if s == 1 or x < 2:
         return x
     if s >= x.bit_length():
         return 1
-    y = 1 << ((x.bit_length() + s - 1) // s)
+    return _root(x, s)
+
+
+def _root(x: int, s: int) -> int:
+    """integer_root(x, s) for 2 <= s < bits(x).
+
+    The root is below 2^h, h = ceil(bits(x)/s).  A root of at most
+    2 bits(s) + 4 bits is bisected, in h steps.  A longer one starts
+    Newton from the top bits: with c = floor(h/2) and y' the root of
+    x' = x >> sc, found the same way, (y'+1)^s >= x'+1 > x / 2^(sc), so
+    y0 = (y'+1) 2^c - 1 is at or above the root.  And y' 2^c is at or
+    below it, with y' >= 2^(h-c-1) >= 2^(bits(s)+2), so y0 is above the
+    root by a fraction at most 1/y' <= 1/(4s): Newton is past its
+    linear phase, where a start up to twice the root would shrink by
+    only about (s-1)/s a step, and ends in a few quadratic steps."""
+    h = (x.bit_length() + s - 1) // s
+    if h <= 2 * s.bit_length() + 4:
+        lo, hi = 1, 1 << h          # lo^s <= x < hi^s
+        while hi - lo > 1:
+            mid = (lo + hi) >> 1
+            if mid ** s <= x:
+                lo = mid
+            else:
+                hi = mid
+        return lo
+    c = h >> 1
+    y = (_root(x >> s * c, s) + 1 << c) - 1
     while True:
         z = ((s - 1) * y + x // y ** (s - 1)) // s
         if z >= y:

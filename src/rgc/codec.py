@@ -25,18 +25,24 @@ known plan is gathers and one m-term sum per symbol.  A read works by
 position: each held share is scattered into encode's flat r x N array,
 rows 0..m-1 of every group are copied as its column, and only a group
 on a missing disk that lost one of those rows computes them, each from
-its map.  One T x T(A) solve on the heavy groups' kernels (groups using
-fewer than m rows) then gives the kernel coefficients; its rank decides
-decodability.  Each of its columns is one lane sum of a kernel column
-with the group's packed checks.  A read takes k or more shares: every
-share beyond k shrinks the missing set, and with it the heavy groups.
-A share file is written and read through its disk's template: the
-header, the record prefixes and one struct of all the records, made
-once per spec and disk; the template also holds the positions of the
-disk's slots in the flat array, which encode gathers from and a read
-scatters to.  A file that does not fit its template exactly goes to
-one iter_unpack pass over its whole records, the only code that names a
-fault: the first in file order.
+its map; the used rows' offsets, kernel and map rows are kept per
+lost-row mask in spec.read_steps.  One T x T(A) solve on the heavy
+groups' kernels (groups using fewer than m rows) then gives the kernel
+coefficients; its rank decides decodability.  Each of its columns is
+one lane sum of a kernel column with the group's packed checks.  A read
+takes k or more shares: every share beyond k shrinks the missing set,
+and with it the heavy groups.  A share file is written and read through
+its disk's template: the header, the record prefixes and one struct of
+all the records, made once per spec and disk; the template also holds
+the positions of the disk's slots in the flat array, which encode
+gathers from and a read scatters to, and the value code chosen for the
+field's width: a native struct int (B, H, I or Q) at widths 1, 2, 4 and
+8, bytes through int.to_bytes and int.from_bytes at every other width.
+The file bytes are the same either way.  A file is accepted after one
+comparison of its first 44 bytes with its disk's template header; a
+file that does not fit its template exactly goes to one iter_unpack
+pass over its whole records, the only code that names a fault: the
+first in file order.
 
 A share is checked once, where it enters the library.  A DiskShare
 checks a caller's symbols when it is made; check_share checks a share
@@ -53,6 +59,7 @@ from __future__ import annotations
 
 import random
 import struct
+from functools import partial
 from itertools import repeat
 from operator import itemgetter, mul
 
@@ -462,7 +469,8 @@ def reconstruct(spec: CodeSpec, shares) -> MessageVector:
     their templates' positions (_template).  Only a group on a missing
     disk that lost one of its rows 0..m-1 computes them, from its lowest
     m held rows and its row map (group_decoder), up to its kernel basis
-    when it holds fewer.  Shares beyond k only shrink the missing set,
+    when it holds fewer; each lost-row mask's step is made once per spec
+    (spec.read_steps).  Shares beyond k only shrink the missing set,
     so fewer groups are heavy; with one disk missing none is.  One solve
     of the T x T(A) reduced system then gives the kernel coefficients:
     column b of heavy group j is kernel column b's lane sum with the
@@ -487,9 +495,10 @@ def reconstruct(spec: CodeSpec, shares) -> MessageVector:
     for c in range(m):
         w[c::m] = flat[c * N:(c + 1) * N]
     mask, shifts, packed = spec.packed_checks
-    # per lost-row mask: the used rows' offsets in flat, the kernel and
-    # the map row of each lost row < m (a used row is its own copy)
-    steps, heavy, images = {}, [], []
+    # per lost-row mask, once per spec: the used rows' offsets in flat,
+    # the kernel and the map row of each lost row < m (a used row is its
+    # own copy)
+    steps, heavy, images = spec.read_steps, [], []
     for j, h in spec.layout.lost_rows(missing).items():
         if h & (1 << m) - 1:        # lost a row of its column
             step = steps.get(h)
@@ -542,24 +551,43 @@ def _record_struct(width: int) -> struct.Struct:
 
 
 def _template(spec: CodeSpec, disk: int) -> tuple:
-    """(header, prefixes, body, at, gather) of disk's share file under
-    spec: the whole header, each record's 6-byte group, row and width
-    prefix in slot order, one struct of all the records, each a prefix
-    and its value bytes, the slots' positions at in encode's flat r x N
-    result (entry (i, j) at i * N + j), which reconstruct scatters to,
-    and the gather of the disk's values from it.  Made once per spec and
-    disk (spec.share_templates)."""
+    """(header, prefixes, body, at, gather, put, take) of disk's share
+    file under spec: the whole header, each record's 6-byte group, row
+    and width prefix in slot order, one struct of all the records, each
+    a prefix and its value, the slots' positions at in encode's flat
+    r x N result (entry (i, j) at i * N + j), which reconstruct scatters
+    to, the gather of the disk's values from it, and the value code's
+    two halves: put takes a share's symbols to the body's value fields,
+    take the unpacked value fields to ints.  At widths 1, 2, 4 and 8 a
+    value is a native struct int (B, H, I or Q; the body is "<", so
+    standard sizes, little-endian and no padding) and passes as it is;
+    at every other width it is a bytes field, through int.to_bytes and
+    int.from_bytes.  Made once per spec and disk (spec.share_templates),
+    so no call tests the width."""
     tpl = spec.share_templates.get(disk)
     if tpl is None:
         width = symbol_width(spec.field.q)
         slots = spec.layout.disk_slots(disk)
         N = spec.params.nstar
         at = tuple(i * N + j for j, i in slots)
+        value = itemgetter(2)
+        code = {1: "B", 2: "H", 4: "I", 8: "Q"}.get(width)
+        if code:
+            put, take = partial(map, value), tuple
+        else:
+            code = f"{width}s"
+
+            def put(symbols):
+                return map(int.to_bytes, map(value, symbols),
+                           repeat(width), repeat("little"))
+
+            def take(fields):
+                return tuple(map(int.from_bytes, fields, repeat("little")))
         tpl = spec.share_templates[disk] = (
             _HEADER.pack(_MAGIC, spec.spec_hash, disk, len(slots)),
             tuple(struct.pack("<IBB", j, i, width) for j, i in slots),
-            struct.Struct("<" + f"6s{width}s" * len(slots)),
-            at, _gather(at))
+            struct.Struct("<" + f"6s{code}" * len(slots)),
+            at, _gather(at), put, take)
     return tpl
 
 
@@ -570,28 +598,43 @@ def share_to_bytes(spec: CodeSpec, share: DiskShare) -> bytes:
     Once check_share has passed, the share's slots are the layout's,
     so the header and the record prefixes are the disk's template, and
     one pack of its body struct writes the prefixes interleaved with
-    the value bytes."""
+    the values, native struct ints at widths 1, 2, 4 and 8 (_template).
+    The bytes are the same at every width: each value little-endian in
+    its field width."""
     if share._checked is not spec:
         check_share(spec, share)
-    header, prefixes, body, _, _ = _template(spec, share.disk)
+    header, prefixes, body, _, _, put, _ = _template(spec, share.disk)
     fields = [None] * (2 * len(prefixes))
     fields[::2] = prefixes
-    fields[1::2] = map(int.to_bytes, map(itemgetter(2), share.symbols),
-                       repeat(symbol_width(spec.field.q)), repeat("little"))
+    fields[1::2] = put(share.symbols)
     return header + body.pack(*fields)
 
 
 def share_from_bytes(spec: CodeSpec, raw: bytes) -> DiskShare:
     """Parse and validate one share.
 
-    A file is accepted at once when its disk's template (_template)
-    fits: the size is the template's, one unpack of the records gives
-    the template's prefixes, and every value is below q.  Any other
-    file takes the naming pass: the whole records, up to the header's
-    count, are unpacked in one iter_unpack pass, and ShareFormatError
-    names the first fault: a record of the wrong width, a record cut
-    off at the end of the file, or trailing bytes.
+    A file is accepted at once when the template (_template) of the
+    disk named in its bytes 36..39 fits: its first 44 bytes equal the
+    template's header (magic, digest, disk and count, in one
+    comparison), the size is the template's, one unpack of the records
+    gives the template's prefixes, and every value, a native struct int
+    at widths 1, 2, 4 and 8, is below q.  Any other file takes the
+    naming pass: the whole records, up to the header's count, are
+    unpacked in one iter_unpack pass, and ShareFormatError names the
+    first fault: a record of the wrong width, a record cut off at the
+    end of the file, or trailing bytes.
     """
+    q = spec.field.q
+    disk = int.from_bytes(raw[36:40], "little")
+    if 1 <= disk <= spec.params.n:
+        header, prefixes, body, _, _, _, take = _template(spec, disk)
+        if raw[:_HEADER.size] == header and (
+                len(raw) == _HEADER.size + body.size):
+            fields = body.unpack_from(raw, _HEADER.size)
+            if fields[::2] == prefixes:
+                values = take(fields[1::2])
+                if not values or max(values) < q:
+                    return _checked_share(spec, disk, values)
     if raw[:4] != _MAGIC:
         raise ShareFormatError("bad magic; not a share file")
     if len(raw) < _HEADER.size:
@@ -600,16 +643,6 @@ def share_from_bytes(spec: CodeSpec, raw: bytes) -> DiskShare:
     if digest != spec.spec_hash:
         raise ShareFormatError("share was written for a different code "
                                "spec (digest mismatch)")
-    q = spec.field.q
-    if 1 <= disk <= spec.params.n:
-        header, prefixes, body, _, _ = _template(spec, disk)
-        if count == len(prefixes) and len(raw) == len(header) + body.size:
-            fields = body.unpack_from(raw, len(header))
-            if fields[::2] == prefixes:
-                values = tuple(map(int.from_bytes, fields[1::2],
-                                   repeat("little")))
-                if not values or max(values) < q:
-                    return _checked_share(spec, disk, values)
     width = symbol_width(q)
     rec = _record_struct(width)
     off = _HEADER.size

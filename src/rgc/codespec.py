@@ -234,6 +234,13 @@ class CodeSpec:
         return {}
 
     @cached_property
+    def read_steps(self) -> dict[int, tuple]:
+        """codec.reconstruct's table: lost-row mask of a group that lost
+        one of its rows 0..m-1 to its read step (the used rows' offsets,
+        kernel and map rows, from group_decoder); at most 2^r entries."""
+        return {}
+
+    @cached_property
     def share_templates(self) -> dict[int, tuple]:
         """codec._template's table: disk id to the disk's share-file
         template; at most n entries."""

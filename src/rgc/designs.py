@@ -14,6 +14,7 @@ import itertools
 import json
 from functools import cached_property
 from math import comb
+from types import MappingProxyType
 
 from ._record import record, require_int
 
@@ -62,6 +63,13 @@ class BlockDesign:
         """verify_design's report, worked out once per design object and
         kept outside its equality, hash and JSON."""
         return _check_axioms(self)
+
+    @cached_property
+    def _cover(self) -> MappingProxyType:
+        """t_subset_counts' counts, read-only, counted once per design
+        object and kept, like _report, outside its equality, hash and
+        JSON."""
+        return MappingProxyType(_count_t_subsets(self))
 
     @property
     def replication(self) -> int:
@@ -239,9 +247,15 @@ class DesignReport:
         return self.violations[0] if self.violations else None
 
 
-def t_subset_counts(design: BlockDesign) -> dict[tuple[int, ...], int]:
+def t_subset_counts(design: BlockDesign) -> MappingProxyType:
     """The number of blocks holding each t-subset that some block holds,
-    counted from the block list, whatever lam says."""
+    counted from the block list, whatever lam says: a read-only mapping,
+    counted once per design object, which the design check and
+    construction's compute_T share."""
+    return design._cover
+
+
+def _count_t_subsets(design: BlockDesign) -> dict[tuple[int, ...], int]:
     cover: dict[tuple[int, ...], int] = {}
     for block in design.blocks:
         for sub in itertools.combinations(block, design.t):

@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import json
 import math
+import random
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -136,6 +137,47 @@ def test_compare_validates_inputs():
 def test_integer_root_bounds(x, s):
     root = integer_root(x, s)
     assert root ** s <= x < (root + 1) ** s
+
+
+def _root_from_a_power_of_two(x, s):
+    """integer_root as it was with Newton started at 2^ceil(bits(x)/s),
+    up to twice the root: slow for a large s, and the reference here."""
+    if s == 1 or x < 2:
+        return x
+    if s >= x.bit_length():
+        return 1
+    y = 1 << ((x.bit_length() + s - 1) // s)
+    while True:
+        z = ((s - 1) * y + x // y ** (s - 1)) // s
+        if z >= y:
+            return y
+        y = z
+
+
+def test_integer_root_matches_newton_from_a_power_of_two():
+    """integer_root, started from the root of x's top bits, agrees with
+    Newton started from a power of two on seeded exact powers y^s and
+    y^s +- 1, on x of thousands of bits at every kind of s, up to the
+    MAX_POWER_BITS cap, and on the nominal bounds' last bracket at
+    n = 64, which took 77 Newton steps from a power of two."""
+    rng = random.Random(3501)
+    cases = [(64 ** 96 * 10 ** (97 * 199), 97)]
+    for _ in range(120):
+        s = rng.choice((2, 3, 5, rng.randrange(2, 40), rng.randrange(40, 300)))
+        y = rng.getrandbits(rng.randrange(1, max(2, 6000 // s))) + 2
+        cases += [(y ** s + e, s) for e in (-1, 0, 1)]
+    for _ in range(60):
+        x = rng.getrandbits(rng.randrange(1000, 9000)) | 1 << 999
+        s = rng.choice((2, rng.randrange(2, 100),
+                        rng.randrange(2, x.bit_length() + 2)))
+        cases.append((x, s))
+    cap = analysis.MAX_POWER_BITS
+    for s in (cap // 2, cap - 1, cap):
+        cases += [(y ** s + e, s) for y in (2, 3) for e in (-1, 0, 1)]
+    for x, s in cases:
+        root = integer_root(x, s)
+        assert root == _root_from_a_power_of_two(x, s), (x.bit_length(), s)
+        assert root ** s <= x < (root + 1) ** s
 
 
 @contextlib.contextmanager

@@ -21,7 +21,7 @@ from rgc.codec import (CorruptionError, DiskShare, MessageVector,
 from rgc.codespec import CodeSpec, _pack_lanes, group_decoder
 from rgc.construction import build_code, compute_TA, verify_S
 from rgc.designs import gen_complete_design, gen_steiner_triple
-from rgc.ffield import PrimeField, next_prime
+from rgc.ffield import MAX_MODULUS, PrimeField, is_prime
 
 from conftest import lost_mask, parity_block, plan
 
@@ -1422,23 +1422,33 @@ def _plain_record_bytes(share, width):
                     + v.to_bytes(width, "little") for j, i, v in share.symbols)
 
 
+def _prime_below(x):
+    q = x - 1
+    while not is_prime(q):
+        q -= 1
+    return q
+
+
 def test_share_bytes_by_width_class(golden_spec, complete9_spec, s15_spec):
-    """At every value width, 1, 2 and 3 bytes on the reference codes and
-    4, 5 and 8 on golden-design codes over wider fields, each file is
-    its header and the records written one by one, little-endian, and
-    reads back as its share, values at q - 1 included."""
-    design = golden_spec.design
-    wide = [build_code(design, 7, q=next_prime(2 ** bits)).spec
-            for bits in (24, 32, 56)]
-    for spec, width in ((golden_spec, 1), (complete9_spec, 2),
-                        (s15_spec, 3), (wide[0], 4), (wide[1], 5),
-                        (wide[2], 8)):
+    """At every value width: 1, 2 and 3 bytes on the reference codes, and
+    1 to 8 on the golden closed-form code, S(2,3,9) with k = 7, over the
+    largest prime below 2^(8w), or below the 2^61 modulus cap at w = 8;
+    the cap leaves no field of width 9.  Native (1, 2, 4, 8) or bytes
+    (3, 5, 6, 7), each file is its header and the records written one by
+    one, little-endian, reads back as its share, values 0 and q - 1
+    included, and a value >= q in it gets the naming pass's text."""
+    assert symbol_width(MAX_MODULUS - 1) == 8
+    golden = [build_code(golden_spec.design, 7,
+                         q=_prime_below(min(1 << 8 * w, MAX_MODULUS))).spec
+              for w in range(1, 9)]
+    for spec, width in ((golden_spec, 1), (complete9_spec, 2), (s15_spec, 3),
+                        *zip(golden, range(1, 9))):
         q = spec.field.q
         assert symbol_width(q) == width
         shares = list(encode(spec, _msg(spec, 8)))
-        shares += [DiskShare(s.disk, tuple((j, i, q - 1)
+        shares += [DiskShare(s.disk, tuple((j, i, v)
                                            for j, i, _ in s.symbols))
-                   for s in shares]
+                   for v in (0, q - 1) for s in shares]
         for share in shares:
             blob = share_to_bytes(spec, share)
             assert blob[44:] == _plain_record_bytes(share, width)
@@ -1447,6 +1457,48 @@ def test_share_bytes_by_width_class(golden_spec, complete9_spec, s15_spec):
                 len(share.symbols))
             back = share_from_bytes(spec, blob)
             assert back == share and back._checked is spec
+        share = shares[0]
+        blob = share_to_bytes(spec, share)
+        for at in (44, len(blob) - 6 - width):
+            for bad in (q, (1 << 8 * width) - 1):
+                raw = (blob[:at + 6] + bad.to_bytes(width, "little")
+                       + blob[at + 6 + width:])
+                _raises_exactly(f"share for disk {share.disk} has a symbol "
+                                f"outside GF({q})", share_from_bytes, spec,
+                                raw)
+
+
+def test_reads_keep_their_steps_per_spec(complete9_spec, monkeypatch):
+    """A spec keeps each lost-row mask's read step (spec.read_steps), at
+    most 2^r of them, each for a mask that lost a row below m: a second
+    read of every one of c9's 36 k-sets makes no step, so it calls
+    group_decoder no more.  The table is not part of the spec: equality,
+    hash and JSON do not see it."""
+    from rgc import codec
+    reference = complete9_spec
+    spec = CodeSpec.from_json(reference.to_json())
+    p = spec.params
+    assert "read_steps" not in vars(spec)
+    msg = _msg(spec, 6)
+    shares = encode(spec, msg)
+    keeps = list(itertools.combinations(shares.disks(), p.k))
+    assert len(keeps) == 36
+    for keep in keeps:
+        assert reconstruct(spec, shares.subset(keep)) == msg
+    made = dict(spec.read_steps)
+    assert made and len(made) <= 2 ** p.r
+    assert all(h & (1 << p.m) - 1 for h in made)
+    calls = []
+    real = codec.group_decoder
+    monkeypatch.setattr(codec, "group_decoder",
+                        lambda *args: calls.append(args) or real(*args))
+    for keep in keeps:
+        assert reconstruct(spec, shares.subset(keep)) == msg
+    assert calls == []
+    assert spec.read_steps.keys() == made.keys()
+    assert all(spec.read_steps[h] is made[h] for h in made)
+    assert spec == reference and hash(spec) == hash(reference)
+    assert spec.to_json() == reference.to_json()
 
 
 def test_c9_share_faults_keep_their_texts(complete9_spec):

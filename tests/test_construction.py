@@ -86,6 +86,23 @@ def test_deficit_budget_guard():
         compute_T(design, 15)
 
 
+def test_a_build_counts_the_design_t_subsets_once(monkeypatch):
+    """build_code on a fresh S(2,3,15) counts its blocks' t-subsets
+    once: the design check and compute_T's lam_max share the counts
+    kept on the design object (t_subset_counts), which are read-only."""
+    made = []
+    real = designs._count_t_subsets
+    monkeypatch.setattr(designs, "_count_t_subsets",
+                        lambda design: made.append(design) or real(design))
+    design = gen_steiner_triple(15)
+    build_code(design, 11)
+    assert len(made) == 1 and made[0] is design
+    counts = designs.t_subset_counts(design)
+    assert len(made) == 1 and set(counts.values()) == {1}
+    with pytest.raises(TypeError):
+        counts[(1, 2)] = 2
+
+
 def _random_multiset():
     """25 random triples on 10 points, some repeated: lam = 1 is false,
     as four blocks hold one pair."""
