@@ -7,10 +7,11 @@ fast enough.  mat_rank and mat_solve share one forward elimination to
 row echelon form; the solve then back-substitutes, one sum of products
 per pivot and right-hand-side column.  echelon_add grows a fraction-free
 row echelon basis one row at a time, for rank checks that add rows
-incrementally, and annihilator gives the quotient by such a basis's span
-in gathered form: its free columns and their coefficients on the
-pivots, so a row maps to it at the cost of the span's dimension, not of
-its width.
+incrementally; first_dependent_packed runs the same elimination on rows
+packed into lanes of one int, at lane_width's carry-free width; and
+annihilator gives the quotient by such a basis's span in gathered form:
+its free columns and their coefficients on the pivots, so a row maps to
+it at the cost of the span's dimension, not of its width.
 """
 
 from operator import mul
@@ -51,6 +52,67 @@ def echelon_add(basis, row, q):
             basis.append((piv, row))
             return True
     return False
+
+
+def lane_width(lanes, q, terms):
+    """Bits per lane at which first_dependent_packed eliminates rows of
+    `lanes` lanes, each an input sum of at most `terms` products of two
+    residues in 0..q-1, without a carry between lanes (proof there)."""
+    return lanes - 1 + (lanes + 1) * (q - 1).bit_length() + terms.bit_length()
+
+
+def first_dependent_packed(rows, lanes, width, q):
+    """The place of the first of rows that depends, mod q, on those
+    before it, or None.  Each row is one int of `lanes` lanes `width`
+    bits apart, lane t being (row >> t * width) & (2^width - 1), read
+    mod q, and width must be at least lane_width(lanes, q, terms) for
+    rows whose input lanes are at most terms * (q-1)^2.
+
+    The elimination is fraction-free on whole rows: a row is reduced
+    against each kept row b in turn, with f its lane at b's pivot P and
+    bp = b's lane P mod q, as row <- bp * row + (q - f) * b when f is
+    nonzero mod q.  Lane P becomes bp f - f bp = 0 mod q, and the
+    earlier pivots stay 0 mod q, as b is 0 mod q there.  The reduced
+    row is a nonzero multiple of the row plus a combination of kept
+    rows, so it is 0 mod q in every lane exactly when the row depends
+    on the rows before it; any other is kept, pivoted on its first
+    other lane not 0 mod q.  No inverse and no per-lane % q is taken:
+    each reduction is two multiplies and an add of whole ints.  Once
+    `lanes` rows are kept they span every row, so the next is dependent
+    with no arithmetic.
+
+    Lane width: every lane stays a nonnegative integer, as bp and q - f
+    lie in 1..q-1.  Let B_u = 2^u (q-1)^(u+2) terms, so B_0 bounds every
+    input lane.  Kept row u was reduced against the u rows kept before
+    it, and a row about to be reduced against it has been reduced (or
+    left alone) against the same u rows, so if both have lanes at most
+    B_u, the reduction leaves at most (q-1) B_u + (q-1) B_u = B_{u+1}.
+    By induction every lane is at most B_u after u reductions.  At most
+    `lanes` rows are kept and none is reduced against a full basis, so
+    u <= lanes - 1 and every lane is at most 2^(lanes-1) (q-1)^(lanes+1)
+    terms < 2^(lanes - 1 + (lanes+1) bits(q-1) + bits(terms)) = 2^width.
+    Multiplying and adding whole ints then acts lane by lane:
+    nonnegative lanes below 2^width never carry into the next, so every
+    lane reads back exactly."""
+    mask = (1 << width) - 1
+    free = list(range(0, lanes * width, width))     # non-pivot lane shifts
+    basis = []
+    for at, v in enumerate(rows):
+        if not free:
+            return at
+        for s, bp, b in basis:
+            f = (v >> s & mask) % q
+            if f:
+                v = bp * v + (q - f) * b
+        for s in free:
+            f = (v >> s & mask) % q
+            if f:
+                basis.append((s, f, v))
+                free.remove(s)
+                break
+        else:
+            return at
+    return None
 
 
 def annihilator(basis, cols, q):

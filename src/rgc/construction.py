@@ -26,7 +26,10 @@ it in its own loop: one annihilator of the head's s path images gives
 the quotient gathered (free columns and their coefficients on the
 pivots), each leaf image maps to its T - s coordinates with s + 1 terms
 each, unrolled for three on three, and a determinant, a cross product
-or a small elimination decides them.  rank_witness takes its heavy
+or a small elimination decides them.  When n - k <= t no head reaches
+t hits, so every path is empty, and verify_S packs each image into one
+int of T lanes and decides each leaf by a fraction-free elimination on
+whole ints (_kernel.first_dependent_packed).  rank_witness takes its heavy
 groups' kernels from group_decoder to build, for one erasure set, a 0/1
 matrix S that satisfies the condition, so the generic determinant
 argument for random S is checkable per set.  erasure_system is the
@@ -43,6 +46,8 @@ from operator import mul
 
 from ._kernel import annihilator as _annihilator
 from ._kernel import echelon_add as _kadd
+from ._kernel import first_dependent_packed as _first_packed
+from ._kernel import lane_width as _lane_width
 from ._kernel import mat_mul as _kmul
 from ._kernel import mat_rank as _krank
 from ._record import record, require_int
@@ -325,7 +330,8 @@ def verify_S(spec: CodeSpec, jobs: int = 1, sample: int | None = None,
     as kernels only grow, every completion of it, which is then listed
     with no more rank work.  A vector's image depends only on its group
     and hit mask, so every image of the call is made up front, in one
-    product of the kernel vectors with every group's parity columns.
+    product of the kernel vectors with every group's parity columns
+    (packed when n - k <= t, below).
 
     The walk yields each set's last disk as (j, hits) pairs, and the
     loop here decides it in its head's quotient space.  At the first
@@ -339,7 +345,16 @@ def verify_S(spec: CodeSpec, jobs: int = 1, sample: int | None = None,
     when s = D = 3.  A nonzero determinant (L = D <= 3) or cross product
     (L = 2, D = 3) says so; otherwise, or on a zero, a fraction-free
     elimination of the mapped images finds the first dependent one.
-    With s = 0 the images are their own coordinates.  reductions counts
+    With s = 0 the images are their own coordinates.
+
+    When n - k <= t, chosen once per call, no head reaches t hits in any
+    block, so every path is empty and every leaf is a full T-wide
+    elimination.  The table is then packed instead: the columns of
+    [S | -I] become one int each, check t in lane t at
+    _kernel.lane_width, and an image is the m-term sum of its kernel
+    column times its group's packed columns, with no matrix product.
+    _kernel.first_dependent_packed decides each leaf on whole ints, with
+    no inverse and no per-lane reduction mod q.  reductions counts
     kernel vectors tried, one for each up to the first dependent one, so
     it reads as if each leaf image were reduced against the path.
 
@@ -405,21 +420,43 @@ def _verify(spec: CodeSpec, sample: int | None, seed: int,
         used, _, rowmap, _ = group_decoder(spec, h ^ 1 << lost)
         at = used.index(lost)
         cols.append([row[at] for row in rowmap[:p.m]])
-    # one product: the kernel columns (#masks x m) times the groups'
-    # parity columns side by side (m x N*T); row i holds mask i's images
     m, T, N = p.m, p.T, p.nstar
-    pcols = spec.parity_columns
-    flat = _kmul([v for col in cols for v in col], len(masks), m,
-                 [v for c in range(m) for j in range(N)
-                  for v in pcols[j * m + c]], m, N * T, q)
-    images = {h: [flat[(i * N + j) * T:(i * N + j + 1) * T]
-                  for j in range(N)] for i, h in enumerate(masks)}
-    reductions = 0
+    if miss <= p.t:
+        # no head reaches t hits, so every path is empty: pack the
+        # columns of [S | -I] T lanes to an int, at the width that
+        # first_dependent_packed needs, and make each image the m-term
+        # sum of its kernel column times its group's packed columns
+        width = _lane_width(T, q, m)
+        shifts = range(0, T * width, width)
+        packed = [0] * p.M
+        for row, s in zip(spec.s_rows, shifts):
+            packed = [x + (v << s) for x, v in zip(packed, row)]
+        packed += [q - 1 << s for s in shifts]
+        images = {h: [sum(map(mul, col, packed[j * m:j * m + m]))
+                      for j in range(N)] for h, col in zip(masks, cols)}
+        grow = None
 
-    def grow(basis, j, hits):
-        nonlocal reductions
-        reductions += 1
-        return _kadd(basis, images[hits][j], q)
+        def empty(vs):
+            return _first_packed(vs, T, width, q)
+    else:
+        # one product: the kernel columns (#masks x m) times the groups'
+        # parity columns side by side (m x N*T); row i holds mask i's
+        # images
+        pcols = spec.parity_columns
+        flat = _kmul([v for col in cols for v in col], len(masks), m,
+                     [v for c in range(m) for j in range(N)
+                      for v in pcols[j * m + c]], m, N * T, q)
+        images = {h: [flat[(i * N + j) * T:(i * N + j + 1) * T]
+                      for j in range(N)] for i, h in enumerate(masks)}
+
+        def grow(basis, j, hits):
+            nonlocal reductions
+            reductions += 1
+            return _kadd(basis, images[hits][j], q)
+
+        def empty(vs):
+            return _first_dependent(vs, T, q)
+    reductions = 0
 
     failures, pruned, head = [], 0, None
     for a, basis, pairs, fail in _walk(spec.design, miss, sets, grow):
@@ -429,7 +466,7 @@ def _verify(spec: CodeSpec, sample: int | None, seed: int,
                 # images the images are their own coordinates
                 head = a[:-1]
                 first = (_leaf_decider(_annihilator(basis, T, q), q)
-                         if basis else lambda vs: _first_dependent(vs, T, q))
+                         if basis else empty)
             bad = first([images[h][j] for j, h in pairs])
             reductions += len(pairs) if bad is None else bad + 1
             if bad is not None:

@@ -15,6 +15,7 @@ import json
 from functools import cached_property
 from math import comb
 from types import MappingProxyType
+from typing import NoReturn
 
 from ._record import record, require_int
 
@@ -40,7 +41,10 @@ class BlockDesign:
                 f"need 1 <= t <= r <= n, got t={self.t} r={self.r} n={self.n}")
         if self.lam < 1:
             raise ValueError("lambda must be positive")
-        canon = tuple(sorted(tuple(sorted(b)) for b in self.blocks))
+        try:
+            canon = tuple(sorted(tuple(sorted(b)) for b in self.blocks))
+        except TypeError:
+            _refuse_blocks(self.blocks)
         # one pass in C builtins; the loop only names the first bad point
         if set(map(type, itertools.chain.from_iterable(canon))) - {int}:
             for b in canon:
@@ -105,6 +109,27 @@ class BlockDesign:
                    r=json_int(doc, "r", "design"),
                    lam=json_int(doc, "lambda", "design"),
                    blocks=json_int_rows(doc, "blocks", "design"))
+
+
+def _refuse_blocks(blocks) -> NoReturn:
+    """Raise ValueError naming why blocks do not sort: they, or one
+    block, are not iterable, or a block mixes an int with another type."""
+    try:
+        blocks = list(blocks)
+    except TypeError:
+        raise ValueError(f"design blocks {blocks!r} "
+                         f"({type(blocks).__name__}) are not a list of "
+                         f"blocks") from None
+    for b in blocks:
+        try:
+            points = tuple(b)
+        except TypeError:
+            raise ValueError(f"design blocks entry {b!r} "
+                             f"({type(b).__name__}) is not a block of "
+                             f"points") from None
+        for x in points:
+            require_int(f"block {points} point", x)
+    raise ValueError("design blocks must be blocks of int points")
 
 
 def json_field(doc, key: str, where: str):

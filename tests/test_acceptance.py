@@ -174,8 +174,9 @@ def test_criterion_7(golden_spec, complete9_spec, t3_spec):
 
 
 def test_criterion_8():
-    """Storage/repair bound pair holds exactly; region gap shrinks."""
-    n_values = (64, 128, 256, 512)
+    """Storage/repair bound pair holds exactly; region gap shrinks, out
+    to n = 2^30."""
+    n_values = (64, 128, 256, 512, 10 ** 6, 10 ** 9, 2 ** 30)
     integer_points = set()
     for eps in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)):
         gaps = []
@@ -200,7 +201,9 @@ def test_criterion_8():
         assert all(b < a for a, b in zip(gaps, gaps[1:]))
     assert integer_points == {(64, Fraction(1, 2)), (256, Fraction(1, 4)),
                               (256, Fraction(1, 2)),
-                              (256, Fraction(3, 4))}
+                              (256, Fraction(3, 4)),
+                              (10 ** 6, Fraction(1, 2)),
+                              (2 ** 30, Fraction(1, 2))}
 
 
 def test_criterion_9(golden_spec):

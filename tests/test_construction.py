@@ -27,7 +27,8 @@ from rgc.construction import (BudgetExceededError, SynthesisError,
 from rgc.designs import (CATALOG, S_2_4_13, BlockDesign, gen_complete_design,
                          gen_steiner_triple, verify_design)
 from rgc.ffield import PrimeField, next_prime
-from rgc._kernel import annihilator, echelon_add, mat_mul, mat_rank
+from rgc._kernel import (annihilator, echelon_add, first_dependent_packed,
+                         lane_width, mat_mul, mat_rank)
 
 from conftest import lost_mask, parity_block, plan
 
@@ -853,6 +854,83 @@ def test_leaf_decider_matches_echelon_add(T, s, L, q, data):
                  if not echelon_add(tried, v, q)), None)
     first = construction._leaf_decider(annihilator(basis, T, q), q)
     assert first(vs) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(T=st.integers(1, 12), q=st.sampled_from([2, 3, 31, 40577, 2**61 - 1]),
+       m=st.integers(1, 3), data=st.data())
+def test_first_dependent_packed_matches_echelon_add(T, q, m, data):
+    """On up to T + 2 rows of T lanes, each drawn at random or as a
+    combination of the rows before it, and each lane lifted to the
+    largest value with its residue that an m-term input can hold
+    (m (q-1)^2) or left reduced, first_dependent_packed at lane_width's
+    width names the same first dependent row as plain echelon_add."""
+    bound = m * (q - 1) ** 2
+    residue = st.integers(0, q - 1)
+    rows = []
+    for _ in range(data.draw(st.integers(1, T + 2))):
+        if rows and data.draw(st.booleans()):
+            co = data.draw(st.lists(residue, min_size=len(rows),
+                                    max_size=len(rows)))
+            rows.append([sum(a * r[u] for a, r in zip(co, rows)) % q
+                         for u in range(T)])
+        else:
+            rows.append(data.draw(st.lists(residue, min_size=T,
+                                           max_size=T)))
+    lifted = [[x + q * ((bound - x) // q) if data.draw(st.booleans()) else x
+               for x in r] for r in rows]
+    tried = []
+    want = next((at for at, r in enumerate(lifted)
+                 if not echelon_add(tried, r, q)), None)
+    width = lane_width(T, q, m)
+    packed = [sum(x << u * width for u, x in enumerate(r)) for r in lifted]
+    assert first_dependent_packed(packed, T, width, q) == want
+
+
+def test_a_spec_claiming_a_small_deficit_fails_every_set():
+    """complete(2,3,9) k=7 with params that claim T = 6 against the true
+    deficit 7: each of the 36 leaves has 7 images in 6 lanes, so its 7th
+    is dependent with no arithmetic, whatever S holds."""
+    design = gen_complete_design(2, 3, 9)
+    params = _params(design, 7, 6)
+    rng = random.Random(0)
+    spec = CodeSpec(params=params, field=PrimeField(40577), design=design,
+                    layout=build_layout(design),
+                    s_entries=tuple(rng.randrange(40577)
+                                    for _ in range(params.T * params.M)))
+    report = verify_S(spec)
+    assert report.failures == tuple(_erasure_sets(spec))
+    assert (report.checked, report.reductions, report.pruned) == (36, 252, 0)
+
+
+def test_verify_packs_images_only_when_every_head_is_empty(
+        complete9_spec, s15_spec, monkeypatch):
+    """With n - k <= t (complete(2,3,9) k=7, complete(3,4,7) k=4) every
+    leaf is decided on packed images, with no mat_mul and no
+    parity_columns; S(2,3,15) k=11 keeps its list images and never
+    calls the packed elimination."""
+    packed = []
+    real = construction._first_packed
+
+    def spy(rows, lanes, width, q):
+        packed.append(len(rows))
+        return real(rows, lanes, width, q)
+
+    def no_mul(*args):
+        raise AssertionError("the packed path called mat_mul")
+
+    monkeypatch.setattr(construction, "_first_packed", spy)
+    t3 = _random_candidate(gen_complete_design(3, 4, 7), 4, 31, 0)
+    for spec in (complete9_spec, t3):
+        fresh = CodeSpec.from_json(spec.to_json())
+        with monkeypatch.context() as patch:
+            patch.setattr(construction, "_kmul", no_mul)
+            verify_S(fresh)
+        assert "parity_columns" not in vars(fresh)
+    assert packed == [7] * 36 + [4] * 35
+    packed.clear()
+    verify_S(s15_spec)
+    assert packed == []
 
 
 def _prefix_fails(spec, prefix):

@@ -105,13 +105,22 @@ def test_blocks_are_canonicalized():
 
 
 def test_design_parameters_out_of_range_are_refused():
-    for n, t, r, lam, text in (
-            (7, 4, 3, 1, "need 1 <= t <= r <= n, got t=4 r=3 n=7"),
-            (7, 0, 3, 1, "need 1 <= t <= r <= n, got t=0 r=3 n=7"),
-            (7, 2, 8, 1, "need 1 <= t <= r <= n, got t=2 r=8 n=7"),
-            (7, 2, 3, 0, "lambda must be positive")):
+    """Out-of-range parameters, and blocks that are not a list of blocks
+    of int points, raise a ValueError that names the field, not a
+    TypeError from the sort."""
+    for n, t, r, lam, blocks, text in (
+            (7, 4, 3, 1, (), "need 1 <= t <= r <= n, got t=4 r=3 n=7"),
+            (7, 0, 3, 1, (), "need 1 <= t <= r <= n, got t=0 r=3 n=7"),
+            (7, 2, 8, 1, (), "need 1 <= t <= r <= n, got t=2 r=8 n=7"),
+            (7, 2, 3, 0, (), "lambda must be positive"),
+            (3, 1, 1, 1, (1, 2, 3),
+             "design blocks entry 1 (int) is not a block of points"),
+            (3, 1, 1, 1, None,
+             "design blocks None (NoneType) are not a list of blocks"),
+            (3, 1, 3, 1, ((1, "2", 3),),
+             "block (1, '2', 3) point '2' is a str, not an int")):
         with pytest.raises(ValueError) as err:
-            BlockDesign(n=n, t=t, r=r, lam=lam, blocks=())
+            BlockDesign(n=n, t=t, r=r, lam=lam, blocks=blocks)
         assert str(err.value) == text
 
 
