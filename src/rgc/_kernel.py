@@ -8,10 +8,8 @@ row echelon form; the solve then back-substitutes, one sum of products
 per pivot and right-hand-side column.  echelon_add grows a fraction-free
 row echelon basis one row at a time, for rank checks that add rows
 incrementally; first_dependent_packed runs the same elimination on rows
-packed into lanes of one int, at lane_width's carry-free width; and
-annihilator gives the quotient by such a basis's span in gathered form:
-its free columns and their coefficients on the pivots, so a row maps to
-it at the cost of the span's dimension, not of its width.
+packed into lanes of one int, at lane_width's carry-free width, and
+extends a kept basis of such rows in place.
 """
 
 from operator import mul
@@ -61,12 +59,16 @@ def lane_width(lanes, q, terms):
     return lanes - 1 + (lanes + 1) * (q - 1).bit_length() + terms.bit_length()
 
 
-def first_dependent_packed(rows, lanes, width, q):
-    """The place of the first of rows that depends, mod q, on those
-    before it, or None.  Each row is one int of `lanes` lanes `width`
-    bits apart, lane t being (row >> t * width) & (2^width - 1), read
-    mod q, and width must be at least lane_width(lanes, q, terms) for
-    rows whose input lanes are at most terms * (q-1)^2.
+def first_dependent_packed(rows, basis, lanes, width, q):
+    """The place of the first of rows that depends, mod q, on basis and
+    the rows before it, or None; each independent row is appended to
+    basis, which is extended in place.  Each row is one int of `lanes`
+    lanes `width` bits apart, lane t being (row >> t * width) &
+    (2^width - 1), read mod q, and width must be at least
+    lane_width(lanes, q, terms) for rows whose input lanes are at most
+    terms * (q-1)^2.  basis holds (shift, pivot lane mod q, row)
+    triples, each kept by this routine at the same width: empty, or a
+    path's rows kept one call at a time.
 
     The elimination is fraction-free on whole rows: a row is reduced
     against each kept row b in turn, with f its lane at b's pivot P and
@@ -75,28 +77,30 @@ def first_dependent_packed(rows, lanes, width, q):
     earlier pivots stay 0 mod q, as b is 0 mod q there.  The reduced
     row is a nonzero multiple of the row plus a combination of kept
     rows, so it is 0 mod q in every lane exactly when the row depends
-    on the rows before it; any other is kept, pivoted on its first
-    other lane not 0 mod q.  No inverse and no per-lane % q is taken:
-    each reduction is two multiplies and an add of whole ints.  Once
-    `lanes` rows are kept they span every row, so the next is dependent
-    with no arithmetic.
+    on the rows before it; any other is kept, pivoted on its first free
+    lane (one no kept row pivots on) not 0 mod q.  No inverse and no
+    per-lane % q is taken: each reduction is two multiplies and an add
+    of whole ints.  Once `lanes` rows are kept they span every row, so
+    the next is dependent with no arithmetic.
 
     Lane width: every lane stays a nonnegative integer, as bp and q - f
     lie in 1..q-1.  Let B_u = 2^u (q-1)^(u+2) terms, so B_0 bounds every
     input lane.  Kept row u was reduced against the u rows kept before
-    it, and a row about to be reduced against it has been reduced (or
-    left alone) against the same u rows, so if both have lanes at most
-    B_u, the reduction leaves at most (q-1) B_u + (q-1) B_u = B_{u+1}.
-    By induction every lane is at most B_u after u reductions.  At most
-    `lanes` rows are kept and none is reduced against a full basis, so
-    u <= lanes - 1 and every lane is at most 2^(lanes-1) (q-1)^(lanes+1)
-    terms < 2^(lanes - 1 + (lanes+1) bits(q-1) + bits(terms)) = 2^width.
-    Multiplying and adding whole ints then acts lane by lane:
-    nonnegative lanes below 2^width never carry into the next, so every
-    lane reads back exactly."""
+    it: in this call, or in an earlier one, as the basis comes from this
+    routine at the same width.  A row about to be reduced against it has
+    been reduced (or left alone) against the same u rows, so if both
+    have lanes at most B_u, the reduction leaves at most (q-1) B_u +
+    (q-1) B_u = B_{u+1}.  By induction every lane is at most B_u after
+    u reductions.  At most `lanes` rows are kept and none is reduced
+    against a full basis, so u <= lanes - 1 and every lane is at most
+    2^(lanes-1) (q-1)^(lanes+1) terms < 2^(lanes - 1 + (lanes+1)
+    bits(q-1) + bits(terms)) = 2^width.  Multiplying and adding whole
+    ints then acts lane by lane: nonnegative lanes below 2^width never
+    carry into the next, so every lane reads back exactly."""
     mask = (1 << width) - 1
     free = list(range(0, lanes * width, width))     # non-pivot lane shifts
-    basis = []
+    for s, _, _ in basis:
+        free.remove(s)
     for at, v in enumerate(rows):
         if not free:
             return at
@@ -113,41 +117,6 @@ def first_dependent_packed(rows, lanes, width, q):
         else:
             return at
     return None
-
-
-def annihilator(basis, cols, q):
-    """The quotient by the span of an echelon_add basis of cols-wide
-    rows, gathered: (pivots, free, coef), where free lists the non-pivot
-    columns and coef[a] holds the s coefficients of free[a] on the
-    pivots.  Coordinate a of a row v is v[free[a]] + sum over i of
-    coef[a][i] * v[pivots[i]], and v lies in the span exactly when every
-    coordinate is 0 mod q.
-
-    A basis row is zero at the pivots of the rows before it, so its
-    pivot entries form an upper triangular matrix, and the reduced
-    echelon rows R_i follow last to first: R_i is row i less b[P_k] R_k
-    for each later pivot P_k, over b[P_i].  Coordinate a is y . v for
-    y = e_c minus R_i[c] at each pivot P_i, c = free[a], so coef[a][i]
-    is -R_i[c], found column by column.  Each y vanishes on the basis,
-    and the cols - s of them are independent, as each has its only free
-    entry at its own c, so their common kernel has dimension s and is
-    the span.  No cols-wide row is built: a caller maps a row with
-    s + 1 terms per coordinate."""
-    pivots = [piv for piv, _ in basis]
-    free = [c for c in range(cols) if c not in pivots]
-    s = len(basis)
-    invs = [-pow(b[piv], -1, q) for piv, b in basis]
-    coef = []
-    for c in free:
-        neg = [0] * s       # -R_i[c], last to first
-        for i in range(s - 1, -1, -1):
-            b = basis[i][1]
-            acc = b[c]
-            for k in range(i + 1, s):
-                acc += b[pivots[k]] * neg[k]
-            neg[i] = acc * invs[i] % q
-        coef.append(neg)
-    return pivots, free, coef
 
 
 def _eliminate(m, cols, q):

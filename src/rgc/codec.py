@@ -180,7 +180,12 @@ class ShareSet:
     shares: tuple[DiskShare, ...]
 
     def __post_init__(self):
-        disks = [s.disk for s in self.shares]
+        try:
+            disks = [s.disk for s in self.shares]
+        except AttributeError:
+            at, item = next((at, s) for at, s in enumerate(self.shares)
+                            if not hasattr(s, "disk"))
+            raise _not_a_share(at, item) from None
         if len(set(disks)) != len(disks):
             raise ValueError("duplicate disk in share set")
         if disks != sorted(disks):
@@ -310,13 +315,22 @@ def _share_map(spec: CodeSpec, shares) -> dict[int, DiskShare]:
     """The shares by disk, each checked once against spec: a share
     already marked with spec is not checked again."""
     out: dict[int, DiskShare] = {}
-    for share in shares:
-        if share._checked is not spec:
-            check_share(spec, share)
-        if share.disk in out:
-            raise ValueError(f"duplicate share for disk {share.disk}")
-        out[share.disk] = share
+    try:
+        for share in shares:
+            if share._checked is not spec:
+                check_share(spec, share)
+            if share.disk in out:
+                raise ValueError(f"duplicate share for disk {share.disk}")
+            out[share.disk] = share
+    except AttributeError:
+        # every share before this one entered out or raised
+        raise _not_a_share(len(out), share) from None
     return out
+
+
+def _not_a_share(at: int, item) -> ShareFormatError:
+    return ShareFormatError(f"share {at} is a {type(item).__name__}, not "
+                            f"a DiskShare")
 
 
 def encode(spec: CodeSpec, message) -> ShareSet:

@@ -222,6 +222,9 @@ class CodeSpec:
                 for v in s:
                     require_int("s_entries entry", v)
                 raise ValueError("s_entries must be reduced field elements")
+        # every encode and verify makes the short generator, so making it
+        # here refuses a field too small for it at no extra cost
+        self.short_gen
 
     @cached_property
     def short_gen(self) -> tuple[tuple[int, ...], ...]:

@@ -22,14 +22,10 @@ only grows the kernels of the blocks that contain it, so span(K_A) is
 built one vector at a time, and an image under [S | -I] that depends on
 the earlier ones fails every completion of the prefix.  A set's last
 disk is a leaf of its head, the path without it, and verify_S decides
-it in its own loop: one annihilator of the head's s path images gives
-the quotient gathered (free columns and their coefficients on the
-pivots), each leaf image maps to its T - s coordinates with s + 1 terms
-each, unrolled for three on three, and a determinant, a cross product
-or a small elimination decides them.  When n - k <= t no head reaches
-t hits, so every path is empty, and verify_S packs each image into one
-int of T lanes and decides each leaf by a fraction-free elimination on
-whole ints (_kernel.first_dependent_packed).  rank_witness takes its heavy
+it in its own loop, reducing the leaf's images against the path's.
+Every image is one int of T lanes, and one fraction-free elimination on
+whole ints decides paths and leaves alike
+(_kernel.first_dependent_packed).  rank_witness takes its heavy
 groups' kernels from group_decoder to build, for one erasure set, a 0/1
 matrix S that satisfies the condition, so the generic determinant
 argument for random S is checkable per set.  erasure_system is the
@@ -44,11 +40,9 @@ import random
 from math import comb
 from operator import mul
 
-from ._kernel import annihilator as _annihilator
 from ._kernel import echelon_add as _kadd
 from ._kernel import first_dependent_packed as _first_packed
 from ._kernel import lane_width as _lane_width
-from ._kernel import mat_mul as _kmul
 from ._kernel import mat_rank as _krank
 from ._record import record, require_int
 from .codespec import (CodeParams, CodeSpec, _params, _require_code_design,
@@ -313,7 +307,9 @@ class VerifyReport:
 
 
 def _serial_only(jobs: int) -> None:
-    # jobs remains because callers such as perfbench still pass jobs=1
+    # jobs remains because callers such as perfbench still pass jobs=1;
+    # True and 1.0 equal 1, so the type is checked first
+    require_int("jobs", jobs)
     if jobs != 1:
         raise ValueError(f"jobs={jobs}: verification runs serially; "
                          f"jobs must be 1")
@@ -326,37 +322,22 @@ def verify_S(spec: CodeSpec, jobs: int = 1, sample: int | None = None,
     A is decodable when [S | -I] is injective on span(K_A).  Walking the
     sets as prefix-tree paths (_walk) builds span(K_A) one kernel vector
     at a time, and each vector's image is reduced against the path's
-    echelon images.  An image that reduces to zero fails the prefix and,
+    kept images.  An image that reduces to zero fails the prefix and,
     as kernels only grow, every completion of it, which is then listed
     with no more rank work.  A vector's image depends only on its group
-    and hit mask, so every image of the call is made up front, in one
-    product of the kernel vectors with every group's parity columns
-    (packed when n - k <= t, below).
-
-    The walk yields each set's last disk as (j, hits) pairs, and the
-    loop here decides it in its head's quotient space.  At the first
-    leaf of a head that has pairs, when the path images span s > 0
-    dimensions, annihilator gives the quotient by them gathered: the
-    pivot columns, the D = T - s free columns and each free column's s
-    coefficients on the pivots, from one reduced echelon form.  The
-    head's leaves share it (_leaf_decider).  A leaf's L images are
-    independent of the path and of each other exactly when their D
-    coordinates are, each made from s + 1 entries of the image, unrolled
-    when s = D = 3.  A nonzero determinant (L = D <= 3) or cross product
-    (L = 2, D = 3) says so; otherwise, or on a zero, a fraction-free
-    elimination of the mapped images finds the first dependent one.
-    With s = 0 the images are their own coordinates.
-
-    When n - k <= t, chosen once per call, no head reaches t hits in any
-    block, so every path is empty and every leaf is a full T-wide
-    elimination.  The table is then packed instead: the columns of
-    [S | -I] become one int each, check t in lane t at
+    and hit mask, so every image of the call is made up front: the
+    columns of [S | -I] are packed one int each, check t in lane t at
     _kernel.lane_width, and an image is the m-term sum of its kernel
     column times its group's packed columns, with no matrix product.
-    _kernel.first_dependent_packed decides each leaf on whole ints, with
-    no inverse and no per-lane reduction mod q.  reductions counts
-    kernel vectors tried, one for each up to the first dependent one, so
-    it reads as if each leaf image were reduced against the path.
+
+    The walk yields each set's last disk as (j, hits) pairs, and the
+    loop here decides the leaf: its images, in pair order, are reduced
+    against a copy of the path's kept images, and the set fails at the
+    first that depends on them and on the images before it.  Paths and
+    leaves go through one routine, _kernel.first_dependent_packed,
+    which eliminates fraction-free on whole ints, with no inverse and
+    no per-lane reduction mod q.  reductions counts kernel vectors
+    tried, one for each up to the first dependent one.
 
     When C(n, n-k) exceeds MAX_SUBSETS, a seeded random sample must be
     requested explicitly via `sample`; the report then marks itself as
@@ -421,53 +402,29 @@ def _verify(spec: CodeSpec, sample: int | None, seed: int,
         at = used.index(lost)
         cols.append([row[at] for row in rowmap[:p.m]])
     m, T, N = p.m, p.T, p.nstar
-    if miss <= p.t:
-        # no head reaches t hits, so every path is empty: pack the
-        # columns of [S | -I] T lanes to an int, at the width that
-        # first_dependent_packed needs, and make each image the m-term
-        # sum of its kernel column times its group's packed columns
-        width = _lane_width(T, q, m)
-        shifts = range(0, T * width, width)
-        packed = [0] * p.M
-        for row, s in zip(spec.s_rows, shifts):
-            packed = [x + (v << s) for x, v in zip(packed, row)]
-        packed += [q - 1 << s for s in shifts]
-        images = {h: [sum(map(mul, col, packed[j * m:j * m + m]))
-                      for j in range(N)] for h, col in zip(masks, cols)}
-        grow = None
-
-        def empty(vs):
-            return _first_packed(vs, T, width, q)
-    else:
-        # one product: the kernel columns (#masks x m) times the groups'
-        # parity columns side by side (m x N*T); row i holds mask i's
-        # images
-        pcols = spec.parity_columns
-        flat = _kmul([v for col in cols for v in col], len(masks), m,
-                     [v for c in range(m) for j in range(N)
-                      for v in pcols[j * m + c]], m, N * T, q)
-        images = {h: [flat[(i * N + j) * T:(i * N + j + 1) * T]
-                      for j in range(N)] for i, h in enumerate(masks)}
-
-        def grow(basis, j, hits):
-            nonlocal reductions
-            reductions += 1
-            return _kadd(basis, images[hits][j], q)
-
-        def empty(vs):
-            return _first_dependent(vs, T, q)
+    # pack the columns of [S | -I] T lanes to an int, at the width that
+    # first_dependent_packed needs, and make each image the m-term sum
+    # of its kernel column times its group's packed columns
+    width = _lane_width(T, q, m)
+    shifts = range(0, T * width, width)
+    packed = [0] * p.M
+    for row, s in zip(spec.s_rows, shifts):
+        packed = [x + (v << s) for x, v in zip(packed, row)]
+    packed += [q - 1 << s for s in shifts]
+    images = {h: [sum(map(mul, col, packed[j * m:j * m + m]))
+                  for j in range(N)] for h, col in zip(masks, cols)}
     reductions = 0
 
-    failures, pruned, head = [], 0, None
+    def grow(basis, j, hits):
+        nonlocal reductions
+        reductions += 1
+        return _first_packed([images[hits][j]], basis, T, width, q) is None
+
+    failures, pruned = [], 0
     for a, basis, pairs, fail in _walk(spec.design, miss, sets, grow):
         if pairs:
-            if a[:-1] != head:
-                # the head's leaves share its decider; with no path
-                # images the images are their own coordinates
-                head = a[:-1]
-                first = (_leaf_decider(_annihilator(basis, T, q), q)
-                         if basis else empty)
-            bad = first([images[h][j] for j, h in pairs])
+            bad = _first_packed([images[h][j] for j, h in pairs],
+                                list(basis), T, width, q)
             reductions += len(pairs) if bad is None else bad + 1
             if bad is not None:
                 fail = miss
@@ -479,70 +436,6 @@ def _verify(spec: CodeSpec, sample: int | None, seed: int,
     return VerifyReport(ok=not failures, failures=tuple(failures),
                         checked=checked, total=total, sampled=sampled,
                         reductions=reductions, pruned=pruned)
-
-
-def _leaf_decider(quotient, q):
-    """first(vs): the place of the first of a leaf's images vs, T-wide
-    and read mod q, that depends on the span cut out by quotient (the
-    gathered form from annihilator) and on the images before it, or None
-    when they are all independent.
-
-    The images are mapped to the D quotient coordinates: three on three
-    pivots (every non-block head of a T = 6 triple system) by an
-    unrolled, unreduced expression, any other shape reduced mod q, as an
-    elimination of unreduced coordinates would multiply large integers.
-    L = D = 3 images are independent when their determinant is nonzero
-    mod q, and L = 2 in D = 3 when their cross product is.  Any other
-    shape, and a zero, goes to a fraction-free elimination of the mapped
-    images, which alone finds the first dependent one.
-    """
-    pivots, free, coef = quotient
-    if len(pivots) == len(free) == 3:
-        (p0, p1, p2), (f0, f1, f2) = pivots, free
-        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = coef
-
-        def first(vs):
-            mapped = []
-            for v in vs:
-                x, y, z = v[p0], v[p1], v[p2]
-                mapped.append((v[f0] + a0 * x + a1 * y + a2 * z,
-                               v[f1] + b0 * x + b1 * y + b2 * z,
-                               v[f2] + c0 * x + c1 * y + c2 * z))
-            return _first_dependent(mapped, 3, q)
-        return first
-
-    rows = list(zip(free, coef))
-
-    def first(vs):
-        mapped = []
-        for v in vs:
-            x = [v[i] for i in pivots]
-            mapped.append([(v[c] + sum(map(mul, row, x))) % q
-                           for c, row in rows])
-        return _first_dependent(mapped, len(free), q)
-    return first
-
-
-def _first_dependent(vs, dim, q):
-    """The place of the first of the images vs, in dim coordinates read
-    mod q, that depends on those before it, or None.  In dim = 3 a
-    nonzero determinant (L = 3) or cross product (L = 2) says None at
-    once; otherwise a fraction-free elimination of vs in turn finds
-    it."""
-    if dim == 3 and len(vs) == 3:
-        (a, b, c), (d, e, f), (g, h, i) = vs
-        if (a * (e * i - f * h) - b * (d * i - f * g)
-                + c * (d * h - e * g)) % q:
-            return None
-    elif dim == 3 and len(vs) == 2:
-        (a, b, c), (d, e, f) = vs
-        if (b * f - c * e) % q or (c * d - a * f) % q or (a * e - b * d) % q:
-            return None
-    tried = []
-    for at, v in enumerate(vs):
-        if not _kadd(tried, v, q):
-            return at
-    return None
 
 
 @record

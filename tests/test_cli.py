@@ -337,6 +337,20 @@ def test_sim_run_records_undecodable_read(capsys, tmp_path,
     assert good["ok"] and good["message"] == list(msg.values)
 
 
+def test_inspect_refuses_a_field_too_small_for_the_short_generator(
+        capsys, tmp_path, t3_spec):
+    """A complete(3,4,7) k=4 spec over GF(3) cannot make its Cauchy
+    parity rows, so inspect exits 1 with one error line."""
+    doc = json.loads(t3_spec.to_json())
+    doc.update(q=3, s=[str(int(v) % 3) for v in doc["s"]])
+    bad = tmp_path / "gf3.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "code", "inspect", "--spec", str(bad))
+    assert (code, out) == (1, "")
+    assert err == (f"error: {bad}: field GF(3) too small for a Cauchy "
+                   f"parity block; need q >= r = 4\n")
+
+
 @pytest.mark.parametrize("command,flag,mangle", [
     pytest.param(("code", "inspect"), "--spec",
                  lambda spec, design: dict(spec, layout=5), id="layout"),

@@ -984,6 +984,24 @@ def test_share_validation_messages(golden_spec):
             share_to_bytes(spec, bad)
 
 
+def test_a_non_share_item_is_a_share_format_error(golden_spec):
+    """An item that is not a DiskShare, in a read, a repair or a share
+    set, raises ShareFormatError naming its place and type, not an
+    AttributeError."""
+    spec = golden_spec
+    shares = list(encode(spec, _msg(spec, 7)))
+    for bad in (None, (1, 2, 3), "disk 9"):
+        kind = type(bad).__name__
+        _raises_exactly(f"share 6 is a {kind}, not a DiskShare",
+                        reconstruct, spec, shares[:6] + [bad])
+        _raises_exactly(f"share 8 is a {kind}, not a DiskShare",
+                        repair, spec, 1, shares[1:] + [bad])
+        _raises_exactly(f"share 0 is a {kind}, not a DiskShare",
+                        ShareSet, (bad,))
+        _raises_exactly(f"share 2 is a {kind}, not a DiskShare",
+                        ShareSet, (shares[0], shares[1], bad))
+
+
 def test_a_share_built_from_lists_is_the_tuple_share(golden_spec):
     """A share made from a list of symbols, or from list triples, equals
     and hashes as the tuple-built share, and a repair from such shares

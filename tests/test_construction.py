@@ -7,12 +7,13 @@ import json
 import math
 import pathlib
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rgc import construction, designs
+from rgc import _kernel, construction, designs
 from rgc.codec import (CorruptionError, MessageVector, encode, reconstruct,
                        repair)
 from rgc.codespec import (CodeSpec, _params, build_layout, group_decoder,
@@ -27,8 +28,8 @@ from rgc.construction import (BudgetExceededError, SynthesisError,
 from rgc.designs import (CATALOG, S_2_4_13, BlockDesign, gen_complete_design,
                          gen_steiner_triple, verify_design)
 from rgc.ffield import PrimeField, next_prime
-from rgc._kernel import (annihilator, echelon_add, first_dependent_packed,
-                         lane_width, mat_mul, mat_rank)
+from rgc._kernel import (echelon_add, first_dependent_packed, lane_width,
+                         mat_mul, mat_rank)
 
 from conftest import lost_mask, parity_block, plan
 
@@ -235,6 +236,26 @@ def test_short_generator_needs_room():
         with pytest.raises(ValueError) as err:
             short_mds_generator(r, t, PrimeField(7))
         assert str(err.value) == f"need 2 <= t <= r, got t={t} r={r}"
+
+
+def test_a_field_too_small_for_the_short_generator_is_refused():
+    """complete(3,4,7) k=4 needs q >= r = 4 for its Cauchy parity rows:
+    at q = 3 the spec is refused when it is made or loaded, with
+    short_mds_generator's own text."""
+    design = gen_complete_design(3, 4, 7)
+    params = derive_params(design, 4)
+    want = ("field GF(3) too small for a Cauchy parity block; need "
+            "q >= r = 4")
+    with pytest.raises(ValueError) as err:
+        CodeSpec(params=params, field=PrimeField(3), design=design,
+                 layout=build_layout(design),
+                 s_entries=(0,) * (params.T * params.M))
+    assert str(err.value) == want
+    doc = json.loads(_random_candidate(design, 4, 31, 0).to_json())
+    doc.update(q=3, s=[str(int(v) % 3) for v in doc["s"]])
+    with pytest.raises(ValueError) as err:
+        CodeSpec.from_json(json.dumps(doc))
+    assert str(err.value) == want
 
 
 def test_choose_phi_greedy():
@@ -486,11 +507,13 @@ def test_synthesis_check_stops_at_the_first_failure():
 
 
 def test_verification_is_serial_only(golden_spec, steiner9):
+    """jobs must be the int 1: True and 1.0 equal 1 but are refused."""
     assert verify_S(golden_spec, jobs=1).ok
-    with pytest.raises(ValueError, match="jobs"):
-        verify_S(golden_spec, jobs=2)
-    with pytest.raises(ValueError, match="jobs"):
-        build_code(steiner9, 7, q=3, jobs=2)
+    for jobs in (2, True, 1.0):
+        with pytest.raises(ValueError, match="jobs"):
+            verify_S(golden_spec, jobs=jobs)
+        with pytest.raises(ValueError, match="jobs"):
+            build_code(steiner9, 7, q=3, jobs=jobs)
 
 
 def test_build_takes_only_auto_or_an_int_modulus(steiner9):
@@ -734,126 +757,20 @@ def _rank_oracle_failures(specs):
     return want
 
 
-def test_leaf_decisions_match_a_per_set_rank_oracle(monkeypatch):
+def test_leaf_decisions_match_a_per_set_rank_oracle():
     """On STS(19) k=15 candidates over GF(31) and GF(101), and an STS(15)
     k=11 one over GF(13), verify_S fails on exactly the erasure sets
     where a per-set rank oracle does: 102, 35 and 93 sets, every one
-    decided at a leaf.  A spy on the leaf decisions, written (s, L, D)
-    for path images, leaf images and quotient coordinates, shows each
-    branch deciding passing and failing leaves, each as the oracle does:
-    the unrolled map and determinant (3, 3, 3), the cross product
-    (3, 2, 3) and the elimination at a block head (2, 3, 4).  The
-    first-failure check agrees."""
+    decided at a leaf, and the first-failure check agrees."""
     specs = [_random_candidate(gen_steiner_triple(19), 15, q, 0)
              for q in (31, 101)]
     small = [_random_candidate(gen_steiner_triple(15), 11, 13, 0)]
     want = _rank_oracle_failures(specs) + _rank_oracle_failures(small)
     assert [len(fails) for fails in want] == [102, 35, 93]
-    decided, owners = [], []          # ((s, L, D), passed); their sets
-    real_decider, real_walk = construction._leaf_decider, construction._walk
-
-    def decider(quotient, q):
-        first = real_decider(quotient, q)
-        s, dim = len(quotient[0]), len(quotient[1])
-
-        def spy(vs):
-            bad = first(vs)
-            decided.append(((s, len(vs), dim), bad is None))
-            return bad
-        return spy
-
-    def walk(*args):
-        # verify_S decides a leaf after the walk yields it
-        for item in real_walk(*args):
-            yield item
-            owners.extend([item[0]] * (len(decided) - len(owners)))
-
-    monkeypatch.setattr(construction, "_leaf_decider", decider)
-    monkeypatch.setattr(construction, "_walk", walk)
-    seen = {}
     for spec, fails in zip(specs + small, want):
-        decided.clear()
-        owners.clear()
         report = verify_S(spec)
         assert report.failures == tuple(fails) and report.pruned == 0
-        failing = set(fails)
-        assert len(owners) == len(decided)
-        for a, (shape, passed) in zip(owners, decided):
-            assert passed == (a not in failing)
-            seen.setdefault(shape, set()).add(passed)
         assert not construction._verify(spec, None, 0, True).ok
-    for shape in ((3, 3, 3), (3, 2, 3), (2, 3, 4)):
-        assert seen[shape] == {True, False}
-
-
-@settings(max_examples=60, deadline=None)
-@given(q=st.sampled_from([2, 3, 5, 7, 31]), cols=st.integers(1, 7),
-       data=st.data())
-def test_annihilator_cuts_out_the_span(q, cols, data):
-    """For an echelon_add basis of s rows over small q, annihilator gives
-    the quotient gathered: the s pivots, the cols - s other columns in
-    order and, for each, s coefficients on the pivots.  Every quotient
-    coordinate of a basis row, or of a combination of them, is 0 mod q,
-    and a row v lies in the span exactly when all of v's are."""
-    row = st.lists(st.integers(0, 3 * q), min_size=cols, max_size=cols)
-    basis = []
-    for r in data.draw(st.lists(row, max_size=cols + 2)):
-        echelon_add(basis, r, q)
-    pivots, free, coef = annihilator(basis, cols, q)
-    assert pivots == [piv for piv, _ in basis]
-    assert free == [c for c in range(cols) if c not in pivots]
-    assert len(coef) == len(free)
-    assert all(len(c) == len(basis) and all(0 <= x < q for x in c)
-               for c in coef)
-
-    def coords(v):
-        return [(v[c] + sum(a * v[i] for a, i in zip(co, pivots))) % q
-                for c, co in zip(free, coef)]
-
-    mix = data.draw(st.lists(st.integers(0, q - 1), min_size=len(basis),
-                             max_size=len(basis)))
-    combo = [sum(a * b[u] for a, (_, b) in zip(mix, basis))
-             for u in range(cols)]
-    assert not any(coords(combo))
-    assert all(not any(coords(b)) for _, b in basis)
-    for v in data.draw(st.lists(row, min_size=1, max_size=4)):
-        in_span = not echelon_add(list(basis), v, q)
-        assert in_span == (not any(coords(v)))
-
-
-@pytest.mark.parametrize("T,s,L", [(6, 3, 3), (6, 3, 2), (6, 3, 1),
-                                   (6, 2, 3), (4, 1, 3), (4, 1, 2),
-                                   (3, 0, 3), (3, 0, 2), (2, 0, 2),
-                                   (1, 0, 1), (7, 0, 7)])
-@settings(max_examples=40, deadline=None)
-@given(q=st.sampled_from([2, 3, 5, 7, 31]), data=st.data())
-def test_leaf_decider_matches_echelon_add(T, s, L, q, data):
-    """On random small-field path bases of up to s rows and L leaf
-    images, each drawn at random or as a combination of the basis and
-    the images before it, _leaf_decider names the same first dependent
-    image as plain echelon_add, through each of its closed forms (the
-    unrolled 3-on-3 map and its determinant, the determinant for
-    L = D = 3, the cross product for L = 2 in D = 3) and the
-    elimination, which alone decides the smaller shapes."""
-    row = st.lists(st.integers(0, 3 * q), min_size=T, max_size=T)
-    basis = []
-    for r in data.draw(st.lists(row, min_size=s, max_size=s)):
-        echelon_add(basis, r, q)
-    vs = []
-    for _ in range(L):
-        if data.draw(st.booleans()):
-            mix = [b for _, b in basis] + vs
-            co = data.draw(st.lists(st.integers(0, q - 1),
-                                    min_size=len(mix), max_size=len(mix)))
-            vs.append([sum(a * b[u] for a, b in zip(co, mix))
-                       for u in range(T)])
-        else:
-            vs.append(data.draw(row))
-    tried = list(basis)
-    want = next((at for at, v in enumerate(vs)
-                 if not echelon_add(tried, v, q)), None)
-    first = construction._leaf_decider(annihilator(basis, T, q), q)
-    assert first(vs) == want
 
 
 @settings(max_examples=100, deadline=None)
@@ -864,7 +781,10 @@ def test_first_dependent_packed_matches_echelon_add(T, q, m, data):
     combination of the rows before it, and each lane lifted to the
     largest value with its residue that an m-term input can hold
     (m (q-1)^2) or left reduced, first_dependent_packed at lane_width's
-    width names the same first dependent row as plain echelon_add."""
+    width names the same first dependent row as plain echelon_add.  The
+    first rows may instead go one call at a time into a kept basis, as
+    a path's do, and the rest are then decided against it: echelon_add
+    continues from the same rows."""
     bound = m * (q - 1) ** 2
     residue = st.integers(0, q - 1)
     rows = []
@@ -879,12 +799,18 @@ def test_first_dependent_packed_matches_echelon_add(T, q, m, data):
                                            max_size=T)))
     lifted = [[x + q * ((bound - x) // q) if data.draw(st.booleans()) else x
                for x in r] for r in rows]
-    tried = []
-    want = next((at for at, r in enumerate(lifted)
-                 if not echelon_add(tried, r, q)), None)
     width = lane_width(T, q, m)
     packed = [sum(x << u * width for u, x in enumerate(r)) for r in lifted]
-    assert first_dependent_packed(packed, T, width, q) == want
+    path = data.draw(st.integers(0, len(rows) - 1))
+    basis, tried = [], []
+    for v, r in zip(packed[:path], lifted[:path]):
+        kept = echelon_add(tried, r, q)
+        assert (first_dependent_packed([v], basis, T, width, q)
+                is None) == kept
+        assert len(basis) == len(tried)
+    want = next((at for at, r in enumerate(lifted[path:])
+                 if not echelon_add(tried, r, q)), None)
+    assert first_dependent_packed(packed[path:], basis, T, width, q) == want
 
 
 def test_a_spec_claiming_a_small_deficit_fails_every_set():
@@ -903,34 +829,27 @@ def test_a_spec_claiming_a_small_deficit_fails_every_set():
     assert (report.checked, report.reductions, report.pruned) == (36, 252, 0)
 
 
-def test_verify_packs_images_only_when_every_head_is_empty(
-        complete9_spec, s15_spec, monkeypatch):
-    """With n - k <= t (complete(2,3,9) k=7, complete(3,4,7) k=4) every
-    leaf is decided on packed images, with no mat_mul and no
-    parity_columns; S(2,3,15) k=11 keeps its list images and never
-    calls the packed elimination."""
-    packed = []
-    real = construction._first_packed
-
-    def spy(rows, lanes, width, q):
-        packed.append(len(rows))
-        return real(rows, lanes, width, q)
-
+def test_verify_decides_every_code_on_packed_images(
+        golden_spec, complete9_spec, s15_spec, monkeypatch):
+    """Every path and leaf is decided on packed images, with no mat_mul
+    and no parity_columns: golden, complete(2,3,9) k=7, a complete(3,4,7)
+    k=4 candidate and S(2,3,15) k=11, whose heads reach t hits."""
     def no_mul(*args):
-        raise AssertionError("the packed path called mat_mul")
+        raise AssertionError("verify_S called mat_mul")
 
-    monkeypatch.setattr(construction, "_first_packed", spy)
+    # every module's binding of mat_mul, whatever its name
+    real = _kernel.mat_mul
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "rgc":
+            for attr, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, attr, no_mul)
     t3 = _random_candidate(gen_complete_design(3, 4, 7), 4, 31, 0)
-    for spec in (complete9_spec, t3):
+    for spec in (golden_spec, complete9_spec, t3, s15_spec):
         fresh = CodeSpec.from_json(spec.to_json())
-        with monkeypatch.context() as patch:
-            patch.setattr(construction, "_kmul", no_mul)
-            verify_S(fresh)
+        report = verify_S(fresh)
         assert "parity_columns" not in vars(fresh)
-    assert packed == [7] * 36 + [4] * 35
-    packed.clear()
-    verify_S(s15_spec)
-    assert packed == []
+        assert report == verify_S(spec)
 
 
 def _prefix_fails(spec, prefix):
